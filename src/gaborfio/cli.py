@@ -5,15 +5,18 @@ rejected), merges it over the documented defaults, executes one
 subcommand, writes its artifacts plus a manifest.json into the output
 directory, and exits 0. Config and usage problems exit 2; numerical
 failures (solver stalls, refused operators, insufficient signal) exit 3.
+A config whose dense Gabor matrix or padded operator kernel would not fit
+in physical memory is refused (exit 2) before anything large is built.
 
-Artifacts are bitwise deterministic for a fixed config and worker count;
-the manifest is exempt (it records wall-clock time).
+Artifacts are bitwise deterministic for a fixed config; the manifest is
+exempt (it records wall-clock time).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -25,8 +28,9 @@ from .errors import ConfigError, NumericalError
 from .fio import apply as fio_apply
 from .fio import canonical_map, multiplier_apply
 from .fitting import DEFAULT_S_GRID
-from .gabor import (GaborFrame, Lattice, Window, dual_window, frame_bounds,
-                    gs_decay_classify, inversion_formula_reconstruct,
+from .gabor import (GaborFrame, Lattice, Window, _steps_within, dual_window,
+                    frame_bounds, gs_decay_classify,
+                    inversion_formula_reconstruct,
                     moment_constant_conversion, moment_epsilon_bound, stft)
 from .gmatrix import (NOISE_FLOOR, assemble, fit_decay, restricted_decay_fit,
                       sparse_apply, sparsity_curve)
@@ -96,12 +100,22 @@ def load_config(path: str | None):
     return _merge(user, DEFAULTS, ""), raw
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _number(cfg, *keys, positive=True):
     value = cfg
     for key in keys:
         value = value[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config key {'.'.join(keys)!r} must be a number")
+    if not _is_finite_number(value):
+        raise ConfigError(f"config key {'.'.join(keys)!r} must be a finite "
+                          "number")
     if positive and not value > 0:
         raise ConfigError(f"config key {'.'.join(keys)!r} must be positive")
     return float(value)
@@ -141,23 +155,22 @@ class Experiment:
             raise ConfigError("config key 'frame.window' must be a string")
         s_grid = cfg["fit"]["s_grid"]
         if (not isinstance(s_grid, list) or not s_grid
-                or any(not isinstance(s, (int, float)) or s <= 0
-                       for s in s_grid)):
+                or any(not _is_finite_number(s) or s <= 0 for s in s_grid)):
             raise ConfigError("config key 'fit.s_grid' must be a list of "
-                              "positive numbers")
+                              "positive finite numbers")
         thresholds = cfg["thresholds"]
         if (not isinstance(thresholds, list)
-                or any(not isinstance(t, (int, float)) or t < 0
+                or any(not _is_finite_number(t) or t < 0
                        for t in thresholds)):
             raise ConfigError("config key 'thresholds' must be a list of "
-                              "nonnegative numbers")
+                              "nonnegative finite numbers")
         operator_spec = cfg["operator"]
         if not isinstance(operator_spec, str):
             raise ConfigError("config key 'operator' must be a string")
         out = cfg["out"]
         if not isinstance(out, str) or not out:
             raise ConfigError("config key 'out' must be a nonempty string")
-        return cls(
+        exp = cls(
             grid=grid,
             window=parse_window(window_spec),
             window_spec=window_spec,
@@ -171,6 +184,8 @@ class Experiment:
             s_grid=tuple(float(s) for s in s_grid),
             thresholds=tuple(float(t) for t in thresholds),
             out=out)
+        _check_sizes(exp)
+        return exp
 
     def frame(self) -> GaborFrame:
         lattice = Lattice(self.alpha, self.beta, self.truncation,
@@ -195,6 +210,35 @@ class Experiment:
         return self.window.sampled(self.grid)
 
 
+def _check_sizes(exp: Experiment) -> None:
+    """Refuse a run whose largest arrays cannot fit in physical memory.
+
+    The lattice is counted as Lattice would enumerate it, without
+    enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
+    the operator kernel on the doubled grid (2N)^2. Sizes are exact
+    integers (inf for a count past the float range), so none overflows.
+    """
+    try:
+        n_lattice = math.prod(2 * _steps_within(exp.truncation, step) + 1
+                              for step in (exp.alpha, exp.beta))
+    except OverflowError:
+        n_lattice = math.inf
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform cannot say
+        limit = math.inf
+    n = exp.grid.points_per_axis
+    for what, size in (
+            (f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
+             f"x {exp.beta:g}: the dense Gabor matrix of its lattice",
+             16 * n_lattice ** 2),
+            (f"grid.N {n}: the operator kernel on the doubled grid",
+             16 * (2 * n) ** 2)):
+        if size > limit:
+            raise ConfigError(f"{what} would exceed the "
+                              f"{limit / 2 ** 30:.3g} GiB of physical memory")
+
+
 def _phase_space_points():
     axis = np.arange(-STFT_EXTENT, STFT_EXTENT + 1e-9, STFT_STEP)
     return [(x, w) for x in axis for w in axis]
@@ -202,7 +246,7 @@ def _phase_space_points():
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -439,9 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gaborfio",
         description="Gabor-frame concentration measurements and sparse "
                     "application for oscillatory-integral operators.",
-        epilog="Set GABORFIO_WORKERS to control assembly threads; "
-               "artifacts are bitwise deterministic for a fixed config "
-               "and worker count.")
+        epilog="Artifacts are bitwise deterministic for a fixed config.")
     parser.add_argument("--config", default=None,
                         help="JSON config file; unknown keys are rejected")
     parser.add_argument("--grid-n", type=int, default=None,
@@ -509,7 +551,6 @@ def main(argv=None) -> int:
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
-        "workers": os.environ.get("GABORFIO_WORKERS", ""),
         "wall_clock_seconds": time.perf_counter() - start,
     }
     _write_json(os.path.join(exp.out, "manifest.json"), manifest)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisError, SolverError
-from .signals import Grid, SampledSignal, forward_transform
+from .signals import Grid, SampledSignal
 
 __all__ = [
     "Phase",
@@ -191,8 +191,7 @@ def identity_operator() -> FioOperator:
         symbol=unit_symbol(),
         name="identity",
         closed_map=lambda y, eta: (np.asarray(y, dtype=float),
-                                   np.asarray(eta, dtype=float)),
-        closed_apply=lambda f: f)
+                                   np.asarray(eta, dtype=float)))
 
 
 def multiplier_operator(phi: Callable, phi_prime: Callable,
@@ -213,15 +212,10 @@ def multiplier_operator(phi: Callable, phi_prime: Callable,
         y = np.asarray(y, dtype=float)
         return y, np.asarray(eta, dtype=float) + phi_prime(y)
 
-    def closed_apply(f: SampledSignal) -> SampledSignal:
-        return SampledSignal(
-            f.grid,
-            f.values * np.exp(2j * np.pi * phi(f.grid.times())))
-
     return FioOperator(phase=phase, symbol=unit_symbol(),
                        name=f"multiplier:{name}", kind="multiplier",
                        multiplier_fn=phi, multiplier_derivative=phi_prime,
-                       closed_map=closed_map, closed_apply=closed_apply)
+                       closed_map=closed_map)
 
 
 def ensure_nondegenerate(op: FioOperator, *, box: float = HYPOTHESIS_BOX,
@@ -244,17 +238,25 @@ def ensure_nondegenerate(op: FioOperator, *, box: float = HYPOTHESIS_BOX,
     return min_det
 
 
+def _apply_columns(op: FioOperator, grid: Grid, values: np.ndarray
+                   ) -> np.ndarray:
+    """T applied to samples on grid: one function (1-D) or one per column.
+
+    Centered transform, then the N x N kernel exp(2 pi i Phi) sigma, which
+    is freed on return. Callers check nondegeneracy.
+    """
+    grid.require_1d()
+    t, om = grid.times()[:, None], grid.freqs()[None, :]
+    spectra = grid.spacing * np.fft.fftshift(
+        np.fft.fft(np.fft.ifftshift(values, axes=0), axis=0), axes=0)
+    kern = np.exp(2j * np.pi * op.phase.value(t, om)) * op.symbol.value(t, om)
+    return (kern @ spectra) / grid.length
+
+
 def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
     """Quadrature application over the full frequency grid, O(N^2) per dim."""
     ensure_nondegenerate(op)
-    f.grid.require_1d()
-    x = f.grid.times()
-    om = f.grid.freqs()
-    fhat = forward_transform(f)
-    kern = (np.exp(2j * np.pi * op.phase.value(x[:, None], om[None, :]))
-            * op.symbol.value(x[:, None], om[None, :]))
-    out = (kern @ fhat.values) / f.grid.length
-    return SampledSignal(f.grid, out)
+    return SampledSignal(f.grid, _apply_columns(op, f.grid, f.values))
 
 
 def multiplier_apply(op: FioOperator, f: SampledSignal) -> SampledSignal:

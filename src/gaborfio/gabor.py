@@ -6,6 +6,10 @@ central atoms (|lambda_i| <= truncation/2): eigenvalues of the full frame
 operator on the grid are polluted by lattice-edge effects, while on the
 central span the truncation error is negligible.
 
+Every time-frequency-shifted window in the package (frame atoms, dual
+atoms, tf_shift, stft, and the atoms gmatrix.assemble pushes through an
+operator) comes from _atom_matrix.
+
 Two dual windows serve two purposes. dual_window returns the canonical dual
 gamma = S^-1 g, solved on a doubled grid with an enlarged lattice, then
 restricted, because the frame operator restricted to the original
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import hermite as _hermite
 
-from .errors import NotAFrameError, SolverError
+from .errors import NotAFrameError
 from .fitting import DEFAULT_S_GRID, ShellFit, shell_decay_fit
 from .signals import Grid, SampledSignal, inner_product
 
@@ -59,14 +63,11 @@ GRID_MARGIN = 5.0
 # Lower frame bound below this is reported as "not a frame".
 FRAME_FLOOR = 1e-8
 
-# Dual-window solve: lattice enlargement on the doubled grid, eigenvalue
-# deflation cut for the edge null-space, and CG tolerance. 1e-11 rather
-# than the contractual 1e-10 so that downstream reconstruction keeps its
-# 1e-8 margin (solution error scales like residual / A).
+# Dual-window solve: lattice enlargement on the doubled grid, and the
+# eigenvalue deflation cut for the edge null-space.
 DUAL_EXTRA_TRUNCATION = 12.0
 DUAL_EDGE_CLEARANCE = 4.0
 DUAL_DEFLATION_CUT = 1e-2
-DUAL_CG_TOL = 1e-11
 
 # Expansion dual: the weight exp(c t^2) whose norm it minimizes. c = 1/4
 # makes h = exp(-t^2/2) times a combination of adjoint atoms. On the
@@ -74,6 +75,11 @@ DUAL_CG_TOL = 1e-11
 # widths 1-3 to 2e-10; c = 1/8 leaves 5e-8, and c = 1/2 loses the
 # frame with steps (0.8, 0.9) to 1e-5.
 EXPANSION_DUAL_WEIGHT = 0.25
+
+# Relative miss of dual_synthesis(analysis(g_0)) that marks no frame:
+# frames in use miss by 1e-15 to 5e-7, odd windows at alpha*beta =
+# (n-1)/n, which are no frames, by 0.75 and more.
+RECONSTRUCTION_CEILING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,11 @@ def hermite(order: int, width: float) -> Window:
     return Window("hermite", width, order)
 
 
+def _steps_within(radius: float, step: float) -> int:
+    """Multiples of step in (0, radius], with slack for rounding."""
+    return math.floor(radius / step + 1e-9)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Separable lattice alpha*Z x beta*Z truncated to a centered box.
@@ -146,8 +157,8 @@ class Lattice:
             raise ValueError("lattice steps must be positive")
         if not (self.time_range >= 0 and self.freq_range >= 0):
             raise ValueError("truncation radii must be nonnegative")
-        k1 = int(math.floor(self.time_range / self.alpha + 1e-9))
-        k2 = int(math.floor(self.freq_range / self.beta + 1e-9))
+        k1 = _steps_within(self.time_range, self.alpha)
+        k2 = _steps_within(self.freq_range, self.beta)
         pts = tuple((i * self.alpha, j * self.beta)
                     for i in range(-k1, k1 + 1)
                     for j in range(-k2, k2 + 1))
@@ -175,28 +186,42 @@ def make_lattice(alpha: float, beta: float, truncation: float) -> Lattice:
     return Lattice(alpha, beta, truncation, truncation)
 
 
+def _atom_matrix(source, grid: Grid, points) -> np.ndarray:
+    """Atoms source(t - x) exp(2 pi i w t) on grid, one column per (x, w).
+
+    source is a Window, evaluated at the shifted times, or samples on
+    grid, shifted in time by a periodic spectral shift (exact for grid
+    functions whose boundary values vanish). Each distinct x is shifted,
+    and each distinct w modulates, once.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("shifts must be finite")
+    grid.require_1d()
+    t = grid.times()
+    xs, column_x = np.unique(pts[:, 0], return_inverse=True)
+    ws, column_w = np.unique(pts[:, 1], return_inverse=True)
+    if isinstance(source, Window):
+        shifted = source.evaluate(t[:, None] - xs)
+    else:
+        spec = np.fft.fft(np.fft.ifftshift(source))
+        freqs = np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+        shifted = np.fft.fftshift(np.fft.ifft(
+            spec[:, None] * np.exp(-2j * np.pi * freqs[:, None] * xs),
+            axis=0), axes=0)
+    waves = np.exp(2j * np.pi * ws * t[:, None])
+    return shifted[:, column_x] * waves[:, column_w]
+
+
 def tf_shift(g: SampledSignal, lam, *, window: Window | None = None
              ) -> SampledSignal:
     """Time-frequency shift to g(x - lam1) * exp(2 pi i lam2 x).
 
-    With a window given, the shift is evaluated analytically from the
-    closed form. Otherwise the time shift is a periodic spectral shift of
-    the samples (exact for grid functions whose boundary values vanish),
-    followed by the modulation.
+    With a window given, the shift is evaluated from its closed form;
+    otherwise it is a periodic spectral shift of the samples.
     """
-    x, w = float(lam[0]), float(lam[1])
-    if not (math.isfinite(x) and math.isfinite(w)):
-        raise ValueError(f"shift must be finite, got {lam}")
-    g.grid.require_1d()
-    t = g.grid.times()
-    if window is not None:
-        vals = window.evaluate(t - x).astype(complex)
-    else:
-        spec = np.fft.fft(np.fft.ifftshift(g.values))
-        freqs = np.fft.fftfreq(g.grid.points_per_axis, d=g.grid.spacing)
-        vals = np.fft.fftshift(np.fft.ifft(
-            spec * np.exp(-2j * np.pi * freqs * x)))
-    return SampledSignal(g.grid, vals * np.exp(2j * np.pi * w * t))
+    source = window if window is not None else g.values
+    return SampledSignal(g.grid, _atom_matrix(source, g.grid, [lam])[:, 0])
 
 
 def stft(f: SampledSignal, window, eval_points) -> np.ndarray:
@@ -204,18 +229,13 @@ def stft(f: SampledSignal, window, eval_points) -> np.ndarray:
 
     window is a Window (analytic atoms) or a SampledSignal on f's grid.
     """
-    f.grid.require_1d()
-    if isinstance(window, Window):
-        base = window.sampled(f.grid)
-        win = window
-    else:
+    source = window
+    if not isinstance(window, Window):
         if window.grid != f.grid:
             raise ValueError("grid mismatch between signal and window")
-        base, win = window, None
-    out = np.empty(len(eval_points), dtype=complex)
-    for i, lam in enumerate(eval_points):
-        out[i] = inner_product(f, tf_shift(base, lam, window=win))
-    return out
+        source = window.values
+    atoms = _atom_matrix(source, f.grid, eval_points)
+    return f.grid.spacing * (f.values.conj() @ atoms).conj()
 
 
 @dataclass(eq=False)
@@ -235,12 +255,8 @@ class GaborFrame:
     def atoms(self) -> np.ndarray:
         """Dense atom matrix, one analytic atom per lattice point column."""
         if self._atoms is None:
-            t = self.grid.times()
-            pts = self.lattice.as_array()
-            mat = np.empty((self.grid.size, len(pts)), dtype=complex)
-            for j, (x, w) in enumerate(pts):
-                mat[:, j] = (self.window.evaluate(t - x)
-                             * np.exp(2j * np.pi * w * t))
+            mat = _atom_matrix(self.window, self.grid,
+                               self.lattice.as_array())
             mat.flags.writeable = False
             self._atoms = mat
         return self._atoms
@@ -259,22 +275,21 @@ class GaborFrame:
 
         h is the time-localized dual of _expansion_dual, not the canonical
         dual_window. Built once, after the frame-bounds check; the column
-        of the lattice origin is h itself.
+        of the lattice origin is h itself. NotAFrameError unless
+        dual_synthesis(analysis(g_0)) returns the central atom g_0: the
+        Rayleigh quotients of frame_bounds miss some non-frames.
         """
         if self._dual_atoms is None:
             frame_bounds(self)
-            spec = np.fft.fft(np.fft.ifftshift(_expansion_dual(self)))
-            freqs = np.fft.fftfreq(self.grid.points_per_axis,
-                                   d=self.grid.spacing)
-            t = self.grid.times()
-            pts = self.lattice.as_array()
-            mat = np.empty((self.grid.size, len(pts)), dtype=complex)
-            shift_cache: dict[float, np.ndarray] = {}
-            for j, (x, w) in enumerate(pts):
-                if x not in shift_cache:
-                    shift_cache[x] = np.fft.fftshift(np.fft.ifft(
-                        spec * np.exp(-2j * np.pi * freqs * x)))
-                mat[:, j] = shift_cache[x] * np.exp(2j * np.pi * w * t)
+            mat = _atom_matrix(_expansion_dual(self), self.grid,
+                               self.lattice.as_array())
+            g0 = self.window.sampled(self.grid)
+            miss = (np.linalg.norm(mat @ self.analysis(g0) - g0.values)
+                    / np.linalg.norm(g0.values))
+            if miss > RECONSTRUCTION_CEILING:
+                raise NotAFrameError(
+                    f"no frame for this window: dual expansion misses the "
+                    f"central atom by {miss:.3e} (relative)")
             mat.flags.writeable = False
             self._dual_atoms = mat
         return self._dual_atoms
@@ -294,10 +309,10 @@ class GaborFrame:
 
         Available after dual_window has run. Both measure S gamma = g for
         the operator gamma is defined by: the enlarged lattice on the
-        doubled grid. The first is the conjugate-gradient solver's terminal
-        residual in the deflated subspace it works in; the second is
-        ||S gamma - g|| / ||g|| without deflation, so it also counts the
-        part of g in the deflated edge space.
+        doubled grid. The first is the direct solve's residual in the
+        deflated subspace it works in; the second is ||S gamma - g|| / ||g||
+        without deflation, so it also counts the part of g in the deflated
+        edge space.
         """
         if self._dual_residuals is None:
             raise ValueError("dual window has not been computed yet")
@@ -312,11 +327,11 @@ def _frame_operator_matrix(window: Window, alpha: float, beta: float,
     Separability splits S into a translation Gram times a modulation
     Dirichlet kernel, entrywise.
     """
-    t = grid.times()
     shifts = np.arange(-k_time, k_time + 1) * alpha
-    wmat = np.stack([window.evaluate(t - x) for x in shifts])
+    wmat = _atom_matrix(window, grid, np.column_stack(
+        [shifts, np.zeros_like(shifts)])).real.T
     js = np.arange(-k_freq, k_freq + 1) * beta
-    vmat = np.exp(2j * np.pi * np.outer(js, t))
+    vmat = np.exp(2j * np.pi * np.outer(js, grid.times()))
     return grid.spacing * (wmat.T @ wmat) * (vmat.conj().T @ vmat).real
 
 
@@ -356,17 +371,15 @@ def frame_bounds(frame: GaborFrame) -> tuple:
     return frame._bounds
 
 
-def dual_window(frame: GaborFrame, *, max_iterations: int | None = None
-                ) -> SampledSignal:
+def dual_window(frame: GaborFrame) -> SampledSignal:
     """Canonical dual window gamma solving S gamma = g.
 
     Solved on a doubled grid with the lattice enlarged by
     DUAL_EXTRA_TRUNCATION (limited by the doubled grid's own margins), so
     the restriction to the original grid is free of truncation-edge
     artifacts. S there is real symmetric; its edge null-space is deflated
-    by eigendecomposition, and conjugate gradients run in the deflated
-    subspace. Iteration budget is 10x the deflated condition estimate
-    unless max_iterations overrides it.
+    by eigendecomposition, and the solve in the kept eigenspace is
+    gamma = V_k (V_k^T g) / ev_k.
     """
     if frame._dual is not None:
         return frame._dual
@@ -377,41 +390,21 @@ def dual_window(frame: GaborFrame, *, max_iterations: int | None = None
                   ext.half_width - DUAL_EDGE_CLEARANCE)
     trunc_f = min(lat.freq_range + DUAL_EXTRA_TRUNCATION,
                   ext.freq_half_width - DUAL_EDGE_CLEARANCE)
-    k_t = int(math.floor(trunc_t / lat.alpha + 1e-9))
-    k_f = int(math.floor(trunc_f / lat.beta + 1e-9))
+    k_t = _steps_within(trunc_t, lat.alpha)
+    k_f = _steps_within(trunc_f, lat.beta)
     s_big = _frame_operator_matrix(frame.window, lat.alpha, lat.beta,
                                    k_t, k_f, ext)
     ev, vec = np.linalg.eigh(s_big)
     kept = ev > DUAL_DEFLATION_CUT * ev[-1]
     basis = vec[:, kept]
-    cond_estimate = float(ev[-1] / ev[kept].min())
-    budget = max_iterations if max_iterations is not None else \
-        max(10, int(10 * cond_estimate))
 
     g_vals = frame.window.evaluate(ext.times())
-    rhs = basis @ (basis.T @ g_vals)
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    rhs_norm = math.sqrt(rs)
-    iterations = 0
-    while math.sqrt(rs) > DUAL_CG_TOL * rhs_norm:
-        if iterations >= budget:
-            raise SolverError(
-                f"dual-window solve stalled after {iterations} iterations",
-                residual=math.sqrt(rs) / rhs_norm)
-        s_p = basis @ (basis.T @ (s_big @ p))
-        alpha_step = rs / float(p @ s_p)
-        x += alpha_step * p
-        r -= alpha_step * s_p
-        rs_next = float(r @ r)
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-        iterations += 1
-    solver_residual = math.sqrt(rs) / rhs_norm
-
-    undeflated = float(np.linalg.norm(s_big @ x - g_vals)
+    g_kept = basis.T @ g_vals
+    x = basis @ (g_kept / ev[kept])
+    s_x = s_big @ x
+    solver_residual = float(np.linalg.norm(basis.T @ s_x - g_kept)
+                            / np.linalg.norm(g_kept))
+    undeflated = float(np.linalg.norm(s_x - g_vals)
                        / np.linalg.norm(g_vals))
 
     n = grid.points_per_axis
@@ -443,8 +436,8 @@ def _expansion_dual(frame: GaborFrame) -> np.ndarray:
     n = grid.points_per_axis
     t = grid.times()[n // 2:]
     shift, mod = 1.0 / lat.beta, 1.0 / lat.alpha
-    ks = np.arange(int(math.floor(grid.half_width / shift + 1e-9)) + 1)
-    ls = np.arange(int(math.floor(grid.freq_half_width / mod + 1e-9)) + 1)
+    ks = np.arange(_steps_within(grid.half_width, shift) + 1)
+    ls = np.arange(_steps_within(grid.freq_half_width, mod) + 1)
     # Row (k, l) applied to h(t >= 0): each t > 0 stands for t and -t.
     wave = np.exp(-2j * np.pi * mod * ls[:, None] * t)
     rows = grid.spacing * (
@@ -503,16 +496,12 @@ def inversion_formula_reconstruct(f: SampledSignal, window: Window,
     a box of radius 10 reproduces centered Gaussians to machine precision;
     step 0.25 already misses the 1e-6 target.
     """
-    f.grid.require_1d()
-    t = f.grid.times()
     xs = np.arange(-extent, extent + 1e-9, step)
     ws = np.arange(-extent, extent + 1e-9, step)
-    emod = np.exp(2j * np.pi * np.outer(ws, t))
-    dx = f.grid.spacing
-    rec = np.zeros(f.grid.size, dtype=complex)
-    for x in xs:
-        win_x = window.evaluate(t - x)
-        v_x = dx * (emod.conj() @ (f.values * win_x))
-        rec += win_x * (emod.T @ v_x)
+    wins = _atom_matrix(window, f.grid, np.column_stack(
+        [xs, np.zeros_like(xs)])).real
+    emod = np.exp(2j * np.pi * np.outer(ws, f.grid.times()))
+    coeffs = f.grid.spacing * (emod.conj() @ (f.values[:, None] * wins))
+    rec = np.sum(wins * (emod.T @ coeffs), axis=1)
     g_sq = inner_product(window.sampled(f.grid), window.sampled(f.grid)).real
     return SampledSignal(f.grid, rec * step * step / g_sq)

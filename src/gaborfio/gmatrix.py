@@ -14,17 +14,16 @@ matrix, and excluded from fits.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .fio import FioOperator, canonical_map, ensure_nondegenerate
+from .fio import (FioOperator, _apply_columns, canonical_map,
+                  ensure_nondegenerate)
 from .fitting import (DEFAULT_S_GRID, fixed_s_fit, shell_decay_fit,
                       sorted_tail_fit)
-from .gabor import GaborFrame
+from .gabor import GaborFrame, _atom_matrix
 from .signals import Grid, SampledSignal
 
 __all__ = [
@@ -46,10 +45,6 @@ RELIABLE_MARGIN = 3.0
 # Quadrature noise in assembled entries sits near 1e-14 of the peak;
 # bound checks ignore entries below this.
 NOISE_FLOOR = 1e-12
-
-# Columns are processed in fixed-size chunks so results are bitwise
-# independent of the worker count.
-COLUMN_CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,58 +167,21 @@ class SparsityReport:
         }
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("GABORFIO_WORKERS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def assemble(op: FioOperator, frame: GaborFrame, *,
-             workers: int | None = None) -> GaborMatrix:
+def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     """Assemble <T g_lambda, g_mu> for all lattice pairs.
 
-    Work is one dense kernel build plus three matrix products on the
-    doubled grid, chunked over lambda columns across threads (the BLAS
-    calls release the GIL). Chunk boundaries are fixed, so the result is
-    bitwise identical for any worker count.
+    The frame's atoms, built on the doubled grid, go through the operator
+    kernel in one product, then one Gram product pairs them with the
+    atoms again.
     """
     ensure_nondegenerate(op)
     grid = frame.grid
-    grid.require_1d()
     pad = Grid(grid.dim, 2 * grid.points_per_axis, 2 * grid.length)
-    t = pad.times()
-    om = pad.freqs()
     pts = frame.lattice.as_array()
-    n_lam = len(pts)
-
-    atoms = np.empty((pad.size, n_lam), dtype=complex)
-    for j, (x, w) in enumerate(pts):
-        atoms[:, j] = frame.window.evaluate(t - x) * np.exp(2j * np.pi * w * t)
-    atoms_hat = pad.spacing * np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(atoms, axes=0), axis=0), axes=0)
-
-    kern = (np.exp(2j * np.pi * op.phase.value(t[:, None], om[None, :]))
-            * np.asarray(op.symbol.value(t[:, None], om[None, :]),
-                         dtype=complex))
-
-    t_atoms = np.empty_like(atoms)
-    chunks = [slice(i, min(i + COLUMN_CHUNK, n_lam))
-              for i in range(0, n_lam, COLUMN_CHUNK)]
-
-    def run_chunk(sl):
-        t_atoms[:, sl] = (kern @ atoms_hat[:, sl]) / pad.length
-
-    n_workers = _worker_count(workers)
-    if n_workers == 1:
-        for sl in chunks:
-            run_chunk(sl)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_chunk, chunks))
-
+    atoms = _atom_matrix(frame.window, pad, pts)
+    # Two statements, so the N^2 kernel is freed before the conjugate
+    # copy of the atoms is made.
+    t_atoms = _apply_columns(op, pad, atoms)
     dense = pad.spacing * (atoms.conj().T @ t_atoms)
 
     chi = canonical_map(op, pts)

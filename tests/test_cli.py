@@ -6,7 +6,7 @@ while exercising the full artifact and exit-code surface.
 """
 
 import json
-import os
+import resource
 import subprocess
 import sys
 
@@ -26,17 +26,21 @@ def config_path(tmp_path_factory):
     return path
 
 
-def run_cli(args, out_dir, config=None, env_extra=None, check=True):
+def run_cli(args, out_dir, config=None, check=True, timeout=None,
+            max_bytes=None):
+    """Run the CLI in a subprocess; max_bytes caps its address space."""
     cmd = [sys.executable, "-m", "gaborfio"]
     if config is not None:
         cmd += ["--config", str(config)]
     cmd += ["--out", str(out_dir)]
     cmd += args
-    env = dict(os.environ)
-    env.setdefault("GABORFIO_WORKERS", "2")
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          timeout=timeout,
+                          preexec_fn=cap_memory if max_bytes else None)
     if check and proc.returncode != 0:
         raise AssertionError(
             f"{args} exited {proc.returncode}\nstdout:{proc.stdout}\n"
@@ -91,12 +95,10 @@ def test_gs_check_all_operators(tmp_path, config_path):
     assert proc.stdout.count("s_hat") >= 6
 
 
-def test_matrix_dump_worker_independent(tmp_path, config_path):
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    run_cli(["gabor-matrix"], out1, config_path,
-            env_extra={"GABORFIO_WORKERS": "1"})
-    run_cli(["gabor-matrix"], out2, config_path,
-            env_extra={"GABORFIO_WORKERS": "4"})
+def test_matrix_dump_deterministic(tmp_path, config_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    run_cli(["gabor-matrix"], out1, config_path)
+    run_cli(["gabor-matrix"], out2, config_path)
     data1 = (out1 / "matrix.csv").read_bytes()
     assert data1 == (out2 / "matrix.csv").read_bytes()
     lines = data1.decode().splitlines()
@@ -199,8 +201,51 @@ def test_config_value_errors_exit_2(tmp_path, config_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("fit", "exclusion_radius", float("nan")),
+    ("fit", "floor", float("inf")),
+    ("fit", "s_grid", [float("nan"), 0.5]),
+    ("fit", "s_grid", [float("inf")]),
+])
+def test_non_finite_config_values_exit_2(tmp_path, section, key, value):
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    proc = run_cli(["--grid-n", "256", "decay-fit"], tmp_path / "out", cfg,
+                   check=False)
+    assert proc.returncode == 2
+    assert f"{section}.{key}" in proc.stderr
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"frame": {"truncation": 1e9}}, "frame.truncation"),
+    ({"frame": {"alpha": 1e-9}}, "frame.truncation"),
+    ({"grid": {"N": 10 ** 7}}, "grid.N"),
+])
+def test_oversized_configs_exit_2_before_allocating(tmp_path, config, key):
+    # The lattice count and kernel size are checked against physical
+    # memory before Lattice enumerates its points or any array is built;
+    # before that check, the first two configs ran for minutes. The 1 GiB
+    # address-space cap turns any large allocation into a crash (exit 1).
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli(["decay-fit"], tmp_path / "out", cfg, check=False,
+                   timeout=60, max_bytes=2 ** 30)
+    assert proc.returncode == 2
+    assert key in proc.stderr and "physical memory" in proc.stderr
+
+
 def test_numerical_failures_exit_3(tmp_path, config_path):
     proc = run_cli(["decay-fit", "harmonic:1.5707963267948966"],
                    tmp_path, config_path, check=False)
     assert proc.returncode == 3
     assert "numerical failure:" in proc.stderr
+
+    # An odd window at alpha*beta = 1/2 is no frame, though its frame
+    # bounds look healthy.
+    cfg = tmp_path / "odd.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                   frame={"window": "hermite:1:2",
+                                          "truncation": 4.0})))
+    proc = run_cli(["frame-check"], tmp_path / "odd", cfg, check=False)
+    assert proc.returncode == 3
+    assert "no frame" in proc.stderr
