@@ -35,7 +35,7 @@ from .gabor import (GaborFrame, Lattice, Window, _steps_within, dual_window,
 from .gmatrix import (NOISE_FLOOR, assemble, fit_decay, restricted_decay_fit,
                       sparse_apply, sparsity_curve)
 from .registry import parse_operator, parse_window, shipped_operator_names
-from .signals import Grid, SampledSignal
+from .signals import Grid, SampledSignal, _write_csv
 
 __all__ = ["main", "load_config", "Experiment"]
 
@@ -296,11 +296,9 @@ def _run_stft(exp: Experiment, args) -> None:
     pts = _phase_space_points()
     values = stft(signal, exp.window, pts)
     path = os.path.join(exp.out, "stft.csv")
-    with open(path, "w") as fh:
-        fh.write("x,omega,re,im,abs\n")
-        for (x, w), v in zip(pts, values):
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (x, w, v.real, v.imag, abs(v)))
+    xs, ws = zip(*pts)
+    _write_csv(path, "x,omega,re,im,abs",
+               (xs, ws, values.real, values.imag, [abs(v) for v in values]))
     print(f"stft: {len(pts)} samples of the transformed window for "
           f"{op.name} -> {path}")
 
@@ -395,18 +393,17 @@ def _run_propagate(exp: Experiment, args) -> None:
     f = exp.test_signal()
     reference, _ = sparse_apply(matrix, frame, f, 0.0)
     direct = fio_apply(op, f)
+    rows = []
+    for tau in exp.thresholds:
+        out, ratio = sparse_apply(matrix, frame, f, tau)
+        err = _rel_error(out, reference)
+        err_direct = _rel_error(out, direct)
+        rows.append((tau, ratio, err, err_direct))
+        print(f"propagate: tau={tau:g} kept={ratio:.4f} "
+              f"rel_error={err:.3e} vs_direct={err_direct:.3e}")
     path = os.path.join(exp.out, "propagate.csv")
-    with open(path, "w") as fh:
-        fh.write("tau,compression_ratio,rel_error_vs_dense,"
-                 "rel_error_vs_direct\n")
-        for tau in exp.thresholds:
-            out, ratio = sparse_apply(matrix, frame, f, tau)
-            err = _rel_error(out, reference)
-            err_direct = _rel_error(out, direct)
-            fh.write("%.17g,%.17g,%.17g,%.17g\n"
-                     % (tau, ratio, err, err_direct))
-            print(f"propagate: tau={tau:g} kept={ratio:.4f} "
-                  f"rel_error={err:.3e} vs_direct={err_direct:.3e}")
+    _write_csv(path, "tau,compression_ratio,rel_error_vs_dense,"
+               "rel_error_vs_direct", tuple(zip(*rows)))
     print(f"propagate: {op.name} -> {path}")
 
 

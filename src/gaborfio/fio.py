@@ -164,7 +164,6 @@ class FioOperator:
     name: str = ""
     kind: str = "general"
     multiplier_fn: Callable | None = field(default=None, repr=False)
-    multiplier_derivative: Callable | None = field(default=None, repr=False)
     closed_map: Callable | None = field(default=None, repr=False)
     closed_apply: Callable | None = field(default=None, repr=False)
 
@@ -214,8 +213,7 @@ def multiplier_operator(phi: Callable, phi_prime: Callable,
 
     return FioOperator(phase=phase, symbol=unit_symbol(),
                        name=f"multiplier:{name}", kind="multiplier",
-                       multiplier_fn=phi, multiplier_derivative=phi_prime,
-                       closed_map=closed_map)
+                       multiplier_fn=phi, closed_map=closed_map)
 
 
 def ensure_nondegenerate(op: FioOperator, *, box: float = HYPOTHESIS_BOX,

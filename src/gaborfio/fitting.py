@@ -7,6 +7,8 @@ grouped into radial shells of width 0.5 and each shell contributes its mean
 log-magnitude against its mean r**(1/s). Shells touching the floor are
 censored entirely: a shell mean taken over only the surviving samples would
 be biased upward. Ties in the residual scan resolve toward the smallest s.
+A fit at an imposed order is the same scan over a one-element s grid.
+Shell sums are np.bincount over the shell index floor(r / 0.5).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "SHELL_WIDTH",
     "ShellFit",
     "shell_decay_fit",
-    "fixed_s_fit",
     "sorted_tail_fit",
 ]
 
@@ -43,26 +44,29 @@ class ShellFit:
 def _censored_shells(dist, mags, floor):
     """Group samples into radial shells, dropping shells that hit the floor.
 
-    Returns per-shell radius arrays and mean log magnitudes.
+    Returns each sample's shell index, the mask of clean shells (occupied,
+    no sample below floor), the per-shell sample counts, and the mean log
+    magnitude of each clean shell.
     """
-    idx = np.floor(dist / SHELL_WIDTH).astype(int)
-    radii, ybars = [], []
-    for i in np.unique(idx):
-        m = mags[idx == i]
-        if np.all(m >= floor):
-            radii.append(dist[idx == i])
-            ybars.append(float(np.mean(np.log(m))))
-    return radii, np.asarray(ybars)
+    idx = np.floor(dist / SHELL_WIDTH).astype(np.intp)
+    ok = mags >= floor
+    counts = np.bincount(idx)
+    clean = (counts > 0) & (np.bincount(idx[~ok], minlength=counts.size)
+                            == 0)
+    log_sums = np.bincount(idx[ok], weights=np.log(mags[ok]),
+                           minlength=counts.size)
+    return idx, clean, counts, log_sums[clean] / counts[clean]
 
 
 def _line_fit(xs, ys):
-    """LS fit ys ~ logC - eps*xs. Returns (eps, logc, ssr, sst)."""
+    """LS fit ys ~ logC - eps*xs. Returns (eps, logc, ssr, r_squared)."""
     a = np.column_stack([np.ones_like(xs), -xs])
     coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
     resid = ys - a @ coef
     ssr = float(resid @ resid)
     sst = float(np.sum((ys - ys.mean()) ** 2))
-    return float(coef[1]), float(coef[0]), ssr, sst
+    r2 = 1.0 - ssr / sst if sst > 0 else 1.0
+    return float(coef[1]), float(coef[0]), ssr, r2
 
 
 def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
@@ -72,8 +76,9 @@ def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
     dist and mags are flat arrays of radial distances and magnitudes.
     Samples closer than exclusion_radius are dropped first (near-field
     plateau); samples below floor never enter a fit. Raises NoSignalError
-    when nothing survives the floor and InsufficientDataError when fewer
-    than min_samples do.
+    when nothing survives the floor, InsufficientDataError when fewer
+    than min_samples do or fewer than three shells stay clean, and
+    ValueError when an s in the grid is so small that r**(1/s) overflows.
     """
     dist = np.asarray(dist, dtype=float).ravel()
     mags = np.asarray(mags, dtype=float).ravel()
@@ -88,35 +93,25 @@ def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
         raise InsufficientDataError(
             f"insufficient data: {n_above} samples above floor {floor:g}, "
             f"need {min_samples}")
-    radii, ybars = _censored_shells(dist, mags, floor)
+    idx, clean, counts, ybars = _censored_shells(dist, mags, floor)
     if len(ybars) < 3:
         raise InsufficientDataError(
             f"insufficient data: only {len(ybars)} clean shells")
+    in_clean = clean[idx]
+    dist, idx, counts = dist[in_clean], idx[in_clean], counts[clean]
     best = None
     for s in (s_grid if s_grid is not None else DEFAULT_S_GRID):
-        xs = np.array([np.mean(r ** (1.0 / s)) for r in radii])
-        eps, logc, ssr, sst = _line_fit(xs, ybars)
+        with np.errstate(over="ignore"):
+            xs = np.bincount(idx, weights=dist ** (1.0 / s),
+                             minlength=clean.size)[clean] / counts
+        if not np.all(np.isfinite(xs)):
+            raise ValueError(f"s_grid value {s:g} is too small: d**(1/s) "
+                             "overflows")
+        eps, logc, ssr, r2 = _line_fit(xs, ybars)
         if best is None or ssr < best[0] - 1e-15:
-            r2 = 1.0 - ssr / sst if sst > 0 else 1.0
             best = (ssr, float(s), eps, logc, r2)
     _, s_hat, eps, logc, r2 = best
     return ShellFit(s_hat, eps, logc, r2, len(ybars), n_above)
-
-
-def fixed_s_fit(dist, mags, s, *, floor, exclusion_radius=None):
-    """Shell fit at one fixed s. Returns (epsilon, logc, r_squared)."""
-    dist = np.asarray(dist, dtype=float).ravel()
-    mags = np.asarray(mags, dtype=float).ravel()
-    if exclusion_radius is not None:
-        keep = dist >= exclusion_radius
-        dist, mags = dist[keep], mags[keep]
-    radii, ybars = _censored_shells(dist, mags, floor)
-    if len(ybars) < 3:
-        raise InsufficientDataError(
-            f"insufficient data: only {len(ybars)} clean shells")
-    xs = np.array([np.mean(r ** (1.0 / s)) for r in radii])
-    eps, logc, ssr, sst = _line_fit(xs, ybars)
-    return eps, logc, (1.0 - ssr / sst if sst > 0 else 1.0)
 
 
 def sorted_tail_fit(mags, exponent, *, floor):
@@ -132,5 +127,5 @@ def sorted_tail_fit(mags, exponent, *, floor):
         raise InsufficientDataError(
             f"insufficient data: {v.size} magnitudes above floor {floor:g}")
     xs = np.arange(1, v.size + 1, dtype=float) ** exponent
-    eps, logc, ssr, sst = _line_fit(xs, np.log(v))
-    return eps, logc, (1.0 - ssr / sst if sst > 0 else 1.0), int(v.size)
+    eps, logc, _, r2 = _line_fit(xs, np.log(v))
+    return eps, logc, r2, int(v.size)

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import hermite as _hermite
 
 from .errors import NotAFrameError
-from .fitting import DEFAULT_S_GRID, ShellFit, shell_decay_fit
+from .fitting import ShellFit, shell_decay_fit
 from .signals import Grid, SampledSignal, inner_product
 
 __all__ = [
@@ -166,7 +166,7 @@ class Lattice:
 
     @property
     def redundancy(self) -> float:
-        """Density parameter alpha*beta; frames need it < 1."""
+        """Density parameter alpha*beta; frames need it <= 1."""
         return self.alpha * self.beta
 
     def __len__(self):
@@ -251,6 +251,12 @@ class GaborFrame:
     _dual: SampledSignal | None = field(default=None, repr=False)
     _dual_residuals: tuple | None = field(default=None, repr=False)
     _dual_atoms: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # Density theorem; frame_bounds can still find healthy bounds.
+        if self.lattice.redundancy > 1.0 + 1e-9:
+            raise NotAFrameError(f"no frame: alpha*beta = "
+                                 f"{self.lattice.redundancy:g} > 1")
 
     def atoms(self) -> np.ndarray:
         """Dense atom matrix, one analytic atom per lattice point column."""
@@ -469,9 +475,7 @@ def gs_decay_classify(points, magnitudes, *, floor: float = 1e-14,
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     dist = np.hypot(pts[:, 0], pts[:, 1])
-    return shell_decay_fit(dist, magnitudes, floor=floor,
-                           s_grid=s_grid if s_grid is not None
-                           else DEFAULT_S_GRID, min_samples=50)
+    return shell_decay_fit(dist, magnitudes, floor=floor, s_grid=s_grid)
 
 
 def moment_constant_conversion(epsilon: float, r: float, d: int) -> float:

@@ -9,10 +9,14 @@ mu = chi(lambda); every fit is in the distance d(mu, chi(lambda)).
 Lattice points whose image chi(lambda) leaves the reliable region of the
 original grid (half extent minus a fixed margin) are flagged, kept in the
 matrix, and excluded from fits.
+
+fit_decay, restricted_decay_fit (its shell fit at one order) and
+decay_bound_check read one cached sample set, GaborMatrix._fit_samples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,10 +25,9 @@ import numpy as np
 from .errors import InsufficientDataError
 from .fio import (FioOperator, _apply_columns, canonical_map,
                   ensure_nondegenerate)
-from .fitting import (DEFAULT_S_GRID, fixed_s_fit, shell_decay_fit,
-                      sorted_tail_fit)
+from .fitting import shell_decay_fit, sorted_tail_fit
 from .gabor import GaborFrame, _atom_matrix
-from .signals import Grid, SampledSignal
+from .signals import Grid, SampledSignal, _write_csv
 
 __all__ = [
     "GaborMatrix",
@@ -92,18 +95,37 @@ class GaborMatrix:
         """Flat mask of entries in columns whose chi stayed reliable."""
         return ~np.repeat(self.flags, self.n_lattice)
 
+    @functools.cached_property
+    def _fit_samples(self) -> tuple:
+        """Read-only (distances, |entries| / weight) of unflagged entries.
+
+        The weight is (1 + mu1^2 + lam2^2)^(N/2), N the symbol order.
+        """
+        mags = self.magnitudes()
+        if self.symbol_order != 0.0:
+            pts = self.lattice.as_array()
+            n = self.n_lattice
+            lam2 = np.repeat(pts[:, 1], n)
+            mu1 = np.tile(pts[:, 0], n)
+            mags /= (1.0 + mu1 * mu1 + lam2 * lam2) ** (self.symbol_order
+                                                        / 2.0)
+        keep = self.unflagged()
+        samples = (self.distances[keep], mags[keep])
+        for arr in samples:
+            arr.flags.writeable = False
+        return samples
+
     def to_csv(self, path) -> None:
         pts = self.lattice.as_array()
         n = self.n_lattice
         lam = np.repeat(pts, n, axis=0)
         mu = np.tile(pts, (n, 1))
-        with open(path, "w") as fh:
-            fh.write("lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
-            for i in range(n * n):
-                e = self.entries[i]
-                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                         % (lam[i, 0], lam[i, 1], mu[i, 0], mu[i, 1],
-                            e.real, e.imag, abs(e), self.distances[i]))
+        # Scalar abs per entry: np.abs on the array can differ from it in
+        # the last digit, and the file is kept bitwise stable.
+        _write_csv(path, "lambda1,lambda2,mu1,mu2,re,im,abs,dist",
+                   (lam[:, 0], lam[:, 1], mu[:, 0], mu[:, 1],
+                    self.entries.real, self.entries.imag,
+                    [abs(e) for e in self.entries], self.distances))
 
 
 @dataclass(frozen=True)
@@ -198,19 +220,6 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
         chi=chi, flags=flags)
 
 
-def _normalized_magnitudes(matrix: GaborMatrix) -> np.ndarray:
-    """|entries| divided by the symbol weight (1 + mu1^2 + lam2^2)^(N/2)."""
-    mags = matrix.magnitudes()
-    if matrix.symbol_order == 0.0:
-        return mags
-    pts = matrix.lattice.as_array()
-    n = matrix.n_lattice
-    lam2 = np.repeat(pts[:, 1], n)
-    mu1 = np.tile(pts[:, 0], n)
-    weight = (1.0 + mu1 * mu1 + lam2 * lam2) ** (matrix.symbol_order / 2.0)
-    return mags / weight
-
-
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
               exclusion_radius: float = 0.5, s_grid=None,
               min_samples: int = 200) -> DecayFit:
@@ -225,13 +234,10 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     the peak magnitude and the rate is the largest one the peak-anchored
     envelope can afford while still dominating every sample.
     """
-    keep = matrix.unflagged()
-    dist = matrix.distances[keep]
-    mags = _normalized_magnitudes(matrix)[keep]
-    fit = shell_decay_fit(
-        dist, mags, floor=floor, exclusion_radius=exclusion_radius,
-        s_grid=s_grid if s_grid is not None else DEFAULT_S_GRID,
-        min_samples=min_samples)
+    dist, mags = matrix._fit_samples
+    fit = shell_decay_fit(dist, mags, floor=floor,
+                          exclusion_radius=exclusion_radius, s_grid=s_grid,
+                          min_samples=min_samples)
 
     above = mags >= floor
     log_m = np.log(mags[above])
@@ -257,14 +263,14 @@ def restricted_decay_fit(matrix: GaborMatrix, s: float, *,
                          exclusion_radius: float = 0.5):
     """Decay-rate fit with the order s imposed instead of grid-searched.
 
-    Same data pipeline as fit_decay (flagged columns excluded, weight
-    normalization, near-diagonal exclusion). Returns
+    fit_decay's shell fit over the one-element grid (s,), on the same
+    samples and with any positive number of them. Returns
     (epsilon, log_c, r_squared) for comparing candidate orders directly.
     """
-    keep = matrix.unflagged()
-    mags = _normalized_magnitudes(matrix)[keep]
-    return fixed_s_fit(matrix.distances[keep], mags, s, floor=floor,
-                       exclusion_radius=exclusion_radius)
+    fit = shell_decay_fit(*matrix._fit_samples, floor=floor,
+                          exclusion_radius=exclusion_radius, s_grid=(s,),
+                          min_samples=1)
+    return fit.epsilon_hat, fit.log_c, fit.r_squared
 
 
 def decay_bound_check(matrix: GaborMatrix, fit: DecayFit, *,
@@ -276,9 +282,7 @@ def decay_bound_check(matrix: GaborMatrix, fit: DecayFit, *,
     Entries below noise_floor are quadrature noise and are skipped.
     Returns checked and violation counts plus the worst entry/bound ratio.
     """
-    keep = matrix.unflagged()
-    mags = _normalized_magnitudes(matrix)[keep]
-    dist = matrix.distances[keep]
+    dist, mags = matrix._fit_samples
     above = mags >= noise_floor
     bound = (constant_slack * np.exp(fit.envelope_log_c)
              * np.exp(-rate_slack * fit.envelope_epsilon
@@ -311,25 +315,19 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
     else:
         vectors = [(l, dense[:, l]) for l in range(dense.shape[1])
                    if ok_cols[l]]
-    eps, logc, r2, used, idx = [], [], [], [], []
+    fitted = []
     for i, vec in vectors:
         try:
-            e, lc, r, n = sorted_tail_fit(vec, exponent, floor=floor)
+            fitted.append((*sorted_tail_fit(vec, exponent, floor=floor), i))
         except InsufficientDataError:
             continue
-        eps.append(e)
-        logc.append(lc)
-        r2.append(r)
-        used.append(n)
-        idx.append(i)
-    if not eps:
+    if not fitted:
         raise InsufficientDataError(
             "no row had three entries above the floor")
+    eps, logc, r2, used, idx = map(np.asarray, zip(*fitted))
     return SparsityReport(
         operator=matrix.operator_name, axis=axis, exponent_used=exponent,
-        epsilons=np.asarray(eps), log_cs=np.asarray(logc),
-        r_squareds=np.asarray(r2), n_used=np.asarray(used, dtype=int),
-        indices=np.asarray(idx, dtype=int))
+        epsilons=eps, log_cs=logc, r_squareds=r2, n_used=used, indices=idx)
 
 
 def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,

@@ -136,6 +136,14 @@ def norm(f: SampledSignal) -> float:
     return f.norm()
 
 
+def _write_csv(path, header: str, columns) -> None:
+    """Write the header line, then one %.17g row per index of the columns."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % values for values in zip(*columns))
+
+
 def signal_to_csv(f: SampledSignal, path, *, frequency_axis: bool = False):
     """Dump one row per grid point, full double precision.
 
@@ -145,7 +153,4 @@ def signal_to_csv(f: SampledSignal, path, *, frequency_axis: bool = False):
     f.grid.require_1d()
     axis = f.grid.freqs() if frequency_axis else f.grid.times()
     label = "omega" if frequency_axis else "t"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{label},re,im\n")
-        for x, v in zip(axis, f.values):
-            fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    _write_csv(path, f"{label},re,im", (axis, f.values.real, f.values.imag))

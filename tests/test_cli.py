@@ -6,11 +6,18 @@ while exercising the full artifact and exit-code surface.
 """
 
 import json
+import os
 import resource
 import subprocess
 import sys
 
 import pytest
+
+import gaborfio
+
+# The directory holding the gaborfio package, so the subprocess imports
+# the same code without PYTHONPATH set by the caller.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(gaborfio.__file__))
 
 SMALL_CONFIG = {
     "grid": {"N": 512, "L": 20.0},
@@ -38,8 +45,11 @@ def run_cli(args, out_dir, config=None, check=True, timeout=None,
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
 
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(cmd, capture_output=True, text=True,
-                          timeout=timeout,
+                          timeout=timeout, env=env,
                           preexec_fn=cap_memory if max_bytes else None)
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -216,6 +226,20 @@ def test_non_finite_config_values_exit_2(tmp_path, section, key, value):
     assert f"{section}.{key}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["decay-fit", "gs-check"])
+def test_tiny_s_grid_value_exits_2(tmp_path, command):
+    # 1e-300 is positive and finite, but d**(1/s) overflows; the fit must
+    # name the key instead of handing infinities to LAPACK.
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                   fit={"floor": 1e-12,
+                                        "s_grid": [0.5, 1e-300]})))
+    proc = run_cli([command], tmp_path / "out", cfg, check=False)
+    assert proc.returncode == 2
+    assert "s_grid" in proc.stderr
+    assert "DLASCL" not in proc.stderr
+
+
 @pytest.mark.parametrize("config, key", [
     ({"frame": {"truncation": 1e9}}, "frame.truncation"),
     ({"frame": {"alpha": 1e-9}}, "frame.truncation"),
@@ -247,5 +271,15 @@ def test_numerical_failures_exit_3(tmp_path, config_path):
                                    frame={"window": "hermite:1:2",
                                           "truncation": 4.0})))
     proc = run_cli(["frame-check"], tmp_path / "odd", cfg, check=False)
+    assert proc.returncode == 3
+    assert "no frame" in proc.stderr
+
+    # alpha*beta = 4 > 1: no Gabor system that sparse is a frame (density
+    # theorem), though its frame bounds look healthy.
+    cfg = tmp_path / "sparse.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                   frame={"alpha": 2.0, "beta": 2.0,
+                                          "truncation": 4.0})))
+    proc = run_cli(["decay-fit"], tmp_path / "sparse", cfg, check=False)
     assert proc.returncode == 3
     assert "no frame" in proc.stderr

@@ -6,7 +6,8 @@ import pytest
 import gaborfio as gf
 from gaborfio.fitting import (
     DEFAULT_S_GRID,
-    fixed_s_fit,
+    SHELL_WIDTH,
+    _censored_shells,
     shell_decay_fit,
     sorted_tail_fit,
 )
@@ -100,10 +101,37 @@ def test_too_few_shells_raises_insufficient_data():
 def test_fixed_order_fit_exact():
     dist = _radial_samples()
     mags = np.exp(-3.0 * dist)
-    eps, logc, r2 = fixed_s_fit(dist, mags, 1.0, floor=1e-14)
-    assert abs(eps - 3.0) <= 1e-9
-    assert abs(logc) <= 1e-9
-    assert r2 > 0.999999
+    fit = shell_decay_fit(dist, mags, floor=1e-14, s_grid=(1.0,))
+    assert abs(fit.epsilon_hat - 3.0) <= 1e-9
+    assert abs(fit.log_c) <= 1e-9
+    assert fit.r_squared > 0.999999
+
+
+def test_bincount_shells_match_per_shell_loop():
+    # Reference: one pass of boolean masks per occupied shell. A shell
+    # with any sample below the floor is dropped whole.
+    rng = np.random.default_rng(11)
+    dist = rng.uniform(0.0, 12.0, 5000)
+    mags = np.exp(-dist ** 2 / 4.0) * rng.uniform(0.5, 2.0, dist.size)
+    floor = 1e-6
+    idx, clean, counts, ybars = _censored_shells(dist, mags, floor)
+
+    ref_idx = np.floor(dist / SHELL_WIDTH).astype(int)
+    ref_shells, ref_means, ref_counts = [], [], []
+    for i in np.unique(ref_idx):
+        m = mags[ref_idx == i]
+        if np.all(m >= floor):
+            ref_shells.append(i)
+            ref_means.append(np.mean(np.log(m)))
+            ref_counts.append(m.size)
+    censored = np.unique(ref_idx[mags < floor])
+    assert censored.size >= 3 and np.any(mags[
+        np.isin(ref_idx, censored)] >= floor)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(np.flatnonzero(clean), ref_shells)
+    np.testing.assert_array_equal(counts[clean], ref_counts)
+    np.testing.assert_allclose(ybars, ref_means, rtol=1e-12)
+
 
 
 def test_sorted_tail_fit_exact():

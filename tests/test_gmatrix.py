@@ -1,11 +1,13 @@
 """Assembled Gabor matrices: concentration, decay fits, sparse application."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import gaborfio as gf
+from gaborfio.fitting import shell_decay_fit
 from conftest import (MATRIX_FLOOR, LATTICE_STEP, centered_gaussian,
                       rel_error, rotation_law)
 
@@ -195,6 +197,30 @@ def test_restricted_fit_never_beats_searched_order(matrices, fits):
     _, _, r2_one = gf.restricted_decay_fit(m, 1.0, floor=MATRIX_FLOOR)
     assert abs(eps_half - best.epsilon_hat) <= 1e-12
     assert r2_half >= r2_one
+
+
+@pytest.mark.parametrize("symbol_order", [0.0, 1.0])
+def test_restricted_fit_is_shell_fit_at_one_order(matrices, symbol_order):
+    """restricted_decay_fit(m, s) is shell_decay_fit over the grid (s,).
+
+    The samples are rebuilt here: entries of unflagged columns, with
+    magnitudes divided by the symbol weight (1 + mu1^2 + lam2^2)^(N/2).
+    """
+    m = dataclasses.replace(matrices["metaplectic:dilation:2.0"],
+                            symbol_order=symbol_order)
+    assert m.flags.any()
+    pts = m.lattice.as_array()
+    n = m.n_lattice
+    weight = (1.0 + np.tile(pts[:, 0], n) ** 2
+              + np.repeat(pts[:, 1], n) ** 2) ** (symbol_order / 2.0)
+    keep = m.unflagged()
+    dist, mags = m.distances[keep], (m.magnitudes() / weight)[keep]
+    for s in (0.5, 1.0):
+        fit = shell_decay_fit(dist, mags, floor=MATRIX_FLOOR,
+                              exclusion_radius=0.5, s_grid=(s,),
+                              min_samples=1)
+        assert gf.restricted_decay_fit(m, s, floor=MATRIX_FLOOR) == (
+            fit.epsilon_hat, fit.log_c, fit.r_squared)
 
 
 def test_decay_bound_envelope_holds(matrices, fits):
