@@ -266,7 +266,7 @@ def _run_frame_check(exp: Experiment, args) -> None:
     frame = exp.frame()
     a, b = frame_bounds(frame)
     dual_window(frame)
-    solver_res, undeflated_res = frame.dual_residuals
+    solver_res, frame_res = frame.dual_residuals
     payload = {
         "alpha": exp.alpha,
         "beta": exp.beta,
@@ -279,8 +279,8 @@ def _run_frame_check(exp: Experiment, args) -> None:
     inv_err = _rel_error(inversion_formula_reconstruct(f, exp.window), f)
     dual_err = _rel_error(frame.dual_synthesis(frame.analysis(f)), f)
     print(f"frame bounds: A={a:.6f} B={b:.6f} B/A={b / a:.6f}")
-    print(f"dual window: solver residual {solver_res:.3e}, undeflated "
-          f"residual {undeflated_res:.3e}")
+    print(f"dual window: solver residual {solver_res:.3e}, frame-equation "
+          f"residual {frame_res:.3e}")
     print(f"reconstruction: inversion formula {inv_err:.3e}, "
           f"dual-window expansion {dual_err:.3e}")
 

@@ -216,6 +216,14 @@ def multiplier_operator(phi: Callable, phi_prime: Callable,
                        multiplier_fn=phi, closed_map=closed_map)
 
 
+def _min_mixed_hessian(op: FioOperator, box: float, n_points: int) -> float:
+    """Minimum |d^2 Phi / dx deta| over an n_points^2 scan of the box."""
+    axis = np.linspace(-box, box, n_points)
+    _, pxe, _, _ = _hessian_entries(
+        op.phase, *np.meshgrid(axis, axis, indexing="ij"))
+    return float(np.min(np.abs(pxe)))
+
+
 def ensure_nondegenerate(op: FioOperator, *, box: float = HYPOTHESIS_BOX,
                          n_points: int = HYPOTHESIS_POINTS) -> float:
     """Scan the mixed phase Hessian over the box; raise if it degenerates.
@@ -224,10 +232,7 @@ def ensure_nondegenerate(op: FioOperator, *, box: float = HYPOTHESIS_BOX,
     surrogate for global nondegeneracy, adequate for the smooth phases
     this library targets.
     """
-    axis = np.linspace(-box, box, n_points)
-    xg, eg = np.meshgrid(axis, axis, indexing="ij")
-    _, pxe, _, _ = _hessian_entries(op.phase, xg, eg)
-    min_det = float(np.min(np.abs(pxe)))
+    min_det = _min_mixed_hessian(op, box, n_points)
     if min_det < HYPOTHESIS_DET_FLOOR:
         raise HypothesisError(
             f"operator {op.name!r}: mixed phase Hessian degenerates "
@@ -306,10 +311,9 @@ def validate_hypotheses(op: FioOperator, *, box: float = HYPOTHESIS_BOX,
     against det_floor; False instead of raising), symbol_weight_exponent,
     and symbol_weight_constant (sup |sigma(z)| / (1+|z|^2)^(N/2)).
     """
+    min_det = _min_mixed_hessian(op, box, n_points)
     axis = np.linspace(-box, box, n_points)
     xg, eg = np.meshgrid(axis, axis, indexing="ij")
-    _, pxe, _, _ = _hessian_entries(op.phase, xg, eg)
-    min_det = float(np.min(np.abs(pxe)))
     weight = (1.0 + xg * xg + eg * eg) ** (op.symbol.weight_exponent / 2.0)
     sig = np.abs(np.asarray(op.symbol.value(xg, eg), dtype=complex))
     constant = float(np.max(sig / weight))

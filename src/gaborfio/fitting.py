@@ -59,14 +59,22 @@ def _censored_shells(dist, mags, floor):
 
 
 def _line_fit(xs, ys):
-    """LS fit ys ~ logC - eps*xs. Returns (eps, logc, ssr, r_squared)."""
-    a = np.column_stack([np.ones_like(xs), -xs])
+    """LS fit ys ~ logC - eps*xs. Returns (eps, logc, ssr, r_squared).
+
+    Fits on xs centred and scaled to [-1, 1], so the intercept survives
+    abscissae r**(1/s) that span many decades at small s. The centre
+    sums xs / n, which stays finite for any finite xs.
+    """
+    centre = np.sum(xs / xs.size)
+    scale = float(np.max(np.abs(xs - centre))) or 1.0
+    a = np.column_stack([np.ones_like(xs), -(xs - centre) / scale])
     coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
     resid = ys - a @ coef
     ssr = float(resid @ resid)
     sst = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-    return float(coef[1]), float(coef[0]), ssr, r2
+    eps = float(coef[1]) / scale
+    return eps, float(coef[0]) + eps * centre, ssr, r2
 
 
 def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,

@@ -10,17 +10,16 @@ Every time-frequency-shifted window in the package (frame atoms, dual
 atoms, tf_shift, stft, and the atoms gmatrix.assemble pushes through an
 operator) comes from _atom_matrix.
 
-Two dual windows serve two purposes. dual_window returns the canonical dual
-gamma = S^-1 g, solved on a doubled grid with an enlarged lattice, then
-restricted, because the frame operator restricted to the original
-truncation is rank-deficient at its edges. gamma decays only exponentially
-in time (gamma(8) ~ 2.5e-5 on the reference frame), so an expansion
-sum <f, gamma_lambda> g_lambda over the truncated lattice drops
-coefficients that are not negligible. The frame's expansions (dual_atoms,
-dual_analysis, dual_synthesis) therefore use another dual window h: the
-solution of the Wexler-Raz identities with the least ||exp(t^2/4) h||,
-which has Gaussian decay in time and the window's localization in
-frequency.
+Both dual windows come from one solver, _wexler_raz_dual: the solution
+of the Wexler-Raz identities with the least ||exp(c t^2) h||. dual_window
+returns the canonical dual gamma = S^-1 g, which is the one of least L^2
+norm (c = 0), solved on a doubled grid and restricted to the frame's
+grid. gamma decays only exponentially in time (gamma(8) ~ 2.5e-5 on the
+reference frame), so an expansion sum <f, gamma_lambda> g_lambda over
+the truncated lattice drops coefficients that are not negligible. The
+frame's expansions (dual_atoms, dual_analysis, dual_synthesis) therefore
+use c = EXPANSION_DUAL_WEIGHT, which gives a dual with Gaussian decay in
+time and the window's localization in frequency.
 """
 
 from __future__ import annotations
@@ -62,12 +61,6 @@ GRID_MARGIN = 5.0
 
 # Lower frame bound below this is reported as "not a frame".
 FRAME_FLOOR = 1e-8
-
-# Dual-window solve: lattice enlargement on the doubled grid, and the
-# eigenvalue deflation cut for the edge null-space.
-DUAL_EXTRA_TRUNCATION = 12.0
-DUAL_EDGE_CLEARANCE = 4.0
-DUAL_DEFLATION_CUT = 1e-2
 
 # Expansion dual: the weight exp(c t^2) whose norm it minimizes. c = 1/4
 # makes h = exp(-t^2/2) times a combination of adjoint atoms. On the
@@ -279,16 +272,18 @@ class GaborFrame:
     def dual_atoms(self) -> np.ndarray:
         """Atom matrix of the expansion dual h (spectral shifts of its samples).
 
-        h is the time-localized dual of _expansion_dual, not the canonical
-        dual_window. Built once, after the frame-bounds check; the column
-        of the lattice origin is h itself. NotAFrameError unless
-        dual_synthesis(analysis(g_0)) returns the central atom g_0: the
-        Rayleigh quotients of frame_bounds miss some non-frames.
+        h is the time-localized dual (_wexler_raz_dual at weight
+        EXPANSION_DUAL_WEIGHT), not the canonical dual_window. Built once,
+        after the frame-bounds check; the column of the lattice origin is
+        h itself. NotAFrameError unless dual_synthesis(analysis(g_0))
+        returns the central atom g_0: the Rayleigh quotients of
+        frame_bounds miss some non-frames.
         """
         if self._dual_atoms is None:
             frame_bounds(self)
-            mat = _atom_matrix(_expansion_dual(self), self.grid,
-                               self.lattice.as_array())
+            h, _ = _wexler_raz_dual(self.window, self.lattice, self.grid,
+                                    EXPANSION_DUAL_WEIGHT)
+            mat = _atom_matrix(h, self.grid, self.lattice.as_array())
             g0 = self.window.sampled(self.grid)
             miss = (np.linalg.norm(mat @ self.analysis(g0) - g0.values)
                     / np.linalg.norm(g0.values))
@@ -311,34 +306,16 @@ class GaborFrame:
 
     @property
     def dual_residuals(self) -> tuple:
-        """(solver relative residual, undeflated relative residual).
+        """(Wexler-Raz relative residual, frame-equation relative residual).
 
-        Available after dual_window has run. Both measure S gamma = g for
-        the operator gamma is defined by: the enlarged lattice on the
-        doubled grid. The first is the direct solve's residual in the
-        deflated subspace it works in; the second is ||S gamma - g|| / ||g||
-        without deflation, so it also counts the part of g in the deflated
-        edge space.
+        Available after dual_window has run, both on the doubled grid.
+        The first is the relative miss of the Wexler-Raz identities gamma
+        is solved from; the second is ||S gamma - g|| / ||g|| with S the
+        frame operator of the full lattice alpha*Z x beta*Z in Walnut form.
         """
         if self._dual_residuals is None:
             raise ValueError("dual window has not been computed yet")
         return self._dual_residuals
-
-
-def _frame_operator_matrix(window: Window, alpha: float, beta: float,
-                           k_time: int, k_freq: int, grid: Grid
-                           ) -> np.ndarray:
-    """Dense frame operator on the grid for a real window.
-
-    Separability splits S into a translation Gram times a modulation
-    Dirichlet kernel, entrywise.
-    """
-    shifts = np.arange(-k_time, k_time + 1) * alpha
-    wmat = _atom_matrix(window, grid, np.column_stack(
-        [shifts, np.zeros_like(shifts)])).real.T
-    js = np.arange(-k_freq, k_freq + 1) * beta
-    vmat = np.exp(2j * np.pi * np.outer(js, grid.times()))
-    return grid.spacing * (wmat.T @ wmat) * (vmat.conj().T @ vmat).real
 
 
 def frame_bounds(frame: GaborFrame) -> tuple:
@@ -378,70 +355,72 @@ def frame_bounds(frame: GaborFrame) -> tuple:
 
 
 def dual_window(frame: GaborFrame) -> SampledSignal:
-    """Canonical dual window gamma solving S gamma = g.
+    """Canonical dual window gamma = S^-1 g on the frame's grid.
 
-    Solved on a doubled grid with the lattice enlarged by
-    DUAL_EXTRA_TRUNCATION (limited by the doubled grid's own margins), so
-    the restriction to the original grid is free of truncation-edge
-    artifacts. S there is real symmetric; its edge null-space is deflated
-    by eigendecomposition, and the solve in the kept eigenspace is
-    gamma = V_k (V_k^T g) / ev_k.
+    gamma is the Wexler-Raz dual of least L^2 norm (weight 0), solved on
+    the doubled grid and restricted, so that it is free of edge effects.
     """
     if frame._dual is not None:
         return frame._dual
     frame_bounds(frame)
-    grid, lat = frame.grid, frame.lattice
+    grid, lat, window = frame.grid, frame.lattice, frame.window
     ext = Grid(grid.dim, 2 * grid.points_per_axis, 2 * grid.length)
-    trunc_t = min(lat.time_range + DUAL_EXTRA_TRUNCATION,
-                  ext.half_width - DUAL_EDGE_CLEARANCE)
-    trunc_f = min(lat.freq_range + DUAL_EXTRA_TRUNCATION,
-                  ext.freq_half_width - DUAL_EDGE_CLEARANCE)
-    k_t = _steps_within(trunc_t, lat.alpha)
-    k_f = _steps_within(trunc_f, lat.beta)
-    s_big = _frame_operator_matrix(frame.window, lat.alpha, lat.beta,
-                                   k_t, k_f, ext)
-    ev, vec = np.linalg.eigh(s_big)
-    kept = ev > DUAL_DEFLATION_CUT * ev[-1]
-    basis = vec[:, kept]
-
-    g_vals = frame.window.evaluate(ext.times())
-    g_kept = basis.T @ g_vals
-    x = basis @ (g_kept / ev[kept])
-    s_x = s_big @ x
-    solver_residual = float(np.linalg.norm(basis.T @ s_x - g_kept)
-                            / np.linalg.norm(g_kept))
-    undeflated = float(np.linalg.norm(s_x - g_vals)
-                       / np.linalg.norm(g_vals))
-
+    x, wr_residual = _wexler_raz_dual(window, lat, ext, 0.0)
+    g_vals = window.evaluate(ext.times())
+    s_x = _walnut_frame_operator(window, lat, ext, x)
+    frame_residual = float(np.linalg.norm(s_x - g_vals)
+                           / np.linalg.norm(g_vals))
     n = grid.points_per_axis
-    central = x[n // 2: n // 2 + n]
-    dual = SampledSignal(grid, central.astype(complex))
+    dual = SampledSignal(grid, x[n // 2: n // 2 + n].astype(complex))
     frame._dual = dual
-    frame._dual_residuals = (solver_residual, undeflated)
+    frame._dual_residuals = (wr_residual, frame_residual)
     return dual
 
 
-def _expansion_dual(frame: GaborFrame) -> np.ndarray:
-    """Samples of the dual window h that the frame's expansions use.
+def _walnut_frame_operator(window: Window, lattice: Lattice, grid: Grid,
+                           values) -> np.ndarray:
+    """Frame operator of the full lattice alpha*Z x beta*Z applied to values.
+
+    Walnut form, for a real window: S x(t) = (1/beta) sum_k G_k(t)
+    x(t - k/beta) with G_k(t) = sum_n g(t - n alpha) g(t - n alpha - k/beta).
+    x is shifted spectrally; n and k run over every shift the grid holds.
+    """
+    alpha, beta = lattice.alpha, lattice.beta
+    k_n = _steps_within(grid.half_width, alpha)
+    k_s = _steps_within(grid.half_width, 1.0 / beta)
+    window_times = grid.times()[:, None] - alpha * np.arange(-k_n, k_n + 1)
+    windows = window.evaluate(window_times)
+    shifts = np.arange(-k_s, k_s + 1) / beta
+    shifted = _atom_matrix(values, grid, np.column_stack([shifts, 0 * shifts]))
+    out = 0.0
+    for shift, x_k in zip(shifts, shifted.T):
+        out += np.sum(windows * window.evaluate(window_times - shift),
+                      axis=1) * x_k
+    return out / beta
+
+
+def _wexler_raz_dual(window: Window, lattice: Lattice, grid: Grid,
+                     weight: float) -> tuple:
+    """Dual window h of least ||exp(weight t^2) h||, and its residual.
 
     Wexler-Raz: h is dual to g on alpha*Z x beta*Z when
     <h, M_{l/alpha} T_{k/beta} g> = alpha*beta delta_k delta_l. Of all
-    such h this is the one with the least ||exp(c t^2) h||, c =
-    EXPANSION_DUAL_WEIGHT, so h is exp(-2c t^2) times a combination of
-    adjoint atoms. The identities are imposed at every adjoint point the
-    grid resolves, |k/beta| <= L/2 and |l/alpha| <= N/(2L); past those
-    they hold to the window's tails.
+    such h this returns the samples of the one with the least
+    ||exp(c t^2) h||, c = weight, so h is exp(-2c t^2) times a combination
+    of adjoint atoms; c = 0 gives the canonical dual S^-1 g (Janssen).
+    The identities are imposed at every adjoint point the grid resolves,
+    |k/beta| <= L/2 and |l/alpha| <= N/(2L); past those they hold to the
+    window's tails. The residual is the identities' relative miss.
 
     Windows are real with parity (-1)^order, and so is h. The solve
     therefore runs on h(t), t >= 0, with the real parts of the identities
     for k, l >= 0 and their imaginary parts for k, l > 0 (the others are
     conjugates or copies). The unpaired sample t = -L/2 is set to 0.
     """
-    grid, lat, window = frame.grid, frame.lattice, frame.window
     parity = -1.0 if window.order % 2 else 1.0
     n = grid.points_per_axis
     t = grid.times()[n // 2:]
-    shift, mod = 1.0 / lat.beta, 1.0 / lat.alpha
+    shift, mod = 1.0 / lattice.beta, 1.0 / lattice.alpha
     ks = np.arange(_steps_within(grid.half_width, shift) + 1)
     ls = np.arange(_steps_within(grid.freq_half_width, mod) + 1)
     # Row (k, l) applied to h(t >= 0): each t > 0 stands for t and -t.
@@ -454,15 +433,16 @@ def _expansion_dual(frame: GaborFrame) -> np.ndarray:
     mat = np.vstack([rows.real.reshape(-1, t.size),
                      rows.imag[1:, 1:].reshape(-1, t.size)])
     rhs = np.zeros(len(mat))
-    rhs[0] = lat.alpha * lat.beta
+    rhs[0] = lattice.redundancy
     # u = h / decay has the norm of exp(c t^2) h over the whole grid.
-    decay = (np.exp(-EXPANSION_DUAL_WEIGHT * t * t)
+    decay = (np.exp(-weight * t * t)
              / np.sqrt(np.where(t > 0, 2.0, 1.0)))
     half = decay * np.linalg.lstsq(mat * decay, rhs, rcond=None)[0]
+    residual = float(np.linalg.norm(mat @ half - rhs) / rhs[0])
     h = np.zeros(n)
     h[n // 2:] = half
     h[1: n // 2] = parity * half[:0:-1]
-    return h
+    return h, residual
 
 
 def gs_decay_classify(points, magnitudes, *, floor: float = 1e-14,

@@ -244,8 +244,13 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     env_log_c = float(np.max(log_m))
     spread = dist[above] > 1e-9
     if np.any(spread):
-        ratios = (env_log_c - log_m[spread]) / dist[above][spread] ** (
-            1.0 / fit.s_hat)
+        # At small s_hat, d**(1/s_hat) overflows (ratio 0: no positive rate
+        # keeps that sample under the envelope) or underflows (floored at
+        # the smallest normal float: a huge ratio, since every rate does).
+        with np.errstate(over="ignore"):
+            scale = dist[above][spread] ** (1.0 / fit.s_hat)
+            np.maximum(scale, np.finfo(float).tiny, out=scale)
+            ratios = (env_log_c - log_m[spread]) / scale
         env_eps = float(max(0.0, np.min(ratios)))
     else:
         env_eps = 0.0

@@ -6,6 +6,7 @@ while exercising the full artifact and exit-code surface.
 """
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -238,6 +239,22 @@ def test_tiny_s_grid_value_exits_2(tmp_path, command):
     assert proc.returncode == 2
     assert "s_grid" in proc.stderr
     assert "DLASCL" not in proc.stderr
+
+
+@pytest.mark.parametrize("s", [0.01, 0.002])
+def test_small_s_grid_value_fits_sanely(tmp_path, s):
+    # r**(1/s) spans hundreds of decades but stays finite. The line fit
+    # once lost its intercept here (r2 = -0.34, logC = -8e-106), and the
+    # envelope rate printed overflow and divide-by-zero warnings.
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                   fit={"floor": 1e-12, "s_grid": [s]})))
+    proc = run_cli(["decay-fit"], tmp_path / "out", cfg, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    fit = json.loads((tmp_path / "out" / "fit.json").read_text())
+    assert 0.0 <= fit["r2"] <= 1.0
+    assert math.isfinite(fit["logC"])
 
 
 @pytest.mark.parametrize("config, key", [
