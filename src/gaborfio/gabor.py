@@ -74,6 +74,15 @@ EXPANSION_DUAL_WEIGHT = 0.25
 # (n-1)/n, which are no frames, by 0.75 and more.
 RECONSTRUCTION_CEILING = 1e-3
 
+# Window envelope values below this are flushed to 0. Subnormal operands
+# slow every BLAS product they enter: 1.7% of the reference frame's atom
+# parts were subnormal and made assemble's Gram product 2.3x slower. The
+# margin over the smallest normal float keeps the products with the atoms'
+# unit-modulus waves normal too (their smallest nonzero part on the
+# shipped grids is 7e-5). What is dropped lies some 260 decades below any
+# entry that is read, so the Gram product stays bitwise equal.
+ENVELOPE_FLUSH = np.finfo(float).tiny / np.finfo(float).eps ** 2
+
 
 @dataclass(frozen=True)
 class Window:
@@ -97,8 +106,10 @@ class Window:
             raise ValueError(f"bad window order {self.order}")
 
     def evaluate(self, x):
+        """Window values at x; envelope values below ENVELOPE_FLUSH are 0."""
         x = np.asarray(x, dtype=float)
         envelope = np.exp(-(np.pi / self.width) * x * x)
+        envelope = envelope * (envelope >= ENVELOPE_FLUSH)
         if self.kind == "gaussian":
             return envelope
         coef = np.zeros(self.order + 1)

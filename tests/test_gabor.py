@@ -130,6 +130,18 @@ def test_atoms_match_per_column_formulas(dual_frame):
                 <= 1e-15 * np.max(np.abs(h)))
 
 
+@pytest.mark.parametrize("window", [gf.gaussian(2.0), gf.gaussian(1.0),
+                                    gf.hermite(1, 2.0)])
+def test_atoms_hold_no_subnormal(grid, window):
+    # On the doubled grid assemble uses; subnormal parts slow the Gram
+    # product severalfold.
+    pad = gf.Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
+    lat = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, TRUNCATION)
+    atoms = gab._atom_matrix(window, pad, lat.as_array())
+    for part in (atoms.real, atoms.imag):
+        assert not np.any((part != 0) & (np.abs(part) < np.finfo(float).tiny))
+
+
 # ---------------------------------------------------------------- STFT
 
 def test_stft_center_value(grid):
