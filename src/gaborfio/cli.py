@@ -5,8 +5,9 @@ rejected), merges it over the documented defaults, executes one
 subcommand, writes its artifacts plus a manifest.json into the output
 directory, and exits 0. Config and usage problems exit 2; numerical
 failures (solver stalls, refused operators, insufficient signal) exit 3.
-A config whose dense Gabor matrix or padded operator kernel would not fit
-in physical memory is refused (exit 2) before anything large is built.
+A config whose dense Gabor matrix or operator-apply buffer on the padded
+grid would not fit in physical memory is refused (exit 2) before anything
+large is built.
 
 Artifacts are bitwise deterministic for a fixed config; the manifest is
 exempt (it records wall-clock time).
@@ -215,8 +216,9 @@ def _check_sizes(exp: Experiment) -> None:
 
     The lattice is counted as Lattice would enumerate it, without
     enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
-    the operator kernel on the doubled grid (2N)^2. Sizes are exact
-    integers (inf for a count past the float range), so none overflows.
+    the factored operator apply on the doubled grid a 2 (2N) x |L|
+    buffer. Sizes are exact integers (inf for a count past the float
+    range), so none overflows.
     """
     try:
         n_lattice = math.prod(2 * _steps_within(exp.truncation, step) + 1
@@ -232,8 +234,8 @@ def _check_sizes(exp: Experiment) -> None:
             (f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
              f"x {exp.beta:g}: the dense Gabor matrix of its lattice",
              16 * n_lattice ** 2),
-            (f"grid.N {n}: the operator kernel on the doubled grid",
-             16 * (2 * n) ** 2)):
+            (f"grid.N {n}: the operator-apply buffer of {n_lattice} "
+             "atoms on the doubled grid", 16 * 2 * (2 * n) * n_lattice)):
         if size > limit:
             raise ConfigError(f"{what} would exceed the "
                               f"{limit / 2 ** 30:.3g} GiB of physical memory")

@@ -6,6 +6,15 @@ trapezoid-free Riemann quadrature that is exact for grid-bandlimited
 inputs. Phases are real with quadratic growth; all phase values are in
 cycles (the 2 pi lives in the exponential, not in Phi).
 
+Every shipped operator has a separable phase
+Phi(x, eta) = (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x), phi
+a multiplier's phase (0 otherwise), and a constant symbol. Such an
+operator carries (a, b, c), and the sum runs factored: a chirp on the
+spectrum, the DFT scaled by 1/a as a Bluestein chirp-z transform (a plain
+inverse FFT at a = 1), then a chirp times exp(2 pi i phi) and the symbol,
+at O(N log N) per function. Any other phase goes through the dense N x N
+kernel exp(2 pi i Phi) sigma.
+
 The canonical transformation chi(y, eta) = (x, xi) solves
 d_eta Phi(x, eta) = y for x and sets xi = d_x Phi(x, eta). Operators whose
 mixed phase Hessian degenerates somewhere in the working box can be
@@ -48,6 +57,16 @@ VALIDATION_POINTS = 20
 VALIDATION_STEP = 1e-4
 VALIDATION_RTOL = 1e-5
 
+# Relative tolerance of the check of a separable form against its phase.
+SEPARABLE_RTOL = 1e-12
+
+
+def _validation_points():
+    """Fixed pseudorandom (x, eta) in [-4, 4]^2 for construction checks."""
+    pts = np.random.default_rng(0).uniform(-4.0, 4.0,
+                                           size=(VALIDATION_POINTS, 2))
+    return pts[:, 0], pts[:, 1]
+
 
 @dataclass(frozen=True)
 class Phase:
@@ -78,9 +97,7 @@ class Phase:
             raise ValueError("smoothness_order must be >= 0.5")
         if not self.smoothness_constant > 0:
             raise ValueError("smoothness_constant must be positive")
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-4.0, 4.0, size=(VALIDATION_POINTS, 2))
-        x, eta = pts[:, 0], pts[:, 1]
+        x, eta = _validation_points()
         h = VALIDATION_STEP
         gx, ge = (np.asarray(c, dtype=float) for c in self.gradient(x, eta))
         fd_x = (self.value(x + h, eta) - self.value(x - h, eta)) / (2 * h)
@@ -157,6 +174,13 @@ class FioOperator:
     is the exact canonical transformation (y, eta) -> (x, xi) used to
     validate the Newton solver; closed_apply applies T without
     quadrature.
+
+    abc, when set, holds the entries (a, b, c) of the separable phase
+    (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x), phi the
+    multiplier_fn or 0, under a constant symbol; apply and assemble then
+    run the factored quadrature. Construction checks the phase Hessian,
+    the phase values and the symbol against it (ValueError on a
+    mismatch).
     """
 
     phase: Phase
@@ -166,12 +190,45 @@ class FioOperator:
     multiplier_fn: Callable | None = field(default=None, repr=False)
     closed_map: Callable | None = field(default=None, repr=False)
     closed_apply: Callable | None = field(default=None, repr=False)
+    abc: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == "multiplier" and self.multiplier_fn is None:
             raise ValueError("multiplier operators need multiplier_fn")
+        if self.abc is not None:
+            _check_separable(self)
+
+
+def _check_separable(op: FioOperator) -> None:
+    """Raise ValueError unless op's phase and symbol have the form op.abc.
+
+    The mixed and eta-eta Hessian entries must be 1/a and -b/a (the x-x
+    entry is c/a plus phi''), the phase values must match the form
+    including c and phi, and the symbol must be constant.
+    """
+    a, b, c = (float(e) for e in op.abc)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+            and a != 0.0):
+        raise ValueError(f"operator {op.name!r}: separable entries must be "
+                         f"finite with a != 0, got {op.abc}")
+    x, eta = _validation_points()
+    _, pxe, _, pee = _hessian_entries(op.phase, x, eta)
+    form = (0.5 * (c / a) * x * x + x * eta / a - 0.5 * (b / a) * eta * eta
+            + (op.multiplier_fn(x) if op.multiplier_fn is not None else 0.0))
+    value = np.asarray(op.phase.value(x, eta), dtype=float)
+    sigma = np.asarray(op.symbol.value(x, eta), dtype=complex)
+
+    def off(got, want):
+        return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+    if (off(pxe, 1.0 / a) > SEPARABLE_RTOL
+            or off(pee, -b / a) > SEPARABLE_RTOL
+            or off(value, form) > SEPARABLE_RTOL
+            or off(sigma, sigma[0]) > SEPARABLE_RTOL):
+        raise ValueError(f"operator {op.name!r}: phase or symbol does not "
+                         f"match the separable form (a, b, c) = {op.abc}")
 
 
 def linear_phase() -> Phase:
@@ -190,7 +247,8 @@ def identity_operator() -> FioOperator:
         symbol=unit_symbol(),
         name="identity",
         closed_map=lambda y, eta: (np.asarray(y, dtype=float),
-                                   np.asarray(eta, dtype=float)))
+                                   np.asarray(eta, dtype=float)),
+        abc=(1.0, 0.0, 0.0))
 
 
 def multiplier_operator(phi: Callable, phi_prime: Callable,
@@ -213,7 +271,8 @@ def multiplier_operator(phi: Callable, phi_prime: Callable,
 
     return FioOperator(phase=phase, symbol=unit_symbol(),
                        name=f"multiplier:{name}", kind="multiplier",
-                       multiplier_fn=phi, closed_map=closed_map)
+                       multiplier_fn=phi, closed_map=closed_map,
+                       abc=(1.0, 0.0, 0.0))
 
 
 def _min_mixed_hessian(op: FioOperator, box: float, n_points: int) -> float:
@@ -245,10 +304,14 @@ def _apply_columns(op: FioOperator, grid: Grid, values: np.ndarray
                    ) -> np.ndarray:
     """T applied to samples on grid: one function (1-D) or one per column.
 
-    Centered transform, then the N x N kernel exp(2 pi i Phi) sigma, which
-    is freed on return. Callers check nondegeneracy.
+    The same Riemann sum either way: factored when op.abc is set (see
+    _chirp_z_columns), else the centered transform times the N x N kernel
+    exp(2 pi i Phi) sigma, which is freed on return. Callers check
+    nondegeneracy.
     """
     grid.require_1d()
+    if op.abc is not None:
+        return _chirp_z_columns(op, grid, values)
     t, om = grid.times()[:, None], grid.freqs()[None, :]
     spectra = grid.spacing * np.fft.fftshift(
         np.fft.fft(np.fft.ifftshift(values, axes=0), axis=0), axes=0)
@@ -256,8 +319,64 @@ def _apply_columns(op: FioOperator, grid: Grid, values: np.ndarray
     return (kern @ spectra) / grid.length
 
 
+def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
+                     ) -> np.ndarray:
+    """The quadrature of a separable phase, factored, in one 2N buffer.
+
+    With u, v the centered sample and frequency indices on N points,
+    t_u w_v = u v / N, so the sum over v is a DFT scaled by 1/a. It runs
+    as a Bluestein chirp-z transform, u v / a = (u^2 + v^2 - (u - v)^2)
+    / (2a), a circular convolution of length 2N with the chirp
+    exp(-i pi (u - v)^2 / (a N)); at a = 1 it is an inverse FFT. The
+    result is an N-row view into that buffer (2N x columns, complex).
+    """
+    a, b, c = op.abc
+    n, h = grid.points_per_axis, grid.points_per_axis // 2
+    u = np.arange(n) - h
+    v = np.fft.ifftshift(u)
+    t, w = grid.times(), v / grid.length
+    pre = grid.spacing * np.exp(-1j * np.pi * (b / a) * w * w)
+    post = complex(op.symbol.value(0.0, 0.0)) / grid.length * np.exp(
+        1j * np.pi * (c / a) * t * t)
+    if op.multiplier_fn is not None:
+        post *= np.exp(2j * np.pi * op.multiplier_fn(t))
+    cols = values.reshape(n, -1)
+    buf = np.empty((2 * n, cols.shape[1]), dtype=complex, order="F")
+    # The spectrum in FFT order: row j of buf[:n] holds frequency index v_j.
+    buf[:h], buf[h:n] = cols[h:], cols[:h]
+    spec = buf[:n]
+    np.fft.fft(spec, axis=0, out=spec)
+    if a == 1.0:
+        spec *= pre[:, None]
+        np.fft.ifft(spec, axis=0, out=spec)
+        post *= n
+    else:
+        theta = 1.0 / (a * n)
+        spec *= (pre * np.exp(1j * np.pi * theta * v * v))[:, None]
+        # Index v sits at row v mod 2N, zeros between.
+        buf[n + h:] = buf[h:n]
+        buf[h:n + h] = 0.0
+        s = np.fft.ifftshift(np.arange(2 * n) - n)
+        chirp = np.fft.fft(np.exp(-1j * np.pi * theta * s * s))
+        np.fft.fft(buf, axis=0, out=buf)
+        buf *= chirp[:, None]
+        np.fft.ifft(buf, axis=0, out=buf)
+        post *= np.exp(1j * np.pi * theta * u * u)
+        buf[h:n] = buf[n + h:]
+    # Output index u sits at row u mod 2N (u mod N at a = 1); gather the
+    # centered result into rows h .. n + h - 1.
+    buf[n:n + h] = buf[:h]
+    out = buf[h:n + h]
+    out *= post[:, None]
+    return out.reshape(values.shape)
+
+
 def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
-    """Quadrature application over the full frequency grid, O(N^2) per dim."""
+    """Quadrature application over the full frequency grid.
+
+    O(N log N) per dim for separable phases (op.abc set), O(N^2) through
+    the dense kernel otherwise.
+    """
     ensure_nondegenerate(op)
     return SampledSignal(f.grid, _apply_columns(op, f.grid, f.values))
 

@@ -127,13 +127,19 @@ def sorted_tail_fit(mags, exponent, *, floor):
 
     n counts from 1. Returns (epsilon, logc, r_squared, n_used). Used for
     per-row sparsity profiles where the model is
-    |a|_n <= C exp(-eps n**exponent).
+    |a|_n <= C exp(-eps n**exponent). Raises ValueError when n**exponent
+    overflows.
     """
     v = np.sort(np.asarray(mags, dtype=float).ravel())[::-1]
     v = v[v >= floor]
     if v.size < 3:
         raise InsufficientDataError(
             f"insufficient data: {v.size} magnitudes above floor {floor:g}")
-    xs = np.arange(1, v.size + 1, dtype=float) ** exponent
+    with np.errstate(over="ignore"):
+        xs = np.arange(1, v.size + 1, dtype=float) ** exponent
+    if not np.isfinite(xs[-1]):
+        raise ValueError(f"rank exponent {exponent:g} is too large: "
+                         f"{v.size}**{exponent:g} overflows (an s_grid "
+                         "value is too small)")
     eps, logc, _, r2 = _line_fit(xs, np.log(v))
     return eps, logc, r2, int(v.size)

@@ -193,18 +193,18 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     """Assemble <T g_lambda, g_mu> for all lattice pairs.
 
     The frame's atoms, built on the doubled grid, go through the operator
-    kernel in one product, then one Gram product pairs them with the
-    atoms again.
+    in one call, then one Gram product pairs them with the atoms again.
     """
     ensure_nondegenerate(op)
     grid = frame.grid
     pad = Grid(grid.dim, 2 * grid.points_per_axis, 2 * grid.length)
     pts = frame.lattice.as_array()
     atoms = _atom_matrix(frame.window, pad, pts)
-    # Two statements, so the N^2 kernel is freed before the conjugate
-    # copy of the atoms is made.
     t_atoms = _apply_columns(op, pad, atoms)
-    dense = pad.spacing * (atoms.conj().T @ t_atoms)
+    # A^H (T A) as conj(A^T conj(T A)): conjugating T A in place spares
+    # a conjugate copy of the atoms.
+    np.conjugate(t_atoms, out=t_atoms)
+    dense = pad.spacing * (atoms.T @ t_atoms).conj()
 
     chi = canonical_map(op, pts)
     flags = ((np.abs(chi[:, 0]) > grid.half_width - RELIABLE_MARGIN)
@@ -289,10 +289,16 @@ def decay_bound_check(matrix: GaborMatrix, fit: DecayFit, *,
     """
     dist, mags = matrix._fit_samples
     above = mags >= noise_floor
-    bound = (constant_slack * np.exp(fit.envelope_log_c)
-             * np.exp(-rate_slack * fit.envelope_epsilon
-                      * dist[above] ** (1.0 / fit.s_hat)))
-    ratio = mags[above] / bound
+    # At small s_hat, d**(1/s_hat) overflows. Capped at the largest float,
+    # a zero rate still gives a flat envelope (not 0 * inf = nan), and a
+    # positive one a zero bound, so any sample there is a violation
+    # (ratio inf).
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = dist[above] ** (1.0 / fit.s_hat)
+        np.minimum(scale, np.finfo(float).max, out=scale)
+        bound = (constant_slack * np.exp(fit.envelope_log_c)
+                 * np.exp(-rate_slack * fit.envelope_epsilon * scale))
+        ratio = mags[above] / bound
     return {
         "checked": int(above.sum()),
         "violations": int(np.sum(ratio > 1.0)),

@@ -241,6 +241,19 @@ def test_tiny_s_grid_value_exits_2(tmp_path, command):
     assert "DLASCL" not in proc.stderr
 
 
+def test_sparsity_rank_overflow_exits_2(tmp_path):
+    # s_hat = 0.002 raises row ranks to 1/(2 s_hat) = 250, which
+    # overflows; that once reached LAPACK and printed DLASCL errors.
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                   fit={"floor": 1e-12, "s_grid": [0.002]})))
+    proc = run_cli(["sparsity"], tmp_path / "out", cfg, check=False)
+    assert proc.returncode == 2
+    assert "s_grid" in proc.stderr
+    assert "DLASCL" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 @pytest.mark.parametrize("s", [0.01, 0.002])
 def test_small_s_grid_value_fits_sanely(tmp_path, s):
     # r**(1/s) spans hundreds of decades but stays finite. The line fit

@@ -1,5 +1,7 @@
 """Phases, symbols, quadrature application, and the canonical map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,21 @@ def test_operator_kind_validation():
     with pytest.raises(ValueError):
         gf.FioOperator(phase=linear_phase(), symbol=gf.unit_symbol(),
                        kind="multiplier")
+
+
+def test_separable_entries_must_match_the_phase():
+    op = gf.parse_operator("harmonic:0.7853981633974483")
+    a, b, c = op.abc
+    for abc in ((2.0 * a, b, c), (a, b + 0.1, c), (a, b, c + 0.1),
+                (0.0, b, c), (a, np.nan, c)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(op, abc=abc)
+    with pytest.raises(ValueError):
+        dataclasses.replace(gf.parse_operator("multiplier:cos"),
+                            abc=(1.0, 0.0, 0.5))
+    with pytest.raises(ValueError):
+        dataclasses.replace(gf.identity_operator(), symbol=gf.Symbol(
+            lambda x, eta: 1.0 + 0.1 * np.asarray(eta, dtype=complex)))
 
 
 def test_multiplier_apply_guards_kind(grid):
