@@ -76,11 +76,12 @@ RECONSTRUCTION_CEILING = 1e-3
 
 # Window envelope values below this are flushed to 0. Subnormal operands
 # slow every BLAS product they enter: 1.7% of the reference frame's atom
-# parts were subnormal and made assemble's Gram product 2.3x slower. The
-# margin over the smallest normal float keeps the products with the atoms'
-# unit-modulus waves normal too (their smallest nonzero part on the
-# shipped grids is 7e-5). What is dropped lies some 260 decades below any
-# entry that is read, so the Gram product stays bitwise equal.
+# parts were subnormal, and assemble's Gram product ran 8x slower for it
+# (0.196 s against 0.023 s). The margin over the smallest normal float
+# keeps the products with the atoms' unit-modulus waves normal too (their
+# smallest nonzero part on the shipped grids is 7e-5). What is dropped
+# lies some 260 decades below any entry that is read, so the Gram product
+# stays bitwise equal.
 ENVELOPE_FLUSH = np.finfo(float).tiny / np.finfo(float).eps ** 2
 
 
