@@ -217,8 +217,13 @@ def _check_sizes(exp: Experiment) -> None:
     The lattice is counted as Lattice would enumerate it, without
     enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
     the factored operator apply on the doubled grid a 2 (2N) x |L|
-    buffer. Sizes are exact integers (inf for a count past the float
-    range), so none overflows.
+    buffer. The canonical dual's Wexler-Raz system on the doubled grid
+    (gabor._wexler_raz_dual) holds one complex row per adjoint point
+    (k/beta, l/alpha), 0 <= k <= beta L and 0 <= l <= alpha N / (2L),
+    over the N samples of t >= 0; with its real form, that form's
+    weighted copy and lstsq's copy of it, 64 bytes per (k, l, t). Sizes
+    are exact integers (inf for a count past the float range), so none
+    overflows.
     """
     try:
         n_lattice = math.prod(2 * _steps_within(exp.truncation, step) + 1
@@ -229,13 +234,18 @@ def _check_sizes(exp: Experiment) -> None:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # the platform cannot say
         limit = math.inf
-    n = exp.grid.points_per_axis
+    n, length = exp.grid.points_per_axis, exp.grid.length
+    n_adjoint = ((_steps_within(length, 1.0 / exp.beta) + 1)
+                 * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
     for what, size in (
             (f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
              f"x {exp.beta:g}: the dense Gabor matrix of its lattice",
              16 * n_lattice ** 2),
             (f"grid.N {n}: the operator-apply buffer of {n_lattice} "
-             "atoms on the doubled grid", 16 * 2 * (2 * n) * n_lattice)):
+             "atoms on the doubled grid", 16 * 2 * (2 * n) * n_lattice),
+            (f"grid.N {n} with steps {exp.alpha:g} x {exp.beta:g}: the "
+             f"dual-window system of {n_adjoint} adjoint points on the "
+             "doubled grid", 64 * n_adjoint * n)):
         if size > limit:
             raise ConfigError(f"{what} would exceed the "
                               f"{limit / 2 ** 30:.3g} GiB of physical memory")

@@ -8,12 +8,12 @@ cycles (the 2 pi lives in the exponential, not in Phi).
 
 Every shipped operator has a separable phase
 Phi(x, eta) = (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x), phi
-a multiplier's phase (0 otherwise), and a constant symbol. Such an
-operator carries (a, b, c), and the sum runs factored: a chirp on the
-spectrum, the DFT scaled by 1/a as a Bluestein chirp-z transform (a plain
-inverse FFT at a = 1), then a chirp times exp(2 pi i phi) and the symbol,
-at O(N log N) per function. Any other phase goes through the dense N x N
-kernel exp(2 pi i Phi) sigma.
+a multiplier's phase (0 otherwise), and a constant symbol. Construction
+reads (c/a, 1/a, b/a) off such a phase, and the sum runs factored: a
+chirp on the spectrum, the DFT scaled by 1/a as a Bluestein chirp-z
+transform (a plain inverse FFT at a = 1), then a chirp times
+exp(2 pi i phi) and the symbol, at O(N log N) per function. Any other
+phase goes through the dense N x N kernel exp(2 pi i Phi) sigma.
 
 The canonical transformation chi(y, eta) = (x, xi) solves
 d_eta Phi(x, eta) = y for x and sets xi = d_x Phi(x, eta). Operators whose
@@ -57,7 +57,7 @@ VALIDATION_POINTS = 20
 VALIDATION_STEP = 1e-4
 VALIDATION_RTOL = 1e-5
 
-# Relative tolerance of the check of a separable form against its phase.
+# Relative tolerance to which a phase must match its separable form.
 SEPARABLE_RTOL = 1e-12
 
 
@@ -175,12 +175,9 @@ class FioOperator:
     validate the Newton solver; closed_apply applies T without
     quadrature.
 
-    abc, when set, holds the entries (a, b, c) of the separable phase
-    (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x), phi the
-    multiplier_fn or 0, under a constant symbol; apply and assemble then
-    run the factored quadrature. Construction checks the phase Hessian,
-    the phase values and the symbol against it (ValueError on a
-    mismatch).
+    Construction reads the separable form of the phase, if it has one
+    (_separable_form); apply and assemble then run the factored
+    quadrature.
     """
 
     phase: Phase
@@ -190,45 +187,49 @@ class FioOperator:
     multiplier_fn: Callable | None = field(default=None, repr=False)
     closed_map: Callable | None = field(default=None, repr=False)
     closed_apply: Callable | None = field(default=None, repr=False)
-    abc: tuple | None = None
+    _separable: tuple | None = field(init=False, default=None, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == "multiplier" and self.multiplier_fn is None:
             raise ValueError("multiplier operators need multiplier_fn")
-        if self.abc is not None:
-            _check_separable(self)
+        object.__setattr__(self, "_separable", _separable_form(self))
 
 
-def _check_separable(op: FioOperator) -> None:
-    """Raise ValueError unless op's phase and symbol have the form op.abc.
+def _separable_form(op: FioOperator) -> tuple | None:
+    """(c/a, 1/a, b/a) of op's phase, or None if it has no separable form.
 
-    The mixed and eta-eta Hessian entries must be 1/a and -b/a (the x-x
-    entry is c/a plus phi''), the phase values must match the form
-    including c and phi, and the symbol must be constant.
+    The form is Phi = (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x),
+    phi the multiplier_fn or 0, under a constant symbol. The mixed and
+    eta-eta Hessian entries give 1/a and b/a and the value at (1, 0) gives
+    c/a; then the Hessian entries, the phase values and the symbol at the
+    validation points must all match the form to SEPARABLE_RTOL.
     """
-    a, b, c = (float(e) for e in op.abc)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
-            and a != 0.0):
-        raise ValueError(f"operator {op.name!r}: separable entries must be "
-                         f"finite with a != 0, got {op.abc}")
+    def phi(x):
+        return op.multiplier_fn(x) if op.multiplier_fn is not None else 0.0
+
     x, eta = _validation_points()
     _, pxe, _, pee = _hessian_entries(op.phase, x, eta)
-    form = (0.5 * (c / a) * x * x + x * eta / a - 0.5 * (b / a) * eta * eta
-            + (op.multiplier_fn(x) if op.multiplier_fn is not None else 0.0))
+    ia, ba = float(pxe[0]), -float(pee[0])
+    one, zero = np.ones(1), np.zeros(1)
+    ca = 2.0 * float(np.asarray(op.phase.value(one, zero) - phi(one))[0])
+    if not (math.isfinite(ia) and ia != 0.0 and math.isfinite(ba)
+            and math.isfinite(ca)):
+        return None
+    form = 0.5 * ca * x * x + x * eta * ia - 0.5 * ba * eta * eta + phi(x)
     value = np.asarray(op.phase.value(x, eta), dtype=float)
     sigma = np.asarray(op.symbol.value(x, eta), dtype=complex)
 
-    def off(got, want):
-        return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+    def near(got, want):
+        return bool(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+                    <= SEPARABLE_RTOL)
 
-    if (off(pxe, 1.0 / a) > SEPARABLE_RTOL
-            or off(pee, -b / a) > SEPARABLE_RTOL
-            or off(value, form) > SEPARABLE_RTOL
-            or off(sigma, sigma[0]) > SEPARABLE_RTOL):
-        raise ValueError(f"operator {op.name!r}: phase or symbol does not "
-                         f"match the separable form (a, b, c) = {op.abc}")
+    if (near(pxe, ia) and near(pee, -ba) and near(value, form)
+            and near(sigma, sigma[0])):
+        return ca, ia, ba
+    return None
 
 
 def linear_phase() -> Phase:
@@ -247,8 +248,7 @@ def identity_operator() -> FioOperator:
         symbol=unit_symbol(),
         name="identity",
         closed_map=lambda y, eta: (np.asarray(y, dtype=float),
-                                   np.asarray(eta, dtype=float)),
-        abc=(1.0, 0.0, 0.0))
+                                   np.asarray(eta, dtype=float)))
 
 
 def multiplier_operator(phi: Callable, phi_prime: Callable,
@@ -271,8 +271,7 @@ def multiplier_operator(phi: Callable, phi_prime: Callable,
 
     return FioOperator(phase=phase, symbol=unit_symbol(),
                        name=f"multiplier:{name}", kind="multiplier",
-                       multiplier_fn=phi, closed_map=closed_map,
-                       abc=(1.0, 0.0, 0.0))
+                       multiplier_fn=phi, closed_map=closed_map)
 
 
 def _min_mixed_hessian(op: FioOperator, box: float, n_points: int) -> float:
@@ -304,14 +303,22 @@ def _apply_columns(op: FioOperator, grid: Grid, values: np.ndarray
                    ) -> np.ndarray:
     """T applied to samples on grid: one function (1-D) or one per column.
 
-    The same Riemann sum either way: factored when op.abc is set (see
-    _chirp_z_columns), else the centered transform times the N x N kernel
-    exp(2 pi i Phi) sigma, which is freed on return. Callers check
-    nondegeneracy.
+    The same Riemann sum either way: factored when the phase has a
+    separable form (_chirp_z_columns), else through the dense kernel
+    (_dense_columns). Callers check nondegeneracy.
     """
     grid.require_1d()
-    if op.abc is not None:
+    if op._separable is not None:
         return _chirp_z_columns(op, grid, values)
+    return _dense_columns(op, grid, values)
+
+
+def _dense_columns(op: FioOperator, grid: Grid, values: np.ndarray
+                   ) -> np.ndarray:
+    """The quadrature as the centered transform times the N x N kernel.
+
+    The kernel exp(2 pi i Phi) sigma is freed on return.
+    """
     t, om = grid.times()[:, None], grid.freqs()[None, :]
     spectra = grid.spacing * np.fft.fftshift(
         np.fft.fft(np.fft.ifftshift(values, axes=0), axis=0), axes=0)
@@ -330,14 +337,14 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
     exp(-i pi (u - v)^2 / (a N)); at a = 1 it is an inverse FFT. The
     result is an N-row view into that buffer (2N x columns, complex).
     """
-    a, b, c = op.abc
+    ca, ia, ba = op._separable
     n, h = grid.points_per_axis, grid.points_per_axis // 2
     u = np.arange(n) - h
     v = np.fft.ifftshift(u)
     t, w = grid.times(), v / grid.length
-    pre = grid.spacing * np.exp(-1j * np.pi * (b / a) * w * w)
+    pre = grid.spacing * np.exp(-1j * np.pi * ba * w * w)
     post = complex(op.symbol.value(0.0, 0.0)) / grid.length * np.exp(
-        1j * np.pi * (c / a) * t * t)
+        1j * np.pi * ca * t * t)
     if op.multiplier_fn is not None:
         post *= np.exp(2j * np.pi * op.multiplier_fn(t))
     cols = values.reshape(n, -1)
@@ -346,12 +353,14 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
     buf[:h], buf[h:n] = cols[h:], cols[:h]
     spec = buf[:n]
     np.fft.fft(spec, axis=0, out=spec)
-    if a == 1.0:
+    if ia == 1.0:
+        # An inverse FFT of length N: about half the time per column of
+        # the length-2N Bluestein path, at the same accuracy.
         spec *= pre[:, None]
         np.fft.ifft(spec, axis=0, out=spec)
         post *= n
     else:
-        theta = 1.0 / (a * n)
+        theta = ia / n
         spec *= (pre * np.exp(1j * np.pi * theta * v * v))[:, None]
         # Index v sits at row v mod 2N, zeros between.
         buf[n + h:] = buf[h:n]
@@ -374,8 +383,8 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
 def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
     """Quadrature application over the full frequency grid.
 
-    O(N log N) per dim for separable phases (op.abc set), O(N^2) through
-    the dense kernel otherwise.
+    O(N log N) per dim for separable phases, O(N^2) through the dense
+    kernel otherwise.
     """
     ensure_nondegenerate(op)
     return SampledSignal(f.grid, _apply_columns(op, f.grid, f.values))

@@ -163,7 +163,7 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
             a * np.asarray(y, dtype=float) + b * np.asarray(eta, dtype=float),
             c * np.asarray(y, dtype=float)
             + mat.d * np.asarray(eta, dtype=float)),
-        closed_apply=closed_apply, abc=(a, b, c))
+        closed_apply=closed_apply)
     return MetaplecticFio(matrix=mat, as_fio=op)
 
 

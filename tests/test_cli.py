@@ -288,6 +288,21 @@ def test_oversized_configs_exit_2_before_allocating(tmp_path, config, key):
     assert key in proc.stderr and "physical memory" in proc.stderr
 
 
+def test_dual_window_system_is_counted_before_allocating(tmp_path):
+    # At grid.N 2**20 with one lattice point the apply buffer is 64 MiB,
+    # but the canonical dual's Wexler-Raz system on the doubled grid
+    # would take about 16 TiB. Without its own term in the size guard,
+    # frame-check reaches that solve and crashes under the 1 GiB cap.
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"grid": {"N": 2 ** 20},
+                               "frame": {"truncation": 0.0}}))
+    proc = run_cli(["frame-check"], tmp_path / "out", cfg, check=False,
+                   timeout=60, max_bytes=2 ** 30)
+    assert proc.returncode == 2
+    assert "grid.N" in proc.stderr and "dual-window system" in proc.stderr
+    assert "physical memory" in proc.stderr
+
+
 def test_numerical_failures_exit_3(tmp_path, config_path):
     proc = run_cli(["decay-fit", "harmonic:1.5707963267948966"],
                    tmp_path, config_path, check=False)

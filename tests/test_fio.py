@@ -1,7 +1,5 @@
 """Phases, symbols, quadrature application, and the canonical map."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -58,19 +56,35 @@ def test_operator_kind_validation():
                        kind="multiplier")
 
 
-def test_separable_entries_must_match_the_phase():
-    op = gf.parse_operator("harmonic:0.7853981633974483")
-    a, b, c = op.abc
-    for abc in ((2.0 * a, b, c), (a, b + 0.1, c), (a, b, c + 0.1),
-                (0.0, b, c), (a, np.nan, c)):
-        with pytest.raises(ValueError):
-            dataclasses.replace(op, abc=abc)
-    with pytest.raises(ValueError):
-        dataclasses.replace(gf.parse_operator("multiplier:cos"),
-                            abc=(1.0, 0.0, 0.5))
-    with pytest.raises(ValueError):
-        dataclasses.replace(gf.identity_operator(), symbol=gf.Symbol(
-            lambda x, eta: 1.0 + 0.1 * np.asarray(eta, dtype=complex)))
+def test_separable_form_is_read_from_the_phase(grid):
+    mp = gf.harmonic_oscillator(0.7853981633974483)
+    a, b, c = mp.matrix.a, mp.matrix.b, mp.matrix.c
+    assert mp.as_fio._separable == (c / a, 1.0 / a, b / a)
+    for name in ("identity", "multiplier:cos", "multiplier:poly:0.5"):
+        assert gf.parse_operator(name)._separable == (0.0, 1.0, 0.0)
+
+    # A cubic eta term, a non-constant symbol, and a multiplier's phase
+    # without its multiplier_fn have no separable form: they take the
+    # dense kernel.
+    cubic = gf.Phase(
+        value=lambda x, eta: (np.asarray(x) * np.asarray(eta)
+                              + 0.1 * np.asarray(eta) ** 3),
+        gradient=lambda x, eta: (np.asarray(eta, dtype=float),
+                                 np.asarray(x, dtype=float)
+                                 + 0.3 * np.asarray(eta, dtype=float) ** 2),
+        hessian=lambda x, eta: ((0.0, 1.0),
+                                (1.0, 0.6 * np.asarray(eta, dtype=float))))
+    assert gf.FioOperator(phase=cubic, symbol=gf.unit_symbol())._separable \
+        is None
+    varying = gf.Symbol(
+        lambda x, eta: 1.0 + 0.1 * np.asarray(eta, dtype=complex))
+    assert gf.FioOperator(phase=linear_phase(), symbol=varying)._separable \
+        is None
+    cos = gf.parse_operator("multiplier:cos")
+    bare = gf.FioOperator(phase=cos.phase, symbol=cos.symbol)
+    assert bare._separable is None
+    f = centered_gaussian(grid, 2.0)
+    assert rel_error(gf.apply(bare, f), gf.apply(cos, f)) <= 1e-12
 
 
 def test_multiplier_apply_guards_kind(grid):
