@@ -10,8 +10,7 @@ from .errors import (ConfigError, HypothesisError, InsufficientDataError,
                      SingularTimeError, SolverError)
 from .fio import (FioOperator, Phase, Symbol, apply, canonical_map,
                   ensure_nondegenerate, identity_operator,
-                  multiplier_apply, multiplier_operator, unit_symbol,
-                  validate_hypotheses)
+                  multiplier_apply, multiplier_operator, unit_symbol)
 from .fitting import DEFAULT_S_GRID, ShellFit, shell_decay_fit
 from .gabor import (GaborFrame, Lattice, Window, dual_window, frame_bounds,
                     gaussian, gs_decay_classify, hermite,
@@ -21,10 +20,10 @@ from .gabor import (GaborFrame, Lattice, Window, dual_window, frame_bounds,
 from .gmatrix import (DecayFit, GaborMatrix, SparsityReport, assemble,
                       decay_bound_check, fit_decay, restricted_decay_fit,
                       sparse_apply, sparsity_curve)
-from .metaplectic import (MetaplecticFio, SymplecticMatrix, build_metaplectic,
-                          chirp_matrix, chirp_operator, dilation_matrix,
-                          dilation_operator, harmonic_oscillator,
-                          rotation_matrix, singular_time_distance)
+from .metaplectic import (SymplecticMatrix, build_metaplectic, chirp_matrix,
+                          chirp_operator, dilation_matrix, dilation_operator,
+                          harmonic_oscillator, rotation_matrix,
+                          singular_time_distance)
 from .registry import parse_operator, parse_window, shipped_operator_names
 from .signals import (Grid, SampledSignal, forward_transform, inner_product,
                       inverse_transform, sample, signal_to_csv)

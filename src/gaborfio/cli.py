@@ -430,8 +430,10 @@ def _run_oracle_check(exp: Experiment, args) -> None:
     closed_errors[mult.name] = _rel_error(fio_apply(mult, f),
                                           multiplier_apply(mult, f))
     chirp = parse_operator("metaplectic:chirp:1.0")
+    t = exp.grid.times()
+    chirped = f.values * np.exp(1j * np.pi * t * t)
     closed_errors[chirp.name] = _rel_error(fio_apply(chirp, f),
-                                           chirp.closed_apply(f))
+                                           SampledSignal(exp.grid, chirped))
     dilation = parse_operator("metaplectic:dilation:2.0")
     dilated = np.asarray(
         2.0 ** -0.5 * exp.window.evaluate(exp.grid.times() / 2.0),

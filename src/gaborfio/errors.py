@@ -5,6 +5,10 @@ exit code 3. Plain ValueError is used for caller mistakes (bad arguments,
 grid mismatches) and also maps to exit code 2 at the CLI boundary.
 """
 
+__all__ = ["ConfigError", "NumericalError", "NotAFrameError", "SolverError",
+           "HypothesisError", "SingularTimeError", "NoSignalError",
+           "InsufficientDataError"]
+
 
 class ConfigError(Exception):
     """Invalid or unknown configuration input."""

@@ -44,7 +44,6 @@ __all__ = [
     "multiplier_apply",
     "canonical_map",
     "ensure_nondegenerate",
-    "validate_hypotheses",
 ]
 
 # Box, sampling density, and determinant floor for the nondegeneracy scan.
@@ -78,10 +77,9 @@ class Phase:
     derivatives against central differences at fixed pseudorandom points
     and rejects inconsistent or asymmetric input.
 
-    smoothness_order and smoothness_constant declare the regularity scale
-    of the phase (0.5 for quadratic polynomials, 1.0 for generic analytic
-    phases with bounded higher derivatives). They select which decay
-    exponent experiments expect; they are trusted metadata, not certified
+    smoothness_order declares the regularity scale of the phase (0.5 for
+    quadratic polynomials, 1.0 for generic analytic phases with bounded
+    higher derivatives). It is trusted metadata, not certified
     numerically.
     """
 
@@ -90,13 +88,10 @@ class Phase:
     hessian: Callable
     name: str = ""
     smoothness_order: float = 1.0
-    smoothness_constant: float = 1.0
 
     def __post_init__(self):
         if self.smoothness_order < 0.5:
             raise ValueError("smoothness_order must be >= 0.5")
-        if not self.smoothness_constant > 0:
-            raise ValueError("smoothness_constant must be positive")
         x, eta = _validation_points()
         h = VALIDATION_STEP
         gx, ge = (np.asarray(c, dtype=float) for c in self.gradient(x, eta))
@@ -138,42 +133,25 @@ def _hessian_entries(phase: Phase, x, eta):
 
 @dataclass(frozen=True)
 class Symbol:
-    """Amplitude sigma(x, eta) with a polynomial weight exponent.
-
-    weight_exponent is N in the growth bound
-    |sigma(z)| <= c (1 + |z|^2)^(N/2); validate_hypotheses reports the
-    measured constant over the working box. Default 0 means a bounded
-    symbol.
-    """
+    """Bounded amplitude sigma(x, eta)."""
 
     value: Callable
-    weight_exponent: float = 0.0
     name: str = ""
-
-    def __post_init__(self):
-        if self.weight_exponent < 0:
-            raise ValueError("weight_exponent must be nonnegative")
 
 
 def unit_symbol() -> Symbol:
     return Symbol(lambda x, eta: np.ones(np.broadcast(
-        np.asarray(x), np.asarray(eta)).shape), weight_exponent=0.0,
-        name="one")
-
-
-OPERATOR_KINDS = ("general", "multiplier", "metaplectic")
+        np.asarray(x), np.asarray(eta)).shape), name="one")
 
 
 @dataclass(frozen=True)
 class FioOperator:
-    """Phase plus symbol, with optional exact forms for cross-checks.
+    """Phase plus symbol, with an optional exact map for cross-checks.
 
-    kind tags the family: "multiplier" operators carry phi with
-    Tf = exp(2 pi i phi(x)) f(x), "metaplectic" ones come from a
-    symplectic matrix, anything else is "general". closed_map, when set,
-    is the exact canonical transformation (y, eta) -> (x, xi) used to
-    validate the Newton solver; closed_apply applies T without
-    quadrature.
+    multiplier_fn, when set, is the phi of a multiplier
+    Tf = exp(2 pi i phi(x)) f(x). closed_map, when set, is the exact
+    canonical transformation (y, eta) -> (x, xi) used to validate the
+    Newton solver.
 
     Construction reads the separable form of the phase, if it has one
     (_separable_form); apply and assemble then run the factored
@@ -183,18 +161,12 @@ class FioOperator:
     phase: Phase
     symbol: Symbol
     name: str = ""
-    kind: str = "general"
     multiplier_fn: Callable | None = field(default=None, repr=False)
     closed_map: Callable | None = field(default=None, repr=False)
-    closed_apply: Callable | None = field(default=None, repr=False)
     _separable: tuple | None = field(init=False, default=None, repr=False,
                                      compare=False)
 
     def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "multiplier" and self.multiplier_fn is None:
-            raise ValueError("multiplier operators need multiplier_fn")
         object.__setattr__(self, "_separable", _separable_form(self))
 
 
@@ -270,31 +242,26 @@ def multiplier_operator(phi: Callable, phi_prime: Callable,
         return y, np.asarray(eta, dtype=float) + phi_prime(y)
 
     return FioOperator(phase=phase, symbol=unit_symbol(),
-                       name=f"multiplier:{name}", kind="multiplier",
+                       name=f"multiplier:{name}",
                        multiplier_fn=phi, closed_map=closed_map)
 
 
-def _min_mixed_hessian(op: FioOperator, box: float, n_points: int) -> float:
-    """Minimum |d^2 Phi / dx deta| over an n_points^2 scan of the box."""
-    axis = np.linspace(-box, box, n_points)
-    _, pxe, _, _ = _hessian_entries(
-        op.phase, *np.meshgrid(axis, axis, indexing="ij"))
-    return float(np.min(np.abs(pxe)))
-
-
-def ensure_nondegenerate(op: FioOperator, *, box: float = HYPOTHESIS_BOX,
-                         n_points: int = HYPOTHESIS_POINTS) -> float:
+def ensure_nondegenerate(op: FioOperator) -> float:
     """Scan the mixed phase Hessian over the box; raise if it degenerates.
 
-    Returns the minimum |d^2 Phi / dx deta| found. The scan is a sampled
-    surrogate for global nondegeneracy, adequate for the smooth phases
-    this library targets.
+    Returns the nondegeneracy margin, the minimum |d^2 Phi / dx deta| over
+    a HYPOTHESIS_POINTS^2 scan of [-HYPOTHESIS_BOX, HYPOTHESIS_BOX]^2. The
+    scan is a sampled surrogate for global nondegeneracy, adequate for the
+    smooth phases this library targets.
     """
-    min_det = _min_mixed_hessian(op, box, n_points)
+    axis = np.linspace(-HYPOTHESIS_BOX, HYPOTHESIS_BOX, HYPOTHESIS_POINTS)
+    _, pxe, _, _ = _hessian_entries(
+        op.phase, *np.meshgrid(axis, axis, indexing="ij"))
+    min_det = float(np.min(np.abs(pxe)))
     if min_det < HYPOTHESIS_DET_FLOOR:
         raise HypothesisError(
             f"operator {op.name!r}: mixed phase Hessian degenerates "
-            f"(min |det| {min_det:.3e} inside box {box})",
+            f"(min |det| {min_det:.3e} inside box {HYPOTHESIS_BOX})",
             min_det=min_det)
     return min_det
 
@@ -428,27 +395,3 @@ def canonical_map(op: FioOperator, points, *, tol: float = 1e-12,
                 last_iterate=x)
     xi, _ = op.phase.gradient(x, eta)
     return np.column_stack([x, np.asarray(xi, dtype=float)])
-
-
-def validate_hypotheses(op: FioOperator, *, box: float = HYPOTHESIS_BOX,
-                        n_points: int = HYPOTHESIS_POINTS,
-                        det_floor: float = HYPOTHESIS_DET_FLOOR) -> dict:
-    """Measured hypothesis report over the working box.
-
-    Keys: min_mixed_hessian (nondegeneracy margin), nondegenerate (min
-    against det_floor; False instead of raising), symbol_weight_exponent,
-    and symbol_weight_constant (sup |sigma(z)| / (1+|z|^2)^(N/2)).
-    """
-    min_det = _min_mixed_hessian(op, box, n_points)
-    axis = np.linspace(-box, box, n_points)
-    xg, eg = np.meshgrid(axis, axis, indexing="ij")
-    weight = (1.0 + xg * xg + eg * eg) ** (op.symbol.weight_exponent / 2.0)
-    sig = np.abs(np.asarray(op.symbol.value(xg, eg), dtype=complex))
-    constant = float(np.max(sig / weight))
-    return {
-        "operator": op.name,
-        "min_mixed_hessian": min_det,
-        "nondegenerate": bool(min_det >= det_floor),
-        "symbol_weight_exponent": float(op.symbol.weight_exponent),
-        "symbol_weight_constant": constant,
-    }

@@ -63,7 +63,6 @@ class GaborMatrix:
     grid: Grid
     window: object
     lattice: object
-    symbol_order: float
     entries: np.ndarray = field(repr=False)
     distances: np.ndarray = field(repr=False)
     chi: np.ndarray = field(repr=False)
@@ -97,20 +96,9 @@ class GaborMatrix:
 
     @functools.cached_property
     def _fit_samples(self) -> tuple:
-        """Read-only (distances, |entries| / weight) of unflagged entries.
-
-        The weight is (1 + mu1^2 + lam2^2)^(N/2), N the symbol order.
-        """
-        mags = self.magnitudes()
-        if self.symbol_order != 0.0:
-            pts = self.lattice.as_array()
-            n = self.n_lattice
-            lam2 = np.repeat(pts[:, 1], n)
-            mu1 = np.tile(pts[:, 0], n)
-            mags /= (1.0 + mu1 * mu1 + lam2 * lam2) ** (self.symbol_order
-                                                        / 2.0)
+        """Read-only (distances, |entries|) of unflagged entries."""
         keep = self.unflagged()
-        samples = (self.distances[keep], mags[keep])
+        samples = (self.distances[keep], self.magnitudes()[keep])
         for arr in samples:
             arr.flags.writeable = False
         return samples
@@ -145,7 +133,6 @@ class DecayFit:
     r_squared: float
     n_points: int
     n_shells: int
-    weight_exponent: float
     envelope_log_c: float
     envelope_epsilon: float
 
@@ -214,10 +201,8 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
 
     return GaborMatrix(
         operator_name=op.name, grid=grid, window=frame.window,
-        lattice=frame.lattice,
-        symbol_order=float(op.symbol.weight_exponent),
-        entries=dense.T.ravel().copy(), distances=dist.ravel().copy(),
-        chi=chi, flags=flags)
+        lattice=frame.lattice, entries=dense.T.ravel().copy(),
+        distances=dist.ravel().copy(), chi=chi, flags=flags)
 
 
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
@@ -226,9 +211,9 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     """Fit the concentration law of a Gabor matrix.
 
     Same procedure as the STFT classifier (shell means over the s grid),
-    applied to weight-normalized magnitudes of unflagged entries, with a
-    near-diagonal exclusion: below exclusion_radius the discrete distance
-    does not resolve the law. Requires min_samples entries above floor.
+    applied to the magnitudes of unflagged entries, with a near-diagonal
+    exclusion: below exclusion_radius the discrete distance does not
+    resolve the law. Requires min_samples entries above floor.
 
     The envelope pair is calibrated on the same samples: the constant is
     the peak magnitude and the rate is the largest one the peak-anchored
@@ -259,8 +244,8 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
         operator=matrix.operator_name, s_hat=fit.s_hat,
         epsilon_hat=fit.epsilon_hat, log_c=fit.log_c,
         r_squared=fit.r_squared, n_points=fit.n_samples,
-        n_shells=fit.n_shells, weight_exponent=matrix.symbol_order,
-        envelope_log_c=env_log_c, envelope_epsilon=env_eps)
+        n_shells=fit.n_shells, envelope_log_c=env_log_c,
+        envelope_epsilon=env_eps)
 
 
 def restricted_decay_fit(matrix: GaborMatrix, s: float, *,
@@ -342,25 +327,21 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
 
 
 def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
-                 tau: float, *, analysis: str = "dual"):
+                 tau: float):
     """Apply the operator through the thresholded Gabor matrix.
 
     Coefficients come from analysis with the frame's expansion dual
-    (GaborFrame.dual_atoms), or plain frame analysis with
-    analysis="frame"; entries with |M| < tau are dropped; the output is
-    synthesized with the expansion dual. Returns (signal, kept_ratio)
-    where kept_ratio counts surviving entries against len(lattice)^2.
+    (GaborFrame.dual_atoms); entries with |M| < tau are dropped; the
+    output is synthesized with the expansion dual. Returns (signal,
+    kept_ratio) where kept_ratio counts surviving entries against
+    len(lattice)^2.
     tau = 0 keeps everything; tau = inf yields the zero signal, ratio 0.
     """
     if math.isnan(tau) or tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    if analysis not in ("dual", "frame"):
-        raise ValueError(f"analysis must be 'dual' or 'frame', got "
-                         f"{analysis!r}")
     if f.grid != frame.grid:
         raise ValueError("grid mismatch")
-    coeffs = (frame.dual_analysis(f) if analysis == "dual"
-              else frame.analysis(f))
+    coeffs = frame.dual_analysis(f)
     dense = matrix.dense().copy()
     drop = np.abs(dense) < tau
     dense[drop] = 0.0

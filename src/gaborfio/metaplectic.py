@@ -23,11 +23,9 @@ import numpy as np
 
 from .errors import HypothesisError, SingularTimeError
 from .fio import FioOperator, Phase, Symbol
-from .signals import SampledSignal
 
 __all__ = [
     "SymplecticMatrix",
-    "MetaplecticFio",
     "chirp_matrix",
     "dilation_matrix",
     "rotation_matrix",
@@ -86,15 +84,6 @@ class SymplecticMatrix:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.entries, dtype=float)
 
-    def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix(tuple(map(tuple,
-                                          self.as_array() @ other.as_array())))
-
-    def transform(self, points) -> np.ndarray:
-        """Apply the linear map to (n, 2) phase-space points."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return pts @ self.as_array().T
-
 
 def chirp_matrix(c: float) -> SymplecticMatrix:
     return SymplecticMatrix(((1.0, 0.0), (float(c), 1.0)))
@@ -111,25 +100,8 @@ def rotation_matrix(t: float) -> SymplecticMatrix:
                              (math.sin(t), math.cos(t))))
 
 
-@dataclass(frozen=True)
-class MetaplecticFio:
-    """A symplectic matrix together with its realization as an operator.
-
-    as_fio carries the generating phase and constant symbol; matrix is
-    the exact canonical transformation the operator's Newton map must
-    reproduce.
-    """
-
-    matrix: SymplecticMatrix
-    as_fio: FioOperator
-
-    @property
-    def name(self) -> str:
-        return self.as_fio.name
-
-
-def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
-                      closed_apply=None) -> MetaplecticFio:
+def build_metaplectic(mat: SymplecticMatrix, *, name: str = ""
+                      ) -> FioOperator:
     """Operator with phase and symbol generated by the matrix.
 
     Requires |a| >= BLOCK_FLOOR: the generating-phase representation
@@ -155,31 +127,22 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
         name=name or "metaplectic", smoothness_order=0.5)
     symbol = Symbol(lambda x, eta: np.full(
         np.broadcast(np.asarray(x), np.asarray(eta)).shape, amp,
-        dtype=complex), weight_exponent=0.0, name="constant")
-    op = FioOperator(
+        dtype=complex), name="constant")
+    return FioOperator(
         phase=phase, symbol=symbol, name=name or "metaplectic",
-        kind="metaplectic",
         closed_map=lambda y, eta: (
             a * np.asarray(y, dtype=float) + b * np.asarray(eta, dtype=float),
             c * np.asarray(y, dtype=float)
-            + mat.d * np.asarray(eta, dtype=float)),
-        closed_apply=closed_apply)
-    return MetaplecticFio(matrix=mat, as_fio=op)
+            + mat.d * np.asarray(eta, dtype=float)))
 
 
-def chirp_operator(c: float) -> MetaplecticFio:
-    """Tf = exp(pi i c x^2) f; closed form is exact on samples."""
-    def closed_apply(f: SampledSignal) -> SampledSignal:
-        t = f.grid.times()
-        return SampledSignal(f.grid,
-                             f.values * np.exp(1j * np.pi * c * t * t))
-
-    return build_metaplectic(chirp_matrix(c), name=f"metaplectic:chirp:{c}",
-                             closed_apply=closed_apply)
+def chirp_operator(c: float) -> FioOperator:
+    """Tf = exp(pi i c x^2) f."""
+    return build_metaplectic(chirp_matrix(c), name=f"metaplectic:chirp:{c}")
 
 
-def dilation_operator(a: float) -> MetaplecticFio:
-    """Tf = |a|^(-1/2) f(x / a); no sample-exact closed apply (off-grid)."""
+def dilation_operator(a: float) -> FioOperator:
+    """Tf = |a|^(-1/2) f(x / a)."""
     return build_metaplectic(dilation_matrix(a),
                              name=f"metaplectic:dilation:{a}")
 
@@ -190,15 +153,13 @@ def singular_time_distance(t: float) -> float:
     return abs(t - (math.pi / 2 + k * math.pi))
 
 
-def harmonic_oscillator(t: float, d: int = 1) -> MetaplecticFio:
+def harmonic_oscillator(t: float) -> FioOperator:
     """Propagator of the quantum harmonic oscillator at time t.
 
     The canonical transformation is the phase-space rotation by t
     (counterclockwise). Times within COS_FLOOR of the caustic are
     refused; the error carries the distance to the singular time.
     """
-    if d != 1:
-        raise NotImplementedError("only d = 1 propagators are shipped")
     if abs(math.cos(t)) < COS_FLOOR:
         raise SingularTimeError(
             f"harmonic propagator is singular near t = {t!r}",

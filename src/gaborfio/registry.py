@@ -31,10 +31,13 @@ def _param(parts, index, default, spec):
             raise ConfigError(f"operator {spec!r} needs a parameter")
         return default
     try:
-        return float(parts[index])
+        value = float(parts[index])
     except ValueError as exc:
         raise ConfigError(
             f"bad numeric parameter in operator {spec!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite parameter in operator {spec!r}")
+    return value
 
 
 def parse_operator(spec: str) -> FioOperator:
@@ -55,14 +58,12 @@ def parse_operator(spec: str) -> FioOperator:
                 smoothness_order=0.5)
     if kind == "metaplectic" and len(parts) >= 2 and len(parts) <= 3:
         if parts[1] == "chirp":
-            return chirp_operator(
-                _param(parts, 2, DEFAULT_CHIRP_RATE, spec)).as_fio
+            return chirp_operator(_param(parts, 2, DEFAULT_CHIRP_RATE, spec))
         if parts[1] == "dilation":
-            return dilation_operator(
-                _param(parts, 2, DEFAULT_DILATION, spec)).as_fio
+            return dilation_operator(_param(parts, 2, DEFAULT_DILATION, spec))
     if kind == "harmonic" and len(parts) <= 2:
         return harmonic_oscillator(_param(parts, 1, DEFAULT_HARMONIC_TIME,
-                                          spec)).as_fio
+                                          spec))
     raise ConfigError(f"unknown operator spec {spec!r}")
 
 

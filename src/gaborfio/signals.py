@@ -21,7 +21,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "inner_product",
-    "norm",
     "signal_to_csv",
 ]
 
@@ -130,10 +129,6 @@ def inner_product(f: SampledSignal, g: SampledSignal) -> complex:
         raise ValueError(f"grid mismatch: {f.grid} vs {g.grid}")
     w = f.grid.spacing ** f.grid.dim
     return complex(w * np.vdot(g.values, f.values))
-
-
-def norm(f: SampledSignal) -> float:
-    return f.norm()
 
 
 def _write_csv(path, header: str, columns) -> None:

@@ -34,21 +34,21 @@ def centered_gaussian(grid, width):
     return gf.gaussian(width).sampled(grid)
 
 
-def rotation_law(lattice, t, width):
-    """Closed-form |<T g_lambda, g_mu>| of the harmonic propagator at time t.
+def metaplectic_law(lattice, mat, width):
+    """Closed-form |<T g_lambda, g_mu>| of the operator of a symplectic mat.
 
     For the gaussian(width) window, |V_g g|^2 is a phase-space Gaussian of
-    covariance Sigma_g = diag(width, 1/width) / (4 pi). The rotation R_t
-    moves lambda to R_t lambda, and the overlap of the two Gaussians is
-    ||g||^2 (2 pi)^(-1/2) det(Sigma)^(-1/4) exp(-z^T Sigma^-1 z / 4) with
-    z = mu - R_t lambda and Sigma = Sigma_g + R_t Sigma_g R_t^T. Returned
+    covariance Sigma_g = diag(width, 1/width) / (4 pi). The operator moves
+    lambda to M lambda and the window's covariance to M Sigma_g M^T, and
+    the overlap of the two Gaussians is ||g||^2 (2 pi)^(-1/2)
+    det(Sigma)^(-1/4) exp(-z^T Sigma^-1 z / 4) with z = mu - M lambda and
+    Sigma = Sigma_g + M Sigma_g M^T. mat is the 2x2 array of M. Returned
     flat in the matrix's lambda-major entry order.
     """
     pts = lattice.as_array()
-    rot = gf.rotation_matrix(t).as_array()
     sig_g = np.diag([width, 1.0 / width]) / (4.0 * np.pi)
-    sig = sig_g + rot @ sig_g @ rot.T
-    z = pts[None, :, :] - (pts @ rot.T)[:, None, :]
+    sig = sig_g + mat @ sig_g @ mat.T
+    z = pts[None, :, :] - (pts @ mat.T)[:, None, :]
     quad = np.einsum("lmi,ij,lmj->lm", z, np.linalg.inv(sig), z)
     peak = (math.sqrt(width / 2.0) * (2.0 * np.pi) ** -0.5
             * np.linalg.det(sig) ** -0.25)

@@ -212,6 +212,15 @@ def test_config_value_errors_exit_2(tmp_path, config_path):
     assert proc.returncode == 2
 
 
+def test_non_finite_operator_parameter_exits_2(tmp_path, config_path):
+    out = tmp_path / "out"
+    proc = run_cli(["gabor-matrix", "multiplier:poly:nan"], out, config_path,
+                   check=False)
+    assert proc.returncode == 2
+    assert "'multiplier:poly:nan'" in proc.stderr
+    assert not (out / "matrix.csv").exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("fit", "exclusion_radius", float("nan")),
     ("fit", "floor", float("inf")),

@@ -23,17 +23,27 @@ def test_operator_defaults():
 
 
 def test_operator_kinds():
-    assert gf.parse_operator("identity").kind == "general"
-    assert gf.parse_operator("multiplier:cos").kind == "multiplier"
-    assert gf.parse_operator("metaplectic:chirp:1.0").kind == "metaplectic"
-    assert gf.parse_operator("harmonic").kind == "metaplectic"
+    # One operator type; multiplier_fn marks the multipliers.
+    for name in gf.shipped_operator_names():
+        op = gf.parse_operator(name)
+        assert type(op) is gf.FioOperator, name
+        assert ((op.multiplier_fn is not None)
+                == name.startswith("multiplier:")), name
+    for op in (gf.build_metaplectic(gf.chirp_matrix(0.5)),
+               gf.chirp_operator(1.0), gf.dilation_operator(2.0),
+               gf.harmonic_oscillator(0.5)):
+        assert type(op) is gf.FioOperator and op.multiplier_fn is None
 
 
 def test_operator_parse_errors():
     for bad in ("wavelet", "multiplier", "multiplier:tan",
-                "metaplectic:chirp:abc", "harmonic:1:2", ""):
-        with pytest.raises(ConfigError):
+                "metaplectic:chirp:abc", "harmonic:1:2", "",
+                "multiplier:poly:nan", "multiplier:poly:inf",
+                "metaplectic:chirp:-inf", "metaplectic:dilation:nan",
+                "harmonic:inf"):
+        with pytest.raises(ConfigError) as err:
             gf.parse_operator(bad)
+        assert repr(bad) in str(err.value)
 
 
 def test_window_parsing():
