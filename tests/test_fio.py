@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
-from gaborfio.fio import linear_phase
+from gaborfio.fio import HYPOTHESIS_BOX, HYPOTHESIS_POINTS, linear_phase
 from conftest import centered_gaussian, rel_error
 
 
@@ -178,19 +178,38 @@ def test_canonical_map_budget_exhaustion_reports_iterate():
     assert err.value.last_iterate is not None
 
 
-# ------------------------------------------------------ nondegeneracy
+# ----------------------------------------------------------- hypotheses
+# The hypotheses the sparsity bounds rest on: ensure_nondegenerate's
+# margin, min |d^2 Phi / dx deta| over the hypothesis box, and the bound
+# sup |sigma| of the symbol over the same box.
 
-def test_nondegeneracy_margin_is_the_mixed_hessian():
-    # The margin is min |d^2 Phi / dx deta|: 1 for the identity and the
-    # multipliers, 1/a for the operator of a linear map with upper-left
-    # entry a.
+def _symbol_sup(op):
+    axis = np.linspace(-HYPOTHESIS_BOX, HYPOTHESIS_BOX, HYPOTHESIS_POINTS)
+    xg, eg = np.meshgrid(axis, axis, indexing="ij")
+    return float(np.max(np.abs(np.asarray(op.symbol.value(xg, eg),
+                                          dtype=complex))))
+
+
+def test_validate_hypotheses_identity():
+    op = gf.identity_operator()
+    assert op.name == "identity"
+    assert gf.ensure_nondegenerate(op) == 1.0
+    assert abs(_symbol_sup(op) - 1.0) <= 1e-12
+
+
+def test_validate_hypotheses_cos_multiplier():
+    assert gf.ensure_nondegenerate(gf.parse_operator("multiplier:cos")) == 1.0
+
+
+def test_validate_hypotheses_metaplectic_blocks():
+    # The mixed phase Hessian of a linear-map operator is 1/a, its symbol
+    # the constant 1/sqrt(|a|).
     cases = {
-        "identity": 1.0,
-        "multiplier:cos": 1.0,
-        "metaplectic:chirp:1.0": 1.0,
-        "metaplectic:dilation:2.0": 0.5,
-        "harmonic:0.7853981633974483": 2.0 ** 0.5,
+        "metaplectic:chirp:1.0": (1.0, 1.0),
+        "metaplectic:dilation:2.0": (0.5, 2.0 ** -0.5),
+        "harmonic:0.7853981633974483": (2.0 ** 0.5, 2.0 ** 0.25),
     }
-    for name, margin in cases.items():
-        got = gf.ensure_nondegenerate(gf.parse_operator(name))
-        assert abs(got - margin) <= 1e-9, name
+    for name, (mixed, constant) in cases.items():
+        op = gf.parse_operator(name)
+        assert abs(gf.ensure_nondegenerate(op) - mixed) <= 1e-9, name
+        assert abs(_symbol_sup(op) - constant) <= 1e-9, name
