@@ -15,8 +15,7 @@ from .fitting import DEFAULT_S_GRID, ShellFit, shell_decay_fit
 from .gabor import (GaborFrame, Lattice, Window, dual_window, frame_bounds,
                     gaussian, gs_decay_classify, hermite,
                     inversion_formula_reconstruct, make_lattice,
-                    moment_constant_conversion, moment_epsilon_bound, stft,
-                    tf_shift)
+                    moment_constant_conversion, moment_epsilon_bound, stft)
 from .gmatrix import (DecayFit, GaborMatrix, SparsityReport, assemble,
                       decay_bound_check, fit_decay, restricted_decay_fit,
                       sparse_apply, sparsity_curve)
@@ -25,7 +24,6 @@ from .metaplectic import (SymplecticMatrix, build_metaplectic, chirp_matrix,
                           harmonic_oscillator, rotation_matrix,
                           singular_time_distance)
 from .registry import parse_operator, parse_window, shipped_operator_names
-from .signals import (Grid, SampledSignal, forward_transform, inner_product,
-                      inverse_transform, sample, signal_to_csv)
+from .signals import Grid, SampledSignal, inner_product
 
 __version__ = "0.1.0"

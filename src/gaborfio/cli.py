@@ -142,8 +142,9 @@ class Experiment:
     @classmethod
     def from_dict(cls, cfg: dict) -> "Experiment":
         d = cfg["grid"]["d"]
-        if d != 1:
-            raise ConfigError("only d = 1 grids are implemented")
+        if not isinstance(d, int) or isinstance(d, bool) or d != 1:
+            raise ConfigError("config key 'grid.d' must be the integer 1: "
+                              "only d = 1 grids are implemented")
         n = cfg["grid"]["N"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ConfigError("config key 'grid.N' must be an integer")

@@ -59,6 +59,10 @@ VALIDATION_RTOL = 1e-5
 # Relative tolerance to which a phase must match its separable form.
 SEPARABLE_RTOL = 1e-12
 
+# canonical_map's Newton iteration stops once |d_eta Phi(x, eta) - y| is
+# at most this at every point.
+NEWTON_TOL = 1e-12
+
 
 def _validation_points():
     """Fixed pseudorandom (x, eta) in [-4, 4]^2 for construction checks."""
@@ -274,7 +278,6 @@ def _apply_columns(op: FioOperator, grid: Grid, values: np.ndarray
     separable form (_chirp_z_columns), else through the dense kernel
     (_dense_columns). Callers check nondegeneracy.
     """
-    grid.require_1d()
     if op._separable is not None:
         return _chirp_z_columns(op, grid, values)
     return _dense_columns(op, grid, values)
@@ -350,7 +353,7 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
 def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
     """Quadrature application over the full frequency grid.
 
-    O(N log N) per dim for separable phases, O(N^2) through the dense
+    O(N log N) for separable phases, O(N^2) through the dense
     kernel otherwise.
     """
     ensure_nondegenerate(op)
@@ -366,7 +369,7 @@ def multiplier_apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
         f.values * np.exp(2j * np.pi * op.multiplier_fn(f.grid.times())))
 
 
-def canonical_map(op: FioOperator, points, *, tol: float = 1e-12,
+def canonical_map(op: FioOperator, points, *,
                   max_iterations: int = 50) -> np.ndarray:
     """chi(y, eta) at each input point via Newton on d_eta Phi = y.
 
@@ -380,17 +383,17 @@ def canonical_map(op: FioOperator, points, *, tol: float = 1e-12,
     for _ in range(max_iterations):
         _, f_eta = op.phase.gradient(x, eta)
         resid = np.asarray(f_eta, dtype=float) - y
-        if np.max(np.abs(resid)) <= tol:
+        if np.max(np.abs(resid)) <= NEWTON_TOL:
             break
         _, pxe, _, _ = _hessian_entries(op.phase, x, eta)
         x = x - resid / pxe
     else:
         _, f_eta = op.phase.gradient(x, eta)
         resid = np.asarray(f_eta, dtype=float) - y
-        if np.max(np.abs(resid)) > tol:
+        if np.max(np.abs(resid)) > NEWTON_TOL:
             raise SolverError(
                 f"canonical map Newton iteration for {op.name!r} did not "
-                f"reach {tol:g} in {max_iterations} steps",
+                f"reach {NEWTON_TOL:g} in {max_iterations} steps",
                 residual=float(np.max(np.abs(resid))),
                 last_iterate=x)
     xi, _ = op.phase.gradient(x, eta)

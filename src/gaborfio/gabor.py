@@ -7,7 +7,7 @@ operator on the grid are polluted by lattice-edge effects, while on the
 central span the truncation error is negligible.
 
 Every time-frequency-shifted window in the package (frame atoms, dual
-atoms, tf_shift, stft, and the atoms gmatrix.assemble pushes through an
+atoms, stft, and the atoms gmatrix.assemble pushes through an
 operator) comes from _atom_matrix.
 
 Both dual windows come from one solver, _wexler_raz_dual: the solution
@@ -42,7 +42,6 @@ __all__ = [
     "Lattice",
     "make_lattice",
     "GaborFrame",
-    "tf_shift",
     "stft",
     "frame_bounds",
     "dual_window",
@@ -55,9 +54,16 @@ __all__ = [
 WINDOW_KINDS = ("gaussian", "hermite")
 
 # Frame bounds need edge atoms to be represented accurately on the grid:
-# the grid must extend past the lattice truncation by this margin (time and
-# frequency units).
+# a frame's grid must extend past the lattice truncation by this margin
+# (time and frequency units).
 GRID_MARGIN = 5.0
+
+# Highest Hermite window order. hermite(k, a) is unnormalized, with
+# ||g||^2 = sqrt(a/2) 2^k k!, and frame_bounds' Gram product grows like
+# |L| ||g||^4: on the reference frame (|L| = 529, a = 2) that is 1e311,
+# past the float range, at k = 85. At k = 64 it is 1e219, 89 decades
+# short of it. Orders past 20 are no frame on that lattice.
+MAX_HERMITE_ORDER = 64
 
 # Lower frame bound below this is reported as "not a frame".
 FRAME_FLOOR = 1e-8
@@ -73,6 +79,12 @@ EXPANSION_DUAL_WEIGHT = 0.25
 # frames in use miss by 1e-15 to 5e-7, odd windows at alpha*beta =
 # (n-1)/n, which are no frames, by 0.75 and more.
 RECONSTRUCTION_CEILING = 1e-3
+
+# Phase-space grid of inversion_formula_reconstruct. Step 0.125 over a box
+# of radius 10 reproduces centered Gaussians to machine precision; step
+# 0.25 already misses the 1e-6 target.
+INVERSION_STEP = 0.125
+INVERSION_EXTENT = 10.0
 
 # Window envelope values below this are flushed to 0. Subnormal operands
 # slow every BLAS product they enter: 1.7% of the reference frame's atom
@@ -105,6 +117,9 @@ class Window:
             raise ValueError(f"window width must be positive, got {self.width}")
         if self.order < 0 or (self.kind == "gaussian" and self.order != 0):
             raise ValueError(f"bad window order {self.order}")
+        if self.order > MAX_HERMITE_ORDER:
+            raise ValueError(f"hermite order {self.order} exceeds the "
+                             f"bound {MAX_HERMITE_ORDER}")
 
     def evaluate(self, x):
         """Window values at x; envelope values below ENVELOPE_FLUSH are 0."""
@@ -124,7 +139,6 @@ class Window:
 
 @functools.lru_cache(maxsize=64)
 def _sampled_window(window: Window, grid: Grid) -> SampledSignal:
-    grid.require_1d()
     return SampledSignal(grid, window.evaluate(grid.times()))
 
 
@@ -202,7 +216,6 @@ def _atom_matrix(source, grid: Grid, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError("shifts must be finite")
-    grid.require_1d()
     t = grid.times()
     xs, column_x = np.unique(pts[:, 0], return_inverse=True)
     ws, column_w = np.unique(pts[:, 1], return_inverse=True)
@@ -218,28 +231,9 @@ def _atom_matrix(source, grid: Grid, points) -> np.ndarray:
     return shifted[:, column_x] * waves[:, column_w]
 
 
-def tf_shift(g: SampledSignal, lam, *, window: Window | None = None
-             ) -> SampledSignal:
-    """Time-frequency shift to g(x - lam1) * exp(2 pi i lam2 x).
-
-    With a window given, the shift is evaluated from its closed form;
-    otherwise it is a periodic spectral shift of the samples.
-    """
-    source = window if window is not None else g.values
-    return SampledSignal(g.grid, _atom_matrix(source, g.grid, [lam])[:, 0])
-
-
-def stft(f: SampledSignal, window, eval_points) -> np.ndarray:
-    """V f(x, w) = <f, window shifted to (x, w)> at each requested point.
-
-    window is a Window (analytic atoms) or a SampledSignal on f's grid.
-    """
-    source = window
-    if not isinstance(window, Window):
-        if window.grid != f.grid:
-            raise ValueError("grid mismatch between signal and window")
-        source = window.values
-    atoms = _atom_matrix(source, f.grid, eval_points)
+def stft(f: SampledSignal, window: Window, eval_points) -> np.ndarray:
+    """V f(x, w) = <f, window shifted to (x, w)> at each requested point."""
+    atoms = _atom_matrix(window, f.grid, eval_points)
     return f.grid.spacing * (f.values.conj() @ atoms).conj()
 
 
@@ -251,17 +245,25 @@ class GaborFrame:
     lattice: Lattice
     grid: Grid
 
-    _atoms: np.ndarray | None = field(default=None, repr=False)
-    _bounds: tuple | None = field(default=None, repr=False)
-    _dual: SampledSignal | None = field(default=None, repr=False)
-    _dual_residuals: tuple | None = field(default=None, repr=False)
-    _dual_atoms: np.ndarray | None = field(default=None, repr=False)
+    _atoms: np.ndarray | None = field(init=False, default=None, repr=False)
+    _bounds: tuple | None = field(init=False, default=None, repr=False)
+    _dual: SampledSignal | None = field(init=False, default=None, repr=False)
+    _dual_residuals: tuple | None = field(init=False, default=None,
+                                          repr=False)
+    _dual_atoms: np.ndarray | None = field(init=False, default=None,
+                                           repr=False)
 
     def __post_init__(self):
         # Density theorem; frame_bounds can still find healthy bounds.
         if self.lattice.redundancy > 1.0 + 1e-9:
             raise NotAFrameError(f"no frame: alpha*beta = "
                                  f"{self.lattice.redundancy:g} > 1")
+        grid, lat = self.grid, self.lattice
+        if (grid.half_width < lat.time_range + GRID_MARGIN
+                or grid.freq_half_width < lat.freq_range + GRID_MARGIN):
+            raise ValueError(
+                "grid too small for this lattice truncation: need margin "
+                f"{GRID_MARGIN} beyond ({lat.time_range}, {lat.freq_range})")
 
     def atoms(self) -> np.ndarray:
         """Dense atom matrix, one analytic atom per lattice point column."""
@@ -277,9 +279,6 @@ class GaborFrame:
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
         return self.grid.spacing * (self.atoms().conj().T @ f.values)
-
-    def synthesis(self, coeffs) -> SampledSignal:
-        return SampledSignal(self.grid, self.atoms() @ np.asarray(coeffs))
 
     def dual_atoms(self) -> np.ndarray:
         """Atom matrix of the expansion dual h (spectral shifts of its samples).
@@ -341,11 +340,6 @@ def frame_bounds(frame: GaborFrame) -> tuple:
     if frame._bounds is not None:
         return frame._bounds
     grid, lat = frame.grid, frame.lattice
-    if (grid.half_width < lat.time_range + GRID_MARGIN
-            or grid.freq_half_width < lat.freq_range + GRID_MARGIN):
-        raise ValueError(
-            "grid too small for this lattice truncation: need margin "
-            f"{GRID_MARGIN} beyond ({lat.time_range}, {lat.freq_range})")
     pts = lat.as_array()
     central = ((np.abs(pts[:, 0]) <= lat.time_range / 2 + 1e-9)
                & (np.abs(pts[:, 1]) <= lat.freq_range / 2 + 1e-9))
@@ -376,7 +370,7 @@ def dual_window(frame: GaborFrame) -> SampledSignal:
         return frame._dual
     frame_bounds(frame)
     grid, lat, window = frame.grid, frame.lattice, frame.window
-    ext = Grid(grid.dim, 2 * grid.points_per_axis, 2 * grid.length)
+    ext = Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
     x, wr_residual = _wexler_raz_dual(window, lat, ext, 0.0)
     g_vals = window.evaluate(ext.times())
     s_x = _walnut_frame_operator(window, lat, ext, x)
@@ -483,15 +477,14 @@ def moment_epsilon_bound(c: float, r: float, d: int) -> float:
     return r * (d * c) ** (-1.0 / r)
 
 
-def inversion_formula_reconstruct(f: SampledSignal, window: Window,
-                                  step: float = 0.125, extent: float = 10.0
+def inversion_formula_reconstruct(f: SampledSignal, window: Window
                                   ) -> SampledSignal:
     """Riemann-sum STFT inversion over a fine phase-space grid.
 
-    rec = step^2 / ||g||^2 * sum_{x,w} V_g f(x,w) g_{x,w}. Step 0.125 over
-    a box of radius 10 reproduces centered Gaussians to machine precision;
-    step 0.25 already misses the 1e-6 target.
+    rec = step^2 / ||g||^2 * sum_{x,w} V_g f(x,w) g_{x,w}, with step
+    INVERSION_STEP over the box of radius INVERSION_EXTENT.
     """
+    step, extent = INVERSION_STEP, INVERSION_EXTENT
     xs = np.arange(-extent, extent + 1e-9, step)
     ws = np.arange(-extent, extent + 1e-9, step)
     wins = _atom_matrix(window, f.grid, np.column_stack(

@@ -49,6 +49,14 @@ RELIABLE_MARGIN = 3.0
 # bound checks ignore entries below this.
 NOISE_FLOOR = 1e-12
 
+# decay_bound_check tests entries against the envelope with its constant
+# raised and its rate lowered by these factors.
+CONSTANT_SLACK = 1.05
+RATE_SLACK = 0.95
+
+# fit_decay needs this many entries above the floor.
+MIN_FIT_SAMPLES = 200
+
 
 @dataclass(frozen=True, eq=False)
 class GaborMatrix:
@@ -132,7 +140,6 @@ class DecayFit:
     log_c: float
     r_squared: float
     n_points: int
-    n_shells: int
     envelope_log_c: float
     envelope_epsilon: float
 
@@ -151,18 +158,10 @@ class DecayFit:
 class SparsityReport:
     """Per-row (or per-column) tail fits log a_n ~ log C - eps n^exponent."""
 
-    operator: str
-    axis: str
     exponent_used: float
     epsilons: np.ndarray = field(repr=False)
     log_cs: np.ndarray = field(repr=False)
     r_squareds: np.ndarray = field(repr=False)
-    n_used: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-
-    @property
-    def worst_index(self) -> int:
-        return int(self.indices[int(np.argmin(self.epsilons))])
 
     def to_dict(self) -> dict:
         k = int(np.argmin(self.epsilons))
@@ -184,7 +183,7 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     """
     ensure_nondegenerate(op)
     grid = frame.grid
-    pad = Grid(grid.dim, 2 * grid.points_per_axis, 2 * grid.length)
+    pad = Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
     pts = frame.lattice.as_array()
     atoms = _atom_matrix(frame.window, pad, pts)
     t_atoms = _apply_columns(op, pad, atoms)
@@ -206,14 +205,13 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
 
 
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
-              exclusion_radius: float = 0.5, s_grid=None,
-              min_samples: int = 200) -> DecayFit:
+              exclusion_radius: float = 0.5, s_grid=None) -> DecayFit:
     """Fit the concentration law of a Gabor matrix.
 
     Same procedure as the STFT classifier (shell means over the s grid),
     applied to the magnitudes of unflagged entries, with a near-diagonal
     exclusion: below exclusion_radius the discrete distance does not
-    resolve the law. Requires min_samples entries above floor.
+    resolve the law. Requires MIN_FIT_SAMPLES entries above floor.
 
     The envelope pair is calibrated on the same samples: the constant is
     the peak magnitude and the rate is the largest one the peak-anchored
@@ -222,7 +220,7 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     dist, mags = matrix._fit_samples
     fit = shell_decay_fit(dist, mags, floor=floor,
                           exclusion_radius=exclusion_radius, s_grid=s_grid,
-                          min_samples=min_samples)
+                          min_samples=MIN_FIT_SAMPLES)
 
     above = mags >= floor
     log_m = np.log(mags[above])
@@ -244,8 +242,7 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
         operator=matrix.operator_name, s_hat=fit.s_hat,
         epsilon_hat=fit.epsilon_hat, log_c=fit.log_c,
         r_squared=fit.r_squared, n_points=fit.n_samples,
-        n_shells=fit.n_shells, envelope_log_c=env_log_c,
-        envelope_epsilon=env_eps)
+        envelope_log_c=env_log_c, envelope_epsilon=env_eps)
 
 
 def restricted_decay_fit(matrix: GaborMatrix, s: float, *,
@@ -263,17 +260,14 @@ def restricted_decay_fit(matrix: GaborMatrix, s: float, *,
     return fit.epsilon_hat, fit.log_c, fit.r_squared
 
 
-def decay_bound_check(matrix: GaborMatrix, fit: DecayFit, *,
-                      constant_slack: float = 1.05,
-                      rate_slack: float = 0.95,
-                      noise_floor: float = NOISE_FLOOR) -> dict:
+def decay_bound_check(matrix: GaborMatrix, fit: DecayFit) -> dict:
     """Check every reliable entry against the slackened envelope bound.
 
-    Entries below noise_floor are quadrature noise and are skipped.
+    Entries below NOISE_FLOOR are quadrature noise and are skipped.
     Returns checked and violation counts plus the worst entry/bound ratio.
     """
     dist, mags = matrix._fit_samples
-    above = mags >= noise_floor
+    above = mags >= NOISE_FLOOR
     # At small s_hat, d**(1/s_hat) overflows. Capped at the largest float,
     # a zero rate still gives a flat envelope (not 0 * inf = nan), and a
     # positive one a zero bound, so any sample there is a violation
@@ -281,8 +275,8 @@ def decay_bound_check(matrix: GaborMatrix, fit: DecayFit, *,
     with np.errstate(over="ignore", divide="ignore"):
         scale = dist[above] ** (1.0 / fit.s_hat)
         np.minimum(scale, np.finfo(float).max, out=scale)
-        bound = (constant_slack * np.exp(fit.envelope_log_c)
-                 * np.exp(-rate_slack * fit.envelope_epsilon * scale))
+        bound = (CONSTANT_SLACK * np.exp(fit.envelope_log_c)
+                 * np.exp(-RATE_SLACK * fit.envelope_epsilon * scale))
         ratio = mags[above] / bound
     return {
         "checked": int(above.sum()),
@@ -303,27 +297,22 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     if s_hat <= 0:
         raise ValueError("s_hat must be positive")
-    exponent = 1.0 / (2.0 * matrix.grid.dim * s_hat)
+    exponent = 1.0 / (2.0 * s_hat)
     dense = np.abs(matrix.dense())
     ok_cols = ~matrix.flags
-    if axis == "rows":
-        vectors = [(m, dense[m, ok_cols]) for m in range(dense.shape[0])]
-    else:
-        vectors = [(l, dense[:, l]) for l in range(dense.shape[1])
-                   if ok_cols[l]]
+    vectors = dense[:, ok_cols] if axis == "rows" else dense[:, ok_cols].T
     fitted = []
-    for i, vec in vectors:
+    for vec in vectors:
         try:
-            fitted.append((*sorted_tail_fit(vec, exponent, floor=floor), i))
+            fitted.append(sorted_tail_fit(vec, exponent, floor=floor)[:3])
         except InsufficientDataError:
             continue
     if not fitted:
         raise InsufficientDataError(
             "no row had three entries above the floor")
-    eps, logc, r2, used, idx = map(np.asarray, zip(*fitted))
-    return SparsityReport(
-        operator=matrix.operator_name, axis=axis, exponent_used=exponent,
-        epsilons=eps, log_cs=logc, r_squareds=r2, n_used=used, indices=idx)
+    eps, logc, r2 = map(np.asarray, zip(*fitted))
+    return SparsityReport(exponent_used=exponent, epsilons=eps, log_cs=logc,
+                          r_squareds=r2)
 
 
 def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,

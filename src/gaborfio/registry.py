@@ -75,7 +75,7 @@ def parse_window(spec: str) -> Window:
         if parts[0] == "hermite" and len(parts) == 3:
             return hermite(int(parts[1]), float(parts[2]))
     except ValueError as exc:
-        raise ConfigError(f"bad window spec {spec!r}") from exc
+        raise ConfigError(f"bad window spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown window spec {spec!r}")
 
 

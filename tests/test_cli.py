@@ -211,6 +211,49 @@ def test_config_value_errors_exit_2(tmp_path, config_path):
     proc = run_cli(["stft"], tmp_path / "c", cfg2, check=False)
     assert proc.returncode == 2
 
+    # grid.d must be the integer 1; true and 1.0 compare equal to it.
+    for i, d in enumerate((True, 1.0)):
+        cfg3 = tmp_path / f"d{i}.json"
+        cfg3.write_text(json.dumps({"grid": {"N": 512, "L": 20.0, "d": d}}))
+        proc = run_cli(["stft"], tmp_path / f"d{i}", cfg3, check=False)
+        assert proc.returncode == 2
+        assert "grid.d" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["frame-check", "gabor-matrix",
+                                     "decay-fit", "sparsity", "propagate"])
+def test_grid_too_small_for_lattice_exits_2(tmp_path, command):
+    # At N = 64 the default L = 32 leaves a frequency half-width of 1,
+    # short of the truncation 8 plus the grid margin. gabor-matrix once
+    # wrote a matrix with every column flagged, and decay-fit and
+    # sparsity reported "no signal".
+    out = tmp_path / "out"
+    proc = run_cli(["--grid-n", "64", command], out, check=False)
+    assert proc.returncode == 2
+    assert "grid too small" in proc.stderr
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    "frame-check", "stft", "gs-check", "gabor-matrix", "decay-fit",
+    "sparsity", "propagate", "oracle-check"])
+def test_high_hermite_order_exits_2(tmp_path, monkeypatch, command):
+    # From order 85 on, frame_bounds' Gram product of the unnormalized
+    # window overflows; orders past 64 are refused with the spec named.
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    for order in (90, 400):
+        spec = f"hermite:{order}:2"
+        cfg = tmp_path / f"h{order}.json"
+        cfg.write_text(json.dumps(dict(SMALL_CONFIG,
+                                       frame={"window": spec,
+                                              "truncation": 4.0})))
+        out = tmp_path / f"out{order}"
+        proc = run_cli([command], out, cfg, check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert spec in proc.stderr and "64" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
 
 def test_non_finite_operator_parameter_exits_2(tmp_path, config_path):
     out = tmp_path / "out"

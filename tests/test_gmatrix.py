@@ -115,8 +115,8 @@ def test_factored_quadrature_matches_dense(g2_frame, name):
             @ _dense_columns(op, pad, atoms)).T.ravel()
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
-    f = gf.tf_shift(centered_gaussian(pad, 2.0), (2.0, -1.5),
-                    window=gf.gaussian(2.0))
+    f = gf.SampledSignal(pad, _atom_matrix(gf.gaussian(2.0), pad,
+                                           [(2.0, -1.5)])[:, 0])
     dense_f = gf.SampledSignal(pad, _dense_columns(op, pad, f.values))
     assert rel_error(gf.apply(op, f), dense_f) <= 1e-12
 
@@ -298,10 +298,8 @@ def test_sparsity_identity_rows(matrices):
 def test_sparsity_harmonic_rows_and_columns(harmonic_matrix):
     for axis in ("rows", "cols"):
         report = gf.sparsity_curve(harmonic_matrix, 0.5, axis=axis)
-        assert report.axis == axis
         assert np.all(report.epsilons > 0), axis
         assert float(report.r_squareds.min()) > 0.95
-        assert report.worst_index in report.indices
         keys = set(report.to_dict())
         assert keys == {"row_worst", "exponent_used"}
         assert set(report.to_dict()["row_worst"]) == {"C", "epsilon", "r2"}

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -33,3 +34,38 @@ def test_package_imports_are_declared():
                            for alias in node.names
                            if alias.name not in module.__all__]
     assert not undeclared, undeclared
+
+
+def _loaded_names(paths):
+    """Names read by Name, Attribute or ImportFrom nodes of the files."""
+    names = set()
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_exported_names_have_a_caller_outside_the_tests():
+    # No public surface that only tests use: every exported name is read
+    # by the package itself (the re-exports of __init__.py do not count)
+    # or by the benchmark under perfbench/.
+    package = os.path.dirname(gaborfio.__file__)
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(package)),
+                             "perfbench")
+    sources = [os.path.join(package, f) for f in os.listdir(package)
+               if f.endswith(".py") and f != "__init__.py"]
+    sources += [os.path.join(perfbench, f) for f in os.listdir(perfbench)
+                if f.endswith(".py")]
+    loaded = _loaded_names(sources)
+    unused = [f"{name}.{n}" for name in SUBMODULES
+              for n in importlib.import_module(f"gaborfio.{name}").__all__
+              if n not in loaded]
+    assert not unused, unused
