@@ -37,7 +37,6 @@ class ShellFit:
     epsilon_hat: float
     log_c: float
     r_squared: float
-    n_shells: int
     n_samples: int
 
 
@@ -119,13 +118,13 @@ def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
         if best is None or ssr < best[0] - 1e-15:
             best = (ssr, float(s), eps, logc, r2)
     _, s_hat, eps, logc, r2 = best
-    return ShellFit(s_hat, eps, logc, r2, len(ybars), n_above)
+    return ShellFit(s_hat, eps, logc, r2, n_above)
 
 
 def sorted_tail_fit(mags, exponent, *, floor):
     """Fit log of the descending-sorted magnitudes against n**exponent.
 
-    n counts from 1. Returns (epsilon, logc, r_squared, n_used). Used for
+    n counts from 1. Returns (epsilon, logc, r_squared). Used for
     per-row sparsity profiles where the model is
     |a|_n <= C exp(-eps n**exponent). Raises ValueError when n**exponent
     overflows.
@@ -142,4 +141,4 @@ def sorted_tail_fit(mags, exponent, *, floor):
                          f"{v.size}**{exponent:g} overflows (an s_grid "
                          "value is too small)")
     eps, logc, _, r2 = _line_fit(xs, np.log(v))
-    return eps, logc, r2, int(v.size)
+    return eps, logc, r2

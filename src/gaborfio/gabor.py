@@ -96,6 +96,16 @@ INVERSION_EXTENT = 10.0
 # stays bitwise equal.
 ENVELOPE_FLUSH = np.finfo(float).tiny / np.finfo(float).eps ** 2
 
+# gmatrix.assemble pairs the atoms shifted to x with the operator's
+# outputs only over the grid rows where |g(t - x)| is at least this
+# fraction of the window's peak (_atom_rows). A dropped term of
+# <T g_lambda, g_mu> is bounded by ATOM_SUPPORT * max|g| * |T g_lambda|,
+# so all of them together lie some 30 decades under the peak entry, far
+# below the last bit of any entry a fit or bound check reads. On the
+# reference frame a product runs over at most 434 of the doubled grid's
+# 2048 rows.
+ATOM_SUPPORT = np.finfo(float).eps ** 2
+
 
 @dataclass(frozen=True)
 class Window:
@@ -231,6 +241,20 @@ def _atom_matrix(source, grid: Grid, points) -> np.ndarray:
     return shifted[:, column_x] * waves[:, column_w]
 
 
+def _atom_rows(window: Window, grid: Grid, xs) -> np.ndarray:
+    """Rows [lo, hi) of grid where |window(t - x)| >= ATOM_SUPPORT * peak.
+
+    One (lo, hi) per entry of xs; peak is the largest |window(t - x)| over
+    all of them. A range runs from the first to the last row at or above
+    the cutoff, so a Hermite window's zeros stay inside it.
+    """
+    mags = np.abs(window.evaluate(grid.times()[:, None] - np.asarray(xs)))
+    inside = mags >= ATOM_SUPPORT * mags.max()
+    lo = np.argmax(inside, axis=0)
+    hi = len(inside) - np.argmax(inside[::-1], axis=0)
+    return np.column_stack([lo, hi])
+
+
 def stft(f: SampledSignal, window: Window, eval_points) -> np.ndarray:
     """V f(x, w) = <f, window shifted to (x, w)> at each requested point."""
     atoms = _atom_matrix(window, f.grid, eval_points)
@@ -278,7 +302,7 @@ class GaborFrame:
         """Coefficients <f, g_lambda> for all lattice points."""
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        return self.grid.spacing * (self.atoms().conj().T @ f.values)
+        return self.grid.spacing * (f.values.conj() @ self.atoms()).conj()
 
     def dual_atoms(self) -> np.ndarray:
         """Atom matrix of the expansion dual h (spectral shifts of its samples).
@@ -309,7 +333,7 @@ class GaborFrame:
     def dual_analysis(self, f: SampledSignal) -> np.ndarray:
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        return self.grid.spacing * (self.dual_atoms().conj().T @ f.values)
+        return self.grid.spacing * (f.values.conj() @ self.dual_atoms()).conj()
 
     def dual_synthesis(self, coeffs) -> SampledSignal:
         return SampledSignal(self.grid,

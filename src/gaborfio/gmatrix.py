@@ -3,8 +3,11 @@
 The matrix entry at (mu, lambda) is <T g_lambda, g_mu>, computed by
 quadrature on a doubled grid (twice the points, twice the length, same
 spacing) so that operators translating content toward the edge of the
-original box are still integrated accurately. Entries concentrate along
-mu = chi(lambda); every fit is in the distance d(mu, chi(lambda)).
+original box are still integrated accurately. Each analysis atom g_mu
+enters that sum only over the grid rows its window reaches
+(gabor._atom_rows): one product per lattice time, not one Gram product
+over the whole grid. Entries concentrate along mu = chi(lambda); every
+fit is in the distance d(mu, chi(lambda)).
 
 Lattice points whose image chi(lambda) leaves the reliable region of the
 original grid (half extent minus a fixed margin) are flagged, kept in the
@@ -26,8 +29,8 @@ from .errors import InsufficientDataError
 from .fio import (FioOperator, _apply_columns, canonical_map,
                   ensure_nondegenerate)
 from .fitting import shell_decay_fit, sorted_tail_fit
-from .gabor import GaborFrame, _atom_matrix
-from .signals import Grid, SampledSignal, _write_csv
+from .gabor import GaborFrame, _atom_matrix, _atom_rows
+from .signals import Grid, SampledSignal
 
 __all__ = [
     "GaborMatrix",
@@ -112,16 +115,19 @@ class GaborMatrix:
         return samples
 
     def to_csv(self, path) -> None:
-        pts = self.lattice.as_array()
-        n = self.n_lattice
-        lam = np.repeat(pts, n, axis=0)
-        mu = np.tile(pts, (n, 1))
+        """One %.17g row per entry, lambda-major; each point formatted once."""
+        points = ["%.17g,%.17g," % (x, w) for x, w in self.lattice.as_array()]
         # Scalar abs per entry: np.abs on the array can differ from it in
         # the last digit, and the file is kept bitwise stable.
-        _write_csv(path, "lambda1,lambda2,mu1,mu2,re,im,abs,dist",
-                   (lam[:, 0], lam[:, 1], mu[:, 0], mu[:, 1],
-                    self.entries.real, self.entries.imag,
-                    [abs(e) for e in self.entries], self.distances))
+        values = zip(self.entries.real, self.entries.imag,
+                     [abs(e) for e in self.entries], self.distances)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
+            for lam in points:
+                # zip draws from points first, so it stops there and each
+                # lambda takes the next len(points) values.
+                fh.writelines(lam + mu + "%.17g,%.17g,%.17g,%.17g\n" % v
+                              for mu, v in zip(points, values))
 
 
 @dataclass(frozen=True)
@@ -179,18 +185,27 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     """Assemble <T g_lambda, g_mu> for all lattice pairs.
 
     The frame's atoms, built on the doubled grid, go through the operator
-    in one call, then one Gram product pairs them with the atoms again.
+    in one call. The atoms g_mu sharing one time x are then paired with
+    every T g_lambda over only the rows their window reaches
+    (gabor._atom_rows), one product per distinct x, each written straight
+    into its columns of the lambda-major entries.
     """
     ensure_nondegenerate(op)
     grid = frame.grid
     pad = Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
     pts = frame.lattice.as_array()
+    n = len(pts)
     atoms = _atom_matrix(frame.window, pad, pts)
     t_atoms = _apply_columns(op, pad, atoms)
-    # A^H (T A) as conj(A^T conj(T A)): conjugating T A in place spares
-    # a conjugate copy of the atoms.
-    np.conjugate(t_atoms, out=t_atoms)
-    dense = pad.spacing * (atoms.T @ t_atoms).conj()
+    # Lattice points run x-major: the atoms of one x are one column block.
+    xs, starts = np.unique(pts[:, 0], return_index=True)
+    stops = np.append(starts[1:], n)
+    entries = np.empty((n, n), dtype=complex)
+    for (lo, hi), a, b in zip(_atom_rows(frame.window, pad, xs), starts,
+                              stops):
+        np.matmul(t_atoms[lo:hi].T, atoms[lo:hi, a:b].conj(),
+                  out=entries[:, a:b])
+    entries *= pad.spacing
 
     chi = canonical_map(op, pts)
     flags = ((np.abs(chi[:, 0]) > grid.half_width - RELIABLE_MARGIN)
@@ -200,8 +215,8 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
 
     return GaborMatrix(
         operator_name=op.name, grid=grid, window=frame.window,
-        lattice=frame.lattice, entries=dense.T.ravel().copy(),
-        distances=dist.ravel().copy(), chi=chi, flags=flags)
+        lattice=frame.lattice, entries=entries.ravel(),
+        distances=dist.ravel(), chi=chi, flags=flags)
 
 
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
@@ -304,7 +319,7 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
     fitted = []
     for vec in vectors:
         try:
-            fitted.append(sorted_tail_fit(vec, exponent, floor=floor)[:3])
+            fitted.append(sorted_tail_fit(vec, exponent, floor=floor))
         except InsufficientDataError:
             continue
     if not fitted:

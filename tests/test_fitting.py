@@ -56,13 +56,18 @@ def test_search_grid_contents():
 def test_below_floor_sample_censors_its_shell():
     dist = _radial_samples()
     mags = np.exp(-2.0 * dist)
-    clean = shell_decay_fit(dist, mags, floor=1e-14)
+    _, clean, _, _ = _censored_shells(dist, mags, 1e-14)
 
     poisoned = mags.copy()
-    poisoned[np.argmin(np.abs(dist - 3.1))] = 1e-300
+    hit = np.argmin(np.abs(dist - 3.1))
+    poisoned[hit] = 1e-300
+    _, censored, _, _ = _censored_shells(dist, poisoned, 1e-14)
     fit = shell_decay_fit(dist, poisoned, floor=1e-14)
-    # One shell disappears; the exact law still comes back from the rest.
-    assert fit.n_shells == clean.n_shells - 1
+    # Exactly the poisoned sample's shell disappears; the exact law still
+    # comes back from the rest.
+    assert np.flatnonzero(clean != censored).tolist() == [
+        int(dist[hit] // SHELL_WIDTH)]
+    assert clean.all()
     assert fit.s_hat == 1.0
     assert abs(fit.epsilon_hat - 2.0) <= 1e-9
 
@@ -137,10 +142,10 @@ def test_bincount_shells_match_per_shell_loop():
 def test_sorted_tail_fit_exact():
     rng = np.random.default_rng(3)
     n = np.arange(1, 40)
-    mags = np.exp(-n.astype(float))
+    # Entries below the floor would bend the line if they entered the fit.
+    mags = np.concatenate([np.exp(-n.astype(float)), np.full(5, 1e-20)])
     rng.shuffle(mags)
-    eps, logc, r2, used = sorted_tail_fit(mags, 1.0, floor=1e-300)
+    eps, logc, r2 = sorted_tail_fit(mags, 1.0, floor=1e-18)
     assert abs(eps - 1.0) <= 1e-9
     assert abs(logc) <= 1e-9
     assert r2 > 0.999999
-    assert used == 39
