@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .fio import apply as fio_apply
-from .fio import canonical_map, multiplier_apply
+from .fio import canonical_map
 from .fitting import DEFAULT_S_GRID
 from .gabor import (GaborFrame, Lattice, Window, _steps_within, dual_window,
                     frame_bounds, gs_decay_classify,
@@ -128,7 +128,6 @@ class Experiment:
 
     grid: Grid
     window: Window
-    window_spec: str
     alpha: float
     beta: float
     truncation: float
@@ -175,7 +174,6 @@ class Experiment:
         exp = cls(
             grid=grid,
             window=parse_window(window_spec),
-            window_spec=window_spec,
             alpha=_number(cfg, "frame", "alpha"),
             beta=_number(cfg, "frame", "beta"),
             truncation=_number(cfg, "frame", "truncation", positive=False),
@@ -252,7 +250,16 @@ def _check_sizes(exp: Experiment) -> None:
                               f"{limit / 2 ** 30:.3g} GiB of physical memory")
 
 
-def _phase_space_points():
+def _phase_space_points(grid: Grid):
+    """stft's and gs-check's (x, omega) samples, out to STFT_EXTENT.
+
+    Past the frequency half-width N / (2L) the STFT would repeat.
+    """
+    if grid.freq_half_width < STFT_EXTENT:
+        raise ConfigError(
+            f"grid.N {grid.points_per_axis} on grid.L {grid.length:g} "
+            f"reaches frequency {grid.freq_half_width:g}, short of the "
+            f"STFT samples' extent {STFT_EXTENT:g}")
     axis = np.arange(-STFT_EXTENT, STFT_EXTENT + 1e-9, STFT_STEP)
     return [(x, w) for x in axis for w in axis]
 
@@ -305,8 +312,8 @@ def _transformed_signal(exp: Experiment, args) -> tuple:
 
 
 def _run_stft(exp: Experiment, args) -> None:
+    pts = _phase_space_points(exp.grid)
     op, signal = _transformed_signal(exp, args)
-    pts = _phase_space_points()
     values = stft(signal, exp.window, pts)
     path = os.path.join(exp.out, "stft.csv")
     xs, ws = zip(*pts)
@@ -317,8 +324,8 @@ def _run_stft(exp: Experiment, args) -> None:
 
 
 def _run_gs_check(exp: Experiment, args) -> None:
+    pts = _phase_space_points(exp.grid)
     ops = exp.operators(args.operator)
-    pts = _phase_space_points()
     for op in ops:
         signal = fio_apply(op, exp.test_signal())
         values = stft(signal, exp.window, pts)
@@ -423,15 +430,16 @@ def _run_propagate(exp: Experiment, args) -> None:
 def _run_oracle_check(exp: Experiment, args) -> None:
     """Quadrature vs closed forms, Newton vs closed maps, conversions."""
     f = exp.test_signal()
+    t = exp.grid.times()
 
     closed_errors = {}
     ident = parse_operator("identity")
     closed_errors[ident.name] = _rel_error(fio_apply(ident, f), f)
     mult = parse_operator("multiplier:cos")
+    multiplied = f.values * np.exp(2j * np.pi * np.cos(t))
     closed_errors[mult.name] = _rel_error(fio_apply(mult, f),
-                                          multiplier_apply(mult, f))
+                                          SampledSignal(exp.grid, multiplied))
     chirp = parse_operator("metaplectic:chirp:1.0")
-    t = exp.grid.times()
     chirped = f.values * np.exp(1j * np.pi * t * t)
     closed_errors[chirp.name] = _rel_error(fio_apply(chirp, f),
                                            SampledSignal(exp.grid, chirped))

@@ -3,7 +3,11 @@
 For mat = [[a, b], [c, d]] with ad - bc = 1 and a != 0, the associated
 operator has phase Phi(x, eta) = (c/a) x^2 / 2 + x eta / a
 - (b/a) eta^2 / 2 (in cycles) and constant symbol |a|^(-1/2); its
-canonical transformation is the linear map mat itself. The unit-modulus
+canonical transformation is the linear map mat itself. Followed by a
+multiplier exp(2 pi i phi(x)) it is a generalized metaplectic operator
+(Cordero, Groechenig, Nicola and Rodino 2014). build_metaplectic builds
+every shipped operator this way, the identity and the multipliers on
+the identity matrix. The unit-modulus
 prefactor of the classical representation is fixed only up to sign; this
 choice makes the symbol real positive, which is the branch all magnitude
 and decay measurements are blind to.
@@ -100,40 +104,57 @@ def rotation_matrix(t: float) -> SymplecticMatrix:
                              (math.sin(t), math.cos(t))))
 
 
-def build_metaplectic(mat: SymplecticMatrix, *, name: str = ""
-                      ) -> FioOperator:
-    """Operator with phase and symbol generated by the matrix.
+def _zero(x):
+    return 0.0
+
+
+def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
+                      multiplier: tuple | None = None) -> FioOperator:
+    """Operator of the matrix, optionally followed by a multiplier.
+
+    multiplier is (phi, phi', phi''), each a function of x, and adds the
+    factor exp(2 pi i phi(x)) after the metaplectic operator: phi joins
+    the phase and becomes multiplier_fn, and the canonical map shears
+    the frequency by phi'(x) after the linear map. The identity matrix
+    with a multiplier is the multiplier alone.
 
     Requires |a| >= BLOCK_FLOOR: the generating-phase representation
     breaks down when the upper-left block degenerates.
     """
-    a, b, c = mat.a, mat.b, mat.c
+    a, b, c, d = mat.a, mat.b, mat.c, mat.d
     if abs(a) < BLOCK_FLOOR:
         raise HypothesisError(
             f"upper-left block too small for a generating phase: |{a:.3e}|",
             min_det=abs(a))
+    phi, dphi, ddphi = multiplier if multiplier is not None else (
+        _zero, _zero, _zero)
     ca, ia, ba = c / a, 1.0 / a, b / a
     amp = abs(a) ** -0.5
+    name = name or "metaplectic"
     phase = Phase(
         value=lambda x, eta: (0.5 * ca * np.asarray(x) ** 2
                               + ia * np.asarray(x) * np.asarray(eta)
-                              - 0.5 * ba * np.asarray(eta) ** 2),
+                              - 0.5 * ba * np.asarray(eta) ** 2 + phi(x)),
         gradient=lambda x, eta: (
-            ca * np.asarray(x, dtype=float) + ia * np.asarray(eta,
-                                                              dtype=float),
+            ca * np.asarray(x, dtype=float)
+            + ia * np.asarray(eta, dtype=float) + dphi(x),
             ia * np.asarray(x, dtype=float) - ba * np.asarray(eta,
                                                               dtype=float)),
-        hessian=lambda x, eta: ((ca, ia), (ia, -ba)),
-        name=name or "metaplectic", smoothness_order=0.5)
+        hessian=lambda x, eta: ((ca + ddphi(x), ia), (ia, -ba)),
+        name=name)
     symbol = Symbol(lambda x, eta: np.full(
         np.broadcast(np.asarray(x), np.asarray(eta)).shape, amp,
         dtype=complex), name="constant")
+
+    def closed_map(y, eta):
+        y, eta = np.asarray(y, dtype=float), np.asarray(eta, dtype=float)
+        x = a * y + b * eta
+        return x, c * y + d * eta + dphi(x)
+
     return FioOperator(
-        phase=phase, symbol=symbol, name=name or "metaplectic",
-        closed_map=lambda y, eta: (
-            a * np.asarray(y, dtype=float) + b * np.asarray(eta, dtype=float),
-            c * np.asarray(y, dtype=float)
-            + mat.d * np.asarray(eta, dtype=float)))
+        phase=phase, symbol=symbol, name=name,
+        multiplier_fn=multiplier[0] if multiplier is not None else None,
+        closed_map=closed_map)
 
 
 def chirp_operator(c: float) -> FioOperator:

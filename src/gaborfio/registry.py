@@ -13,9 +13,11 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .fio import FioOperator, identity_operator, multiplier_operator
+from .fio import FioOperator
 from .gabor import Window, gaussian, hermite
-from .metaplectic import chirp_operator, dilation_operator, harmonic_oscillator
+from .metaplectic import (SymplecticMatrix, build_metaplectic,
+                          chirp_operator, dilation_operator,
+                          harmonic_oscillator)
 
 __all__ = ["parse_operator", "parse_window", "shipped_operator_names"]
 
@@ -23,6 +25,9 @@ DEFAULT_POLY_COEFF = 0.5
 DEFAULT_CHIRP_RATE = 1.0
 DEFAULT_DILATION = 2.0
 DEFAULT_HARMONIC_TIME = math.pi / 4
+
+# The identity and the multipliers are metaplectic operators of this.
+IDENTITY = SymplecticMatrix(((1.0, 0.0), (0.0, 1.0)))
 
 
 def _param(parts, index, default, spec):
@@ -44,18 +49,20 @@ def parse_operator(spec: str) -> FioOperator:
     parts = spec.strip().split(":")
     kind = parts[0]
     if kind == "identity" and len(parts) == 1:
-        return identity_operator()
+        return build_metaplectic(IDENTITY, name="identity")
     if kind == "multiplier" and len(parts) >= 2:
         if parts[1] == "cos" and len(parts) == 2:
-            return multiplier_operator(np.cos, lambda x: -np.sin(x),
-                                       lambda x: -np.cos(x), "cos")
+            return build_metaplectic(
+                IDENTITY, name="multiplier:cos",
+                multiplier=(np.cos, lambda x: -np.sin(x),
+                            lambda x: -np.cos(x)))
         if parts[1] == "poly" and len(parts) <= 3:
             c2 = _param(parts, 2, DEFAULT_POLY_COEFF, spec)
-            return multiplier_operator(
-                lambda x, c=c2: c * np.asarray(x) ** 2,
-                lambda x, c=c2: 2.0 * c * np.asarray(x, dtype=float),
-                lambda x, c=c2: 2.0 * c, f"poly:{c2}",
-                smoothness_order=0.5)
+            return build_metaplectic(
+                IDENTITY, name=f"multiplier:poly:{c2}",
+                multiplier=(lambda x: c2 * np.asarray(x) ** 2,
+                            lambda x: 2.0 * c2 * np.asarray(x, dtype=float),
+                            lambda x: 2.0 * c2))
     if kind == "metaplectic" and len(parts) >= 2 and len(parts) <= 3:
         if parts[1] == "chirp":
             return chirp_operator(_param(parts, 2, DEFAULT_CHIRP_RATE, spec))

@@ -170,11 +170,12 @@ def test_oracle_check_battery(tmp_path, config_path):
 
 
 def test_manifest_contents(tmp_path, config_path):
-    run_cli(["--grid-n", "256", "stft"], tmp_path, config_path)
+    # L = 20 needs N >= 400 to reach the STFT samples' frequency extent.
+    run_cli(["--grid-n", "1024", "stft"], tmp_path, config_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "stft"
-    assert manifest["effective_config"]["grid"]["N"] == 256
-    assert manifest["overrides"]["grid_n"] == 256
+    assert manifest["effective_config"]["grid"]["N"] == 1024
+    assert manifest["overrides"]["grid_n"] == 1024
     assert manifest["config_text"] == config_path.read_text()
     assert set(manifest["versions"]) == {"gaborfio", "python", "numpy"}
     assert manifest["wall_clock_seconds"] >= 0
@@ -231,6 +232,18 @@ def test_grid_too_small_for_lattice_exits_2(tmp_path, command):
     proc = run_cli(["--grid-n", "64", command], out, check=False)
     assert proc.returncode == 2
     assert "grid too small" in proc.stderr
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["stft", "gs-check"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_grid_short_of_stft_extent_exits_2(tmp_path, command, n):
+    # The default L = 32 gives a frequency half-width N / 64 below the
+    # STFT samples' extent 10; past it the samples would repeat.
+    out = tmp_path / "out"
+    proc = run_cli(["--grid-n", str(n), command], out, check=False)
+    assert proc.returncode == 2
+    assert f"grid.N {n}" in proc.stderr and "grid.L 32" in proc.stderr
     assert not any(out.iterdir())
 
 

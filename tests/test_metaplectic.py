@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
+from gaborfio.fio import _dense_columns
 from conftest import centered_gaussian, rel_error
 
 
@@ -51,6 +52,24 @@ def test_identity_matrix_builds_identity_operator(grid):
     np.testing.assert_allclose(op.phase.value(x, eta), x * eta, atol=1e-15)
     f = centered_gaussian(grid, 2.0)
     assert rel_error(gf.apply(op, f), f) <= 1e-10
+
+
+def test_multiplier_after_rotation_uses_the_one_closed_map(grid):
+    # A rotation followed by exp(2 pi i cos x): x = a y + b eta and
+    # xi = c y + d eta - sin(x), against Newton; the factored apply
+    # against the dense kernel.
+    op = gf.build_metaplectic(
+        gf.rotation_matrix(0.6), name="rotation+cos",
+        multiplier=(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)))
+    assert op._separable is not None
+    pts = np.random.default_rng(6).uniform(-5.0, 5.0, size=(100, 2))
+    x, xi = op.closed_map(pts[:, 0], pts[:, 1])
+    gap = np.max(np.abs(gf.canonical_map(op, pts)
+                        - np.column_stack([x, xi])))
+    assert gap <= 1e-9
+    f = centered_gaussian(grid, 2.0)
+    dense = gf.SampledSignal(grid, _dense_columns(op, grid, f.values))
+    assert rel_error(gf.apply(op, f), dense) <= 1e-12
 
 
 def test_chirp_phase_and_closed_form(grid):
