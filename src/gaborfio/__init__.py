@@ -8,8 +8,7 @@ sparse application.
 from .errors import (ConfigError, HypothesisError, InsufficientDataError,
                      NoSignalError, NotAFrameError, NumericalError,
                      SingularTimeError, SolverError)
-from .fio import (FioOperator, Phase, Symbol, apply, canonical_map,
-                  ensure_nondegenerate)
+from .fio import FioOperator, Phase, apply, canonical_map, ensure_nondegenerate
 from .fitting import DEFAULT_S_GRID, ShellFit, shell_decay_fit
 from .gabor import (GaborFrame, Lattice, Window, dual_window, frame_bounds,
                     gaussian, gs_decay_classify, hermite,

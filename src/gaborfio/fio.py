@@ -3,8 +3,10 @@
 An operator acts as Tf(x) = (1/L)^d sum_k exp(2 pi i Phi(x, w_k))
 sigma(x, w_k) fhat(w_k) over the centered frequency grid, i.e. the
 trapezoid-free Riemann quadrature that is exact for grid-bandlimited
-inputs. Phases are real with quadratic growth; all phase values are in
-cycles (the 2 pi lives in the exponential, not in Phi).
+inputs. It is T of the input periodised with the grid's length, so
+apply and gmatrix.assemble both take it on the zero-padded input's
+Grid.doubled. Phases are real with quadratic growth; all phase values
+are in cycles (the 2 pi lives in the exponential, not in Phi).
 
 Every shipped operator is a metaplectic operator of a symplectic
 [[a, b], [c, d]], optionally followed by a multiplier exp(2 pi i phi(x))
@@ -36,7 +38,6 @@ from .signals import Grid, SampledSignal
 
 __all__ = [
     "Phase",
-    "Symbol",
     "FioOperator",
     "apply",
     "canonical_map",
@@ -57,8 +58,9 @@ VALIDATION_RTOL = 1e-5
 SEPARABLE_RTOL = 1e-12
 
 # canonical_map's Newton iteration stops once |d_eta Phi(x, eta) - y| is
-# at most this at every point.
+# at most NEWTON_TOL at every point, and fails after this many steps.
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITERATIONS = 50
 
 
 def _validation_points():
@@ -135,21 +137,14 @@ def _hessian_entries(phase: Phase, x, eta):
 
 
 @dataclass(frozen=True)
-class Symbol:
-    """Bounded amplitude sigma(x, eta)."""
-
-    value: Callable
-    name: str = ""
-
-
-@dataclass(frozen=True)
 class FioOperator:
     """Phase plus symbol, with an optional exact map for cross-checks.
 
-    metaplectic.build_metaplectic builds every shipped operator. There
-    multiplier_fn, when set, is the phi of the multiplier
-    exp(2 pi i phi(x)) applied after the metaplectic factor, and
-    closed_map is the exact canonical transformation (y, eta) -> (x, xi)
+    symbol is the amplitude sigma(x, eta), a callable that broadcasts
+    against its inputs. metaplectic.build_metaplectic builds every
+    shipped operator. There multiplier_fn, when set, is the phi of the
+    multiplier exp(2 pi i phi(x)) applied after the metaplectic factor,
+    and closed_map is the exact canonical transformation (y, eta) -> (x, xi)
     that the Newton solver is validated against.
 
     Construction reads the separable form of the phase, if it has one
@@ -158,7 +153,7 @@ class FioOperator:
     """
 
     phase: Phase
-    symbol: Symbol
+    symbol: Callable
     name: str = ""
     multiplier_fn: Callable | None = field(default=None, repr=False)
     closed_map: Callable | None = field(default=None, repr=False)
@@ -191,7 +186,7 @@ def _separable_form(op: FioOperator) -> tuple | None:
         return None
     form = 0.5 * ca * x * x + x * eta * ia - 0.5 * ba * eta * eta + phi(x)
     value = np.asarray(op.phase.value(x, eta), dtype=float)
-    sigma = np.asarray(op.symbol.value(x, eta), dtype=complex)
+    sigma = np.asarray(op.symbol(x, eta), dtype=complex)
 
     def near(got, want):
         return bool(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
@@ -245,7 +240,7 @@ def _dense_columns(op: FioOperator, grid: Grid, values: np.ndarray
     t, om = grid.times()[:, None], grid.freqs()[None, :]
     spectra = grid.spacing * np.fft.fftshift(
         np.fft.fft(np.fft.ifftshift(values, axes=0), axis=0), axes=0)
-    kern = np.exp(2j * np.pi * op.phase.value(t, om)) * op.symbol.value(t, om)
+    kern = np.exp(2j * np.pi * op.phase.value(t, om)) * op.symbol(t, om)
     return (kern @ spectra) / grid.length
 
 
@@ -266,7 +261,7 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
     v = np.fft.ifftshift(u)
     t, w = grid.times(), v / grid.length
     pre = grid.spacing * np.exp(-1j * np.pi * ba * w * w)
-    post = complex(op.symbol.value(0.0, 0.0)) / grid.length * np.exp(
+    post = complex(op.symbol(0.0, 0.0)) / grid.length * np.exp(
         1j * np.pi * ca * t * t)
     if op.multiplier_fn is not None:
         post *= np.exp(2j * np.pi * op.multiplier_fn(t))
@@ -304,17 +299,19 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
 
 
 def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
-    """Quadrature application over the full frequency grid.
+    """The sum gmatrix.assemble takes, on f zero-padded to Grid.doubled.
 
-    O(N log N) for separable phases, O(N^2) through the dense
-    kernel otherwise.
+    Read back on f's rows: content the operator moves less than a length
+    past f's box does not wrap back in. O(N log N) for separable phases,
+    O(N^2) through the dense kernel otherwise.
     """
     ensure_nondegenerate(op)
-    return SampledSignal(f.grid, _apply_columns(op, f.grid, f.values))
+    h = f.grid.points_per_axis // 2
+    out = _apply_columns(op, f.grid.doubled(), np.pad(f.values, h))
+    return SampledSignal(f.grid, out[h:-h])
 
 
-def canonical_map(op: FioOperator, points, *,
-                  max_iterations: int = 50) -> np.ndarray:
+def canonical_map(op: FioOperator, points) -> np.ndarray:
     """chi(y, eta) at each input point via Newton on d_eta Phi = y.
 
     points is (n, 2); the initial guess is x0 = y. Non-convergence raises
@@ -324,7 +321,7 @@ def canonical_map(op: FioOperator, points, *,
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     y, eta = pts[:, 0].copy(), pts[:, 1].copy()
     x = y.copy()
-    for _ in range(max_iterations):
+    for _ in range(NEWTON_MAX_ITERATIONS):
         _, f_eta = op.phase.gradient(x, eta)
         resid = np.asarray(f_eta, dtype=float) - y
         if np.max(np.abs(resid)) <= NEWTON_TOL:
@@ -337,7 +334,7 @@ def canonical_map(op: FioOperator, points, *,
         if np.max(np.abs(resid)) > NEWTON_TOL:
             raise SolverError(
                 f"canonical map Newton iteration for {op.name!r} did not "
-                f"reach {NEWTON_TOL:g} in {max_iterations} steps",
+                f"reach {NEWTON_TOL:g} in {NEWTON_MAX_ITERATIONS} steps",
                 residual=float(np.max(np.abs(resid))),
                 last_iterate=x)
     xi, _ = op.phase.gradient(x, eta)

@@ -394,7 +394,7 @@ def dual_window(frame: GaborFrame) -> SampledSignal:
         return frame._dual
     frame_bounds(frame)
     grid, lat, window = frame.grid, frame.lattice, frame.window
-    ext = Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
+    ext = grid.doubled()
     x, wr_residual = _wexler_raz_dual(window, lat, ext, 0.0)
     g_vals = window.evaluate(ext.times())
     s_x = _walnut_frame_operator(window, lat, ext, x)

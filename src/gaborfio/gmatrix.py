@@ -191,8 +191,7 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     into its columns of the lambda-major entries.
     """
     ensure_nondegenerate(op)
-    grid = frame.grid
-    pad = Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
+    grid, pad = frame.grid, frame.grid.doubled()
     pts = frame.lattice.as_array()
     n = len(pts)
     atoms = _atom_matrix(frame.window, pad, pts)
@@ -278,8 +277,11 @@ def restricted_decay_fit(matrix: GaborMatrix, s: float, *,
 def decay_bound_check(matrix: GaborMatrix, fit: DecayFit) -> dict:
     """Check every reliable entry against the slackened envelope bound.
 
-    Entries below NOISE_FLOOR are quadrature noise and are skipped.
-    Returns checked and violation counts plus the worst entry/bound ratio.
+    Entries below NOISE_FLOOR are quadrature noise and are skipped. As the
+    envelope dominates every sample at or above fit's floor, the check can
+    fail only at a floor above NOISE_FLOOR (at or below it, max_ratio is
+    exactly 1 / CONSTANT_SLACK = 0.952). Returns checked and violation
+    counts plus the worst entry/bound ratio.
     """
     dist, mags = matrix._fit_samples
     above = mags >= NOISE_FLOOR
@@ -340,11 +342,14 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
     kept_ratio) where kept_ratio counts surviving entries against
     len(lattice)^2.
     tau = 0 keeps everything; tau = inf yields the zero signal, ratio 0.
+    frame and f must be on the frame the matrix was assembled on.
     """
     if math.isnan(tau) or tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    if f.grid != frame.grid:
-        raise ValueError("grid mismatch")
+    if (frame.window, frame.lattice, frame.grid, f.grid) != (
+            matrix.window, matrix.lattice, matrix.grid, matrix.grid):
+        raise ValueError("frame or signal is not on the frame the matrix "
+                         "was assembled on")
     coeffs = frame.dual_analysis(f)
     dense = matrix.dense().copy()
     drop = np.abs(dense) < tau

@@ -6,8 +6,8 @@ operator has phase Phi(x, eta) = (c/a) x^2 / 2 + x eta / a
 canonical transformation is the linear map mat itself. Followed by a
 multiplier exp(2 pi i phi(x)) it is a generalized metaplectic operator
 (Cordero, Groechenig, Nicola and Rodino 2014). build_metaplectic builds
-every shipped operator this way, the identity and the multipliers on
-the identity matrix. The unit-modulus
+every shipped operator this way, the identity and multiplier:cos on the
+identity matrix (multiplier:poly:<c> parses to the chirp). The unit-modulus
 prefactor of the classical representation is fixed only up to sign; this
 choice makes the symbol real positive, which is the branch all magnitude
 and decay measurements are blind to.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, SingularTimeError
-from .fio import FioOperator, Phase, Symbol
+from .fio import FioOperator, Phase
 
 __all__ = [
     "SymplecticMatrix",
@@ -142,9 +142,6 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
                                                               dtype=float)),
         hessian=lambda x, eta: ((ca + ddphi(x), ia), (ia, -ba)),
         name=name)
-    symbol = Symbol(lambda x, eta: np.full(
-        np.broadcast(np.asarray(x), np.asarray(eta)).shape, amp,
-        dtype=complex), name="constant")
 
     def closed_map(y, eta):
         y, eta = np.asarray(y, dtype=float), np.asarray(eta, dtype=float)
@@ -152,7 +149,10 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
         return x, c * y + d * eta + dphi(x)
 
     return FioOperator(
-        phase=phase, symbol=symbol, name=name,
+        phase=phase, name=name,
+        symbol=lambda x, eta: np.full(
+            np.broadcast(np.asarray(x), np.asarray(eta)).shape, amp,
+            dtype=complex),
         multiplier_fn=multiplier[0] if multiplier is not None else None,
         closed_map=closed_map)
 

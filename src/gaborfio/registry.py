@@ -1,9 +1,10 @@
 """Name-to-object parsing for operators and windows.
 
 Operator specs are colon-separated: identity, multiplier:cos,
-multiplier:poly:<c2>, metaplectic:chirp:<c>, metaplectic:dilation:<a>,
-harmonic:<t>. Parameters may be omitted where a documented default
-exists. Window specs are gaussian:<width> or hermite:<order>:<width>.
+metaplectic:chirp:<c>, metaplectic:dilation:<a>, harmonic:<t>; and
+multiplier:poly:<c2>, a second spelling that builds metaplectic:chirp:<2 c2>.
+Parameters may be omitted where a documented default exists. Window
+specs are gaussian:<width> or hermite:<order>:<width>.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ DEFAULT_CHIRP_RATE = 1.0
 DEFAULT_DILATION = 2.0
 DEFAULT_HARMONIC_TIME = math.pi / 4
 
-# The identity and the multipliers are metaplectic operators of this.
+# The identity and multiplier:cos are metaplectic operators of this.
 IDENTITY = SymplecticMatrix(((1.0, 0.0), (0.0, 1.0)))
 
 
@@ -57,12 +58,8 @@ def parse_operator(spec: str) -> FioOperator:
                 multiplier=(np.cos, lambda x: -np.sin(x),
                             lambda x: -np.cos(x)))
         if parts[1] == "poly" and len(parts) <= 3:
-            c2 = _param(parts, 2, DEFAULT_POLY_COEFF, spec)
-            return build_metaplectic(
-                IDENTITY, name=f"multiplier:poly:{c2}",
-                multiplier=(lambda x: c2 * np.asarray(x) ** 2,
-                            lambda x: 2.0 * c2 * np.asarray(x, dtype=float),
-                            lambda x: 2.0 * c2))
+            return chirp_operator(
+                2.0 * _param(parts, 2, DEFAULT_POLY_COEFF, spec))
     if kind == "metaplectic" and len(parts) >= 2 and len(parts) <= 3:
         if parts[1] == "chirp":
             return chirp_operator(_param(parts, 2, DEFAULT_CHIRP_RATE, spec))
@@ -91,7 +88,6 @@ def shipped_operator_names() -> tuple:
     return (
         "identity",
         "multiplier:cos",
-        f"multiplier:poly:{DEFAULT_POLY_COEFF}",
         f"metaplectic:chirp:{DEFAULT_CHIRP_RATE}",
         f"metaplectic:dilation:{DEFAULT_DILATION}",
         f"harmonic:{DEFAULT_HARMONIC_TIME}",

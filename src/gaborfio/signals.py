@@ -57,6 +57,10 @@ class Grid:
     def freq_half_width(self) -> float:
         return self.points_per_axis / (2.0 * self.length)
 
+    def doubled(self) -> Grid:
+        """Twice the points over twice the length, at the same spacing."""
+        return Grid(self.dim, 2 * self.points_per_axis, 2 * self.length)
+
     def times(self) -> np.ndarray:
         """Time coordinates, centered on 0."""
         n = self.points_per_axis

@@ -96,14 +96,14 @@ def test_gs_check_all_operators(tmp_path, config_path):
     produced = sorted(p.name for p in tmp_path.glob("gs_*.json"))
     assert produced == sorted(
         "gs_" + name.replace(":", "-") + ".json"
-        for name in ("identity", "multiplier:cos", "multiplier:poly:0.5",
-                     "metaplectic:chirp:1.0", "metaplectic:dilation:2.0",
+        for name in ("identity", "multiplier:cos", "metaplectic:chirp:1.0",
+                     "metaplectic:dilation:2.0",
                      "harmonic:0.7853981633974483"))
     for path in tmp_path.glob("gs_*.json"):
         report = json.loads(path.read_text())
         assert report["epsilon_hat"] > 0
         assert report["r2"] > 0.95
-    assert proc.stdout.count("s_hat") >= 6
+    assert proc.stdout.count("s_hat") >= 5
 
 
 def test_matrix_dump_deterministic(tmp_path, config_path):
@@ -163,7 +163,7 @@ def test_oracle_check_battery(tmp_path, config_path):
     report = json.loads((tmp_path / "oracle.json").read_text())
     for value in report["closed_form_rel_errors"].values():
         assert value <= 1e-8
-    assert len(report["newton_vs_closed_max_abs"]) == 6
+    assert len(report["newton_vs_closed_max_abs"]) == 5
     for value in report["newton_vs_closed_max_abs"].values():
         assert value <= 1e-9
     assert report["moment_conversion_max_abs_error"] <= 1e-12

@@ -49,8 +49,10 @@ def test_separable_form_is_read_from_the_phase(grid):
     mat = gf.rotation_matrix(t)
     a, b, c = mat.a, mat.b, mat.c
     assert gf.harmonic_oscillator(t)._separable == (c / a, 1.0 / a, b / a)
-    for name in ("identity", "multiplier:cos", "multiplier:poly:0.5"):
+    for name in ("identity", "multiplier:cos"):
         assert gf.parse_operator(name)._separable == (0.0, 1.0, 0.0)
+    assert gf.parse_operator("multiplier:poly:0.5")._separable \
+        == (1.0, 1.0, 0.0)
 
     # A cubic eta term, a non-constant symbol, and a multiplier's phase
     # without its multiplier_fn have no separable form: they take the
@@ -66,8 +68,10 @@ def test_separable_form_is_read_from_the_phase(grid):
     identity = gf.parse_operator("identity")
     assert gf.FioOperator(phase=cubic, symbol=identity.symbol)._separable \
         is None
-    varying = gf.Symbol(
-        lambda x, eta: 1.0 + 0.1 * np.asarray(eta, dtype=complex))
+
+    def varying(x, eta):
+        return 1.0 + 0.1 * np.asarray(eta, dtype=complex)
+
     assert gf.FioOperator(phase=identity.phase, symbol=varying)._separable \
         is None
     cos = gf.parse_operator("multiplier:cos")
@@ -171,10 +175,11 @@ def test_canonical_map_is_symplectic():
             assert np.max(np.abs(defect)) <= 1e-6, name
 
 
-def test_canonical_map_budget_exhaustion_reports_iterate():
+def test_canonical_map_budget_exhaustion_reports_iterate(monkeypatch):
     op = gf.parse_operator("metaplectic:dilation:2.0")
+    monkeypatch.setattr("gaborfio.fio.NEWTON_MAX_ITERATIONS", 0)
     with pytest.raises(gf.SolverError) as err:
-        gf.canonical_map(op, [(2.0, 1.0)], max_iterations=0)
+        gf.canonical_map(op, [(2.0, 1.0)])
     assert err.value.residual is not None and err.value.residual > 0
     assert err.value.last_iterate is not None
 
@@ -187,7 +192,7 @@ def test_canonical_map_budget_exhaustion_reports_iterate():
 def _symbol_sup(op):
     axis = np.linspace(-HYPOTHESIS_BOX, HYPOTHESIS_BOX, HYPOTHESIS_POINTS)
     xg, eg = np.meshgrid(axis, axis, indexing="ij")
-    return float(np.max(np.abs(np.asarray(op.symbol.value(xg, eg),
+    return float(np.max(np.abs(np.asarray(op.symbol(xg, eg),
                                           dtype=complex))))
 
 

@@ -119,8 +119,47 @@ def test_harmonic_quarter_period_rotates_phase_space():
     np.testing.assert_allclose(out, [[2 ** 0.5 / 2, 2 ** 0.5 / 2]],
                                atol=1e-12)
     op = gf.harmonic_oscillator(np.pi / 4)
-    sym = op.symbol.value(np.array([0.0]), np.array([0.0]))
+    sym = op.symbol(np.array([0.0]), np.array([0.0]))
     assert abs(sym[0] - 2.0 ** 0.25) <= 1e-12
+
+
+def _packet(t, x0, xi0, width):
+    return (np.exp(-np.pi * (t - x0) ** 2 / width)
+            * np.exp(2j * np.pi * xi0 * t))
+
+
+# Packets whose images under small dilations and late rotations reach
+# past the grid's half length, where a sum over the input's own grid
+# folds aliased copies back in (misses of 0.1-1.4 there).
+PACKETS = ((5.0, 4.0, 1.0), (2.5, -2.8, 1.5))
+
+
+@pytest.mark.parametrize("a", [0.6, 0.5, -0.5, 0.4])
+def test_dilation_apply_matches_closed_form_off_centre(grid, a):
+    # |a|^(-1/2) f(x / a); measured <= 6.6e-14.
+    t = grid.times()
+    for x0, xi0, width in PACKETS:
+        f = gf.SampledSignal(grid, _packet(t, x0, xi0, width))
+        closed = gf.SampledSignal(
+            grid, abs(a) ** -0.5 * _packet(t / a, x0, xi0, width))
+        assert rel_error(gf.apply(gf.dilation_operator(a), f), closed) \
+            <= 1e-12, (x0, xi0)
+
+
+@pytest.mark.parametrize("time", [1.0, 1.1, 1.2])
+def test_harmonic_apply_moves_packet_to_rotated_centre(grid, time):
+    # A width-1 packet keeps its shape under the rotation; only its
+    # magnitude is compared (the phase depends on the propagator's sign
+    # branch). Measured <= 8.2e-14. From t ~ 1.25 the doubled grid
+    # aliases too.
+    t = grid.times()
+    for x0, xi0, _ in PACKETS:
+        out = gf.apply(gf.harmonic_oscillator(time),
+                       gf.SampledSignal(grid, _packet(t, x0, xi0, 1.0)))
+        x1 = np.cos(time) * x0 - np.sin(time) * xi0
+        expected = np.exp(-np.pi * (t - x1) ** 2)
+        assert (np.linalg.norm(np.abs(out.values) - expected)
+                <= 1e-12 * np.linalg.norm(expected)), (x0, xi0)
 
 
 def test_harmonic_singular_times_rejected():

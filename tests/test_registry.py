@@ -1,5 +1,7 @@
 """Operator and window name parsing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,30 @@ from gaborfio.errors import ConfigError
 
 def test_shipped_names_round_trip():
     names = gf.shipped_operator_names()
-    assert len(names) == 6
+    assert len(names) == 5
     for name in names:
         op = gf.parse_operator(name)
         assert op.name == name
+
+
+def test_shipped_families_are_distinct():
+    # Each shipped family moves one Gaussian somewhere else, so no
+    # family is another spelled differently (as multiplier:poly:<c> is
+    # metaplectic:chirp:<2c>).
+    grid = gf.Grid(1, 256, 16.0)
+    f = gf.gaussian(2.0).sampled(grid)
+    outs = {name: gf.apply(gf.parse_operator(name), f).values
+            for name in gf.shipped_operator_names()}
+    for first, second in itertools.combinations(outs, 2):
+        gap = np.linalg.norm(outs[first] - outs[second])
+        assert gap > 1e-6 * np.linalg.norm(outs[first]), (first, second)
 
 
 def test_operator_defaults():
     assert gf.parse_operator("harmonic").name == f"harmonic:{np.pi / 4}"
     assert gf.parse_operator("metaplectic:chirp").name == "metaplectic:chirp:1.0"
     assert gf.parse_operator("metaplectic:dilation").name == "metaplectic:dilation:2.0"
-    assert gf.parse_operator("multiplier:poly").name == "multiplier:poly:0.5"
+    assert gf.parse_operator("multiplier:poly").name == "metaplectic:chirp:1.0"
 
 
 def test_operator_kinds():
