@@ -215,8 +215,10 @@ def _check_sizes(exp: Experiment) -> None:
 
     The lattice is counted as Lattice would enumerate it, without
     enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
-    the factored operator apply on the doubled grid a 2 (2N) x |L|
-    buffer. The canonical dual's Wexler-Raz system on the doubled grid
+    16 bytes each, and sparse_apply's magnitude-ordered copy of them 40
+    more (magnitude, entry and two int64 indices). The factored operator
+    apply on the doubled grid holds a 2 (2N) x |L| buffer. The canonical
+    dual's Wexler-Raz system on the doubled grid
     (gabor._wexler_raz_dual) holds one complex row per adjoint point
     (k/beta, l/alpha), 0 <= k <= beta L and 0 <= l <= alpha N / (2L),
     over the N samples of t >= 0; with its real form, that form's
@@ -238,8 +240,8 @@ def _check_sizes(exp: Experiment) -> None:
                  * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
     for what, size in (
             (f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
-             f"x {exp.beta:g}: the dense Gabor matrix of its lattice",
-             16 * n_lattice ** 2),
+             f"x {exp.beta:g}: the dense Gabor matrix of its lattice and "
+             "its magnitude-ordered copy", (16 + 40) * n_lattice ** 2),
             (f"grid.N {n}: the operator-apply buffer of {n_lattice} "
              "atoms on the doubled grid", 16 * 2 * (2 * n) * n_lattice),
             (f"grid.N {n} with steps {exp.alpha:g} x {exp.beta:g}: the "

@@ -331,9 +331,22 @@ class GaborFrame:
         return self._dual_atoms
 
     def dual_analysis(self, f: SampledSignal) -> np.ndarray:
+        """Coefficients <f, h_lambda> on the expansion dual's atoms.
+
+        Real and imaginary parts of f below ENVELOPE_FLUSH times its peak
+        are set to 0 first, as Window.evaluate does for envelopes. The
+        subnormal tails of a width-1 packet (25-50 parts on the reference
+        grid) made this product about 3x slower. What is dropped lies
+        some 276 decades under the peak, and the coefficients of the
+        packets measured stayed bitwise equal. The cutoff is relative, so
+        a small f keeps its values.
+        """
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        return self.grid.spacing * (f.values.conj() @ self.dual_atoms()).conj()
+        values = f.values.copy()
+        parts = values.view(float)
+        parts[np.abs(parts) < ENVELOPE_FLUSH * np.abs(values).max()] = 0.0
+        return self.grid.spacing * (values.conj() @ self.dual_atoms()).conj()
 
     def dual_synthesis(self, coeffs) -> SampledSignal:
         return SampledSignal(self.grid,

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import gaborfio
+from gaborfio import cli
 
 # The directory holding the gaborfio package, so the subprocess imports
 # the same code without PYTHONPATH set by the caller.
@@ -366,6 +367,27 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
     assert proc.returncode == 2
     assert "grid.N" in proc.stderr and "dual-window system" in proc.stderr
     assert "physical memory" in proc.stderr
+
+
+def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys):
+    # 1089 lattice points: the dense matrix takes 16 bytes per entry and
+    # sparse_apply's magnitude-ordered copy 40 more. With physical memory
+    # set to 36 bytes per entry, the matrix alone, the apply buffer and
+    # the dual-window system all fit; only the copy does not.
+    n_lattice = 33 ** 2
+    real_sysconf = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 36 * n_lattice ** 2}
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: fake.get(name) or real_sysconf(name))
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps({
+        "grid": {"N": 512, "L": 20.0},
+        "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}))
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "propagate"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "frame.truncation" in err and "magnitude-ordered copy" in err
 
 
 def test_numerical_failures_exit_3(tmp_path, config_path):

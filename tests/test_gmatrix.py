@@ -1,5 +1,6 @@
 """Assembled Gabor matrices: concentration, decay fits, sparse application."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -400,3 +401,82 @@ def test_sparse_apply_error_is_monotone_in_threshold(harmonic_matrix,
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse + 1e-12
     assert errors[-1] == 0.0
+
+
+def _packet(grid, x0, xi0, width):
+    t = grid.times()
+    return gf.SampledSignal(grid, np.exp(-np.pi * (t - x0) ** 2 / width)
+                            * np.exp(2j * np.pi * xi0 * t))
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "random"])
+def test_sparse_apply_matches_thresholded_product(harmonic_matrix,
+                                                  dual_frame, kind):
+    """Against the explicit product with the thresholded dense matrix.
+
+    The taus run both product paths: the median keeps more entries than
+    it drops (dense product minus the dropped ones), the next magnitude
+    above it fewer (the kept ones summed). One entry's exact magnitude
+    must keep that entry. The harmonic matrix's lower half lies under
+    5e-17, so only the random one's dropped entries weigh in the dense
+    path.
+    """
+    matrix = harmonic_matrix
+    if kind == "random":
+        rng = np.random.default_rng(7)
+        size = len(matrix)
+        matrix = dataclasses.replace(
+            matrix, operator_name="random",
+            entries=rng.standard_normal(size) * np.exp(
+                2j * np.pi * rng.random(size)))
+    f = _packet(dual_frame.grid, 1.0, -0.5, 1.5)
+    dense = matrix.dense()
+    mags = matrix.magnitudes().reshape(dense.T.shape).T
+    ordered = np.unique(mags)
+    median = float(np.median(mags))
+    one = float(mags[3, 7])
+    taus = [0.0, float(ordered[ordered > 0][0]), one, median,
+            float(ordered[ordered > median][0]), float(ordered[-1]),
+            float(np.nextafter(ordered[-1], np.inf)), np.inf]
+    coeffs = dual_frame.dual_analysis(f)
+    for tau in taus:
+        out, ratio = gf.sparse_apply(matrix, dual_frame, f, tau)
+        kept = mags >= tau
+        expected = dual_frame.dual_atoms() @ (np.where(kept, dense, 0)
+                                              @ coeffs)
+        assert (np.linalg.norm(out.values - expected)
+                <= 1e-13 * np.linalg.norm(expected)), tau
+        assert ratio == np.mean(kept), tau
+        if tau == one:
+            assert kept[3, 7]
+    assert np.mean(mags >= median) > 0.5 > np.mean(mags >= taus[4])
+
+
+def test_magnitude_order_is_built_by_sparse_apply_only(dual_frame):
+    # The fits never pay the sort (11 ms at 529 points); the first
+    # sparse_apply builds it, and later calls reuse it.
+    matrix = gf.assemble(gf.parse_operator("harmonic:0.5"), dual_frame)
+    fit = gf.fit_decay(matrix, floor=MATRIX_FLOOR)
+    for s in (0.5, 1.0):
+        gf.restricted_decay_fit(matrix, s, floor=MATRIX_FLOOR)
+    gf.decay_bound_check(matrix, fit)
+    gf.sparsity_curve(matrix, fit.s_hat, floor=MATRIX_FLOOR)
+    assert "_magnitude_order" not in matrix.__dict__
+    f = centered_gaussian(dual_frame.grid, 2.0)
+    gf.sparse_apply(matrix, dual_frame, f, 1e-6)
+    order = matrix.__dict__["_magnitude_order"]
+    gf.sparse_apply(matrix, dual_frame, f, 0.0)
+    assert matrix.__dict__["_magnitude_order"] is order
+
+
+@pytest.mark.parametrize("scale", [1e-290, 1e280])
+def test_sparse_apply_is_scale_invariant(harmonic_matrix, dual_frame, scale):
+    # dual_analysis flushes parts relative to the signal's peak; an
+    # absolute cutoff would zero the 1e-290 packet. Measured 4-5e-16.
+    unit = _packet(dual_frame.grid, 0.0, 1.7, 1.0)
+    scaled = gf.SampledSignal(unit.grid, scale * unit.values)
+    for tau in (0.0, 1e-6):
+        ref, _ = gf.sparse_apply(harmonic_matrix, dual_frame, unit, tau)
+        out, _ = gf.sparse_apply(harmonic_matrix, dual_frame, scaled, tau)
+        assert (np.linalg.norm(out.values / scale - ref.values)
+                <= 1e-12 * np.linalg.norm(ref.values))
