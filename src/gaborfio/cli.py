@@ -184,7 +184,6 @@ class Experiment:
             s_grid=tuple(float(s) for s in s_grid),
             thresholds=tuple(float(t) for t in thresholds),
             out=out)
-        _check_sizes(exp)
         return exp
 
     def frame(self) -> GaborFrame:
@@ -210,13 +209,15 @@ class Experiment:
         return self.window.sampled(self.grid)
 
 
-def _check_sizes(exp: Experiment) -> None:
+def _check_sizes(exp: Experiment, command: str) -> None:
     """Refuse a run whose largest arrays cannot fit in physical memory.
 
     The lattice is counted as Lattice would enumerate it, without
     enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
-    16 bytes each, and sparse_apply's magnitude-ordered copy of them 40
-    more (magnitude, entry and two int64 indices). The factored operator
+    16 bytes each; every command is charged for it, which also keeps
+    Lattice from enumerating a huge truncation. Only propagate pays for
+    sparse_apply's magnitude-ordered copy of the entries, 40 bytes more
+    (magnitude, entry and two int64 indices). The factored operator
     apply on the doubled grid holds a 2 (2N) x |L| buffer. The canonical
     dual's Wexler-Raz system on the doubled grid
     (gabor._wexler_raz_dual) holds one complex row per adjoint point
@@ -238,10 +239,12 @@ def _check_sizes(exp: Experiment) -> None:
     n, length = exp.grid.points_per_axis, exp.grid.length
     n_adjoint = ((_steps_within(length, 1.0 / exp.beta) + 1)
                  * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
+    matrix, per_entry = "the dense Gabor matrix of its lattice", 16
+    if command == "propagate":
+        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 56
     for what, size in (
             (f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
-             f"x {exp.beta:g}: the dense Gabor matrix of its lattice and "
-             "its magnitude-ordered copy", (16 + 40) * n_lattice ** 2),
+             f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2),
             (f"grid.N {n}: the operator-apply buffer of {n_lattice} "
              "atoms on the doubled grid", 16 * 2 * (2 * n) * n_lattice),
             (f"grid.N {n} with steps {exp.alpha:g} x {exp.beta:g}: the "
@@ -552,6 +555,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             effective["out"] = args.out
         exp = Experiment.from_dict(effective)
+        _check_sizes(exp, args.command)
         os.makedirs(exp.out, exist_ok=True)
         RUNNERS[args.command](exp, args)
     except (ConfigError, ValueError) as exc:

@@ -12,12 +12,13 @@ Every shipped operator is a metaplectic operator of a symplectic
 [[a, b], [c, d]], optionally followed by a multiplier exp(2 pi i phi(x))
 (metaplectic.build_metaplectic): its phase is separable,
 Phi(x, eta) = (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x), phi
-0 without a multiplier, under a constant symbol. Construction
-reads (c/a, 1/a, b/a) off such a phase, and the sum runs factored: a
-chirp on the spectrum, the DFT scaled by 1/a as a Bluestein chirp-z
-transform (a plain inverse FFT at a = 1), then a chirp times
-exp(2 pi i phi) and the symbol, at O(N log N) per function. Any other
-phase goes through the dense N x N kernel exp(2 pi i Phi) sigma.
+0 without a multiplier, under a constant symbol. build_metaplectic
+hands the operator the (c/a, 1/a, b/a) it built the phase from, and the
+sum runs factored: a chirp on the spectrum, the DFT scaled by 1/a as a
+Bluestein chirp-z transform (a plain inverse FFT at a = 1), then a chirp
+times exp(2 pi i phi) and the symbol, at O(N log N) per function. An
+operator without that form goes through the dense N x N kernel
+exp(2 pi i Phi) sigma.
 
 The canonical transformation chi(y, eta) = (x, xi) solves
 d_eta Phi(x, eta) = y for x and sets xi = d_x Phi(x, eta). Operators whose
@@ -27,7 +28,6 @@ constructed and inspected, but apply and canonical_map refuse them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,9 +53,6 @@ HYPOTHESIS_DET_FLOOR = 1e-10
 VALIDATION_POINTS = 20
 VALIDATION_STEP = 1e-4
 VALIDATION_RTOL = 1e-5
-
-# Relative tolerance to which a phase must match its separable form.
-SEPARABLE_RTOL = 1e-12
 
 # canonical_map's Newton iteration stops once |d_eta Phi(x, eta) - y| is
 # at most NEWTON_TOL at every point, and fails after this many steps.
@@ -147,9 +144,10 @@ class FioOperator:
     and closed_map is the exact canonical transformation (y, eta) -> (x, xi)
     that the Newton solver is validated against.
 
-    Construction reads the separable form of the phase, if it has one
-    (_separable_form); apply and assemble then run the factored
-    quadrature.
+    _separable is the (c/a, 1/a, b/a) of a separable phase, set by
+    build_metaplectic from the numbers it built the phase from; apply and
+    assemble then run the factored quadrature. An operator built from a
+    bare Phase has none and runs the dense kernel.
     """
 
     phase: Phase
@@ -157,45 +155,7 @@ class FioOperator:
     name: str = ""
     multiplier_fn: Callable | None = field(default=None, repr=False)
     closed_map: Callable | None = field(default=None, repr=False)
-    _separable: tuple | None = field(init=False, default=None, repr=False,
-                                     compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_separable", _separable_form(self))
-
-
-def _separable_form(op: FioOperator) -> tuple | None:
-    """(c/a, 1/a, b/a) of op's phase, or None if it has no separable form.
-
-    The form is Phi = (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x),
-    phi the multiplier_fn or 0, under a constant symbol. The mixed and
-    eta-eta Hessian entries give 1/a and b/a and the value at (1, 0) gives
-    c/a; then the Hessian entries, the phase values and the symbol at the
-    validation points must all match the form to SEPARABLE_RTOL.
-    """
-    def phi(x):
-        return op.multiplier_fn(x) if op.multiplier_fn is not None else 0.0
-
-    x, eta = _validation_points()
-    _, pxe, _, pee = _hessian_entries(op.phase, x, eta)
-    ia, ba = float(pxe[0]), -float(pee[0])
-    one, zero = np.ones(1), np.zeros(1)
-    ca = 2.0 * float(np.asarray(op.phase.value(one, zero) - phi(one))[0])
-    if not (math.isfinite(ia) and ia != 0.0 and math.isfinite(ba)
-            and math.isfinite(ca)):
-        return None
-    form = 0.5 * ca * x * x + x * eta * ia - 0.5 * ba * eta * eta + phi(x)
-    value = np.asarray(op.phase.value(x, eta), dtype=float)
-    sigma = np.asarray(op.symbol(x, eta), dtype=complex)
-
-    def near(got, want):
-        return bool(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
-                    <= SEPARABLE_RTOL)
-
-    if (near(pxe, ia) and near(pee, -ba) and near(value, form)
-            and near(sigma, sigma[0])):
-        return ca, ia, ba
-    return None
+    _separable: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def ensure_nondegenerate(op: FioOperator) -> float:
@@ -222,8 +182,8 @@ def _apply_columns(op: FioOperator, grid: Grid, values: np.ndarray
                    ) -> np.ndarray:
     """T applied to samples on grid: one function (1-D) or one per column.
 
-    The same Riemann sum either way: factored when the phase has a
-    separable form (_chirp_z_columns), else through the dense kernel
+    The same Riemann sum either way: factored when the operator carries
+    its separable form (_chirp_z_columns), else through the dense kernel
     (_dense_columns). Callers check nondegeneracy.
     """
     if op._separable is not None:
@@ -302,8 +262,8 @@ def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
     """The sum gmatrix.assemble takes, on f zero-padded to Grid.doubled.
 
     Read back on f's rows: content the operator moves less than a length
-    past f's box does not wrap back in. O(N log N) for separable phases,
-    O(N^2) through the dense kernel otherwise.
+    past f's box does not wrap back in. O(N log N) for an operator that
+    carries its separable form, O(N^2) through the dense kernel otherwise.
     """
     ensure_nondegenerate(op)
     h = f.grid.points_per_axis // 2
@@ -321,21 +281,18 @@ def canonical_map(op: FioOperator, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     y, eta = pts[:, 0].copy(), pts[:, 1].copy()
     x = y.copy()
-    for _ in range(NEWTON_MAX_ITERATIONS):
+    for step in range(NEWTON_MAX_ITERATIONS + 1):
         _, f_eta = op.phase.gradient(x, eta)
         resid = np.asarray(f_eta, dtype=float) - y
         if np.max(np.abs(resid)) <= NEWTON_TOL:
             break
-        _, pxe, _, _ = _hessian_entries(op.phase, x, eta)
-        x = x - resid / pxe
-    else:
-        _, f_eta = op.phase.gradient(x, eta)
-        resid = np.asarray(f_eta, dtype=float) - y
-        if np.max(np.abs(resid)) > NEWTON_TOL:
+        if step == NEWTON_MAX_ITERATIONS:
             raise SolverError(
                 f"canonical map Newton iteration for {op.name!r} did not "
                 f"reach {NEWTON_TOL:g} in {NEWTON_MAX_ITERATIONS} steps",
                 residual=float(np.max(np.abs(resid))),
                 last_iterate=x)
+        _, pxe, _, _ = _hessian_entries(op.phase, x, eta)
+        x = x - resid / pxe
     xi, _ = op.phase.gradient(x, eta)
     return np.column_stack([x, np.asarray(xi, dtype=float)])

@@ -24,7 +24,6 @@ time and the window's localization in frequency.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -144,12 +143,7 @@ class Window:
         return poly * envelope
 
     def sampled(self, grid: Grid) -> SampledSignal:
-        return _sampled_window(self, grid)
-
-
-@functools.lru_cache(maxsize=64)
-def _sampled_window(window: Window, grid: Grid) -> SampledSignal:
-    return SampledSignal(grid, window.evaluate(grid.times()))
+        return SampledSignal(grid, self.evaluate(grid.times()))
 
 
 def gaussian(width: float) -> Window:
@@ -205,10 +199,8 @@ class Lattice:
         return np.asarray(self.points, dtype=float)
 
     def center_index(self) -> int:
-        """Index of the origin point (always on a centered lattice)."""
-        arr = self.as_array()
-        idx = int(np.argmin(np.abs(arr).sum(axis=1)))
-        return idx
+        """Index of the origin, the middle of the symmetric enumeration."""
+        return len(self.points) // 2
 
 
 def make_lattice(alpha: float, beta: float, truncation: float) -> Lattice:

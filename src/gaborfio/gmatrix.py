@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
-from .fio import (FioOperator, _apply_columns, canonical_map,
-                  ensure_nondegenerate)
+from .fio import FioOperator, _apply_columns, canonical_map
 from .fitting import shell_decay_fit, sorted_tail_fit
 from .gabor import GaborFrame, _atom_matrix, _atom_rows
 from .signals import Grid, SampledSignal
@@ -210,10 +209,12 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     (gabor._atom_rows), one product per distinct x, each written straight
     into its columns of the lambda-major entries.
     """
-    ensure_nondegenerate(op)
     grid, pad = frame.grid, frame.grid.doubled()
     pts = frame.lattice.as_array()
     n = len(pts)
+    # First, so a degenerate operator or a Newton failure is refused
+    # before the apply.
+    chi = canonical_map(op, pts)
     atoms = _atom_matrix(frame.window, pad, pts)
     t_atoms = _apply_columns(op, pad, atoms)
     # Lattice points run x-major: the atoms of one x are one column block.
@@ -226,7 +227,6 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
                   out=entries[:, a:b])
     entries *= pad.spacing
 
-    chi = canonical_map(op, pts)
     flags = ((np.abs(chi[:, 0]) > grid.half_width - RELIABLE_MARGIN)
              | (np.abs(chi[:, 1]) > grid.freq_half_width - RELIABLE_MARGIN))
     dist = np.hypot(pts[None, :, 0] - chi[:, 0, None],

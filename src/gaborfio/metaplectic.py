@@ -118,6 +118,9 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
     the frequency by phi'(x) after the linear map. The identity matrix
     with a multiplier is the multiplier alone.
 
+    The operator carries the (c/a, 1/a, b/a) its phase is built from, so
+    apply and assemble run the factored quadrature.
+
     Requires |a| >= BLOCK_FLOOR: the generating-phase representation
     breaks down when the upper-left block degenerates.
     """
@@ -154,7 +157,7 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
             np.broadcast(np.asarray(x), np.asarray(eta)).shape, amp,
             dtype=complex),
         multiplier_fn=multiplier[0] if multiplier is not None else None,
-        closed_map=closed_map)
+        closed_map=closed_map, _separable=(ca, ia, ba))
 
 
 def chirp_operator(c: float) -> FioOperator:

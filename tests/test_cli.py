@@ -369,11 +369,15 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
     assert "physical memory" in proc.stderr
 
 
-def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, code", [
+    ("propagate", 2), ("decay-fit", 0), ("sparsity", 0)])
+def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
+                                        command, code):
     # 1089 lattice points: the dense matrix takes 16 bytes per entry and
     # sparse_apply's magnitude-ordered copy 40 more. With physical memory
     # set to 36 bytes per entry, the matrix alone, the apply buffer and
-    # the dual-window system all fit; only the copy does not.
+    # the dual-window system all fit; only the copy does not, and only
+    # propagate builds it.
     n_lattice = 33 ** 2
     real_sysconf = os.sysconf
     fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 36 * n_lattice ** 2}
@@ -383,11 +387,12 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({
         "grid": {"N": 512, "L": 20.0},
         "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}))
-    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "propagate"])
+    got = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                    command])
     err = capsys.readouterr().err
-    assert code == 2
-    assert "frame.truncation" in err and "magnitude-ordered copy" in err
+    assert got == code, err
+    if code:
+        assert "frame.truncation" in err and "magnitude-ordered copy" in err
 
 
 def test_numerical_failures_exit_3(tmp_path, config_path):

@@ -44,19 +44,34 @@ def test_phase_refusal_blames_a_too_large_phase():
         gf.parse_operator(spec)
 
 
-def test_separable_form_is_read_from_the_phase(grid):
-    t = 0.7853981633974483
-    mat = gf.rotation_matrix(t)
-    a, b, c = mat.a, mat.b, mat.c
-    assert gf.harmonic_oscillator(t)._separable == (c / a, 1.0 / a, b / a)
+def test_separable_form_comes_from_the_constructor(grid):
+    # build_metaplectic hands over the (c/a, 1/a, b/a) it built the
+    # phase from, exactly.
+    for op, mat in (
+            (gf.harmonic_oscillator(0.7853981633974483),
+             gf.rotation_matrix(0.7853981633974483)),
+            (gf.harmonic_oscillator(1.2), gf.rotation_matrix(1.2)),
+            (gf.dilation_operator(-0.5), gf.dilation_matrix(-0.5)),
+            (gf.chirp_operator(1.0), gf.chirp_matrix(1.0))):
+        a, b, c = mat.a, mat.b, mat.c
+        assert op._separable == (c / a, 1.0 / a, b / a), op.name
     for name in ("identity", "multiplier:cos"):
         assert gf.parse_operator(name)._separable == (0.0, 1.0, 0.0)
     assert gf.parse_operator("multiplier:poly:0.5")._separable \
         == (1.0, 1.0, 0.0)
 
-    # A cubic eta term, a non-constant symbol, and a multiplier's phase
-    # without its multiplier_fn have no separable form: they take the
-    # dense kernel.
+    # An operator built by hand from a bare Phase carries no form and
+    # takes the dense kernel, even when its phase is a metaplectic one.
+    h = gf.harmonic_oscillator(0.7853981633974483)
+    bare_h = gf.FioOperator(phase=h.phase, symbol=h.symbol)
+    assert bare_h._separable is None
+    small = gf.Grid(1, 256, 16.0)
+    g = centered_gaussian(small, 2.0)
+    assert rel_error(gf.apply(bare_h, g), gf.apply(h, g)) <= 1e-12
+
+    # So do hand-built operators with a cubic eta term, with a
+    # non-constant symbol, and with a multiplier's phase but no
+    # multiplier_fn; the last still matches the shipped operator.
     cubic = gf.Phase(
         value=lambda x, eta: (np.asarray(x) * np.asarray(eta)
                               + 0.1 * np.asarray(eta) ** 3),

@@ -56,6 +56,10 @@ def test_lattice_layout():
     arr = lat.as_array()
     assert arr.shape == (529, 2)
     assert np.max(np.abs(arr)) <= TRUNCATION + 1e-9
+    # Unequal steps and ranges: 27 x 35 points, origin at 13 * 35 + 17.
+    uneven = gf.Lattice(0.75, 0.9, 10.0, 16.0)
+    assert len(uneven) == 945 and uneven.center_index() == 472
+    assert uneven.points[uneven.center_index()] == (0.0, 0.0)
 
 
 def test_lattice_validation():
