@@ -5,9 +5,9 @@ rejected), merges it over the documented defaults, executes one
 subcommand, writes its artifacts plus a manifest.json into the output
 directory, and exits 0. Config and usage problems exit 2; numerical
 failures (solver stalls, refused operators, insufficient signal) exit 3.
-A config whose dense Gabor matrix or operator-apply buffer on the padded
-grid would not fit in physical memory is refused (exit 2) before anything
-large is built.
+A config whose dense Gabor matrix, atoms or dual-window system would not
+fit in physical memory is refused (exit 2) before anything large is
+built.
 
 Artifacts are bitwise deterministic for a fixed config; the manifest is
 exempt (it records wall-clock time).
@@ -33,8 +33,8 @@ from .gabor import (GaborFrame, Lattice, Window, _steps_within, dual_window,
                     frame_bounds, gs_decay_classify,
                     inversion_formula_reconstruct,
                     moment_constant_conversion, moment_epsilon_bound, stft)
-from .gmatrix import (NOISE_FLOOR, assemble, fit_decay, restricted_decay_fit,
-                      sparse_apply, sparsity_curve)
+from .gmatrix import (BLOCK_ATOMS, NOISE_FLOOR, assemble, fit_decay,
+                      restricted_decay_fit, sparse_apply, sparsity_curve)
 from .registry import parse_operator, parse_window, shipped_operator_names
 from .signals import Grid, SampledSignal, _write_csv
 
@@ -217,9 +217,14 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     16 bytes each; every command is charged for it, which also keeps
     Lattice from enumerating a huge truncation. Only propagate pays for
     sparse_apply's magnitude-ordered copy of the entries, 40 bytes more
-    (magnitude, entry and two int64 indices). The factored operator
-    apply on the doubled grid holds a 2 (2N) x |L| buffer. The canonical
-    dual's Wexler-Raz system on the doubled grid
+    (magnitude, entry and two int64 indices). The commands that assemble
+    hold one block of at most max(BLOCK_ATOMS, frequencies per lattice
+    time) atoms on the doubled grid at a time, with the factored apply's
+    buffer of twice as many rows: 48 (2N) bytes per atom. They also hold
+    the conjugated analysis atoms of the whole lattice over the rows
+    their window reaches, at most all 2N. frame-check and propagate hold
+    the frame's atoms and its dual's, N x |L| each, on the frame's grid.
+    The canonical dual's Wexler-Raz system on the doubled grid
     (gabor._wexler_raz_dual) holds one complex row per adjoint point
     (k/beta, l/alpha), 0 <= k <= beta L and 0 <= l <= alpha N / (2L),
     over the N samples of t >= 0; with its real form, that form's
@@ -228,10 +233,11 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     overflows.
     """
     try:
-        n_lattice = math.prod(2 * _steps_within(exp.truncation, step) + 1
-                              for step in (exp.alpha, exp.beta))
+        n_times, n_freqs = (2 * _steps_within(exp.truncation, step) + 1
+                            for step in (exp.alpha, exp.beta))
+        n_lattice = n_times * n_freqs
     except OverflowError:
-        n_lattice = math.inf
+        n_lattice = n_freqs = math.inf
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # the platform cannot say
@@ -242,14 +248,23 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     matrix, per_entry = "the dense Gabor matrix of its lattice", 16
     if command == "propagate":
         matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 56
-    for what, size in (
-            (f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
-             f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2),
-            (f"grid.N {n}: the operator-apply buffer of {n_lattice} "
-             "atoms on the doubled grid", 16 * 2 * (2 * n) * n_lattice),
-            (f"grid.N {n} with steps {exp.alpha:g} x {exp.beta:g}: the "
-             f"dual-window system of {n_adjoint} adjoint points on the "
-             "doubled grid", 64 * n_adjoint * n)):
+    sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
+              f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2)]
+    if command in ("gabor-matrix", "decay-fit", "sparsity", "propagate"):
+        block = min(n_lattice, max(BLOCK_ATOMS, n_freqs))
+        sizes += [
+            (f"grid.N {n}: a block of {block} atoms and their "
+             "operator-apply buffer on the doubled grid",
+             48 * (2 * n) * block),
+            (f"grid.N {n}: the analysis atoms of {n_lattice} lattice "
+             "points on the doubled grid", 16 * (2 * n) * n_lattice)]
+    if command in ("frame-check", "propagate"):
+        sizes.append((f"grid.N {n}: the atoms and dual atoms of "
+                      f"{n_lattice} lattice points", 2 * 16 * n * n_lattice))
+    sizes.append((f"grid.N {n} with steps {exp.alpha:g} x {exp.beta:g}: the "
+                  f"dual-window system of {n_adjoint} adjoint points on the "
+                  "doubled grid", 64 * n_adjoint * n))
+    for what, size in sizes:
         if size > limit:
             raise ConfigError(f"{what} would exceed the "
                               f"{limit / 2 ** 30:.3g} GiB of physical memory")

@@ -18,7 +18,8 @@ sum runs factored: a chirp on the spectrum, the DFT scaled by 1/a as a
 Bluestein chirp-z transform (a plain inverse FFT at a = 1), then a chirp
 times exp(2 pi i phi) and the symbol, at O(N log N) per function. An
 operator without that form goes through the dense N x N kernel
-exp(2 pi i Phi) sigma.
+exp(2 pi i Phi) sigma, evaluated and applied a block of output rows at a
+time.
 
 The canonical transformation chi(y, eta) = (x, xi) solves
 d_eta Phi(x, eta) = y for x and sets xi = d_x Phi(x, eta). Operators whose
@@ -58,6 +59,11 @@ VALIDATION_RTOL = 1e-5
 # at most NEWTON_TOL at every point, and fails after this many steps.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERATIONS = 50
+
+# The dense kernel of an operator without a separable form is evaluated
+# this many output rows at a time: 4 MiB of kernel per block on a
+# 2048-point grid, where the whole kernel took 64 MiB (1 GiB at 8192).
+KERNEL_BLOCK_ROWS = 128
 
 
 def _validation_points():
@@ -195,13 +201,20 @@ def _dense_columns(op: FioOperator, grid: Grid, values: np.ndarray
                    ) -> np.ndarray:
     """The quadrature as the centered transform times the N x N kernel.
 
-    The kernel exp(2 pi i Phi) sigma is freed on return.
+    The kernel exp(2 pi i Phi) sigma is built and applied
+    KERNEL_BLOCK_ROWS output rows at a time, so no more of it is held.
     """
     t, om = grid.times()[:, None], grid.freqs()[None, :]
     spectra = grid.spacing * np.fft.fftshift(
         np.fft.fft(np.fft.ifftshift(values, axes=0), axis=0), axes=0)
-    kern = np.exp(2j * np.pi * op.phase.value(t, om)) * op.symbol(t, om)
-    return (kern @ spectra) / grid.length
+    out = np.empty(spectra.shape, dtype=complex)
+    for lo in range(0, len(t), KERNEL_BLOCK_ROWS):
+        rows = t[lo:lo + KERNEL_BLOCK_ROWS]
+        kern = np.exp(2j * np.pi * op.phase.value(rows, om)) * op.symbol(
+            rows, om)
+        np.matmul(kern, spectra, out=out[lo:lo + KERNEL_BLOCK_ROWS])
+    out /= grid.length
+    return out
 
 
 def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray

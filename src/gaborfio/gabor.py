@@ -8,7 +8,11 @@ central span the truncation error is negligible.
 
 Every time-frequency-shifted window in the package (frame atoms, dual
 atoms, stft, and the atoms gmatrix.assemble pushes through an
-operator) comes from _atom_matrix.
+operator) is a product of the factors _atom_factors computes once per
+call: the distinct shifts window(t - x) and modulations exp(2 pi i w t).
+_atom_matrix takes that product whole; gmatrix.assemble takes it in
+blocks of lattice times and, for the analysis side, over each atom's
+rows only (_atom_rows).
 
 Both dual windows come from one solver, _wexler_raz_dual: the solution
 of the Wexler-Raz identities with the least ||exp(c t^2) h||. dual_window
@@ -212,8 +216,20 @@ def _atom_matrix(source, grid: Grid, points) -> np.ndarray:
 
     source is a Window, evaluated at the shifted times, or samples on
     grid, shifted in time by a periodic spectral shift (exact for grid
-    functions whose boundary values vanish). Each distinct x is shifted,
-    and each distinct w modulates, once.
+    functions whose boundary values vanish). The product of
+    _atom_factors' shifts and waves, one column per point.
+    """
+    shifted, column_x, waves, column_w = _atom_factors(source, grid, points)
+    return shifted[:, column_x] * waves[:, column_w]
+
+
+def _atom_factors(source, grid: Grid, points) -> tuple:
+    """(shifted, column_x, waves, column_w): the factors of the atoms.
+
+    Column k of shifted holds source(t - x) for the k-th distinct x, and
+    column j of waves exp(2 pi i w t) for the j-th distinct w, so each x
+    is shifted, and each w modulates, once. The atom of point i is
+    shifted[:, column_x[i]] * waves[:, column_w[i]].
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
@@ -230,17 +246,18 @@ def _atom_matrix(source, grid: Grid, points) -> np.ndarray:
             spec[:, None] * np.exp(-2j * np.pi * freqs[:, None] * xs),
             axis=0), axes=0)
     waves = np.exp(2j * np.pi * ws * t[:, None])
-    return shifted[:, column_x] * waves[:, column_w]
+    return shifted, column_x, waves, column_w
 
 
-def _atom_rows(window: Window, grid: Grid, xs) -> np.ndarray:
-    """Rows [lo, hi) of grid where |window(t - x)| >= ATOM_SUPPORT * peak.
+def _atom_rows(shifted: np.ndarray) -> np.ndarray:
+    """Rows [lo, hi) where |shifted| >= ATOM_SUPPORT * its peak, by column.
 
-    One (lo, hi) per entry of xs; peak is the largest |window(t - x)| over
-    all of them. A range runs from the first to the last row at or above
-    the cutoff, so a Hermite window's zeros stay inside it.
+    shifted is _atom_factors' window(t - x), one column per x; peak is
+    its largest magnitude over all of them. A range runs from the first
+    to the last row at or above the cutoff, so a Hermite window's zeros
+    stay inside it.
     """
-    mags = np.abs(window.evaluate(grid.times()[:, None] - np.asarray(xs)))
+    mags = np.abs(shifted)
     inside = mags >= ATOM_SUPPORT * mags.max()
     lo = np.argmax(inside, axis=0)
     hi = len(inside) - np.argmax(inside[::-1], axis=0)

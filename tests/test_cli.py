@@ -369,18 +369,24 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
     assert "physical memory" in proc.stderr
 
 
-@pytest.mark.parametrize("command, code", [
-    ("propagate", 2), ("decay-fit", 0), ("sparsity", 0)])
+@pytest.mark.parametrize("command, memory, code", [
+    ("propagate", 36, 2), ("decay-fit", 36, 0), ("sparsity", 36, 0),
+    ("decay-fit", 24, 0)], ids=["propagate-2", "decay-fit-0", "sparsity-0",
+                                "decay-fit-0-block"])
 def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
-                                        command, code):
+                                        command, memory, code):
     # 1089 lattice points: the dense matrix takes 16 bytes per entry and
     # sparse_apply's magnitude-ordered copy 40 more. With physical memory
-    # set to 36 bytes per entry, the matrix alone, the apply buffer and
-    # the dual-window system all fit; only the copy does not, and only
-    # propagate builds it.
+    # set to 36 bytes per entry, the matrix alone, assemble's block and
+    # analysis atoms and the dual-window system all fit; only the copy
+    # does not, and only propagate builds it. At 24 bytes per entry
+    # (28.5 MB) the matrix (19.0 MB) still fits, and so does assemble:
+    # its 128-atom block with its apply buffer takes 6.3 MB and its
+    # analysis atoms at most 17.8 MB. An apply buffer of all 1089 atoms
+    # on the doubled grid would take 35.7 MB.
     n_lattice = 33 ** 2
     real_sysconf = os.sysconf
-    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 36 * n_lattice ** 2}
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory * n_lattice ** 2}
     monkeypatch.setattr(os, "sysconf",
                         lambda name: fake.get(name) or real_sysconf(name))
     cfg = tmp_path / "fine.json"
@@ -393,6 +399,23 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     assert got == code, err
     if code:
         assert "frame.truncation" in err and "magnitude-ordered copy" in err
+
+
+def test_large_lattice_assembles_under_a_gib(tmp_path):
+    # N 4096, L 64, truncation 16: 2025 lattice points on an 8192-point
+    # doubled grid. Their atoms and the apply's buffer, built whole, took
+    # 759 MiB next to the 63 MiB matrix, and under a 1 GiB address-space
+    # cap decay-fit died of a MemoryError (exit 1). One 90-atom block at
+    # a time takes 34 MiB.
+    cfg = tmp_path / "large.json"
+    cfg.write_text(json.dumps({
+        "grid": {"N": 4096, "L": 64.0}, "frame": {"truncation": 16.0},
+        "fit": {"floor": 1e-12}}))
+    proc = run_cli(["decay-fit", "harmonic:0.8"], tmp_path / "out", cfg,
+                   check=False, timeout=120, max_bytes=2 ** 30)
+    assert proc.returncode == 0, proc.stderr
+    fit = json.loads((tmp_path / "out" / "fit.json").read_text())
+    assert fit["operator"] == "harmonic:0.8"
 
 
 def test_numerical_failures_exit_3(tmp_path, config_path):
