@@ -19,8 +19,8 @@ from .gmatrix import (DecayFit, GaborMatrix, SparsityReport, assemble,
                       sparse_apply, sparsity_curve)
 from .metaplectic import (SymplecticMatrix, build_metaplectic, chirp_matrix,
                           chirp_operator, dilation_matrix, dilation_operator,
-                          harmonic_oscillator, rotation_matrix,
-                          singular_time_distance)
+                          harmonic_oscillator, metaplectic_law,
+                          rotation_matrix, singular_time_distance)
 from .registry import parse_operator, parse_window, shipped_operator_names
 from .signals import Grid, SampledSignal, inner_product
 

@@ -10,7 +10,8 @@ fit in physical memory is refused (exit 2) before anything large is
 built.
 
 Artifacts are bitwise deterministic for a fixed config; the manifest is
-exempt (it records wall-clock time).
+exempt (it records wall-clock time). gabor-matrix also prints the matrix
+against metaplectic.metaplectic_law wherever that law covers the run.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .gabor import (GaborFrame, Lattice, Window, _steps_within, dual_window,
                     moment_constant_conversion, moment_epsilon_bound, stft)
 from .gmatrix import (BLOCK_ATOMS, NOISE_FLOOR, assemble, fit_decay,
                       restricted_decay_fit, sparse_apply, sparsity_curve)
+from .metaplectic import metaplectic_law
 from .registry import parse_operator, parse_window, shipped_operator_names
 from .signals import Grid, SampledSignal, _write_csv
 
@@ -42,6 +44,9 @@ __all__ = ["main", "load_config", "Experiment"]
 
 STFT_STEP = 0.5
 STFT_EXTENT = 10.0
+
+# Entries where the closed-form law is below this part of its peak: noise.
+LAW_QUIET = 1e-20
 
 DEFAULTS = {
     "grid": {"N": 1024, "L": 32.0, "d": 1},
@@ -217,14 +222,17 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     16 bytes each; every command is charged for it, which also keeps
     Lattice from enumerating a huge truncation. Only propagate pays for
     sparse_apply's magnitude-ordered copy of the entries, 40 bytes more
-    (magnitude, entry and two int64 indices). The commands that assemble
-    hold one block of at most max(BLOCK_ATOMS, frequencies per lattice
-    time) atoms on the doubled grid at a time, with the factored apply's
-    buffer of twice as many rows: 48 (2N) bytes per atom. They also hold
-    the conjugated analysis atoms of the whole lattice over the rows
-    their window reaches, at most all 2N. frame-check and propagate hold
-    the frame's atoms and its dual's, N x |L| each, on the frame's grid.
-    The canonical dual's Wexler-Raz system on the doubled grid
+    (magnitude, entry and two int64 indices), and only gabor-matrix for
+    its law report, 34 bytes more: the law and the magnitudes (8 each),
+    two masks (1 each) and two float temporaries (16), after the law's
+    evaluation took 24 (metaplectic_law). The commands that assemble hold
+    one block of at most max(BLOCK_ATOMS, frequencies per lattice time)
+    atoms on the doubled grid at a time, with the factored apply's buffer
+    of twice as many rows: 48 (2N) bytes per atom. They also hold the
+    conjugated analysis atoms of the whole lattice over the rows their
+    window reaches, at most all 2N. frame-check and propagate hold the
+    frame's atoms and its dual's, N x |L| each, on the frame's grid. The
+    canonical dual's Wexler-Raz system on the doubled grid
     (gabor._wexler_raz_dual) holds one complex row per adjoint point
     (k/beta, l/alpha), 0 <= k <= beta L and 0 <= l <= alpha N / (2L),
     over the N samples of t >= 0; with its real form, that form's
@@ -248,6 +256,8 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     matrix, per_entry = "the dense Gabor matrix of its lattice", 16
     if command == "propagate":
         matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 56
+    elif command == "gabor-matrix":
+        matrix, per_entry = f"{matrix} and its law report", 50
     sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
               f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2)]
     if command in ("gabor-matrix", "decay-fit", "sparsity", "propagate"):
@@ -351,16 +361,8 @@ def _run_gs_check(exp: Experiment, args) -> None:
         values = stft(signal, exp.window, pts)
         fit = gs_decay_classify(pts, np.abs(values), floor=exp.fit_floor,
                                 s_grid=exp.s_grid)
-        payload = {
-            "operator": op.name,
-            "s_hat": fit.s_hat,
-            "epsilon_hat": fit.epsilon_hat,
-            "logC": fit.log_c,
-            "r2": fit.r_squared,
-            "n_points": fit.n_samples,
-        }
         _write_json(_artifact_path(exp.out, "gs", op.name, len(ops) > 1),
-                    payload)
+                    fit.to_dict(op.name))
         print(f"gs check: {op.name} s_hat={fit.s_hat:.2f} "
               f"epsilon_hat={fit.epsilon_hat:.4f} r2={fit.r_squared:.5f}")
 
@@ -372,19 +374,22 @@ def _run_gabor_matrix(exp: Experiment, args) -> None:
     matrix.to_csv(path)
     print(f"gabor matrix: {op.name} {len(matrix)} entries, "
           f"{int(matrix.flags.sum())} flagged columns -> {path}")
-    if (op.name.startswith("harmonic:") and exp.window.kind == "gaussian"
-            and exp.window.width == 1.0):
-        # The rotated-Gaussian law 2^{-1/2} exp(-(pi/2) dist^2) is exact
-        # for this window; report the worst entry against it, skipping
-        # quadrature noise below the double-precision ceiling.
-        keep = matrix.unflagged() & (matrix.magnitudes() >= NOISE_FLOOR)
-        law = 2.0 ** -0.5 * np.exp(-0.5 * np.pi * matrix.distances[keep] ** 2)
-        ratio = float(np.max(matrix.magnitudes()[keep] / law))
-        center = matrix.lattice.center_index()
-        peak = abs(matrix.dense()[center, center])
-        print(f"rotation law: peak {peak:.6f} vs 2^-1/2 "
-              f"{2.0 ** -0.5:.6f}; max |entry|/law {ratio:.6f} over "
-              f"{int(keep.sum())} entries above {NOISE_FLOOR:g}")
+    law = metaplectic_law(op, matrix.lattice, exp.window)
+    if law is None:
+        return
+    # Unflagged columns only; criterion 1's ratio skips entries below 1e-12.
+    mags, keep, peak = matrix.magnitudes(), matrix.unflagged(), np.max(law)
+    above = keep & (mags >= NOISE_FLOOR)
+    with np.errstate(divide="ignore"):  # inf where the law underflows
+        ratio = np.max(np.divide(mags, law, out=np.zeros_like(mags),
+                                 where=above))
+    gap = np.max(np.abs(mags - law), where=keep, initial=0.0) / peak
+    noise = np.max(mags, where=keep & (law < LAW_QUIET * peak), initial=0.0)
+    print(f"metaplectic law: peak {np.max(mags, where=keep, initial=0.0):.6f}"
+          f" vs {peak:.6f}; max |entry|/law {ratio:.6g} over "
+          f"{int(above.sum())} entries above {NOISE_FLOOR:g}; "
+          f"max |entry - law|/peak {gap:.3e}; noise floor {noise:.3e} "
+          f"where law < {LAW_QUIET:g} peak")
 
 
 def _run_decay_fit(exp: Experiment, args) -> None:
@@ -399,7 +404,7 @@ def _run_decay_fit(exp: Experiment, args) -> None:
                     fit.to_dict())
         print(f"decay fit: {op.name} s_hat={fit.s_hat:.2f} "
               f"epsilon_hat={fit.epsilon_hat:.4f} r2={fit.r_squared:.5f} "
-              f"n={fit.n_points}")
+              f"n={fit.n_samples}")
         for s_fixed in (0.5, 1.0):
             eps, _, r2 = restricted_decay_fit(
                 matrix, s_fixed, floor=exp.fit_floor,

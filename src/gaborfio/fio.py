@@ -13,11 +13,11 @@ Every shipped operator is a metaplectic operator of a symplectic
 (metaplectic.build_metaplectic): its phase is separable,
 Phi(x, eta) = (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x), phi
 0 without a multiplier, under a constant symbol. build_metaplectic
-hands the operator the (c/a, 1/a, b/a) it built the phase from, and the
+hands the operator the matrix and the multiplier it was given, and the
 sum runs factored: a chirp on the spectrum, the DFT scaled by 1/a as a
 Bluestein chirp-z transform (a plain inverse FFT at a = 1), then a chirp
 times exp(2 pi i phi) and the symbol, at O(N log N) per function. An
-operator without that form goes through the dense N x N kernel
+operator without a matrix goes through the dense N x N kernel
 exp(2 pi i Phi) sigma, evaluated and applied a block of output rows at a
 time.
 
@@ -60,9 +60,9 @@ VALIDATION_RTOL = 1e-5
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERATIONS = 50
 
-# The dense kernel of an operator without a separable form is evaluated
-# this many output rows at a time: 4 MiB of kernel per block on a
-# 2048-point grid, where the whole kernel took 64 MiB (1 GiB at 8192).
+# The dense kernel of an operator without a matrix is evaluated this
+# many output rows at a time: 4 MiB of kernel per block on a 2048-point
+# grid, where the whole kernel took 64 MiB (1 GiB at 8192).
 KERNEL_BLOCK_ROWS = 128
 
 
@@ -141,27 +141,31 @@ def _hessian_entries(phase: Phase, x, eta):
 
 @dataclass(frozen=True)
 class FioOperator:
-    """Phase plus symbol, with an optional exact map for cross-checks.
+    """Phase plus symbol; a metaplectic operator also carries its matrix.
 
     symbol is the amplitude sigma(x, eta), a callable that broadcasts
     against its inputs. metaplectic.build_metaplectic builds every
-    shipped operator. There multiplier_fn, when set, is the phi of the
-    multiplier exp(2 pi i phi(x)) applied after the metaplectic factor,
-    and closed_map is the exact canonical transformation (y, eta) -> (x, xi)
-    that the Newton solver is validated against.
-
-    _separable is the (c/a, 1/a, b/a) of a separable phase, set by
-    build_metaplectic from the numbers it built the phase from; apply and
-    assemble then run the factored quadrature. An operator built from a
-    bare Phase has none and runs the dense kernel.
+    shipped operator and hands it, as given, its SymplecticMatrix
+    (_matrix) and the (phi, phi', phi'') of the multiplier
+    exp(2 pi i phi(x)) after it (multiplier, or None). From these come
+    the factored quadrature, the exact canonical map closed_map and
+    metaplectic.metaplectic_law. An operator built from a bare Phase
+    carries neither and runs the dense kernel.
     """
 
     phase: Phase
     symbol: Callable
     name: str = ""
-    multiplier_fn: Callable | None = field(default=None, repr=False)
-    closed_map: Callable | None = field(default=None, repr=False)
-    _separable: tuple | None = field(default=None, repr=False, compare=False)
+    multiplier: tuple | None = field(default=None, repr=False)
+    _matrix: object = field(default=None, repr=False, compare=False)
+
+    def closed_map(self, y, eta) -> tuple:
+        """(x, xi) = (a y + b eta, c y + d eta + phi'(x)) from the matrix."""
+        (a, b), (c, d) = self._matrix.entries
+        y, eta = np.asarray(y, dtype=float), np.asarray(eta, dtype=float)
+        x = a * y + b * eta
+        dphi = self.multiplier[1](x) if self.multiplier is not None else 0.0
+        return x, c * y + d * eta + dphi
 
 
 def ensure_nondegenerate(op: FioOperator) -> float:
@@ -189,10 +193,10 @@ def _apply_columns(op: FioOperator, grid: Grid, values: np.ndarray
     """T applied to samples on grid: one function (1-D) or one per column.
 
     The same Riemann sum either way: factored when the operator carries
-    its separable form (_chirp_z_columns), else through the dense kernel
+    its matrix (_chirp_z_columns), else through the dense kernel
     (_dense_columns). Callers check nondegeneracy.
     """
-    if op._separable is not None:
+    if op._matrix is not None:
         return _chirp_z_columns(op, grid, values)
     return _dense_columns(op, grid, values)
 
@@ -228,7 +232,8 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
     exp(-i pi (u - v)^2 / (a N)); at a = 1 it is an inverse FFT. The
     result is an N-row view into that buffer (2N x columns, complex).
     """
-    ca, ia, ba = op._separable
+    mat = op._matrix
+    ca, ia, ba = mat.c / mat.a, 1.0 / mat.a, mat.b / mat.a
     n, h = grid.points_per_axis, grid.points_per_axis // 2
     u = np.arange(n) - h
     v = np.fft.ifftshift(u)
@@ -236,8 +241,8 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
     pre = grid.spacing * np.exp(-1j * np.pi * ba * w * w)
     post = complex(op.symbol(0.0, 0.0)) / grid.length * np.exp(
         1j * np.pi * ca * t * t)
-    if op.multiplier_fn is not None:
-        post *= np.exp(2j * np.pi * op.multiplier_fn(t))
+    if op.multiplier is not None:
+        post *= np.exp(2j * np.pi * op.multiplier[0](t))
     cols = values.reshape(n, -1)
     buf = np.empty((2 * n, cols.shape[1]), dtype=complex, order="F")
     # The spectrum in FFT order: row j of buf[:n] holds frequency index v_j.
@@ -276,7 +281,7 @@ def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
 
     Read back on f's rows: content the operator moves less than a length
     past f's box does not wrap back in. O(N log N) for an operator that
-    carries its separable form, O(N^2) through the dense kernel otherwise.
+    carries its matrix, O(N^2) through the dense kernel otherwise.
     """
     ensure_nondegenerate(op)
     h = f.grid.points_per_axis // 2

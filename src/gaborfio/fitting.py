@@ -39,6 +39,12 @@ class ShellFit:
     r_squared: float
     n_samples: int
 
+    def to_dict(self, operator: str) -> dict:
+        """The gs*.json and fit*.json payload of the fit of operator."""
+        return {"operator": operator, "s_hat": self.s_hat,
+                "epsilon_hat": self.epsilon_hat, "logC": self.log_c,
+                "r2": self.r_squared, "n_points": self.n_samples}
+
 
 def _censored_shells(dist, mags, floor):
     """Group samples into radial shells, dropping shells that hit the floor.

@@ -202,10 +202,6 @@ class Lattice:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
 
-    def center_index(self) -> int:
-        """Index of the origin, the middle of the symmetric enumeration."""
-        return len(self.points) // 2
-
 
 def make_lattice(alpha: float, beta: float, truncation: float) -> Lattice:
     return Lattice(alpha, beta, truncation, truncation)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .fio import FioOperator, _apply_columns, canonical_map
-from .fitting import shell_decay_fit, sorted_tail_fit
+from .fitting import ShellFit, shell_decay_fit, sorted_tail_fit
 from .gabor import GaborFrame, _atom_factors, _atom_rows
 from .signals import Grid, SampledSignal
 
@@ -163,33 +163,21 @@ class GaborMatrix:
 
 
 @dataclass(frozen=True)
-class DecayFit:
+class DecayFit(ShellFit):
     """Decay law fit |M| ~ C exp(-eps d^(1/s)) plus an envelope calibration.
 
-    The fitted (s_hat, epsilon_hat, log_c) come from shell means; the
-    envelope pair (envelope_log_c, envelope_epsilon) is calibrated so
+    The ShellFit of the operator's matrix (shell means), whose to_dict
+    writes fit*.json; the envelope pair is calibrated so
     exp(envelope_log_c - envelope_epsilon d^(1/s_hat)) dominates every
     above-floor sample, for pointwise bound checks.
     """
 
     operator: str
-    s_hat: float
-    epsilon_hat: float
-    log_c: float
-    r_squared: float
-    n_points: int
     envelope_log_c: float
     envelope_epsilon: float
 
     def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "s_hat": self.s_hat,
-            "epsilon_hat": self.epsilon_hat,
-            "logC": self.log_c,
-            "r2": self.r_squared,
-            "n_points": self.n_points,
-        }
+        return super().to_dict(self.operator)
 
 
 @dataclass(frozen=True)
@@ -304,11 +292,8 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     else:
         env_eps = 0.0
 
-    return DecayFit(
-        operator=matrix.operator_name, s_hat=fit.s_hat,
-        epsilon_hat=fit.epsilon_hat, log_c=fit.log_c,
-        r_squared=fit.r_squared, n_points=fit.n_samples,
-        envelope_log_c=env_log_c, envelope_epsilon=env_eps)
+    return DecayFit(**vars(fit), operator=matrix.operator_name,
+                    envelope_log_c=env_log_c, envelope_epsilon=env_eps)
 
 
 def restricted_decay_fit(matrix: GaborMatrix, s: float, *,

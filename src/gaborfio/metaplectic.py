@@ -16,6 +16,10 @@ The harmonic oscillator propagator at time t is the rotation case
 mat = [[cos t, -sin t], [sin t, cos t]]; at odd multiples of pi/2 the
 a-block vanishes and construction is refused with the distance to the
 singular time.
+
+For a Gaussian window the operator's Gabor matrix is a closed-form
+Gaussian about the graph of mat (Cordero, Nicola and Rodino 2009):
+metaplectic_law, the oracle for assembled matrices.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "chirp_operator",
     "dilation_operator",
     "harmonic_oscillator",
+    "metaplectic_law",
     "singular_time_distance",
 ]
 
@@ -114,17 +119,17 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
 
     multiplier is (phi, phi', phi''), each a function of x, and adds the
     factor exp(2 pi i phi(x)) after the metaplectic operator: phi joins
-    the phase and becomes multiplier_fn, and the canonical map shears
-    the frequency by phi'(x) after the linear map. The identity matrix
-    with a multiplier is the multiplier alone.
+    the phase, and the canonical map shears the frequency by phi'(x)
+    after the linear map. The identity matrix with a multiplier is the
+    multiplier alone.
 
-    The operator carries the (c/a, 1/a, b/a) its phase is built from, so
-    apply and assemble run the factored quadrature.
+    The operator carries mat and multiplier as given, so apply and
+    assemble run the factored quadrature and closed_map is exact.
 
     Requires |a| >= BLOCK_FLOOR: the generating-phase representation
     breaks down when the upper-left block degenerates.
     """
-    a, b, c, d = mat.a, mat.b, mat.c, mat.d
+    a, b, c = mat.a, mat.b, mat.c
     if abs(a) < BLOCK_FLOOR:
         raise HypothesisError(
             f"upper-left block too small for a generating phase: |{a:.3e}|",
@@ -146,18 +151,12 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
         hessian=lambda x, eta: ((ca + ddphi(x), ia), (ia, -ba)),
         name=name)
 
-    def closed_map(y, eta):
-        y, eta = np.asarray(y, dtype=float), np.asarray(eta, dtype=float)
-        x = a * y + b * eta
-        return x, c * y + d * eta + dphi(x)
-
     return FioOperator(
         phase=phase, name=name,
         symbol=lambda x, eta: np.full(
             np.broadcast(np.asarray(x), np.asarray(eta)).shape, amp,
             dtype=complex),
-        multiplier_fn=multiplier[0] if multiplier is not None else None,
-        closed_map=closed_map, _separable=(ca, ia, ba))
+        multiplier=multiplier, _matrix=mat)
 
 
 def chirp_operator(c: float) -> FioOperator:
@@ -189,3 +188,29 @@ def harmonic_oscillator(t: float) -> FioOperator:
             f"harmonic propagator is singular near t = {t!r}",
             distance=singular_time_distance(t))
     return build_metaplectic(rotation_matrix(t), name=f"harmonic:{t}")
+
+
+def metaplectic_law(op: FioOperator, lattice, window):
+    """Closed-form |<T g_lambda, g_mu>|, flat and lambda-major, or None.
+
+    For the gaussian(width) window, |V_g g|^2 is a phase-space Gaussian
+    of covariance Sigma_g = diag(width, 1/width) / (4 pi). The operator
+    of M moves lambda to M lambda and the window's covariance to
+    M Sigma_g M^T, and the overlap of the two Gaussians is ||g||^2
+    (2 pi)^(-1/2) det(Sigma)^(-1/4) exp(-z^T Sigma^-1 z / 4) with
+    z = mu - M lambda and Sigma = Sigma_g + M Sigma_g M^T; 8 bytes per
+    entry, 24 while evaluated. None unless op carries its matrix and no
+    multiplier and window is a Gaussian.
+    """
+    if op._matrix is None or op.multiplier or window.kind != "gaussian":
+        return None
+    mat, width, pts = op._matrix.as_array(), window.width, lattice.as_array()
+    sig_g = np.diag([width, 1.0 / width]) / (4.0 * np.pi)
+    sig = sig_g + mat @ sig_g @ mat.T
+    z = pts[None, :, :] - (pts @ mat.T)[:, None, :]
+    law = np.einsum("lmi,ij,lmj->lm", z, np.linalg.inv(sig), z)
+    law *= -0.25
+    np.exp(law, out=law)
+    law *= (math.sqrt(width / 2.0) * (2.0 * np.pi) ** -0.5
+            * np.linalg.det(sig) ** -0.25)
+    return law.ravel()

@@ -6,8 +6,6 @@ truncation 8.  Everything heavy is session-scoped so the suite builds each
 object exactly once.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -32,27 +30,6 @@ def rel_error(candidate, reference):
 
 def centered_gaussian(grid, width):
     return gf.gaussian(width).sampled(grid)
-
-
-def metaplectic_law(lattice, mat, width):
-    """Closed-form |<T g_lambda, g_mu>| of the operator of a symplectic mat.
-
-    For the gaussian(width) window, |V_g g|^2 is a phase-space Gaussian of
-    covariance Sigma_g = diag(width, 1/width) / (4 pi). The operator moves
-    lambda to M lambda and the window's covariance to M Sigma_g M^T, and
-    the overlap of the two Gaussians is ||g||^2 (2 pi)^(-1/2)
-    det(Sigma)^(-1/4) exp(-z^T Sigma^-1 z / 4) with z = mu - M lambda and
-    Sigma = Sigma_g + M Sigma_g M^T. mat is the 2x2 array of M. Returned
-    flat in the matrix's lambda-major entry order.
-    """
-    pts = lattice.as_array()
-    sig_g = np.diag([width, 1.0 / width]) / (4.0 * np.pi)
-    sig = sig_g + mat @ sig_g @ mat.T
-    z = pts[None, :, :] - (pts @ mat.T)[:, None, :]
-    quad = np.einsum("lmi,ij,lmj->lm", z, np.linalg.inv(sig), z)
-    peak = (math.sqrt(width / 2.0) * (2.0 * np.pi) ** -0.5
-            * np.linalg.det(sig) ** -0.25)
-    return (peak * np.exp(-0.25 * quad)).ravel()
 
 
 @pytest.fixture(scope="session")

@@ -118,17 +118,36 @@ def test_matrix_dump_deterministic(tmp_path, config_path):
     assert len(lines) == 121 * 121 + 1
 
 
-def test_matrix_dump_reports_rotation_law(tmp_path):
-    cfg = tmp_path / "g1.json"
-    cfg.write_text(json.dumps({"grid": {"N": 512, "L": 20.0},
-                               "frame": {"window": "gaussian:1",
-                                         "truncation": 4.0}}))
-    proc = run_cli(["gabor-matrix"], tmp_path / "out", cfg)
-    line = [l for l in proc.stdout.splitlines()
-            if l.startswith("rotation law:")]
-    assert len(line) == 1
-    ratio = float(line[0].split("max |entry|/law")[1].split()[0])
-    assert ratio <= 1.02
+def test_matrix_dump_reports_rotation_law(tmp_path, config_path):
+    def law_lines(operator, config):
+        proc = run_cli(["gabor-matrix"] + operator, tmp_path / "out", config)
+        return [l for l in proc.stdout.splitlines()
+                if l.startswith("metaplectic law:")]
+
+    def value(line, label):
+        return float(line.split(label)[1].split()[0].rstrip(";"))
+
+    # Criterion 1: the gaussian:1 window's rotation law.
+    g1 = tmp_path / "g1.json"
+    g1.write_text(json.dumps({"grid": {"N": 512, "L": 20.0},
+                              "frame": {"window": "gaussian:1",
+                                        "truncation": 4.0}}))
+    [line] = law_lines([], g1)
+    assert value(line, "max |entry|/law") <= 1.02
+    assert abs(value(line, "peak") - 2.0 ** -0.5) <= 0.01 * 2.0 ** -0.5
+    # The default gaussian:2 window: the law of the rotation, a dilation
+    # and a chirp, each to 1e-12 of its peak.
+    for operator in ([], ["metaplectic:dilation:2.0"],
+                     ["metaplectic:chirp:1.0"]):
+        [line] = law_lines(operator, config_path)
+        assert value(line, "max |entry - law|/peak") <= 1e-12, operator
+    # No law covers a multiplier or a Hermite window.
+    assert law_lines(["multiplier:cos"], config_path) == []
+    hermite = tmp_path / "hermite.json"
+    hermite.write_text(json.dumps({"grid": {"N": 512, "L": 20.0},
+                                   "frame": {"window": "hermite:1:2",
+                                             "truncation": 4.0}}))
+    assert law_lines([], hermite) == []
 
 
 def test_stft_dump(tmp_path, config_path):
@@ -371,15 +390,17 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("command, memory, code", [
     ("propagate", 36, 2), ("decay-fit", 36, 0), ("sparsity", 36, 0),
-    ("decay-fit", 24, 0)], ids=["propagate-2", "decay-fit-0", "sparsity-0",
-                                "decay-fit-0-block"])
+    ("decay-fit", 24, 0), ("gabor-matrix", 36, 2)],
+    ids=["propagate-2", "decay-fit-0", "sparsity-0", "decay-fit-0-block",
+         "gabor-matrix-2"])
 def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
                                         command, memory, code):
     # 1089 lattice points: the dense matrix takes 16 bytes per entry and
     # sparse_apply's magnitude-ordered copy 40 more. With physical memory
     # set to 36 bytes per entry, the matrix alone, assemble's block and
     # analysis atoms and the dual-window system all fit; only the copy
-    # does not, and only propagate builds it. At 24 bytes per entry
+    # does not, and only propagate builds it. Nor does gabor-matrix's
+    # law report, 34 bytes more per entry. At 24 bytes per entry
     # (28.5 MB) the matrix (19.0 MB) still fits, and so does assemble:
     # its 128-atom block with its apply buffer takes 6.3 MB and its
     # analysis atoms at most 17.8 MB. An apply buffer of all 1089 atoms
@@ -398,7 +419,9 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert got == code, err
     if code:
-        assert "frame.truncation" in err and "magnitude-ordered copy" in err
+        extra = ("magnitude-ordered copy" if command == "propagate"
+                 else "law report")
+        assert "frame.truncation" in err and extra in err
 
 
 def test_large_lattice_assembles_under_a_gib(tmp_path):

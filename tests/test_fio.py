@@ -45,33 +45,34 @@ def test_phase_refusal_blames_a_too_large_phase():
 
 
 def test_separable_form_comes_from_the_constructor(grid):
-    # build_metaplectic hands over the (c/a, 1/a, b/a) it built the
-    # phase from, exactly.
+    # build_metaplectic hands over the matrix and the multiplier it was
+    # given, as given.
     for op, mat in (
             (gf.harmonic_oscillator(0.7853981633974483),
              gf.rotation_matrix(0.7853981633974483)),
             (gf.harmonic_oscillator(1.2), gf.rotation_matrix(1.2)),
             (gf.dilation_operator(-0.5), gf.dilation_matrix(-0.5)),
             (gf.chirp_operator(1.0), gf.chirp_matrix(1.0))):
-        a, b, c = mat.a, mat.b, mat.c
-        assert op._separable == (c / a, 1.0 / a, b / a), op.name
+        assert op._matrix == mat and op.multiplier is None, op.name
+    identity_matrix = gf.SymplecticMatrix(((1.0, 0.0), (0.0, 1.0)))
     for name in ("identity", "multiplier:cos"):
-        assert gf.parse_operator(name)._separable == (0.0, 1.0, 0.0)
-    assert gf.parse_operator("multiplier:poly:0.5")._separable \
-        == (1.0, 1.0, 0.0)
+        assert gf.parse_operator(name)._matrix == identity_matrix
+    assert gf.parse_operator("multiplier:poly:0.5")._matrix \
+        == gf.chirp_matrix(1.0)
+    assert gf.parse_operator("multiplier:cos").multiplier[0] is np.cos
 
-    # An operator built by hand from a bare Phase carries no form and
+    # An operator built by hand from a bare Phase carries no matrix and
     # takes the dense kernel, even when its phase is a metaplectic one.
     h = gf.harmonic_oscillator(0.7853981633974483)
     bare_h = gf.FioOperator(phase=h.phase, symbol=h.symbol)
-    assert bare_h._separable is None
+    assert bare_h._matrix is None
     small = gf.Grid(1, 256, 16.0)
     g = centered_gaussian(small, 2.0)
     assert rel_error(gf.apply(bare_h, g), gf.apply(h, g)) <= 1e-12
 
     # So do hand-built operators with a cubic eta term, with a
-    # non-constant symbol, and with a multiplier's phase but no
-    # multiplier_fn; the last still matches the shipped operator.
+    # non-constant symbol, and with a multiplier's phase but no matrix or
+    # multiplier; the last still matches the shipped operator.
     cubic = gf.Phase(
         value=lambda x, eta: (np.asarray(x) * np.asarray(eta)
                               + 0.1 * np.asarray(eta) ** 3),
@@ -81,17 +82,17 @@ def test_separable_form_comes_from_the_constructor(grid):
         hessian=lambda x, eta: ((0.0, 1.0),
                                 (1.0, 0.6 * np.asarray(eta, dtype=float))))
     identity = gf.parse_operator("identity")
-    assert gf.FioOperator(phase=cubic, symbol=identity.symbol)._separable \
+    assert gf.FioOperator(phase=cubic, symbol=identity.symbol)._matrix \
         is None
 
     def varying(x, eta):
         return 1.0 + 0.1 * np.asarray(eta, dtype=complex)
 
-    assert gf.FioOperator(phase=identity.phase, symbol=varying)._separable \
+    assert gf.FioOperator(phase=identity.phase, symbol=varying)._matrix \
         is None
     cos = gf.parse_operator("multiplier:cos")
     bare = gf.FioOperator(phase=cos.phase, symbol=cos.symbol)
-    assert bare._separable is None
+    assert bare._matrix is None and bare.multiplier is None
     f = centered_gaussian(grid, 2.0)
     assert rel_error(gf.apply(bare, f), gf.apply(cos, f)) <= 1e-12
 

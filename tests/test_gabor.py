@@ -52,14 +52,14 @@ def test_lattice_layout():
     assert len(lat) == 529
     pts = lat.points
     assert list(pts) == sorted(pts)
-    assert pts[lat.center_index()] == (0.0, 0.0)
+    assert pts[len(lat) // 2] == (0.0, 0.0)
     arr = lat.as_array()
     assert arr.shape == (529, 2)
     assert np.max(np.abs(arr)) <= TRUNCATION + 1e-9
     # Unequal steps and ranges: 27 x 35 points, origin at 13 * 35 + 17.
     uneven = gf.Lattice(0.75, 0.9, 10.0, 16.0)
-    assert len(uneven) == 945 and uneven.center_index() == 472
-    assert uneven.points[uneven.center_index()] == (0.0, 0.0)
+    assert len(uneven) == 945
+    assert uneven.points[472] == (0.0, 0.0)
 
 
 def test_lattice_validation():
@@ -124,7 +124,7 @@ def test_atoms_match_per_column_formulas(dual_frame):
     grid, lat = dual_frame.grid, dual_frame.lattice
     t = grid.times()
     atoms, duals = dual_frame.atoms(), dual_frame.dual_atoms()
-    h = duals[:, lat.center_index()]
+    h = duals[:, len(lat) // 2]
     spec = np.fft.fft(np.fft.ifftshift(h))
     freqs = np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
     for j in range(0, len(lat), 37):
@@ -342,7 +342,7 @@ def test_expansion_dual_is_time_localized(dual_frame):
     # <h, M_{l/alpha} T_{k/beta} g> = alpha*beta delta_k delta_l; h is
     # below 1e-10 past |t| = 8, where gamma is still 2.5e-5.
     grid, lat = dual_frame.grid, dual_frame.lattice
-    h = gf.SampledSignal(grid, dual_frame.dual_atoms()[:, lat.center_index()])
+    h = gf.SampledSignal(grid, dual_frame.dual_atoms()[:, len(lat) // 2])
     gamma = gf.dual_window(dual_frame)
     adjoint = [(k / lat.beta, l / lat.alpha)
                for k in range(-4, 5) for l in range(-4, 5)]

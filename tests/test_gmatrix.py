@@ -12,7 +12,7 @@ from gaborfio.fio import _apply_columns, _dense_columns
 from gaborfio.fitting import shell_decay_fit
 from gaborfio.gabor import _atom_matrix, _atom_rows
 from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION,
-                      centered_gaussian, metaplectic_law, rel_error)
+                      centered_gaussian, rel_error)
 
 
 def _synthetic_matrix(truncation=4.0, rate=3.0):
@@ -43,10 +43,11 @@ def test_identity_matrix_closed_form(matrices):
 
 
 def test_harmonic_matrix_closed_form(harmonic_matrix):
-    # The width-2 window's rotation matrix follows the closed-form law of
-    # conftest; measured agreement is 1.4e-14.
-    law = metaplectic_law(harmonic_matrix.lattice,
-                          gf.rotation_matrix(math.pi / 4).as_array(), 2.0)
+    # The width-2 window's rotation matrix follows the closed-form law;
+    # measured agreement is 1.4e-14.
+    law = gf.metaplectic_law(
+        gf.build_metaplectic(gf.rotation_matrix(math.pi / 4)),
+        harmonic_matrix.lattice, harmonic_matrix.window)
     assert np.max(np.abs(harmonic_matrix.magnitudes() - law)) <= 1e-12
 
 
@@ -71,7 +72,7 @@ def test_metaplectic_matrix_closed_form(matrices, g2_frame, spec, mat):
     # 0.5 and 0.4, where a sum over the frame's own grid aliases.
     m = (matrices[spec] if spec in matrices
          else gf.assemble(gf.parse_operator(spec), g2_frame))
-    law = metaplectic_law(m.lattice, mat.as_array(), 2.0)
+    law = gf.metaplectic_law(gf.build_metaplectic(mat), m.lattice, m.window)
     keep = m.unflagged()
     assert np.max(np.abs(m.magnitudes()[keep] - law[keep])) <= 1e-12
 
@@ -114,7 +115,7 @@ def test_factored_quadrature_matches_dense(g2_frame, name):
     kernel there to 1e-12 relative (measured <= 2.0e-13).
     """
     op = gf.parse_operator(name)
-    assert op._separable is not None
+    assert op._matrix is not None
     grid = g2_frame.grid
     pad = grid.doubled()
     atoms = _atom_matrix(g2_frame.window, pad, g2_frame.lattice.as_array())
@@ -248,7 +249,7 @@ def test_dense_kernel_assembly_matches_factored():
                           small)
     shipped = gf.parse_operator("harmonic:0.7853981633974483")
     bare = gf.FioOperator(phase=shipped.phase, symbol=shipped.symbol)
-    assert bare._separable is None
+    assert bare._matrix is None
     fast = gf.assemble(shipped, frame).entries
     slow = gf.assemble(bare, frame).entries
     assert np.max(np.abs(slow - fast)) <= 1e-12 * np.max(np.abs(fast))
@@ -363,7 +364,7 @@ def test_fit_metadata(fits):
         assert fit.s_hat in gf.DEFAULT_S_GRID
         if fit.r_squared > 0.9:
             assert fit.epsilon_hat > 0
-        assert fit.n_points >= 200
+        assert fit.n_samples >= 200
         keys = set(fit.to_dict())
         assert keys == {"operator", "s_hat", "epsilon_hat", "logC", "r2",
                         "n_points"}
@@ -420,7 +421,7 @@ def test_sparsity_identity_rows(matrices):
     report = gf.sparsity_curve(m, 0.5)
     assert report.exponent_used == 1.0
     assert np.all(report.epsilons > 0)
-    center = m.lattice.center_index()
+    center = len(m.lattice) // 2
     row = np.sort(np.abs(m.dense()[center]))[::-1]
     assert abs(row[0] - 1.0) <= 1e-12
     assert row[1] < row[0] - 0.3

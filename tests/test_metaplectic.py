@@ -61,7 +61,7 @@ def test_multiplier_after_rotation_uses_the_one_closed_map(grid):
     op = gf.build_metaplectic(
         gf.rotation_matrix(0.6), name="rotation+cos",
         multiplier=(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)))
-    assert op._separable is not None
+    assert op._matrix == gf.rotation_matrix(0.6)
     pts = np.random.default_rng(6).uniform(-5.0, 5.0, size=(100, 2))
     x, xi = op.closed_map(pts[:, 0], pts[:, 1])
     gap = np.max(np.abs(gf.canonical_map(op, pts)
@@ -70,6 +70,29 @@ def test_multiplier_after_rotation_uses_the_one_closed_map(grid):
     f = centered_gaussian(grid, 2.0)
     dense = gf.SampledSignal(grid, _dense_columns(op, grid, f.values))
     assert rel_error(gf.apply(op, f), dense) <= 1e-12
+
+
+def test_metaplectic_law_covers_gaussian_windows_of_bare_matrices():
+    # At the identity the law factors into a width-2w Gaussian in the
+    # time offset and a width-2/w one in frequency (|<g_lambda, g_mu>|
+    # of the gaussian(w) window, ||g||^2 = sqrt(w / 2) at its peak).
+    lat = gf.make_lattice(0.5, 0.5, 2.0)
+    pts = lat.as_array()
+    dx = (pts[None, :, 0] - pts[:, None, 0]).ravel()
+    dw = (pts[None, :, 1] - pts[:, None, 1]).ravel()
+    identity = gf.parse_operator("identity")
+    for w in (1.0, 2.0, 3.0):
+        law = gf.metaplectic_law(identity, lat, gf.gaussian(w))
+        exact = np.sqrt(w / 2) * np.exp(-np.pi * dx ** 2 / (2 * w)
+                                        - np.pi * w * dw ** 2 / 2)
+        np.testing.assert_allclose(law, exact, rtol=1e-12, atol=1e-300)
+    # None for a multiplier, a Hermite window, and a hand-built operator.
+    h = gf.harmonic_oscillator(0.5)
+    for op, window in ((gf.parse_operator("multiplier:cos"), gf.gaussian(2)),
+                       (h, gf.hermite(1, 2.0)),
+                       (gf.FioOperator(phase=h.phase, symbol=h.symbol),
+                        gf.gaussian(2.0))):
+        assert gf.metaplectic_law(op, lat, window) is None
 
 
 def test_chirp_phase_and_closed_form(grid):

@@ -38,16 +38,17 @@ def test_operator_defaults():
 
 
 def test_operator_kinds():
-    # One operator type; multiplier_fn marks the multipliers.
+    # One operator type, each carrying its matrix; multiplier marks the
+    # multipliers.
     for name in gf.shipped_operator_names():
         op = gf.parse_operator(name)
-        assert type(op) is gf.FioOperator, name
-        assert ((op.multiplier_fn is not None)
+        assert type(op) is gf.FioOperator and op._matrix is not None, name
+        assert ((op.multiplier is not None)
                 == name.startswith("multiplier:")), name
     for op in (gf.build_metaplectic(gf.chirp_matrix(0.5)),
                gf.chirp_operator(1.0), gf.dilation_operator(2.0),
                gf.harmonic_oscillator(0.5)):
-        assert type(op) is gf.FioOperator and op.multiplier_fn is None
+        assert type(op) is gf.FioOperator and op.multiplier is None
 
 
 def test_operator_parse_errors():
