@@ -220,15 +220,17 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     The lattice is counted as Lattice would enumerate it, without
     enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
     16 bytes each; every command is charged for it, which also keeps
-    Lattice from enumerating a huge truncation. Only propagate pays for
-    sparse_apply's magnitude-ordered copy of the entries, 40 bytes more
-    (magnitude, entry and two int64 indices), and only gabor-matrix for
-    its law report, 34 bytes more: the law and the magnitudes (8 each),
-    two masks (1 each) and two float temporaries (16), after the law's
-    evaluation took 24 (metaplectic_law). The commands that assemble hold
-    one block of at most max(BLOCK_ATOMS, frequencies per lattice time)
-    atoms on the doubled grid at a time, with the factored apply's buffer
-    of twice as many rows: 48 (2N) bytes per atom. They also hold the
+    Lattice from enumerating a huge truncation. The commands that
+    assemble also hold its distances, 8 bytes more. Only propagate pays
+    for sparse_apply's magnitude-ordered copy of the entries, 40 bytes
+    more (magnitude, entry and two int64 indices), and only gabor-matrix
+    for its law report, 34 bytes more: the law and the magnitudes (8
+    each), two masks (1 each) and two float temporaries (16), after the
+    law's evaluation took 24 (metaplectic_law). GaborMatrix.to_csv holds
+    one lambda's rows at a time, which is not charged. The commands that
+    assemble hold one block of at most max(BLOCK_ATOMS, frequencies per
+    lattice time) atoms on the doubled grid at a time, with the factored
+    apply's buffer of twice as many rows: 48 (2N) bytes per atom. They also hold the
     conjugated analysis atoms of the whole lattice over the rows their
     window reaches, at most all 2N. frame-check and propagate hold the
     frame's atoms and its dual's, N x |L| each, on the frame's grid. The
@@ -253,14 +255,18 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     n, length = exp.grid.points_per_axis, exp.grid.length
     n_adjoint = ((_steps_within(length, 1.0 / exp.beta) + 1)
                  * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
+    assembles = command in ("gabor-matrix", "decay-fit", "sparsity",
+                            "propagate")
     matrix, per_entry = "the dense Gabor matrix of its lattice", 16
+    if assembles:
+        matrix, per_entry = f"{matrix} and its distances", 24
     if command == "propagate":
-        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 56
+        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 64
     elif command == "gabor-matrix":
-        matrix, per_entry = f"{matrix} and its law report", 50
+        matrix, per_entry = f"{matrix} and its law report", 58
     sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
               f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2)]
-    if command in ("gabor-matrix", "decay-fit", "sparsity", "propagate"):
+    if assembles:
         block = min(n_lattice, max(BLOCK_ATOMS, n_freqs))
         sizes += [
             (f"grid.N {n}: a block of {block} atoms and their "

@@ -4,9 +4,10 @@ An operator acts as Tf(x) = (1/L)^d sum_k exp(2 pi i Phi(x, w_k))
 sigma(x, w_k) fhat(w_k) over the centered frequency grid, i.e. the
 trapezoid-free Riemann quadrature that is exact for grid-bandlimited
 inputs. It is T of the input periodised with the grid's length, so
-apply and gmatrix.assemble both take it on the zero-padded input's
-Grid.doubled. Phases are real with quadratic growth; all phase values
-are in cycles (the 2 pi lives in the exponential, not in Phi).
+apply and gmatrix's quadrature (_quadrature_entries) both take it on
+the zero-padded input's Grid.doubled. Phases are real with quadratic
+growth; all phase values are in cycles (the 2 pi lives in the
+exponential, not in Phi).
 
 Every shipped operator is a metaplectic operator of a symplectic
 [[a, b], [c, d]], optionally followed by a multiplier exp(2 pi i phi(x))
@@ -277,7 +278,7 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
 
 
 def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
-    """The sum gmatrix.assemble takes, on f zero-padded to Grid.doubled.
+    """gmatrix's quadrature sum, on f zero-padded to Grid.doubled.
 
     Read back on f's rows: content the operator moves less than a length
     past f's box does not wrap back in. O(N log N) for an operator that

@@ -7,10 +7,10 @@ operator on the grid are polluted by lattice-edge effects, while on the
 central span the truncation error is negligible.
 
 Every time-frequency-shifted window in the package (frame atoms, dual
-atoms, stft, and the atoms gmatrix.assemble pushes through an
+atoms, stft, and the atoms gmatrix's quadrature pushes through an
 operator) is a product of the factors _atom_factors computes once per
 call: the distinct shifts window(t - x) and modulations exp(2 pi i w t).
-_atom_matrix takes that product whole; gmatrix.assemble takes it in
+_atom_matrix takes that product whole; gmatrix's quadrature takes it in
 blocks of lattice times and, for the analysis side, over each atom's
 rows only (_atom_rows).
 
@@ -96,10 +96,15 @@ INVERSION_EXTENT = 10.0
 # keeps the products with the atoms' unit-modulus waves normal too (their
 # smallest nonzero part on the shipped grids is 7e-5). What is dropped
 # lies some 260 decades below any entry that is read, so the Gram product
-# stays bitwise equal.
+# stays bitwise equal. The closed-form Gabor matrix of a covariant
+# operator (metaplectic._covariant_entries) flushes its parts below this
+# fraction of its peak for the same reason: unflushed, the 1089-point
+# lattice of N = 2048, truncation 12 held 20,728 to 33,256 subnormal
+# parts (harmonic 1.0, chirp 0.7, dilation 1.5, identity), and
+# sparse_apply's dense product took 0.85-1.52 ms instead of 0.53-0.58.
 ENVELOPE_FLUSH = np.finfo(float).tiny / np.finfo(float).eps ** 2
 
-# gmatrix.assemble pairs the atoms shifted to x with the operator's
+# gmatrix's quadrature pairs the atoms shifted to x with the operator's
 # outputs only over the grid rows where |g(t - x)| is at least this
 # fraction of the window's peak (_atom_rows). A dropped term of
 # <T g_lambda, g_mu> is bounded by ATOM_SUPPORT * max|g| * |T g_lambda|,

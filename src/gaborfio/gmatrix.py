@@ -1,23 +1,35 @@
 """Gabor matrix of an operator: assembly, decay fits, sparse application.
 
-The matrix entry at (mu, lambda) is <T g_lambda, g_mu>, computed by
-quadrature on a doubled grid (twice the points, twice the length, same
-spacing) so that operators translating content toward the edge of the
-original box are still integrated accurately. The atoms g_lambda go
-through the operator a block of whole lattice times at a time (about
-BLOCK_ATOMS atoms), so assemble holds one block's atoms and apply buffer
-on the doubled grid, never the whole lattice's; its output, |L|^2
-entries and distances, is the largest thing it keeps. Each analysis atom
-g_mu enters the sum only over the grid rows its window reaches
-(gabor._atom_rows): one product per block and lattice time, not one
-Gram product over the whole grid. The blocks change only which products
-run together, not what each entry sums, so the matrix is bitwise that of
-the whole lattice at once. Entries concentrate along mu = chi(lambda);
-every fit is in the distance d(mu, chi(lambda)).
+The matrix entry at (mu, lambda) is <T g_lambda, g_mu>. For a
+metaplectic operator without a multiplier and a Gaussian window it is
+known in closed form, a complex Gaussian in mu - A lambda times two
+unit-modulus phases (metaplectic._covariant_entries), and assemble
+evaluates that, BLOCK_ATOMS lambdas at a time: O(|L|^2) elementwise work
+with no quadrature, so no grid truncation or aliasing, in any column and
+at any harmonic time the operator accepts. Every other operator and
+window (a multiplier, a bare phase, a Hermite window) goes through the
+quadrature, _quadrature_entries, which is also the closed form's test
+oracle.
 
-Lattice points whose image chi(lambda) leaves the reliable region of the
-original grid (half extent minus a fixed margin) are flagged, kept in the
-matrix, and excluded from fits.
+The quadrature runs on a doubled grid (twice the points, twice the
+length, same spacing) so that operators translating content toward the
+edge of the original box are still integrated accurately. The atoms
+g_lambda go through the operator a block of whole lattice times at a
+time (about BLOCK_ATOMS atoms), so it holds one block's atoms and apply
+buffer on the doubled grid, never the whole lattice's; its output, |L|^2
+entries, is the largest thing it keeps. Each analysis atom g_mu enters
+the sum only over the grid rows its window reaches (gabor._atom_rows):
+one product per block and lattice time, not one Gram product over the
+whole grid. The blocks change only which products run together, not
+what each entry sums, so the matrix is bitwise that of the whole lattice
+at once.
+
+Entries concentrate along mu = chi(lambda); every fit is in the distance
+d(mu, chi(lambda)). Lattice points whose image chi(lambda) leaves the
+reliable region of the original grid (half extent minus a fixed margin)
+are flagged, kept in the matrix, and excluded from fits. chi comes from
+canonical_map on both paths, so flags and distances do not depend on
+the path.
 
 fit_decay, restricted_decay_fit (its shell fit at one order) and
 decay_bound_check read one cached sample set, GaborMatrix._fit_samples.
@@ -44,6 +56,7 @@ from .errors import InsufficientDataError
 from .fio import FioOperator, _apply_columns, canonical_map
 from .fitting import ShellFit, shell_decay_fit, sorted_tail_fit
 from .gabor import GaborFrame, _atom_factors, _atom_rows
+from .metaplectic import _covariant_entries, _has_closed_form
 from .signals import Grid, SampledSignal
 
 __all__ = [
@@ -62,8 +75,9 @@ __all__ = [
 # for the column to count as reliable.
 RELIABLE_MARGIN = 3.0
 
-# Quadrature noise in assembled entries sits near 1e-14 of the peak;
-# bound checks ignore entries below this.
+# Quadrature noise in entries assembled by _quadrature_entries sits near
+# 1e-14 of the peak; bound checks ignore entries below this. The closed
+# form of covariant operators carries no such noise, only rounding.
 NOISE_FLOOR = 1e-12
 
 # decay_bound_check tests entries against the envelope with its constant
@@ -74,11 +88,13 @@ RATE_SLACK = 0.95
 # fit_decay needs this many entries above the floor.
 MIN_FIT_SAMPLES = 200
 
-# assemble pushes the atoms of whole lattice times through the operator,
-# as many times as fit in this many atoms (at least one). A block holds
-# its atoms on the doubled grid and the apply's buffer of twice as many
-# rows: 48 (2N) BLOCK_ATOMS bytes, 24 MiB at N = 2048, where the whole
-# lattice of the N = 2048, truncation 12 frame (1089 points) took 204 MiB.
+# The quadrature pushes the atoms of whole lattice times through the
+# operator, as many times as fit in this many atoms (at least one). A
+# block holds its atoms on the doubled grid and the apply's buffer of
+# twice as many rows: 48 (2N) BLOCK_ATOMS bytes, 24 MiB at N = 2048,
+# where the whole lattice of the N = 2048, truncation 12 frame (1089
+# points) took 204 MiB. The closed form fills the entries of this many
+# lambdas at a time, with a few temporaries of BLOCK_ATOMS |L| values.
 BLOCK_ATOMS = 128
 
 
@@ -147,19 +163,24 @@ class GaborMatrix:
         return arrays
 
     def to_csv(self, path) -> None:
-        """One %.17g row per entry, lambda-major; each point formatted once."""
+        """One %.17g row per entry, lambda-major; each point formatted once.
+
+        Rows are formatted one lambda at a time, so no more than one
+        column's values are held as Python objects.
+        """
         points = ["%.17g,%.17g," % (x, w) for x, w in self.lattice.as_array()]
-        # Scalar abs per entry: np.abs on the array can differ from it in
-        # the last digit, and the file is kept bitwise stable.
-        values = zip(self.entries.real, self.entries.imag,
-                     [abs(e) for e in self.entries], self.distances)
+        n = self.n_lattice
         with open(path, "w", encoding="ascii") as fh:
             fh.write("lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
-            for lam in points:
-                # zip draws from points first, so it stops there and each
-                # lambda takes the next len(points) values.
-                fh.writelines(lam + mu + "%.17g,%.17g,%.17g,%.17g\n" % v
-                              for mu, v in zip(points, values))
+            for lam, column, dists in zip(points,
+                                          self.entries.reshape(n, n),
+                                          self.distances.reshape(n, n)):
+                # Scalar abs per entry: np.abs on the array can differ
+                # from it in the last digit, and the file is kept bitwise
+                # stable.
+                fh.writelines(lam + mu + "%.17g,%.17g,%.17g,%.17g\n" % (
+                    e.real, e.imag, abs(e), d)
+                    for mu, e, d in zip(points, column, dists))
 
 
 @dataclass(frozen=True)
@@ -204,6 +225,43 @@ class SparsityReport:
 def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     """Assemble <T g_lambda, g_mu> for all lattice pairs.
 
+    An operator that carries its matrix and no multiplier, on a Gaussian
+    window, takes the closed form (metaplectic._covariant_entries),
+    written straight into the lambda-major entries BLOCK_ATOMS lambdas at
+    a time; its entries hold no subnormal part. Any other operator or
+    window takes the quadrature (_quadrature_entries), with its noise
+    near 1e-14 of the peak. chi, the flags and the distances are the same
+    on both paths.
+    """
+    grid, pts = frame.grid, frame.lattice.as_array()
+    n = len(pts)
+    # First, so a degenerate operator or a Newton failure is refused
+    # before any entry is computed.
+    chi = canonical_map(op, pts)
+    if _has_closed_form(op, frame.window):
+        entries = np.empty((n, n), dtype=complex)
+        for lo in range(0, n, BLOCK_ATOMS):
+            block = slice(lo, lo + BLOCK_ATOMS)
+            _covariant_entries(op._matrix, frame.window.width, pts[block],
+                               pts, out=entries[block])
+        entries = entries.ravel()
+    else:
+        entries = _quadrature_entries(op, frame)
+
+    flags = ((np.abs(chi[:, 0]) > grid.half_width - RELIABLE_MARGIN)
+             | (np.abs(chi[:, 1]) > grid.freq_half_width - RELIABLE_MARGIN))
+    dist = pts[None, :, 0] - chi[:, 0, None]
+    np.hypot(dist, pts[None, :, 1] - chi[:, 1, None], out=dist)
+
+    return GaborMatrix(
+        operator_name=op.name, grid=grid, window=frame.window,
+        lattice=frame.lattice, entries=entries, distances=dist.ravel(),
+        chi=chi, flags=flags)
+
+
+def _quadrature_entries(op: FioOperator, frame: GaborFrame) -> np.ndarray:
+    """<T g_lambda, g_mu> by quadrature, flat and lambda-major.
+
     The frame's atoms are built on the doubled grid and go through the
     operator one block of whole lattice times at a time (BLOCK_ATOMS
     atoms or fewer, but at least one lattice time). Each block's outputs
@@ -212,13 +270,11 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     block and x, written straight into the lambda-major entries. The
     conjugated analysis atoms are held over those rows only, and every
     shift and modulation is computed once per call (gabor._atom_factors).
+    Callers check nondegeneracy.
     """
-    grid, pad = frame.grid, frame.grid.doubled()
+    pad = frame.grid.doubled()
     pts = frame.lattice.as_array()
     n = len(pts)
-    # First, so a degenerate operator or a Newton failure is refused
-    # before the apply.
-    chi = canonical_map(op, pts)
     shifted, _, waves, _ = _atom_factors(frame.window, pad, pts)
     # A Lattice lists every w for each x in turn, so the atom at the k-th
     # x and j-th w is column k n_w + j, and a run of times is a run of
@@ -246,16 +302,7 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
                       out=entries[block, k * n_w:(k + 1) * n_w])
         del t_atoms  # before the next block's buffer is allocated
     entries *= pad.spacing
-
-    flags = ((np.abs(chi[:, 0]) > grid.half_width - RELIABLE_MARGIN)
-             | (np.abs(chi[:, 1]) > grid.freq_half_width - RELIABLE_MARGIN))
-    dist = pts[None, :, 0] - chi[:, 0, None]
-    np.hypot(dist, pts[None, :, 1] - chi[:, 1, None], out=dist)
-
-    return GaborMatrix(
-        operator_name=op.name, grid=grid, window=frame.window,
-        lattice=frame.lattice, entries=entries.ravel(),
-        distances=dist.ravel(), chi=chi, flags=flags)
+    return entries.ravel()
 
 
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,

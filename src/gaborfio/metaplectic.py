@@ -18,8 +18,11 @@ a-block vanishes and construction is refused with the distance to the
 singular time.
 
 For a Gaussian window the operator's Gabor matrix is a closed-form
-Gaussian about the graph of mat (Cordero, Nicola and Rodino 2009):
-metaplectic_law, the oracle for assembled matrices.
+Gaussian about the graph of mat (Cordero, Nicola and Rodino 2009), in
+two independent forms: metaplectic_law, its modulus from the overlap of
+two phase-space Gaussians, and _covariant_entries, its complex entries
+from the operator's covariance with time-frequency shifts, which
+gmatrix.assemble fills the matrix with.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import HypothesisError, SingularTimeError
 from .fio import FioOperator, Phase
+from .gabor import ENVELOPE_FLUSH
 
 __all__ = [
     "SymplecticMatrix",
@@ -123,8 +127,9 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
     after the linear map. The identity matrix with a multiplier is the
     multiplier alone.
 
-    The operator carries mat and multiplier as given, so apply and
-    assemble run the factored quadrature and closed_map is exact.
+    The operator carries mat and multiplier as given, so apply runs the
+    factored quadrature, closed_map is exact, and without a multiplier
+    gmatrix.assemble takes the closed form on a Gaussian window.
 
     Requires |a| >= BLOCK_FLOOR: the generating-phase representation
     breaks down when the upper-left block degenerates.
@@ -190,6 +195,17 @@ def harmonic_oscillator(t: float) -> FioOperator:
     return build_metaplectic(rotation_matrix(t), name=f"harmonic:{t}")
 
 
+def _has_closed_form(op: FioOperator, window) -> bool:
+    """Whether op's Gabor matrix on window is known in closed form.
+
+    So it is for the operator of a matrix with no multiplier on a
+    gaussian window: metaplectic_law gives its modulus and
+    _covariant_entries its entries.
+    """
+    return (op._matrix is not None and op.multiplier is None
+            and window.kind == "gaussian")
+
+
 def metaplectic_law(op: FioOperator, lattice, window):
     """Closed-form |<T g_lambda, g_mu>|, flat and lambda-major, or None.
 
@@ -202,7 +218,7 @@ def metaplectic_law(op: FioOperator, lattice, window):
     entry, 24 while evaluated. None unless op carries its matrix and no
     multiplier and window is a Gaussian.
     """
-    if op._matrix is None or op.multiplier or window.kind != "gaussian":
+    if not _has_closed_form(op, window):
         return None
     mat, width, pts = op._matrix.as_array(), window.width, lattice.as_array()
     sig_g = np.diag([width, 1.0 / width]) / (4.0 * np.pi)
@@ -214,3 +230,50 @@ def metaplectic_law(op: FioOperator, lattice, window):
     law *= (math.sqrt(width / 2.0) * (2.0 * np.pi) ** -0.5
             * np.linalg.det(sig) ** -0.25)
     return law.ravel()
+
+
+def _covariant_entries(mat: SymplecticMatrix, width: float, lambdas, mus,
+                       out: np.ndarray) -> None:
+    """Closed-form complex <T g_lambda, g_mu> into out, lambda-major.
+
+    T is the operator of A = mat without a multiplier, g the
+    gaussian(width) window and g_lambda(t) = g(t - x) exp(2 pi i w t) for
+    lambda = (x, w); out has one row per lambda and one column per mu. By
+    the covariance T rho(lambda) = rho(A lambda) T, with
+    rho(x, w) = exp(-pi i x w) M_w T_x (Folland 1989, ch. 4), and with
+    (x', w') = A lambda,
+    <T g_lambda, g_mu> = exp(pi i (x w - x' w')) exp(2 pi i (w' - w_mu) x')
+    V_g(T g)(mu - A lambda).
+    T g is a constant times exp(-pi beta t^2), beta = -i tau' for the
+    window's tau = i / width moved by the Moebius map
+    tau' = (c + d tau) / (a + b tau). With gamma = 1 / width and
+    p = beta + gamma, V_g(T g)(z) is its value at z = 0 times
+    exp(-pi (gamma beta z_x^2 + 2 i gamma z_x z_w + z_w^2) / p).
+    That Gaussian is evaluated in z = mu - A lambda: expanded in
+    (lambda, mu) instead, its terms reach about 100 and cancel. Real and
+    imaginary parts below gabor.ENVELOPE_FLUSH times the entries' peak
+    are set to 0, as subnormal operands slow the BLAS products the
+    matrix enters. Holds a few float and complex temporaries of out's
+    shape.
+    """
+    (a, b), (c, d) = mat.entries
+    gam = 1.0 / width
+    beta = complex(d * gam, -c) / complex(a, b * gam)
+    p = beta + gam
+    # The value at z = 0, |a|^(-1/2) sqrt(width / (width + i b / a))
+    # p^(-1/2), whose modulus is the entries' peak. Principal branches:
+    # |a| + i sgn(a) b / width and p have positive real parts.
+    scale = (complex(abs(a), math.copysign(1.0, a) * b * gam) * p) ** -0.5
+    q_xx = -np.pi * gam * beta / p
+    q_xw = -2j * np.pi * gam / p
+    q_ww = -np.pi / p
+    x, w = lambdas[:, 0, None], lambdas[:, 1, None]
+    x_out, w_out = a * x + b * w, c * x + d * w
+    zx, zw = mus[:, 0] - x_out, mus[:, 1] - w_out
+    np.multiply(q_xx * zx + q_xw * zw, zx, out=out)
+    out += q_ww * (zw * zw)
+    out.imag += np.pi * (x * w - x_out * w_out) - 2.0 * np.pi * zw * x_out
+    np.exp(out, out=out)
+    out *= scale
+    parts = out.view(float)
+    parts[np.abs(parts) < ENVELOPE_FLUSH * abs(scale)] = 0.0

@@ -17,8 +17,9 @@ LATTICE_STEP = 2.0 ** -0.5
 TRUNCATION = 8.0
 
 # Assembled-matrix fits run with the floor lifted to 1e-12: quadrature noise
-# in the matrix entries sits around 1e-14 and poisons shells at the default
-# floor.  STFT-sample fits keep the 1e-14 default.
+# in the entries of matrices assembled by quadrature (multiplier:cos here)
+# sits around 1e-14 and poisons shells at the default floor.  STFT-sample
+# fits keep the 1e-14 default.
 MATRIX_FLOOR = 1e-12
 
 

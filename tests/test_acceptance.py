@@ -22,7 +22,7 @@ from conftest import MATRIX_FLOOR, centered_gaussian, rel_error
 
 HARMONIC = "harmonic:0.7853981633974483"
 
-# Assembled entries match the rotation law to 1.4e-14; an entry whose law
+# Assembled entries match the rotation law to 1.2e-15; an entry whose law
 # value lies this close to a threshold may fall on either side of it.
 LAW_MARGIN = 1e-12
 
@@ -30,8 +30,8 @@ LAW_MARGIN = 1e-12
 def test_criterion_1_concentration_bound(harmonic_g1_matrix):
     """Every reliable matrix entry sits under the rotated-Gaussian law.
 
-    Entries below 1e-12 are quadrature noise around the double-precision
-    floor and are exempted from the ratio check.
+    Entries below 1e-12 are exempted from the ratio check: a quadrature's
+    noise sits there, though this matrix is assembled in closed form.
     """
     m = harmonic_g1_matrix
     keep = m.unflagged() & (m.magnitudes() >= 1e-12)

@@ -136,9 +136,10 @@ def test_matrix_dump_reports_rotation_law(tmp_path, config_path):
     assert value(line, "max |entry|/law") <= 1.02
     assert abs(value(line, "peak") - 2.0 ** -0.5) <= 0.01 * 2.0 ** -0.5
     # The default gaussian:2 window: the law of the rotation, a dilation
-    # and a chirp, each to 1e-12 of its peak.
+    # and a chirp, each to 1e-12 of its peak, and of harmonic 1.5, where
+    # the quadrature on this grid missed it by 0.90.
     for operator in ([], ["metaplectic:dilation:2.0"],
-                     ["metaplectic:chirp:1.0"]):
+                     ["metaplectic:chirp:1.0"], ["harmonic:1.5"]):
         [line] = law_lines(operator, config_path)
         assert value(line, "max |entry - law|/peak") <= 1e-12, operator
     # No law covers a multiplier or a Hermite window.
@@ -390,9 +391,9 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("command, memory, code", [
     ("propagate", 36, 2), ("decay-fit", 36, 0), ("sparsity", 36, 0),
-    ("decay-fit", 24, 0), ("gabor-matrix", 36, 2)],
+    ("decay-fit", 24, 0), ("gabor-matrix", 36, 2), ("decay-fit", 23, 2)],
     ids=["propagate-2", "decay-fit-0", "sparsity-0", "decay-fit-0-block",
-         "gabor-matrix-2"])
+         "gabor-matrix-2", "decay-fit-2-distances"])
 def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
                                         command, memory, code):
     # 1089 lattice points: the dense matrix takes 16 bytes per entry and
@@ -401,10 +402,11 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     # analysis atoms and the dual-window system all fit; only the copy
     # does not, and only propagate builds it. Nor does gabor-matrix's
     # law report, 34 bytes more per entry. At 24 bytes per entry
-    # (28.5 MB) the matrix (19.0 MB) still fits, and so does assemble:
-    # its 128-atom block with its apply buffer takes 6.3 MB and its
-    # analysis atoms at most 17.8 MB. An apply buffer of all 1089 atoms
-    # on the doubled grid would take 35.7 MB.
+    # (28.5 MB) the matrix (19.0 MB) and its 8-byte distances just fit,
+    # and so does assemble: its 128-atom block with its apply buffer
+    # takes 6.3 MB and its analysis atoms at most 17.8 MB. An apply
+    # buffer of all 1089 atoms on the doubled grid would take 35.7 MB. At
+    # 23 bytes per entry only the matrix with its distances does not fit.
     n_lattice = 33 ** 2
     real_sysconf = os.sysconf
     fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory * n_lattice ** 2}
@@ -419,8 +421,9 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert got == code, err
     if code:
-        extra = ("magnitude-ordered copy" if command == "propagate"
-                 else "law report")
+        extra = {"propagate": "magnitude-ordered copy",
+                 "gabor-matrix": "law report",
+                 "decay-fit": "distances"}[command]
         assert "frame.truncation" in err and extra in err
 
 

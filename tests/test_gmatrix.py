@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 import gaborfio as gf
 from gaborfio.fio import _apply_columns, _dense_columns
 from gaborfio.fitting import shell_decay_fit
-from gaborfio.gabor import _atom_matrix, _atom_rows
+from gaborfio.gabor import ENVELOPE_FLUSH, _atom_matrix, _atom_rows
+from gaborfio.gmatrix import _quadrature_entries
 from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION,
                       centered_gaussian, rel_error)
 
@@ -64,12 +66,14 @@ def test_harmonic_matrix_closed_form(harmonic_matrix):
                  id="chirp:1.0"),
     pytest.param("metaplectic:chirp:1.5", gf.chirp_matrix(1.5),
                  id="chirp:1.5"),
-])
+] + [pytest.param(f"harmonic:{t}", gf.rotation_matrix(t), id=f"harmonic:{t}")
+     for t in (1.25, 1.3, 1.4, 1.5, 1.55)])
 def test_metaplectic_matrix_closed_form(matrices, g2_frame, spec, mat):
     # The law of the rotation case above, for the other metaplectic
-    # matrices, on their unflagged columns; measured agreement is 3.2e-14
-    # at worst (dilation 0.5). The doubled grid's sum holds at dilations
-    # 0.5 and 0.4, where a sum over the frame's own grid aliases.
+    # matrices, on their unflagged columns; measured agreement is 1.5e-15
+    # at worst. The harmonic times from 1.25 on are past what the doubled
+    # grid's quadrature resolves: it missed the law there by 1.5e-4 to
+    # 1.0 of the peak, with no column flagged.
     m = (matrices[spec] if spec in matrices
          else gf.assemble(gf.parse_operator(spec), g2_frame))
     law = gf.metaplectic_law(gf.build_metaplectic(mat), m.lattice, m.window)
@@ -102,6 +106,60 @@ def test_cos_multiplier_matrix_closed_form(matrices):
     assert np.max(np.abs(m.entries - law.ravel())) <= 1e-12
 
 
+COVARIANT = ("identity", "metaplectic:chirp:1.0", "multiplier:poly:0.3",
+             "metaplectic:dilation:2.0", "harmonic:0.7853981633974483",
+             "metaplectic:dilation:-0.5", "harmonic:1.2")
+
+
+@pytest.mark.parametrize("width", [1.0, 2.0])
+@pytest.mark.parametrize("name", COVARIANT)
+def test_covariant_assembly_matches_quadrature(grid, width, name):
+    """The closed form against the quadrature it replaces in assemble.
+
+    Complex entries, phases included, agree to 1e-12 of the peak on
+    unflagged columns (measured <= 1.7e-13, at harmonic 1.2); flagged
+    columns differ where the quadrature's grid truncates them. No real
+    or imaginary part of the closed form is subnormal: parts under
+    ENVELOPE_FLUSH times the peak are 0.
+    """
+    frame = gf.GaborFrame(gf.gaussian(width), gf.make_lattice(
+        LATTICE_STEP, LATTICE_STEP, TRUNCATION), grid)
+    op = gf.parse_operator(name)
+    m = gf.assemble(op, frame)
+    quad = _quadrature_entries(op, frame)
+    keep = m.unflagged()
+    peak = np.max(np.abs(quad))
+    assert np.max(np.abs(m.entries - quad)[keep]) <= 1e-12 * peak
+    parts = np.abs(m.entries.view(float))
+    assert not np.any((parts > 0) & (parts < ENVELOPE_FLUSH * peak))
+    assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("window, name", [
+    ("gaussian:2", "multiplier:cos"), ("hermite:1:2", "harmonic:0.8")])
+def test_assembly_outside_the_closed_form_is_the_quadrature(grid, window,
+                                                            name):
+    # A multiplier and a Hermite window have no closed form: assemble
+    # returns the quadrature's entries bitwise.
+    frame = gf.GaborFrame(gf.parse_window(window),
+                          gf.make_lattice(0.5, 0.5, 6.0), grid)
+    op = gf.parse_operator(name)
+    assert np.array_equal(gf.assemble(op, frame).entries,
+                          _quadrature_entries(op, frame))
+
+
+@pytest.mark.parametrize("t", [0.3, 0.7853981633974483, 1.2, 1.4,
+                               math.pi / 2 - 0.01])
+def test_covariant_assembly_matches_law_on_every_column(g2_frame, t):
+    # Two independent closed forms, the covariance and the overlap of
+    # phase-space Gaussians, on flagged columns too and up to 0.01 from
+    # the caustic; measured <= 1.6e-15 of the peak.
+    op = gf.harmonic_oscillator(t)
+    m = gf.assemble(op, g2_frame)
+    law = gf.metaplectic_law(op, m.lattice, m.window)
+    assert np.max(np.abs(m.magnitudes() - law)) <= 1e-14 * np.max(law)
+
+
 @pytest.mark.parametrize("name", list(gf.shipped_operator_names()) + [
     "harmonic:1.2", "harmonic:1.3", "metaplectic:dilation:0.6",
     "metaplectic:dilation:-0.5"])
@@ -109,17 +167,18 @@ def test_factored_quadrature_matches_dense(g2_frame, name):
     """The chirp-z path against the dense kernel on the same sum.
 
     The dense side is the Gram product of the atoms with the dense
-    kernel's output. Matrices agree to 1e-12 of their peak (measured
-    <= 1.0e-13). fio.apply of an f on the frame's grid is the same sum
-    on the doubled grid, read on f's rows: it agrees with the dense
-    kernel there to 1e-12 relative (measured <= 2.0e-13).
+    kernel's output; the fast side is the quadrature assemble takes for
+    operators outside the closed form. Matrices agree to 1e-12 of their
+    peak (measured <= 1.0e-13). fio.apply of an f on the frame's grid is
+    the same sum on the doubled grid, read on f's rows: it agrees with
+    the dense kernel there to 1e-12 relative (measured <= 2.0e-13).
     """
     op = gf.parse_operator(name)
     assert op._matrix is not None
     grid = g2_frame.grid
     pad = grid.doubled()
     atoms = _atom_matrix(g2_frame.window, pad, g2_frame.lattice.as_array())
-    fast = gf.assemble(op, g2_frame).entries
+    fast = _quadrature_entries(op, g2_frame)
     slow = (pad.spacing * atoms.conj().T
             @ _dense_columns(op, pad, atoms)).T.ravel()
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
@@ -136,7 +195,8 @@ def test_factored_quadrature_matches_dense(g2_frame, name):
 @pytest.mark.parametrize("spec", ["gaussian:1", "gaussian:2", "hermite:2:2",
                                   "hermite:8:2"])
 def test_atom_local_product_matches_full_gram(grid, spec):
-    """assemble pairs each atom only over the rows its window reaches.
+    """The quadrature pairs each atom only over the rows its window
+    reaches.
 
     The oracle is the full Gram product conj(A^T conj(T A)) of the same
     atoms over every row of the doubled grid. They agree to 1e-14 of the
@@ -152,7 +212,8 @@ def test_atom_local_product_matches_full_gram(grid, spec):
     atoms = _atom_matrix(window, pad, pts)
     full = pad.spacing * (atoms.T @ _apply_columns(op, pad, atoms).conj()
                           ).conj()
-    local = gf.assemble(op, frame).dense()
+    n = len(pts)
+    local = _quadrature_entries(op, frame).reshape(n, n).T
     assert np.max(np.abs(local - full)) <= 1e-14 * np.max(np.abs(full))
     rows = _atom_rows(window.evaluate(pad.times()[:, None]
                                       - np.unique(pts[:, 0])))
@@ -160,7 +221,7 @@ def test_atom_local_product_matches_full_gram(grid, spec):
 
 
 def _unblocked_entries(op, frame):
-    """assemble's sum with every atom built and applied at once.
+    """The quadrature's sum with every atom built and applied at once.
 
     The whole atom matrix on the doubled grid goes through one
     _apply_columns; each lattice time's atoms are then paired with every
@@ -195,20 +256,21 @@ def _unblocked_entries(op, frame):
 ])
 def test_blocked_assembly_is_bitwise_unblocked(grid, spec, alpha, beta,
                                                truncation, name):
-    """assemble, a block of lattice times at a time, sums exactly as the
-    whole lattice at once: each column's apply and each entry's product
-    run the same operations in the same order."""
+    """The quadrature, a block of lattice times at a time, sums exactly
+    as the whole lattice at once: each column's apply and each entry's
+    product run the same operations in the same order."""
     frame = gf.GaborFrame(gf.parse_window(spec),
                           gf.Lattice(alpha, beta, truncation, truncation),
                           grid)
     op = gf.parse_operator(name)
-    assert np.array_equal(gf.assemble(op, frame).entries,
+    assert np.array_equal(_quadrature_entries(op, frame),
                           _unblocked_entries(op, frame))
 
 
 def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     """assemble's traced peak, less the arrays it returns, on the
-    reference frame (2N = 2048, 23 x 23 lattice).
+    reference frame (2N = 2048, 23 x 23 lattice), for an operator that
+    takes the quadrature.
 
     What it holds besides its output: one block's atoms and the apply's
     buffer of twice their rows, 48 (2N) BLOCK_ATOMS bytes (12 MiB); the
@@ -218,7 +280,7 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     That sums to 18.7 MiB; measured 15.3 MiB. Atoms and buffer for the
     whole lattice at once left 53.9 MiB.
     """
-    op = gf.parse_operator("harmonic:0.8")
+    op = gf.parse_operator("multiplier:cos")
     pad = g2_frame.grid.doubled()
     pts = g2_frame.lattice.as_array()
     n, xs = len(pts), np.unique(pts[:, 0])
@@ -235,6 +297,34 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
         tracemalloc.stop()
     returned = sum(a.nbytes for a in (m.entries, m.distances, m.chi,
                                       m.flags))
+    assert peak - returned <= bound, (peak - returned) / 2 ** 20
+
+
+def test_covariant_assembly_transient_memory_is_one_block():
+    """assemble's traced peak, less the arrays it returns, on the closed
+    form: 1089 lattice points (a 33 x 33 lattice).
+
+    What it holds besides its output: one |L|^2 float temporary of the
+    distances (9.0 MiB) and the closed form's temporaries for
+    BLOCK_ATOMS lambdas, 96 BLOCK_ATOMS |L| bytes at most (12.8 MiB), 21.8
+    MiB in all; measured 9.2 MiB. One more |L|^2 complex array would add
+    18.1 MiB.
+    """
+    frame = gf.GaborFrame(gf.gaussian(2.0), gf.make_lattice(
+        LATTICE_STEP, LATTICE_STEP, 12.0), gf.Grid(1, 1156, 34.0))
+    op = gf.parse_operator("harmonic:0.8")
+    n = len(frame.lattice)
+    bound = 96 * gf.gmatrix.BLOCK_ATOMS * n + 8 * n * n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = gf.assemble(op, frame)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (m.entries, m.distances, m.chi,
+                                      m.flags))
+    assert n == 1089
     assert peak - returned <= bound, (peak - returned) / 2 ** 20
 
 
@@ -313,6 +403,21 @@ def test_matrix_csv_schema(tmp_path):
     assert lines[0] == "lambda1,lambda2,mu1,mu2,re,im,abs,dist"
     assert len(lines) == len(m) + 1
     assert len(lines[1].split(",")) == 8
+
+
+def test_matrix_csv_formats_one_column_at_a_time():
+    # 625 lattice points, 390,625 rows. A list of one scalar abs per
+    # entry took 12.8 MB (32.7 bytes per entry) on top of the matrix;
+    # one lambda's rows at a time peak at 0.09 MB.
+    m = _synthetic_matrix(truncation=8.5)
+    assert m.n_lattice == 625
+    tracemalloc.start()
+    try:
+        m.to_csv(os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 # ------------------------------------------------------------ decay fits
