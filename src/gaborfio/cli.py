@@ -227,12 +227,24 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     for its law report, 34 bytes more: the law and the magnitudes (8
     each), two masks (1 each) and two float temporaries (16), after the
     law's evaluation took 24 (metaplectic_law). GaborMatrix.to_csv holds
-    one lambda's rows at a time, which is not charged. The commands that
+    one lambda's rows at a time, which is not charged. decay-fit and
+    sparsity pay for the fits, 58 bytes more: the distances and
+    magnitudes of unflagged entries that every fit reads (16), and the
+    censoring of their shells at its peak (42): the samples past the
+    exclusion radius and their mask (17), their shell indices (8), the
+    above-floor mask (1), and the shell indices and log magnitudes of the
+    above-floor samples (16). The clean-shell samples it keeps (16 at
+    most), the envelope calibration and sparsity_curve's block of rows
+    come after it and take less. Traced on 1089 points, decay-fit peaks at
+    76 bytes per entry, all allocations counted; with every sample above
+    the floor and in a clean shell (multiplier:cos at floor 1e-300), at
+    83, of which these arrays are 82. decay-fit over several operators
+    releases each matrix before it assembles the next. The commands that
     assemble hold one block of at most max(BLOCK_ATOMS, frequencies per
     lattice time) atoms on the doubled grid at a time, with the factored
-    apply's buffer of twice as many rows: 48 (2N) bytes per atom. They also hold the
-    conjugated analysis atoms of the whole lattice over the rows their
-    window reaches, at most all 2N. frame-check and propagate hold the
+    apply's buffer of twice as many rows: 48 (2N) bytes per atom. They
+    also hold the conjugated analysis atoms of the whole lattice over the
+    rows their window reaches, at most all 2N. frame-check and propagate hold the
     frame's atoms and its dual's, N x |L| each, on the frame's grid. The
     canonical dual's Wexler-Raz system on the doubled grid
     (gabor._wexler_raz_dual) holds one complex row per adjoint point
@@ -264,6 +276,8 @@ def _check_sizes(exp: Experiment, command: str) -> None:
         matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 64
     elif command == "gabor-matrix":
         matrix, per_entry = f"{matrix} and its law report", 58
+    elif command in ("decay-fit", "sparsity"):
+        matrix, per_entry = f"{matrix} and its fits' samples and shells", 82
     sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
               f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2)]
     if assembles:
@@ -417,6 +431,9 @@ def _run_decay_fit(exp: Experiment, args) -> None:
                 exclusion_radius=exp.exclusion_radius)
             print(f"  restricted s={s_fixed:.1f}: epsilon={eps:.4f} "
                   f"r2={r2:.5f}")
+        # Before the next assemble: with its fits' caches, up to 56 bytes
+        # per entry (_check_sizes).
+        del matrix
 
 
 def _run_sparsity(exp: Experiment, args) -> None:

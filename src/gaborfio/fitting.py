@@ -9,11 +9,21 @@ censored entirely: a shell mean taken over only the surviving samples would
 be biased upward. Ties in the residual scan resolve toward the smallest s.
 A fit at an imposed order is the same scan over a one-element s grid.
 Shell sums are np.bincount over the shell index floor(r / 0.5).
+
+A fit is two steps: censor_shells groups and censors the samples once,
+keeping only the samples of clean shells, and scan_orders runs the s scan
+on that result, so fits at several orders can share one censoring.
+
+Per-row sparsity profiles fit each row's descending-sorted magnitudes
+against the rank n**exponent (sorted_tail_fits). Every row shares the
+abscissae, so all rows are fitted at once: the rows are sorted BLOCK_ROWS
+at a time, and each row's two-parameter line comes in closed form from
+sums masked to its own count of entries above the floor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,13 +32,24 @@ from .errors import InsufficientDataError, NoSignalError
 __all__ = [
     "DEFAULT_S_GRID",
     "SHELL_WIDTH",
+    "CensoredShells",
     "ShellFit",
+    "censor_shells",
+    "scan_orders",
     "shell_decay_fit",
-    "sorted_tail_fit",
+    "sorted_tail_fits",
 ]
 
 DEFAULT_S_GRID = tuple(np.round(np.arange(0.40, 2.0001, 0.05), 2))
 SHELL_WIDTH = 0.5
+
+# sorted_tail_fits sorts this many rows at a time, so it holds one block's
+# copy of the rows and a few temporaries of that size, never a sorted copy
+# of them all. At 128 rows the temporaries (0.5 MB each on the reference
+# frame) left the heap of a CLI process running every subcommand in turn
+# 4.7 MiB larger on two of six benchmark seeds; at 32 on none, at the
+# same speed.
+BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -56,10 +77,15 @@ def _censored_shells(dist, mags, floor):
     idx = np.floor(dist / SHELL_WIDTH).astype(np.intp)
     ok = mags >= floor
     counts = np.bincount(idx)
-    clean = (counts > 0) & (np.bincount(idx[~ok], minlength=counts.size)
-                            == 0)
-    log_sums = np.bincount(idx[ok], weights=np.log(mags[ok]),
-                           minlength=counts.size)
+    # A shell is clean when all its samples are at or above the floor,
+    # counted over those samples only: far from the graph they are the
+    # few.
+    idx_ok = idx[ok]
+    clean = (counts > 0) & (np.bincount(idx_ok, minlength=counts.size)
+                            == counts)
+    logs = mags[ok]
+    np.log(logs, out=logs)
+    log_sums = np.bincount(idx_ok, weights=logs, minlength=counts.size)
     return idx, clean, counts, log_sums[clean] / counts[clean]
 
 
@@ -82,16 +108,39 @@ def _line_fit(xs, ys):
     return eps, float(coef[0]) + eps * centre, ssr, r2
 
 
-def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
-                    s_grid=None, min_samples=50) -> ShellFit:
-    """Scan the s grid, fit each candidate, keep the smallest residual.
+@dataclass(frozen=True, eq=False)
+class CensoredShells:
+    """Samples grouped into radial shells, shells touching the floor dropped.
+
+    n_samples counts the samples at or above floor. clean masks the
+    clean shells among all shell indices; counts and ybars hold each clean
+    shell's sample count and mean log magnitude. dist and idx are the
+    distances and shell indices of the samples in clean shells, in input
+    order: the only samples the s scan reads.
+    """
+
+    floor: float
+    n_samples: int
+    clean: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    ybars: np.ndarray = field(repr=False)
+    dist: np.ndarray = field(repr=False)
+    idx: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for arr in (self.clean, self.counts, self.ybars, self.dist,
+                    self.idx):
+            arr.flags.writeable = False
+
+
+def censor_shells(dist, mags, *, floor, exclusion_radius=None
+                  ) -> CensoredShells:
+    """The censoring step of shell_decay_fit, shared by fits at any order.
 
     dist and mags are flat arrays of radial distances and magnitudes.
     Samples closer than exclusion_radius are dropped first (near-field
     plateau); samples below floor never enter a fit. Raises NoSignalError
-    when nothing survives the floor, InsufficientDataError when fewer
-    than min_samples do or fewer than three shells stay clean, and
-    ValueError when an s in the grid is so small that r**(1/s) overflows.
+    when nothing survives the floor.
     """
     dist = np.asarray(dist, dtype=float).ravel()
     mags = np.asarray(mags, dtype=float).ravel()
@@ -102,49 +151,123 @@ def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
     if n_above == 0:
         raise NoSignalError("no signal: all samples below floor "
                             f"{floor:g}")
-    if n_above < min_samples:
-        raise InsufficientDataError(
-            f"insufficient data: {n_above} samples above floor {floor:g}, "
-            f"need {min_samples}")
     idx, clean, counts, ybars = _censored_shells(dist, mags, floor)
-    if len(ybars) < 3:
-        raise InsufficientDataError(
-            f"insufficient data: only {len(ybars)} clean shells")
     in_clean = clean[idx]
-    dist, idx, counts = dist[in_clean], idx[in_clean], counts[clean]
+    return CensoredShells(floor, n_above, clean, counts[clean], ybars,
+                          dist[in_clean], idx[in_clean])
+
+
+def scan_orders(shells: CensoredShells, *, s_grid=None,
+                min_samples=50) -> ShellFit:
+    """Scan the s grid over censored shells, keep the smallest residual.
+
+    Raises InsufficientDataError when fewer than min_samples samples are
+    at or above the floor or fewer than three shells stay clean, and
+    ValueError when an s in the grid is so small that r**(1/s) overflows.
+    """
+    if shells.n_samples < min_samples:
+        raise InsufficientDataError(
+            f"insufficient data: {shells.n_samples} samples above floor "
+            f"{shells.floor:g}, need {min_samples}")
+    if len(shells.ybars) < 3:
+        raise InsufficientDataError(
+            f"insufficient data: only {len(shells.ybars)} clean shells")
     best = None
     for s in (s_grid if s_grid is not None else DEFAULT_S_GRID):
         with np.errstate(over="ignore"):
-            xs = np.bincount(idx, weights=dist ** (1.0 / s),
-                             minlength=clean.size)[clean] / counts
+            xs = np.bincount(shells.idx, weights=shells.dist ** (1.0 / s),
+                             minlength=shells.clean.size)[
+                                 shells.clean] / shells.counts
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"s_grid value {s:g} is too small: d**(1/s) "
                              "overflows")
-        eps, logc, ssr, r2 = _line_fit(xs, ybars)
+        eps, logc, ssr, r2 = _line_fit(xs, shells.ybars)
         if best is None or ssr < best[0] - 1e-15:
             best = (ssr, float(s), eps, logc, r2)
     _, s_hat, eps, logc, r2 = best
-    return ShellFit(s_hat, eps, logc, r2, n_above)
+    return ShellFit(s_hat, eps, logc, r2, shells.n_samples)
 
 
-def sorted_tail_fit(mags, exponent, *, floor):
-    """Fit log of the descending-sorted magnitudes against n**exponent.
+def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
+                    s_grid=None, min_samples=50) -> ShellFit:
+    """Scan the s grid, fit each candidate, keep the smallest residual.
 
-    n counts from 1. Returns (epsilon, logc, r_squared). Used for
-    per-row sparsity profiles where the model is
-    |a|_n <= C exp(-eps n**exponent). Raises ValueError when n**exponent
-    overflows.
+    censor_shells, then scan_orders; see both for the arguments and the
+    errors raised.
     """
-    v = np.sort(np.asarray(mags, dtype=float).ravel())[::-1]
-    v = v[v >= floor]
-    if v.size < 3:
+    return scan_orders(censor_shells(dist, mags, floor=floor,
+                                     exclusion_radius=exclusion_radius),
+                       s_grid=s_grid, min_samples=min_samples)
+
+
+def sorted_tail_fits(vectors, exponent, *, floor):
+    """Fit log of each row's descending-sorted magnitudes against n**exponent.
+
+    vectors is a 2-D array, one vector of magnitudes per row; n counts
+    from 1 over a row's k entries at or above floor, and rows with k < 3
+    are skipped. The model is |a|_n <= C exp(-eps n**exponent). Rows are
+    copied and sorted BLOCK_ROWS at a time, and a block keeps only its top
+    max(k) columns. Each row's fit is _line_fit's, centred and scaled
+    alike, solved in closed form from sums masked to its first k columns.
+
+    Returns (epsilons, log_cs, r_squareds) of the fitted rows, in row
+    order. Raises InsufficientDataError when no row is fitted and
+    ValueError when n**exponent overflows.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    fits = []
+    for lo in range(0, len(vectors), BLOCK_ROWS):
+        block = np.array(vectors[lo:lo + BLOCK_ROWS], order="C")
+        above = block >= floor
+        k = np.count_nonzero(above, axis=1)
+        fitted = k >= 3
+        if not np.any(fitted):
+            continue
+        k = k[fitted]
+        # The rest, NaN included, sorts before the entries above the floor.
+        np.copyto(block, -np.inf, where=~above)
+        block.sort(axis=1)
+        fits.append(_tail_line_fits(block[fitted, -k.max():][:, ::-1], k,
+                                    exponent))
+    if not fits:
         raise InsufficientDataError(
-            f"insufficient data: {v.size} magnitudes above floor {floor:g}")
+            "no row had three entries above the floor")
+    return tuple(np.concatenate(part) for part in zip(*fits))
+
+
+def _tail_line_fits(top, k, exponent):
+    """_line_fit of log top[i, :k[i]] against n**exponent, for every row i.
+
+    top holds each row's magnitudes in descending order, at least k[i]
+    of them. Returns (epsilons, log_cs, r_squareds).
+    """
     with np.errstate(over="ignore"):
-        xs = np.arange(1, v.size + 1, dtype=float) ** exponent
+        xs = np.arange(1, top.shape[1] + 1, dtype=float) ** exponent
     if not np.isfinite(xs[-1]):
         raise ValueError(f"rank exponent {exponent:g} is too large: "
-                         f"{v.size}**{exponent:g} overflows (an s_grid "
-                         "value is too small)")
-    eps, logc, _, r2 = _line_fit(xs, np.log(v))
-    return eps, logc, r2
+                         f"{top.shape[1]}**{exponent:g} overflows (an "
+                         "s_grid value is too small)")
+    mask = np.arange(top.shape[1]) < k[:, None]
+
+    def row_sums(a):
+        return np.sum(a, axis=1, where=mask)
+
+    # As in _line_fit: the centre sums xs / k, and as xs is monotone in n,
+    # its largest distance from the centre is at n = 1 or n = k.
+    centre = row_sums(xs / k[:, None])
+    scale = np.maximum(np.abs(xs[k - 1] - centre), np.abs(xs[0] - centre))
+    scale[scale == 0] = 1.0
+    u = (centre[:, None] - xs) / scale[:, None]
+    ys = np.log(top, out=np.zeros_like(top), where=mask)
+    u_bar, y_bar = row_sums(u) / k, row_sums(ys) / k
+    du, dy = u - u_bar[:, None], ys - y_bar[:, None]
+    suu, suy, sst = row_sums(du * du), row_sums(du * dy), row_sums(dy * dy)
+    # All xs equal (exponent near 0) leaves u = 0: lstsq's minimum-norm
+    # solution then has no slope.
+    slope = np.divide(suy, suu, out=np.zeros_like(suu), where=suu > 0)
+    intercept = y_bar - slope * u_bar
+    resid = ys - intercept[:, None] - slope[:, None] * u
+    ssr = row_sums(resid * resid)
+    r2 = 1.0 - np.divide(ssr, sst, out=np.zeros_like(sst), where=sst > 0)
+    eps = slope / scale
+    return eps, intercept + eps * centre, r2

@@ -31,8 +31,15 @@ are flagged, kept in the matrix, and excluded from fits. chi comes from
 canonical_map on both paths, so flags and distances do not depend on
 the path.
 
-fit_decay, restricted_decay_fit (its shell fit at one order) and
-decay_bound_check read one cached sample set, GaborMatrix._fit_samples.
+fit_decay, restricted_decay_fit (its shell fit at one order),
+decay_bound_check and sparsity_curve read one cached sample set,
+GaborMatrix._fit_samples: the distances and magnitudes of the entries of
+unflagged columns, 16 bytes per entry. The shell fits censor those
+samples once per (floor, exclusion_radius) (GaborMatrix._shells), so
+fit_decay and the restricted fits after it share one pass, and the cache
+keeps only the samples of clean shells. sparsity_curve reads the cached
+magnitudes as one row per unflagged lambda, sorted a block of rows at a
+time, never a sorted copy of them all.
 
 sparse_apply reads a second cache, GaborMatrix._magnitude_order: the
 entries sorted by magnitude, with their (mu, lambda) indices, 40 bytes
@@ -52,9 +59,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError
 from .fio import FioOperator, _apply_columns, canonical_map
-from .fitting import ShellFit, shell_decay_fit, sorted_tail_fit
+from .fitting import (CensoredShells, ShellFit, censor_shells, scan_orders,
+                      sorted_tail_fits)
 from .gabor import GaborFrame, _atom_factors, _atom_rows
 from .metaplectic import _covariant_entries, _has_closed_form
 from .signals import Grid, SampledSignal
@@ -150,6 +157,19 @@ class GaborMatrix:
         for arr in samples:
             arr.flags.writeable = False
         return samples
+
+    @functools.cached_property
+    def _shell_cache(self) -> dict:
+        return {}
+
+    def _shells(self, floor, exclusion_radius) -> CensoredShells:
+        """The fit samples' censored shells, cached per (floor, radius)."""
+        key = (floor, exclusion_radius)
+        if key not in self._shell_cache:
+            self._shell_cache[key] = censor_shells(
+                *self._fit_samples, floor=floor,
+                exclusion_radius=exclusion_radius)
+        return self._shell_cache[key]
 
     @functools.cached_property
     def _magnitude_order(self) -> tuple:
@@ -318,23 +338,27 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     the peak magnitude and the rate is the largest one the peak-anchored
     envelope can afford while still dominating every sample.
     """
+    fit = scan_orders(matrix._shells(floor, exclusion_radius),
+                      s_grid=s_grid, min_samples=MIN_FIT_SAMPLES)
     dist, mags = matrix._fit_samples
-    fit = shell_decay_fit(dist, mags, floor=floor,
-                          exclusion_radius=exclusion_radius, s_grid=s_grid,
-                          min_samples=MIN_FIT_SAMPLES)
 
     above = mags >= floor
-    log_m = np.log(mags[above])
-    env_log_c = float(np.max(log_m))
-    spread = dist[above] > 1e-9
+    env_log_c = float(np.max(np.log(mags[above])))
+    # Up to one value per sample each, next to the cached shells: worked
+    # on in place, they stay under the censoring's peak.
+    spread = above & (dist > 1e-9)
     if np.any(spread):
         # At small s_hat, d**(1/s_hat) overflows (ratio 0: no positive rate
         # keeps that sample under the envelope) or underflows (floored at
         # the smallest normal float: a huge ratio, since every rate does).
         with np.errstate(over="ignore"):
-            scale = dist[above][spread] ** (1.0 / fit.s_hat)
+            scale = dist[spread]
+            scale **= 1.0 / fit.s_hat
             np.maximum(scale, np.finfo(float).tiny, out=scale)
-            ratios = (env_log_c - log_m[spread]) / scale
+            ratios = mags[spread]
+            np.log(ratios, out=ratios)
+            np.subtract(env_log_c, ratios, out=ratios)
+            ratios /= scale
         env_eps = float(max(0.0, np.min(ratios)))
     else:
         env_eps = 0.0
@@ -349,12 +373,11 @@ def restricted_decay_fit(matrix: GaborMatrix, s: float, *,
     """Decay-rate fit with the order s imposed instead of grid-searched.
 
     fit_decay's shell fit over the one-element grid (s,), on the same
-    samples and with any positive number of them. Returns
+    censored shells and with any positive number of samples. Returns
     (epsilon, log_c, r_squared) for comparing candidate orders directly.
     """
-    fit = shell_decay_fit(*matrix._fit_samples, floor=floor,
-                          exclusion_radius=exclusion_radius, s_grid=(s,),
-                          min_samples=1)
+    fit = scan_orders(matrix._shells(floor, exclusion_radius), s_grid=(s,),
+                      min_samples=1)
     return fit.epsilon_hat, fit.log_c, fit.r_squared
 
 
@@ -392,26 +415,20 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
 
     Rows are output indices mu (restricted to unflagged columns); columns
     are input indices lambda (flagged columns skipped entirely). Vectors
-    with fewer than three entries above floor are skipped.
+    with fewer than three entries above floor are skipped. All vectors
+    are fitted in one call of fitting.sorted_tail_fits, on the
+    magnitudes the fits cache (GaborMatrix._fit_samples), one block of
+    vectors at a time.
     """
     if axis not in ("rows", "cols"):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     if s_hat <= 0:
         raise ValueError("s_hat must be positive")
     exponent = 1.0 / (2.0 * s_hat)
-    dense = np.abs(matrix.dense())
-    ok_cols = ~matrix.flags
-    vectors = dense[:, ok_cols] if axis == "rows" else dense[:, ok_cols].T
-    fitted = []
-    for vec in vectors:
-        try:
-            fitted.append(sorted_tail_fit(vec, exponent, floor=floor))
-        except InsufficientDataError:
-            continue
-    if not fitted:
-        raise InsufficientDataError(
-            "no row had three entries above the floor")
-    eps, logc, r2 = map(np.asarray, zip(*fitted))
+    # One row per unflagged lambda, lambda-major like the entries.
+    by_col = matrix._fit_samples[1].reshape(-1, matrix.n_lattice)
+    vectors = by_col.T if axis == "rows" else by_col
+    eps, logc, r2 = sorted_tail_fits(vectors, exponent, floor=floor)
     return SparsityReport(exponent_used=exponent, epsilons=eps, log_cs=logc,
                           r_squareds=r2)
 

@@ -11,6 +11,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -390,8 +391,8 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize("command, memory, code", [
-    ("propagate", 36, 2), ("decay-fit", 36, 0), ("sparsity", 36, 0),
-    ("decay-fit", 24, 0), ("gabor-matrix", 36, 2), ("decay-fit", 23, 2)],
+    ("propagate", 36, 2), ("decay-fit", 100, 0), ("sparsity", 100, 0),
+    ("decay-fit", 82, 0), ("gabor-matrix", 36, 2), ("decay-fit", 81, 2)],
     ids=["propagate-2", "decay-fit-0", "sparsity-0", "decay-fit-0-block",
          "gabor-matrix-2", "decay-fit-2-distances"])
 def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
@@ -401,12 +402,13 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     # set to 36 bytes per entry, the matrix alone, assemble's block and
     # analysis atoms and the dual-window system all fit; only the copy
     # does not, and only propagate builds it. Nor does gabor-matrix's
-    # law report, 34 bytes more per entry. At 24 bytes per entry
-    # (28.5 MB) the matrix (19.0 MB) and its 8-byte distances just fit,
-    # and so does assemble: its 128-atom block with its apply buffer
-    # takes 6.3 MB and its analysis atoms at most 17.8 MB. An apply
-    # buffer of all 1089 atoms on the doubled grid would take 35.7 MB. At
-    # 23 bytes per entry only the matrix with its distances does not fit.
+    # law report, 34 bytes more per entry. decay-fit and sparsity hold the
+    # matrix, its 8-byte distances and the fits' arrays, 58 bytes more:
+    # 82 in all, so they run at 100, where neither the copy nor the law
+    # report would fit on top. At 82 bytes per entry (97.3 MB) they just
+    # fit, and so does assemble: its 128-atom block with its apply buffer
+    # takes 6.3 MB and its analysis atoms at most 17.8 MB. At 81 the
+    # matrix with its distances and the fits' arrays does not fit.
     n_lattice = 33 ** 2
     real_sysconf = os.sysconf
     fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory * n_lattice ** 2}
@@ -423,8 +425,45 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     if code:
         extra = {"propagate": "magnitude-ordered copy",
                  "gabor-matrix": "law report",
-                 "decay-fit": "distances"}[command]
+                 "decay-fit": "distances and its fits' samples"}[command]
         assert "frame.truncation" in err and extra in err
+
+
+@pytest.mark.parametrize("command, parent_peak", [
+    ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9)])
+def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
+                                                    capsys, command,
+                                                    parent_peak):
+    # Every allocation of the run traced, on the 1089-point frame above:
+    # 75.1-75.9 bytes per entry (decay-fit, sparsity) and 77.4 (all six
+    # operators, each matrix released before the next is assembled),
+    # against the 82 charged. Before the fits shared their shells, the
+    # runs peaked at parent_peak or more, against 24 charged. With
+    # physical memory set to the traced peak, the size guard must refuse
+    # the run for its matrix.
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps({
+        "grid": {"N": 512, "L": 20.0},
+        "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"),
+            *command.split()]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (33 ** 2) ** 2 <= parent_peak
+    capsys.readouterr()
+
+    real_sysconf = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak}
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: fake.get(name) or real_sysconf(name))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "frame.truncation" in err and "fits' samples" in err
 
 
 def test_large_lattice_assembles_under_a_gib(tmp_path):

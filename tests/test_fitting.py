@@ -9,7 +9,7 @@ from gaborfio.fitting import (
     SHELL_WIDTH,
     _censored_shells,
     shell_decay_fit,
-    sorted_tail_fit,
+    sorted_tail_fits,
 )
 
 
@@ -145,7 +145,60 @@ def test_sorted_tail_fit_exact():
     # Entries below the floor would bend the line if they entered the fit.
     mags = np.concatenate([np.exp(-n.astype(float)), np.full(5, 1e-20)])
     rng.shuffle(mags)
-    eps, logc, r2 = sorted_tail_fit(mags, 1.0, floor=1e-18)
-    assert abs(eps - 1.0) <= 1e-9
-    assert abs(logc) <= 1e-9
-    assert r2 > 0.999999
+    eps, logc, r2 = sorted_tail_fits(mags[None, :], 1.0, floor=1e-18)
+    assert abs(eps[0] - 1.0) <= 1e-9
+    assert abs(logc[0]) <= 1e-9
+    assert r2[0] > 0.999999
+
+
+def _row_tail_lstsq(row, exponent, floor):
+    """One row's tail fit by np.linalg.lstsq on _line_fit's design."""
+    v = np.sort(row)[::-1]
+    v = v[v >= floor]
+    xs = np.arange(1, v.size + 1, dtype=float) ** exponent
+    centre = np.sum(xs / xs.size)
+    scale = float(np.max(np.abs(xs - centre))) or 1.0
+    a = np.column_stack([np.ones_like(xs), -(xs - centre) / scale])
+    ys = np.log(v)
+    coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
+    resid = ys - a @ coef
+    r2 = 1.0 - (resid @ resid) / np.sum((ys - ys.mean()) ** 2)
+    eps = coef[1] / scale
+    return eps, coef[0] + eps * centre, r2
+
+
+@pytest.mark.parametrize("exponent", [0.3, 1.0, 1.7])
+def test_batched_tail_fits_match_per_row_lstsq(exponent):
+    # 300 rows of 60, several blocks, each row with its own count of
+    # entries above the floor (0 to 60); rows with fewer than 3 must be
+    # skipped. The rest are zeros, tiny values and NaN, which the
+    # per-row fit drops like values under the floor.
+    rng = np.random.default_rng(17)
+    floor = 1e-12
+    counts = rng.integers(0, 61, 300)
+    counts[:6] = [0, 1, 2, 3, 60, 2]
+    rows = rng.choice([0.0, 1e-15, np.nan], (300, 60))
+    for row, k in zip(rows, counts):
+        n = np.arange(1, k + 1) ** exponent
+        row[:k] = np.exp(1.5 - 0.4 * n + 0.3 * rng.standard_normal(k))
+        row[:k] = np.maximum(row[:k], floor)
+        rng.shuffle(row)
+    kept = [row for row in rows if np.count_nonzero(row >= floor) >= 3]
+    assert len(kept) == np.count_nonzero(counts >= 3)
+
+    got = sorted_tail_fits(rows, exponent, floor=floor)
+    ref = np.array([_row_tail_lstsq(row, exponent, floor) for row in kept]).T
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=0)
+
+
+def test_batched_tail_fits_errors():
+    rows = np.full((5, 10), 1e-20)
+    rows[:, :2] = 1.0
+    with pytest.raises(gf.InsufficientDataError):
+        sorted_tail_fits(rows, 1.0, floor=1e-14)
+    # Rank 100 raised to 160 overflows.
+    rows = np.exp(-np.arange(100.0))[None, :].repeat(3, axis=0)
+    with pytest.raises(ValueError, match="s_grid"):
+        sorted_tail_fits(rows, 160.0, floor=0.0)
