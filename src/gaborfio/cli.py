@@ -431,7 +431,7 @@ def _run_decay_fit(exp: Experiment, args) -> None:
                 exclusion_radius=exp.exclusion_radius)
             print(f"  restricted s={s_fixed:.1f}: epsilon={eps:.4f} "
                   f"r2={r2:.5f}")
-        # Before the next assemble: with its fits' caches, up to 56 bytes
+        # Before the next assemble: with its fits' caches, up to 82 bytes
         # per entry (_check_sizes).
         del matrix
 

@@ -12,13 +12,17 @@ Shell sums are np.bincount over the shell index floor(r / 0.5).
 
 A fit is two steps: censor_shells groups and censors the samples once,
 keeping only the samples of clean shells, and scan_orders runs the s scan
-on that result, so fits at several orders can share one censoring.
+on that result, so fits at several orders can share one censoring. The
+scan builds each order's shell means and fits every order in one batch.
 
 Per-row sparsity profiles fit each row's descending-sorted magnitudes
-against the rank n**exponent (sorted_tail_fits). Every row shares the
-abscissae, so all rows are fitted at once: the rows are sorted BLOCK_ROWS
-at a time, and each row's two-parameter line comes in closed form from
-sums masked to its own count of entries above the floor.
+against the rank n**exponent (sorted_tail_fits). The rows are sorted
+BLOCK_ROWS at a time, and each row's line is fitted over its own count of
+entries above the floor.
+
+One closed-form kernel, _line_fits, fits every line: the s scan, the fits
+at an imposed order and the sparsity rows. It fits many lines at once,
+one per row of a mask, from sums masked to each row's entries.
 """
 
 from __future__ import annotations
@@ -67,47 +71,6 @@ class ShellFit:
                 "r2": self.r_squared, "n_points": self.n_samples}
 
 
-def _censored_shells(dist, mags, floor):
-    """Group samples into radial shells, dropping shells that hit the floor.
-
-    Returns each sample's shell index, the mask of clean shells (occupied,
-    no sample below floor), the per-shell sample counts, and the mean log
-    magnitude of each clean shell.
-    """
-    idx = np.floor(dist / SHELL_WIDTH).astype(np.intp)
-    ok = mags >= floor
-    counts = np.bincount(idx)
-    # A shell is clean when all its samples are at or above the floor,
-    # counted over those samples only: far from the graph they are the
-    # few.
-    idx_ok = idx[ok]
-    clean = (counts > 0) & (np.bincount(idx_ok, minlength=counts.size)
-                            == counts)
-    logs = mags[ok]
-    np.log(logs, out=logs)
-    log_sums = np.bincount(idx_ok, weights=logs, minlength=counts.size)
-    return idx, clean, counts, log_sums[clean] / counts[clean]
-
-
-def _line_fit(xs, ys):
-    """LS fit ys ~ logC - eps*xs. Returns (eps, logc, ssr, r_squared).
-
-    Fits on xs centred and scaled to [-1, 1], so the intercept survives
-    abscissae r**(1/s) that span many decades at small s. The centre
-    sums xs / n, which stays finite for any finite xs.
-    """
-    centre = np.sum(xs / xs.size)
-    scale = float(np.max(np.abs(xs - centre))) or 1.0
-    a = np.column_stack([np.ones_like(xs), -(xs - centre) / scale])
-    coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
-    resid = ys - a @ coef
-    ssr = float(resid @ resid)
-    sst = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-    eps = float(coef[1]) / scale
-    return eps, float(coef[0]) + eps * centre, ssr, r2
-
-
 @dataclass(frozen=True, eq=False)
 class CensoredShells:
     """Samples grouped into radial shells, shells touching the floor dropped.
@@ -147,24 +110,48 @@ def censor_shells(dist, mags, *, floor, exclusion_radius=None
     if exclusion_radius is not None:
         keep = dist >= exclusion_radius
         dist, mags = dist[keep], mags[keep]
-    n_above = int(np.count_nonzero(mags >= floor))
+    ok = mags >= floor
+    n_above = int(np.count_nonzero(ok))
     if n_above == 0:
         raise NoSignalError("no signal: all samples below floor "
                             f"{floor:g}")
-    idx, clean, counts, ybars = _censored_shells(dist, mags, floor)
+    idx = np.floor(dist / SHELL_WIDTH).astype(np.intp)
+    counts = np.bincount(idx)
+    # A shell is clean when all its samples are at or above the floor,
+    # counted over those samples only: far from the graph they are the
+    # few.
+    idx_ok = idx[ok]
+    clean = (counts > 0) & (np.bincount(idx_ok, minlength=counts.size)
+                            == counts)
+    logs = mags[ok]
+    np.log(logs, out=logs)
+    log_sums = np.bincount(idx_ok, weights=logs, minlength=counts.size)
+    del ok, idx_ok, logs  # before the clean-shell samples are gathered
     in_clean = clean[idx]
-    return CensoredShells(floor, n_above, clean, counts[clean], ybars,
-                          dist[in_clean], idx[in_clean])
+    return CensoredShells(floor, n_above, clean, counts[clean],
+                          log_sums[clean] / counts[clean], dist[in_clean],
+                          idx[in_clean])
 
 
 def scan_orders(shells: CensoredShells, *, s_grid=None,
                 min_samples=50) -> ShellFit:
-    """Scan the s grid over censored shells, keep the smallest residual.
+    """Fit every order of the s grid over censored shells in one batch.
 
-    Raises InsufficientDataError when fewer than min_samples samples are
-    at or above the floor or fewer than three shells stay clean, and
-    ValueError when an s in the grid is so small that r**(1/s) overflows.
+    Keeps the order with the smallest residual; a later order wins only
+    by more than 1e-15. Raises ValueError when the grid is empty or holds
+    an order that is not positive (NaN included) or so small that
+    r**(1/s) overflows, and InsufficientDataError when fewer than
+    min_samples samples are at or above the floor or fewer than three
+    shells stay clean.
     """
+    orders = np.asarray(DEFAULT_S_GRID if s_grid is None else s_grid,
+                        dtype=float)
+    if orders.ndim != 1 or orders.size == 0:
+        raise ValueError("s_grid must be a non-empty sequence of orders, "
+                         f"got {s_grid!r}")
+    for s in orders:
+        if not s > 0:
+            raise ValueError(f"s_grid value {s:g} is not a positive order")
     if shells.n_samples < min_samples:
         raise InsufficientDataError(
             f"insufficient data: {shells.n_samples} samples above floor "
@@ -172,20 +159,24 @@ def scan_orders(shells: CensoredShells, *, s_grid=None,
     if len(shells.ybars) < 3:
         raise InsufficientDataError(
             f"insufficient data: only {len(shells.ybars)} clean shells")
-    best = None
-    for s in (s_grid if s_grid is not None else DEFAULT_S_GRID):
+    # Each order's shell means of r**(1/s), one row per order.
+    xs = np.empty((orders.size, shells.ybars.size))
+    for s, row in zip(orders, xs):
         with np.errstate(over="ignore"):
-            xs = np.bincount(shells.idx, weights=shells.dist ** (1.0 / s),
-                             minlength=shells.clean.size)[
-                                 shells.clean] / shells.counts
-        if not np.all(np.isfinite(xs)):
+            sums = np.bincount(shells.idx, weights=shells.dist ** (1.0 / s),
+                               minlength=shells.clean.size)
+        np.divide(sums[shells.clean], shells.counts, out=row)
+        if not np.all(np.isfinite(row)):
             raise ValueError(f"s_grid value {s:g} is too small: d**(1/s) "
                              "overflows")
-        eps, logc, ssr, r2 = _line_fit(xs, shells.ybars)
-        if best is None or ssr < best[0] - 1e-15:
-            best = (ssr, float(s), eps, logc, r2)
-    _, s_hat, eps, logc, r2 = best
-    return ShellFit(s_hat, eps, logc, r2, shells.n_samples)
+    eps, logc, ssr, r2 = _line_fits(xs, shells.ybars,
+                                    np.ones(xs.shape, dtype=bool))
+    best = 0
+    for i in range(1, orders.size):
+        if ssr[i] < ssr[best] - 1e-15:
+            best = i
+    return ShellFit(float(orders[best]), float(eps[best]),
+                    float(logc[best]), float(r2[best]), shells.n_samples)
 
 
 def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
@@ -207,8 +198,8 @@ def sorted_tail_fits(vectors, exponent, *, floor):
     from 1 over a row's k entries at or above floor, and rows with k < 3
     are skipped. The model is |a|_n <= C exp(-eps n**exponent). Rows are
     copied and sorted BLOCK_ROWS at a time, and a block keeps only its top
-    max(k) columns. Each row's fit is _line_fit's, centred and scaled
-    alike, solved in closed form from sums masked to its first k columns.
+    max(k) columns, whose lines _line_fits fits at once, each row masked
+    to its first k columns.
 
     Returns (epsilons, log_cs, r_squareds) of the fitted rows, in row
     order. Raises InsufficientDataError when no row is fitted and
@@ -227,47 +218,52 @@ def sorted_tail_fits(vectors, exponent, *, floor):
         # The rest, NaN included, sorts before the entries above the floor.
         np.copyto(block, -np.inf, where=~above)
         block.sort(axis=1)
-        fits.append(_tail_line_fits(block[fitted, -k.max():][:, ::-1], k,
-                                    exponent))
+        top = block[fitted, -k.max():][:, ::-1]
+        with np.errstate(over="ignore"):
+            xs = np.arange(1, top.shape[1] + 1, dtype=float) ** exponent
+        if not np.isfinite(xs[-1]):
+            raise ValueError(f"rank exponent {exponent:g} is too large: "
+                             f"{top.shape[1]}**{exponent:g} overflows (an "
+                             "s_grid value is too small)")
+        mask = np.arange(top.shape[1]) < k[:, None]
+        ys = np.log(top, out=np.zeros_like(top), where=mask)
+        eps, logc, _, r2 = _line_fits(xs, ys, mask)
+        fits.append((eps, logc, r2))
     if not fits:
         raise InsufficientDataError(
             "no row had three entries above the floor")
     return tuple(np.concatenate(part) for part in zip(*fits))
 
 
-def _tail_line_fits(top, k, exponent):
-    """_line_fit of log top[i, :k[i]] against n**exponent, for every row i.
+def _line_fits(xs, ys, mask):
+    """LS fit ys ~ logC - eps*xs in each row, over the entries mask selects.
 
-    top holds each row's magnitudes in descending order, at least k[i]
-    of them. Returns (epsilons, log_cs, r_squareds).
+    xs and ys broadcast against the 2-D mask, each of whose rows selects
+    k >= 1 entries; entries outside the mask are finite and ignored.
+    Returns (eps, logc, ssr, r2), one value per row.
     """
-    with np.errstate(over="ignore"):
-        xs = np.arange(1, top.shape[1] + 1, dtype=float) ** exponent
-    if not np.isfinite(xs[-1]):
-        raise ValueError(f"rank exponent {exponent:g} is too large: "
-                         f"{top.shape[1]}**{exponent:g} overflows (an "
-                         "s_grid value is too small)")
-    mask = np.arange(top.shape[1]) < k[:, None]
+    k = np.count_nonzero(mask, axis=1)
 
     def row_sums(a):
-        return np.sum(a, axis=1, where=mask)
+        return np.sum(np.broadcast_to(a, mask.shape), axis=1, where=mask)
 
-    # As in _line_fit: the centre sums xs / k, and as xs is monotone in n,
-    # its largest distance from the centre is at n = 1 or n = k.
+    # Fits on xs centred and scaled to [-1, 1], so the intercept survives
+    # abscissae r**(1/s) that span many decades at small s. The centre
+    # sums xs / k, which stays finite for any finite xs.
     centre = row_sums(xs / k[:, None])
-    scale = np.maximum(np.abs(xs[k - 1] - centre), np.abs(xs[0] - centre))
+    scale = np.max(np.abs(xs - centre[:, None]), axis=1, where=mask,
+                   initial=0.0)
     scale[scale == 0] = 1.0
     u = (centre[:, None] - xs) / scale[:, None]
-    ys = np.log(top, out=np.zeros_like(top), where=mask)
     u_bar, y_bar = row_sums(u) / k, row_sums(ys) / k
     du, dy = u - u_bar[:, None], ys - y_bar[:, None]
     suu, suy, sst = row_sums(du * du), row_sums(du * dy), row_sums(dy * dy)
-    # All xs equal (exponent near 0) leaves u = 0: lstsq's minimum-norm
-    # solution then has no slope.
+    # All xs equal (1/s or the rank exponent near 0) leaves u = 0: the
+    # least-squares minimum-norm solution then has no slope.
     slope = np.divide(suy, suu, out=np.zeros_like(suu), where=suu > 0)
     intercept = y_bar - slope * u_bar
     resid = ys - intercept[:, None] - slope[:, None] * u
     ssr = row_sums(resid * resid)
     r2 = 1.0 - np.divide(ssr, sst, out=np.zeros_like(sst), where=sst > 0)
     eps = slope / scale
-    return eps, intercept + eps * centre, r2
+    return eps, intercept + eps * centre, ssr, r2

@@ -422,8 +422,8 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
     """
     if axis not in ("rows", "cols"):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    if s_hat <= 0:
-        raise ValueError("s_hat must be positive")
+    if not s_hat > 0:
+        raise ValueError(f"s_hat must be positive, got {s_hat:g}")
     exponent = 1.0 / (2.0 * s_hat)
     # One row per unflagged lambda, lambda-major like the entries.
     by_col = matrix._fit_samples[1].reshape(-1, matrix.n_lattice)

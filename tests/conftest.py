@@ -29,6 +29,24 @@ def rel_error(candidate, reference):
                  / np.linalg.norm(reference.values))
 
 
+def lstsq_line_fit(xs, ys):
+    """ys ~ logC - eps*xs by np.linalg.lstsq: the closed-form fits' oracle.
+
+    The design is the fits': xs centred on sum(xs / n) and scaled to
+    [-1, 1]. Returns (eps, logc, ssr, r2); r2 is 1 when ys is constant.
+    """
+    centre = np.sum(xs / xs.size)
+    scale = float(np.max(np.abs(xs - centre))) or 1.0
+    a = np.column_stack([np.ones_like(xs), -(xs - centre) / scale])
+    coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
+    resid = ys - a @ coef
+    ssr = float(resid @ resid)
+    sst = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ssr / sst if sst > 0 else 1.0
+    eps = float(coef[1]) / scale
+    return eps, float(coef[0]) + eps * centre, ssr, r2
+
+
 def centered_gaussian(grid, width):
     return gf.gaussian(width).sampled(grid)
 

@@ -7,10 +7,12 @@ import gaborfio as gf
 from gaborfio.fitting import (
     DEFAULT_S_GRID,
     SHELL_WIDTH,
-    _censored_shells,
+    censor_shells,
+    scan_orders,
     shell_decay_fit,
     sorted_tail_fits,
 )
+from conftest import lstsq_line_fit
 
 
 def _radial_samples(extent=6.0, step=0.25):
@@ -56,12 +58,12 @@ def test_search_grid_contents():
 def test_below_floor_sample_censors_its_shell():
     dist = _radial_samples()
     mags = np.exp(-2.0 * dist)
-    _, clean, _, _ = _censored_shells(dist, mags, 1e-14)
+    clean = censor_shells(dist, mags, floor=1e-14).clean
 
     poisoned = mags.copy()
     hit = np.argmin(np.abs(dist - 3.1))
     poisoned[hit] = 1e-300
-    _, censored, _, _ = _censored_shells(dist, poisoned, 1e-14)
+    censored = censor_shells(dist, poisoned, floor=1e-14).clean
     fit = shell_decay_fit(dist, poisoned, floor=1e-14)
     # Exactly the poisoned sample's shell disappears; the exact law still
     # comes back from the rest.
@@ -119,7 +121,7 @@ def test_bincount_shells_match_per_shell_loop():
     dist = rng.uniform(0.0, 12.0, 5000)
     mags = np.exp(-dist ** 2 / 4.0) * rng.uniform(0.5, 2.0, dist.size)
     floor = 1e-6
-    idx, clean, counts, ybars = _censored_shells(dist, mags, floor)
+    shells = censor_shells(dist, mags, floor=floor)
 
     ref_idx = np.floor(dist / SHELL_WIDTH).astype(int)
     ref_shells, ref_means, ref_counts = [], [], []
@@ -132,11 +134,54 @@ def test_bincount_shells_match_per_shell_loop():
     censored = np.unique(ref_idx[mags < floor])
     assert censored.size >= 3 and np.any(mags[
         np.isin(ref_idx, censored)] >= floor)
-    np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_array_equal(np.flatnonzero(clean), ref_shells)
-    np.testing.assert_array_equal(counts[clean], ref_counts)
-    np.testing.assert_allclose(ybars, ref_means, rtol=1e-12)
+    in_clean = np.isin(ref_idx, ref_shells)
+    np.testing.assert_array_equal(shells.idx, ref_idx[in_clean])
+    np.testing.assert_array_equal(shells.dist, dist[in_clean])
+    np.testing.assert_array_equal(np.flatnonzero(shells.clean), ref_shells)
+    np.testing.assert_array_equal(shells.counts, ref_counts)
+    np.testing.assert_allclose(shells.ybars, ref_means, rtol=1e-12)
+    assert shells.n_samples == np.count_nonzero(mags >= floor)
 
+
+
+def _scan_cases():
+    rng = np.random.default_rng(5)
+    dist = rng.uniform(0.0, 12.0, 5000)
+    noisy = np.exp(-dist ** 1.3 / 2.0) * rng.uniform(0.5, 2.0, dist.size)
+    radial = _radial_samples()
+    # The random case's floor censors its outermost shells.
+    return {"random": (dist, noisy, 1e-5),
+            "synthetic": (radial, np.exp(-2.0 * radial), 1e-14)}
+
+
+@pytest.mark.parametrize("case", ["random", "synthetic"])
+def test_fit_at_each_order_matches_lstsq(case):
+    # The closed-form line at each grid order against np.linalg.lstsq on
+    # the same shell means. Measured: 7.5e-16 relative in epsilon,
+    # 4.2e-15 in log C (relative to 1 + |log C|) and 1.1e-16 in r2.
+    dist, mags, floor = _scan_cases()[case]
+    shells = censor_shells(dist, mags, floor=floor)
+    assert shells.clean.all() == (case == "synthetic")
+    for s in DEFAULT_S_GRID:
+        xs = np.bincount(shells.idx, weights=shells.dist ** (1.0 / s),
+                         minlength=shells.clean.size)[shells.clean]
+        eps, logc, _, r2 = lstsq_line_fit(xs / shells.counts, shells.ybars)
+        fit = shell_decay_fit(dist, mags, floor=floor, s_grid=(s,))
+        assert fit.s_hat == s
+        assert abs(fit.epsilon_hat - eps) <= 1e-14 * abs(eps), s
+        assert abs(fit.log_c - logc) <= 2e-14 * (1 + abs(logc)), s
+        assert abs(fit.r_squared - r2) <= 1e-15, s
+
+
+@pytest.mark.parametrize("s_grid, named", [
+    ((), "()"), ([], "[]"), ((0.5, 0.0), "0"), ([-1.0], "-1"),
+    ((0.5, float("nan")), "nan")])
+def test_scan_orders_rejects_bad_orders(s_grid, named):
+    dist = _radial_samples()
+    shells = censor_shells(dist, np.exp(-dist), floor=1e-14)
+    with pytest.raises(ValueError, match="s_grid") as err:
+        scan_orders(shells, s_grid=s_grid)
+    assert named in str(err.value)
 
 
 def test_sorted_tail_fit_exact():
@@ -152,19 +197,12 @@ def test_sorted_tail_fit_exact():
 
 
 def _row_tail_lstsq(row, exponent, floor):
-    """One row's tail fit by np.linalg.lstsq on _line_fit's design."""
+    """One row's tail fit: a sort, the floor, then lstsq_line_fit."""
     v = np.sort(row)[::-1]
     v = v[v >= floor]
     xs = np.arange(1, v.size + 1, dtype=float) ** exponent
-    centre = np.sum(xs / xs.size)
-    scale = float(np.max(np.abs(xs - centre))) or 1.0
-    a = np.column_stack([np.ones_like(xs), -(xs - centre) / scale])
-    ys = np.log(v)
-    coef, *_ = np.linalg.lstsq(a, ys, rcond=None)
-    resid = ys - a @ coef
-    r2 = 1.0 - (resid @ resid) / np.sum((ys - ys.mean()) ** 2)
-    eps = coef[1] / scale
-    return eps, coef[0] + eps * centre, r2
+    eps, logc, _, r2 = lstsq_line_fit(xs, np.log(v))
+    return eps, logc, r2
 
 
 @pytest.mark.parametrize("exponent", [0.3, 1.0, 1.7])

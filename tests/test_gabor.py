@@ -430,6 +430,16 @@ def test_classify_rejects_silence():
         gf.gs_decay_classify(pts, np.zeros(3))
 
 
+@pytest.mark.parametrize("s_grid, named", [
+    ([], "[]"), ([0.0], "0"), ([0.5, -1.0], "-1"), ([float("nan")], "nan")])
+def test_classify_rejects_bad_orders(s_grid, named):
+    pts = np.array(_phase_space_points())
+    mags = np.exp(-np.hypot(pts[:, 0], pts[:, 1]))
+    with pytest.raises(ValueError, match="s_grid") as err:
+        gf.gs_decay_classify(pts, mags, s_grid=s_grid)
+    assert named in str(err.value)
+
+
 # ------------------------------------------------------------- moments
 
 def test_moment_constant_conversion_examples():

@@ -10,12 +10,11 @@ import pytest
 
 import gaborfio as gf
 from gaborfio.fio import _apply_columns, _dense_columns
-from gaborfio import fitting
-from gaborfio.fitting import _line_fit, shell_decay_fit
+from gaborfio.fitting import shell_decay_fit
 from gaborfio.gabor import ENVELOPE_FLUSH, _atom_matrix, _atom_rows
 from gaborfio.gmatrix import _quadrature_entries
 from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION,
-                      centered_gaussian, rel_error)
+                      centered_gaussian, lstsq_line_fit, rel_error)
 
 
 def _synthetic_matrix(truncation=4.0, rate=3.0):
@@ -514,13 +513,14 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
                                    min_samples=1)
                    for grid in (None, (0.5,), (1.0,))] for case in cases}
     calls = []
-    real = fitting._censored_shells
+    real = gf.gmatrix.censor_shells
 
-    def counted(dist, mags, floor):
+    def counted(dist, mags, *, floor, exclusion_radius):
         calls.append(floor)
-        return real(dist, mags, floor)
+        return real(dist, mags, floor=floor,
+                    exclusion_radius=exclusion_radius)
 
-    monkeypatch.setattr(fitting, "_censored_shells", counted)
+    monkeypatch.setattr(gf.gmatrix, "censor_shells", counted)
     for floor, radius in cases:
         fit = gf.fit_decay(m, floor=floor, exclusion_radius=radius)
         restricted = [gf.restricted_decay_fit(m, s, floor=floor,
@@ -534,6 +534,24 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
                               for r in (half, one)]
     assert calls == [MATRIX_FLOOR, 1e-3, MATRIX_FLOOR]
     assert refs[cases[0]][0].n_samples > refs[cases[1]][0].n_samples
+
+
+BAD_ORDERS = [(0.0, "0"), (-1.0, "-1"), (float("nan"), "nan")]
+
+
+@pytest.mark.parametrize("s_grid, named", [((), "()"), ([], "[]")] + [
+    ([0.5, s], named) for s, named in BAD_ORDERS])
+def test_fit_decay_rejects_bad_orders(s_grid, named):
+    with pytest.raises(ValueError, match="s_grid") as err:
+        gf.fit_decay(_synthetic_matrix(), s_grid=s_grid)
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("s, named", BAD_ORDERS)
+def test_restricted_fit_rejects_bad_orders(s, named):
+    with pytest.raises(ValueError, match="positive") as err:
+        gf.restricted_decay_fit(_synthetic_matrix(), s)
+    assert named in str(err.value)
 
 
 def test_decay_bound_envelope_holds(matrices, fits):
@@ -579,14 +597,14 @@ def test_sparsity_harmonic_rows_and_columns(harmonic_matrix):
 
 
 def _per_row_tail_fits(vectors, exponent, floor):
-    """sparsity_curve's former loop: per row a sort, the floor, _line_fit."""
+    """sparsity_curve's former loop: a sort, the floor, lstsq_line_fit."""
     fits = []
     for vec in vectors:
         v = np.sort(vec)[::-1]
         v = v[v >= floor]
         if v.size >= 3:
             xs = np.arange(1, v.size + 1, dtype=float) ** exponent
-            eps, logc, _, r2 = _line_fit(xs, np.log(v))
+            eps, logc, _, r2 = lstsq_line_fit(xs, np.log(v))
             fits.append((eps, logc, r2))
     return np.array(fits).T
 
@@ -615,6 +633,13 @@ def test_sparsity_curve_validation(harmonic_matrix):
         gf.sparsity_curve(harmonic_matrix, 0.5, axis="diagonal")
     with pytest.raises(ValueError):
         gf.sparsity_curve(harmonic_matrix, 0.0)
+
+
+@pytest.mark.parametrize("s_hat, named", BAD_ORDERS)
+def test_sparsity_curve_rejects_bad_orders(s_hat, named):
+    with pytest.raises(ValueError, match="s_hat") as err:
+        gf.sparsity_curve(_synthetic_matrix(), s_hat)
+    assert named in str(err.value)
 
 
 # ------------------------------------------------------------ application
