@@ -30,8 +30,8 @@ from .errors import ConfigError, NumericalError
 from .fio import apply as fio_apply
 from .fio import canonical_map
 from .fitting import DEFAULT_S_GRID
-from .gabor import (GaborFrame, Lattice, Window, _steps_within, dual_window,
-                    frame_bounds, gs_decay_classify,
+from .gabor import (GaborFrame, Window, _steps_within, dual_window,
+                    frame_bounds, gs_decay_classify, make_lattice,
                     inversion_formula_reconstruct,
                     moment_constant_conversion, moment_epsilon_bound, stft)
 from .gmatrix import (BLOCK_ATOMS, NOISE_FLOOR, assemble, fit_decay,
@@ -176,7 +176,7 @@ class Experiment:
         out = cfg["out"]
         if not isinstance(out, str) or not out:
             raise ConfigError("config key 'out' must be a nonempty string")
-        exp = cls(
+        return cls(
             grid=grid,
             window=parse_window(window_spec),
             alpha=_number(cfg, "frame", "alpha"),
@@ -189,11 +189,9 @@ class Experiment:
             s_grid=tuple(float(s) for s in s_grid),
             thresholds=tuple(float(t) for t in thresholds),
             out=out)
-        return exp
 
     def frame(self) -> GaborFrame:
-        lattice = Lattice(self.alpha, self.beta, self.truncation,
-                          self.truncation)
+        lattice = make_lattice(self.alpha, self.beta, self.truncation)
         return GaborFrame(self.window, lattice, self.grid)
 
     def operator(self, override: str | None):
@@ -220,31 +218,33 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     The lattice is counted as Lattice would enumerate it, without
     enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
     16 bytes each; every command is charged for it, which also keeps
-    Lattice from enumerating a huge truncation. The commands that
-    assemble also hold its distances, 8 bytes more. Only propagate pays
-    for sparse_apply's magnitude-ordered copy of the entries, 40 bytes
-    more (magnitude, entry and two int64 indices), and only gabor-matrix
-    for its law report, 34 bytes more: the law and the magnitudes (8
-    each), two masks (1 each) and two float temporaries (16), after the
-    law's evaluation took 24 (metaplectic_law). GaborMatrix.to_csv holds
-    one lambda's rows at a time, which is not charged. decay-fit and
-    sparsity pay for the fits, 58 bytes more: the distances and
-    magnitudes of unflagged entries that every fit reads (16), and the
+    Lattice from enumerating a huge truncation. Only propagate pays for
+    sparse_apply's magnitude-ordered copy of the entries, 40 bytes more
+    (magnitude, entry and two int64 indices), and only gabor-matrix for its
+    law report, 35 bytes more: the law and the magnitudes (8 each), two
+    masks (1 each) and two float temporaries (16), after the law's
+    evaluation took 24 (metaplectic_law), and 1 for what grows slower than
+    |L|^2 (the lattice, chi, one-time allocations): traced on 1089 points,
+    gabor-matrix peaks at 50.1-50.7 bytes per entry. GaborMatrix.to_csv
+    holds one lambda's rows and distances at a time, which is not charged.
+    decay-fit and sparsity pay for the fits, 58 bytes more: the distances
+    and magnitudes of unflagged entries that every fit reads (16), and the
     censoring of their shells at its peak (42): the samples past the
     exclusion radius and their mask (17), their shell indices (8), the
     above-floor mask (1), and the shell indices and log magnitudes of the
     above-floor samples (16). The clean-shell samples it keeps (16 at
     most), the envelope calibration and sparsity_curve's block of rows
     come after it and take less. Traced on 1089 points, decay-fit peaks at
-    76 bytes per entry, all allocations counted; with every sample above
+    68 bytes per entry, all allocations counted; with every sample above
     the floor and in a clean shell (multiplier:cos at floor 1e-300), at
-    83, of which these arrays are 82. decay-fit over several operators
+    75, of which these arrays are 74. decay-fit over several operators
     releases each matrix before it assembles the next. The commands that
     assemble hold one block of at most max(BLOCK_ATOMS, frequencies per
     lattice time) atoms on the doubled grid at a time, with the factored
-    apply's buffer of twice as many rows: 48 (2N) bytes per atom. They
-    also hold the conjugated analysis atoms of the whole lattice over the
-    rows their window reaches, at most all 2N. frame-check and propagate hold the
+    apply's buffer of twice as many rows and the copy of half of it that
+    its row moves take: 56 (2N) bytes per atom. They also hold the
+    conjugated analysis atoms of the whole lattice over the rows their
+    window reaches, at most all 2N. frame-check and propagate hold the
     frame's atoms and its dual's, N x |L| each, on the frame's grid. The
     canonical dual's Wexler-Raz system on the doubled grid
     (gabor._wexler_raz_dual) holds one complex row per adjoint point
@@ -267,25 +267,21 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     n, length = exp.grid.points_per_axis, exp.grid.length
     n_adjoint = ((_steps_within(length, 1.0 / exp.beta) + 1)
                  * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
-    assembles = command in ("gabor-matrix", "decay-fit", "sparsity",
-                            "propagate")
     matrix, per_entry = "the dense Gabor matrix of its lattice", 16
-    if assembles:
-        matrix, per_entry = f"{matrix} and its distances", 24
     if command == "propagate":
-        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 64
+        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 56
     elif command == "gabor-matrix":
-        matrix, per_entry = f"{matrix} and its law report", 58
+        matrix, per_entry = f"{matrix} and its law report", 51
     elif command in ("decay-fit", "sparsity"):
-        matrix, per_entry = f"{matrix} and its fits' samples and shells", 82
+        matrix, per_entry = f"{matrix} and its fits' samples and shells", 74
     sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
               f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2)]
-    if assembles:
+    if command in ("gabor-matrix", "decay-fit", "sparsity", "propagate"):
         block = min(n_lattice, max(BLOCK_ATOMS, n_freqs))
         sizes += [
             (f"grid.N {n}: a block of {block} atoms and their "
              "operator-apply buffer on the doubled grid",
-             48 * (2 * n) * block),
+             56 * (2 * n) * block),
             (f"grid.N {n}: the analysis atoms of {n_lattice} lattice "
              "points on the doubled grid", 16 * (2 * n) * n_lattice)]
     if command in ("frame-check", "propagate"):
@@ -355,15 +351,10 @@ def _run_frame_check(exp: Experiment, args) -> None:
           f"dual-window expansion {dual_err:.3e}")
 
 
-def _transformed_signal(exp: Experiment, args) -> tuple:
-    op = exp.operator(args.operator)
-    out = fio_apply(op, exp.test_signal())
-    return op, out
-
-
 def _run_stft(exp: Experiment, args) -> None:
     pts = _phase_space_points(exp.grid)
-    op, signal = _transformed_signal(exp, args)
+    op = exp.operator(args.operator)
+    signal = fio_apply(op, exp.test_signal())
     values = stft(signal, exp.window, pts)
     path = os.path.join(exp.out, "stft.csv")
     xs, ws = zip(*pts)
@@ -431,7 +422,7 @@ def _run_decay_fit(exp: Experiment, args) -> None:
                 exclusion_radius=exp.exclusion_radius)
             print(f"  restricted s={s_fixed:.1f}: epsilon={eps:.4f} "
                   f"r2={r2:.5f}")
-        # Before the next assemble: with its fits' caches, up to 82 bytes
+        # Before the next assemble: with its fits' caches, up to 74 bytes
         # per entry (_check_sizes).
         del matrix
 

@@ -102,13 +102,17 @@ def censor_shells(dist, mags, *, floor, exclusion_radius=None
 
     dist and mags are flat arrays of radial distances and magnitudes.
     Samples closer than exclusion_radius are dropped first (near-field
-    plateau); samples below floor never enter a fit. Raises NoSignalError
-    when nothing survives the floor.
+    plateau; InsufficientDataError if none is left), and samples below
+    floor never enter a fit (NoSignalError if none is above it).
     """
     dist = np.asarray(dist, dtype=float).ravel()
     mags = np.asarray(mags, dtype=float).ravel()
     if exclusion_radius is not None:
         keep = dist >= exclusion_radius
+        if not keep.any():
+            raise InsufficientDataError(
+                f"insufficient data: exclusion radius {exclusion_radius:g} "
+                f"dropped all {keep.size} samples that came in")
         dist, mags = dist[keep], mags[keep]
     ok = mags >= floor
     n_above = int(np.count_nonzero(ok))

@@ -27,9 +27,9 @@ at once.
 Entries concentrate along mu = chi(lambda); every fit is in the distance
 d(mu, chi(lambda)). Lattice points whose image chi(lambda) leaves the
 reliable region of the original grid (half extent minus a fixed margin)
-are flagged, kept in the matrix, and excluded from fits. chi comes from
-canonical_map on both paths, so flags and distances do not depend on
-the path.
+are flagged, kept in the matrix, and excluded from fits. The matrix
+stores chi, canonical_map's on both paths, and computes the flags and
+distances from it where they are read (GaborMatrix.flags, _distances).
 
 fit_decay, restricted_decay_fit (its shell fit at one order),
 decay_bound_check and sparsity_curve read one cached sample set,
@@ -96,22 +96,22 @@ RATE_SLACK = 0.95
 MIN_FIT_SAMPLES = 200
 
 # The quadrature pushes the atoms of whole lattice times through the
-# operator, as many times as fit in this many atoms (at least one). A
-# block holds its atoms on the doubled grid and the apply's buffer of
-# twice as many rows: 48 (2N) BLOCK_ATOMS bytes, 24 MiB at N = 2048,
-# where the whole lattice of the N = 2048, truncation 12 frame (1089
-# points) took 204 MiB. The closed form fills the entries of this many
-# lambdas at a time, with a few temporaries of BLOCK_ATOMS |L| values.
+# operator, as many times as fit in this many atoms (at least one). A block
+# holds its atoms on the doubled grid, the apply's buffer of twice as many
+# rows and a copy of half of it: 56 (2N) BLOCK_ATOMS bytes, 28 MiB at
+# N = 2048, where the whole lattice of the N = 2048, truncation 12 frame
+# (1089 points) took 204 MiB. The closed form fills the entries of this
+# many lambdas at a time, with a few temporaries of BLOCK_ATOMS |L| values.
 BLOCK_ATOMS = 128
 
 
 @dataclass(frozen=True, eq=False)
 class GaborMatrix:
-    """Coordinate-format Gabor matrix with per-column reliability flags.
+    """Coordinate-format Gabor matrix and the canonical map of its lattice.
 
-    Flat arrays run lambda-major: entry l * n + m holds
-    <T g_{lambda_l}, g_{mu_m}> and the phase-space distance from mu_m to
-    chi(lambda_l). Entry count is always len(lattice)^2.
+    Flat entries run lambda-major: entry l * n + m holds <T g_{lambda_l},
+    g_{mu_m}>, and row l of chi holds chi(lambda_l). Entry count is always
+    len(lattice)^2. The flags and distances are computed from chi.
     """
 
     operator_name: str
@@ -119,15 +119,13 @@ class GaborMatrix:
     window: object
     lattice: object
     entries: np.ndarray = field(repr=False)
-    distances: np.ndarray = field(repr=False)
     chi: np.ndarray = field(repr=False)
-    flags: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         n = len(self.lattice)
-        if self.entries.shape != (n * n,) or self.distances.shape != (n * n,):
-            raise ValueError("entry arrays must be flat with length |L|^2")
-        for arr in (self.entries, self.distances, self.chi, self.flags):
+        if self.entries.shape != (n * n,) or self.chi.shape != (n, 2):
+            raise ValueError("entries need shape (|L|^2,), chi (|L|, 2)")
+        for arr in (self.entries, self.chi):
             arr.flags.writeable = False
 
     def __len__(self):
@@ -136,6 +134,14 @@ class GaborMatrix:
     @property
     def n_lattice(self) -> int:
         return len(self.lattice)
+
+    @functools.cached_property
+    def flags(self) -> np.ndarray:
+        """Read-only mask of the columns whose chi(lambda) is unreliable."""
+        reach = np.array([self.grid.half_width, self.grid.freq_half_width])
+        flags = np.any(np.abs(self.chi) > reach - RELIABLE_MARGIN, axis=1)
+        flags.flags.writeable = False
+        return flags
 
     def dense(self) -> np.ndarray:
         """Matrix with rows indexed by mu, columns by lambda."""
@@ -149,11 +155,19 @@ class GaborMatrix:
         """Flat mask of entries in columns whose chi stayed reliable."""
         return ~np.repeat(self.flags, self.n_lattice)
 
+    def _distances(self, columns, pts) -> np.ndarray:
+        """|mu - chi(lambda)|, mu over the lattice pts, a row per column."""
+        chi = self.chi[columns]
+        dist = pts[None, :, 0] - chi[:, 0, None]
+        np.hypot(dist, pts[None, :, 1] - chi[:, 1, None], out=dist)
+        return dist
+
     @functools.cached_property
     def _fit_samples(self) -> tuple:
         """Read-only (distances, |entries|) of unflagged entries."""
-        keep = self.unflagged()
-        samples = (self.distances[keep], self.magnitudes()[keep])
+        pts = self.lattice.as_array()
+        samples = (self._distances(~self.flags, pts).ravel(),
+                   self.magnitudes()[self.unflagged()])
         for arr in samples:
             arr.flags.writeable = False
         return samples
@@ -185,16 +199,15 @@ class GaborMatrix:
     def to_csv(self, path) -> None:
         """One %.17g row per entry, lambda-major; each point formatted once.
 
-        Rows are formatted one lambda at a time, so no more than one
-        column's values are held as Python objects.
+        Rows are formatted, with their distances, one lambda at a time,
+        so no more than one column's values are held.
         """
-        points = ["%.17g,%.17g," % (x, w) for x, w in self.lattice.as_array()]
-        n = self.n_lattice
+        pts = self.lattice.as_array()
+        points = ["%.17g,%.17g," % (x, w) for x, w in pts]
         with open(path, "w", encoding="ascii") as fh:
             fh.write("lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
-            for lam, column, dists in zip(points,
-                                          self.entries.reshape(n, n),
-                                          self.distances.reshape(n, n)):
+            for k, (lam, column) in enumerate(zip(points, self.dense().T)):
+                dists = self._distances(slice(k, k + 1), pts)[0]
                 # Scalar abs per entry: np.abs on the array can differ
                 # from it in the last digit, and the file is kept bitwise
                 # stable.
@@ -250,10 +263,9 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     written straight into the lambda-major entries BLOCK_ATOMS lambdas at
     a time; its entries hold no subnormal part. Any other operator or
     window takes the quadrature (_quadrature_entries), with its noise
-    near 1e-14 of the peak. chi, the flags and the distances are the same
-    on both paths.
+    near 1e-14 of the peak. chi is canonical_map's on both paths.
     """
-    grid, pts = frame.grid, frame.lattice.as_array()
+    pts = frame.lattice.as_array()
     n = len(pts)
     # First, so a degenerate operator or a Newton failure is refused
     # before any entry is computed.
@@ -267,16 +279,9 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
         entries = entries.ravel()
     else:
         entries = _quadrature_entries(op, frame)
-
-    flags = ((np.abs(chi[:, 0]) > grid.half_width - RELIABLE_MARGIN)
-             | (np.abs(chi[:, 1]) > grid.freq_half_width - RELIABLE_MARGIN))
-    dist = pts[None, :, 0] - chi[:, 0, None]
-    np.hypot(dist, pts[None, :, 1] - chi[:, 1, None], out=dist)
-
     return GaborMatrix(
-        operator_name=op.name, grid=grid, window=frame.window,
-        lattice=frame.lattice, entries=entries, distances=dist.ravel(),
-        chi=chi, flags=flags)
+        operator_name=op.name, grid=frame.grid, window=frame.window,
+        lattice=frame.lattice, entries=entries, chi=chi)
 
 
 def _quadrature_entries(op: FioOperator, frame: GaborFrame) -> np.ndarray:

@@ -47,6 +47,18 @@ def lstsq_line_fit(xs, ys):
     return eps, float(coef[0]) + eps * centre, ssr, r2
 
 
+def chi_distances(m):
+    """|mu - chi(lambda)| of every entry of m, flat and lambda-major.
+
+    One np.hypot of the lattice minus m.chi, independent of the matrix's
+    own distance helper: the oracle for the distances its fits and
+    matrix.csv read.
+    """
+    pts = m.lattice.as_array()
+    return np.hypot(pts[None, :, 0] - m.chi[:, 0, None],
+                    pts[None, :, 1] - m.chi[:, 1, None]).ravel()
+
+
 def centered_gaussian(grid, width):
     return gf.gaussian(width).sampled(grid)
 

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
-from conftest import MATRIX_FLOOR, centered_gaussian, rel_error
+from conftest import (MATRIX_FLOOR, centered_gaussian, chi_distances,
+                      rel_error)
 
 HARMONIC = "harmonic:0.7853981633974483"
 
@@ -35,7 +36,7 @@ def test_criterion_1_concentration_bound(harmonic_g1_matrix):
     """
     m = harmonic_g1_matrix
     keep = m.unflagged() & (m.magnitudes() >= 1e-12)
-    bound = 2.0 ** -0.5 * np.exp(-0.5 * np.pi * m.distances[keep] ** 2)
+    bound = 2.0 ** -0.5 * np.exp(-0.5 * np.pi * chi_distances(m)[keep] ** 2)
     ratios = m.magnitudes()[keep] / (bound * 1.02)
     violations = int(np.sum(ratios > 1.0))
 

@@ -392,9 +392,9 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("command, memory, code", [
     ("propagate", 36, 2), ("decay-fit", 100, 0), ("sparsity", 100, 0),
-    ("decay-fit", 82, 0), ("gabor-matrix", 36, 2), ("decay-fit", 81, 2)],
+    ("decay-fit", 74, 0), ("gabor-matrix", 36, 2), ("decay-fit", 73, 2)],
     ids=["propagate-2", "decay-fit-0", "sparsity-0", "decay-fit-0-block",
-         "gabor-matrix-2", "decay-fit-2-distances"])
+         "gabor-matrix-2", "decay-fit-2-fits"])
 def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
                                         command, memory, code):
     # 1089 lattice points: the dense matrix takes 16 bytes per entry and
@@ -402,13 +402,13 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     # set to 36 bytes per entry, the matrix alone, assemble's block and
     # analysis atoms and the dual-window system all fit; only the copy
     # does not, and only propagate builds it. Nor does gabor-matrix's
-    # law report, 34 bytes more per entry. decay-fit and sparsity hold the
-    # matrix, its 8-byte distances and the fits' arrays, 58 bytes more:
-    # 82 in all, so they run at 100, where neither the copy nor the law
-    # report would fit on top. At 82 bytes per entry (97.3 MB) they just
-    # fit, and so does assemble: its 128-atom block with its apply buffer
-    # takes 6.3 MB and its analysis atoms at most 17.8 MB. At 81 the
-    # matrix with its distances and the fits' arrays does not fit.
+    # law report, 35 bytes more per entry. decay-fit and sparsity hold the
+    # matrix and the fits' arrays, 58 bytes more (the matrix stores no
+    # distances): 74 in all, so they run at 100, where neither the copy
+    # nor the law report would fit on top. At 74 bytes per entry (87.8 MB)
+    # they just fit, and so does assemble: its 128-atom block with its
+    # apply buffer takes 7.3 MB and its analysis atoms at most 17.8 MB. At
+    # 73 the matrix with the fits' arrays does not fit.
     n_lattice = 33 ** 2
     real_sysconf = os.sysconf
     fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory * n_lattice ** 2}
@@ -425,22 +425,25 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     if code:
         extra = {"propagate": "magnitude-ordered copy",
                  "gabor-matrix": "law report",
-                 "decay-fit": "distances and its fits' samples"}[command]
+                 "decay-fit": "fits' samples"}[command]
         assert "frame.truncation" in err and extra in err
 
 
-@pytest.mark.parametrize("command, parent_peak", [
-    ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9)])
+@pytest.mark.parametrize("command, ceiling", [
+    ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9),
+    ("gabor-matrix", 52)])
 def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                                                     capsys, command,
-                                                    parent_peak):
+                                                    ceiling):
     # Every allocation of the run traced, on the 1089-point frame above:
-    # 75.1-75.9 bytes per entry (decay-fit, sparsity) and 77.4 (all six
+    # 67.1-67.7 bytes per entry (decay-fit, sparsity) and 69.2 (all six
     # operators, each matrix released before the next is assembled),
-    # against the 82 charged. Before the fits shared their shells, the
-    # runs peaked at parent_peak or more, against 24 charged. With
-    # physical memory set to the traced peak, the size guard must refuse
-    # the run for its matrix.
+    # against the 74 charged; gabor-matrix 50.1-50.7, against 51. The
+    # runs must stay at or under ceiling bytes per entry: before the fits
+    # shared their shells the fit commands peaked at it or more, against
+    # 24 charged, and gabor-matrix peaked at 58.1-58.7 (charged 58) while
+    # the matrix stored its distances. With physical memory set to the
+    # traced peak, the size guard must refuse the run for its matrix.
     cfg = tmp_path / "fine.json"
     cfg.write_text(json.dumps({
         "grid": {"N": 512, "L": 20.0},
@@ -454,7 +457,7 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / (33 ** 2) ** 2 <= parent_peak
+    assert peak / (33 ** 2) ** 2 <= ceiling
     capsys.readouterr()
 
     real_sysconf = os.sysconf
@@ -463,7 +466,21 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                         lambda name: fake.get(name) or real_sysconf(name))
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert "frame.truncation" in err and "fits' samples" in err
+    extra = "law report" if command == "gabor-matrix" else "fits' samples"
+    assert "frame.truncation" in err and extra in err
+
+
+def test_exclusion_radius_past_every_sample_exits_3(tmp_path):
+    # Nothing is left past the radius; the fit once blamed the floor
+    # ("no signal: all samples below floor 1e-12").
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(dict(SMALL_CONFIG, fit={
+        "floor": 1e-12, "exclusion_radius": 1e300})))
+    proc = run_cli(["decay-fit"], tmp_path / "out", cfg, check=False)
+    assert proc.returncode == 3
+    assert "insufficient data: exclusion radius 1e+300 dropped all" in (
+        proc.stderr)
+    assert "below floor" not in proc.stderr
 
 
 def test_large_lattice_assembles_under_a_gib(tmp_path):

@@ -90,6 +90,18 @@ def test_all_below_floor_raises_no_signal():
         shell_decay_fit(dist, np.full_like(dist, 1e-30), floor=1e-14)
 
 
+@pytest.mark.parametrize("n_in", [0, 100])
+def test_nothing_past_the_exclusion_radius_is_insufficient_data(n_in):
+    # Samples all inside the radius, or none at all (every column of a
+    # matrix flagged), once raised NoSignalError blaming the floor. The
+    # error now names the radius and counts the samples it dropped.
+    dist = np.linspace(0.0, 6.0, n_in)
+    mags = np.exp(-dist)
+    with pytest.raises(gf.InsufficientDataError,
+                       match=f"radius 1e\\+300 dropped all {n_in} "):
+        censor_shells(dist, mags, floor=1e-14, exclusion_radius=1e300)
+
+
 def test_too_few_samples_raises_insufficient_data():
     dist = np.linspace(0.0, 6.0, 30)
     mags = np.exp(-dist)

@@ -14,21 +14,24 @@ from gaborfio.fitting import shell_decay_fit
 from gaborfio.gabor import ENVELOPE_FLUSH, _atom_matrix, _atom_rows
 from gaborfio.gmatrix import _quadrature_entries
 from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION,
-                      centered_gaussian, lstsq_line_fit, rel_error)
+                      centered_gaussian, chi_distances, lstsq_line_fit,
+                      rel_error)
 
 
 def _synthetic_matrix(truncation=4.0, rate=3.0):
-    """Hand-built matrix with |entries| = exp(-rate * dist), chi = identity."""
+    """Hand-built matrix with |entries| = exp(-rate * dist), chi = identity.
+
+    Built from its entries and chi only; no column is flagged.
+    """
     grid = gf.Grid(1, 1024, 32.0)
     lat = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, truncation)
     pts = lat.as_array()
-    n = len(lat)
     dist = np.hypot(pts[None, :, 0] - pts[:, None, 0],
                     pts[None, :, 1] - pts[:, None, 1]).ravel()
     return gf.GaborMatrix(
         operator_name="synthetic", grid=grid, window=gf.gaussian(2.0),
         lattice=lat, entries=np.exp(-rate * dist).astype(complex),
-        distances=dist, chi=pts.copy(), flags=np.zeros(n, dtype=bool))
+        chi=pts.copy())
 
 
 # ------------------------------------------------------------- assembly
@@ -272,22 +275,23 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     reference frame (2N = 2048, 23 x 23 lattice), for an operator that
     takes the quadrature.
 
-    What it holds besides its output: one block's atoms and the apply's
-    buffer of twice their rows, 48 (2N) BLOCK_ATOMS bytes (12 MiB); the
+    What it holds besides its output: one block's atoms, the apply's
+    buffer of twice their rows and the copy of half that buffer which
+    its row moves take (numpy copies a slice assigned within one array
+    through a temporary), 56 (2N) BLOCK_ATOMS bytes (14 MiB); the
     conjugated analysis atoms over their rows, 16 |L| rows bytes at most
-    (3.5 MiB); the shifts and waves, 24 (2N) bytes per lattice time
-    (1.1 MiB); and one |L|^2 float temporary of the distances (2.1 MiB).
-    That sums to 18.7 MiB; measured 15.3 MiB. Atoms and buffer for the
-    whole lattice at once left 53.9 MiB.
+    (3.5 MiB); and the shifts and waves, 24 (2N) bytes per lattice time
+    (1.1 MiB). That sums to 18.6 MiB; measured 17.4 MiB. Atoms and
+    buffer for the whole lattice at once left 53.9 MiB.
     """
     op = gf.parse_operator("multiplier:cos")
     pad = g2_frame.grid.doubled()
     pts = g2_frame.lattice.as_array()
     n, xs = len(pts), np.unique(pts[:, 0])
     rows = _atom_rows(g2_frame.window.evaluate(pad.times()[:, None] - xs))
-    bound = (48 * pad.points_per_axis * gf.gmatrix.BLOCK_ATOMS
+    bound = (56 * pad.points_per_axis * gf.gmatrix.BLOCK_ATOMS
              + 16 * n * int(np.max(rows[:, 1] - rows[:, 0]))
-             + 24 * pad.points_per_axis * len(xs) + 8 * n * n)
+             + 24 * pad.points_per_axis * len(xs))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -295,8 +299,7 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (m.entries, m.distances, m.chi,
-                                      m.flags))
+    returned = sum(a.nbytes for a in (m.entries, m.chi))
     assert peak - returned <= bound, (peak - returned) / 2 ** 20
 
 
@@ -304,17 +307,15 @@ def test_covariant_assembly_transient_memory_is_one_block():
     """assemble's traced peak, less the arrays it returns, on the closed
     form: 1089 lattice points (a 33 x 33 lattice).
 
-    What it holds besides its output: one |L|^2 float temporary of the
-    distances (9.0 MiB) and the closed form's temporaries for
-    BLOCK_ATOMS lambdas, 96 BLOCK_ATOMS |L| bytes at most (12.8 MiB), 21.8
-    MiB in all; measured 9.2 MiB. One more |L|^2 complex array would add
-    18.1 MiB.
+    What it holds besides its output: the closed form's temporaries for
+    BLOCK_ATOMS lambdas, 96 BLOCK_ATOMS |L| bytes at most (12.8 MiB);
+    measured 6.5 MiB. One more |L|^2 float array would add 9.0 MiB.
     """
     frame = gf.GaborFrame(gf.gaussian(2.0), gf.make_lattice(
         LATTICE_STEP, LATTICE_STEP, 12.0), gf.Grid(1, 1156, 34.0))
     op = gf.parse_operator("harmonic:0.8")
     n = len(frame.lattice)
-    bound = 96 * gf.gmatrix.BLOCK_ATOMS * n + 8 * n * n
+    bound = 96 * gf.gmatrix.BLOCK_ATOMS * n
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -322,8 +323,7 @@ def test_covariant_assembly_transient_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (m.entries, m.distances, m.chi,
-                                      m.flags))
+    returned = sum(a.nbytes for a in (m.entries, m.chi))
     assert n == 1089
     assert peak - returned <= bound, (peak - returned) / 2 ** 20
 
@@ -355,7 +355,7 @@ def test_harmonic_concentration_bound(harmonic_g1_matrix):
     # law with 2 percent slack; the law is exact for the width-1 window.
     m = harmonic_g1_matrix
     keep = m.unflagged() & (m.magnitudes() >= 1e-12)
-    bound = 2.0 ** -0.5 * np.exp(-0.5 * np.pi * m.distances[keep] ** 2)
+    bound = 2.0 ** -0.5 * np.exp(-0.5 * np.pi * chi_distances(m)[keep] ** 2)
     ratios = m.magnitudes()[keep] / (bound * 1.02)
     assert int(np.sum(ratios > 1.0)) == 0
     assert np.max(ratios) <= 1.0
@@ -380,7 +380,7 @@ def test_dense_orientation(matrices):
     n = m.n_lattice
     assert m.dense()[3, 5] == m.entries[5 * n + 3]
     assert len(m) == n * n
-    assert np.all(m.distances >= 0)
+    assert np.all(m._fit_samples[0] >= 0)
     assert np.all(np.isfinite(m.entries))
 
 
@@ -391,8 +391,42 @@ def test_matrix_validation_and_immutability():
     with pytest.raises(ValueError):
         gf.GaborMatrix(
             operator_name="bad", grid=m.grid, window=m.window,
-            lattice=m.lattice, entries=m.entries[:-1], distances=m.distances,
-            chi=m.chi, flags=m.flags)
+            lattice=m.lattice, entries=m.entries[:-1], chi=m.chi)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+def test_matrix_refuses_chi_of_the_wrong_shape(rows, cols):
+    # chi holds one (x, xi) row per lattice point: the flags and every
+    # distance are computed from it.
+    m = _synthetic_matrix(truncation=2.0)
+    n = m.n_lattice
+    chi = np.zeros((n + rows, 2 + cols))
+    with pytest.raises(ValueError, match="chi"):
+        dataclasses.replace(m, chi=chi)
+    with pytest.raises(ValueError):
+        m.flags[0] = True
+
+
+def test_flags_and_distances_come_from_chi(tmp_path):
+    """The fits' distances and matrix.csv's dist column are bitwise one
+    np.hypot of the lattice minus chi (conftest.chi_distances), on a
+    matrix with flagged columns; the flags are the RELIABLE_MARGIN rule
+    on chi.
+    """
+    frame = gf.GaborFrame(gf.gaussian(2.0), gf.make_lattice(0.5, 0.5, 3.0),
+                          gf.Grid(1, 256, 16.0))
+    m = gf.assemble(gf.parse_operator("metaplectic:dilation:2.0"), frame)
+    margin = gf.gmatrix.RELIABLE_MARGIN
+    assert np.array_equal(m.flags, (np.abs(m.chi[:, 0]) > 8.0 - margin)
+                          | (np.abs(m.chi[:, 1]) > 8.0 - margin))
+    assert 0 < m.flags.sum() < m.n_lattice
+    expected = chi_distances(m)
+    dist, _ = m._fit_samples
+    assert np.array_equal(dist, expected[m.unflagged()])
+    path = tmp_path / "matrix.csv"
+    m.to_csv(path)
+    column = np.loadtxt(path, delimiter=",", skiprows=1, usecols=7)
+    assert np.array_equal(column, expected)
 
 
 def test_matrix_csv_schema(tmp_path):
@@ -463,6 +497,16 @@ def test_fit_rejects_empty_and_thin_data():
         gf.fit_decay(m, floor=0.1)
 
 
+def test_fit_with_every_column_flagged_is_insufficient_data():
+    # chi far off the grid flags every column, so no sample reaches the
+    # fits; that once read "no signal: all samples below floor".
+    m = _synthetic_matrix(truncation=2.0)
+    off = dataclasses.replace(m, chi=m.chi + 100.0)
+    assert off.flags.all()
+    with pytest.raises(gf.InsufficientDataError, match="dropped all 0 "):
+        gf.fit_decay(off)
+
+
 def test_fit_metadata(fits):
     for name, fit in fits.items():
         assert fit.operator == name
@@ -492,7 +536,7 @@ def test_restricted_fit_is_shell_fit_at_one_order(matrices):
     m = matrices["metaplectic:dilation:2.0"]
     assert m.flags.any()
     keep = m.unflagged()
-    dist, mags = m.distances[keep], m.magnitudes()[keep]
+    dist, mags = chi_distances(m)[keep], m.magnitudes()[keep]
     for s in (0.5, 1.0):
         fit = shell_decay_fit(dist, mags, floor=MATRIX_FLOOR,
                               exclusion_radius=0.5, s_grid=(s,),
@@ -506,7 +550,7 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
     # the samples. Another floor or exclusion radius censors afresh and
     # reads its own result, never an earlier one's.
     m = _synthetic_matrix()
-    dist, mags = m.distances, m.magnitudes()
+    dist, mags = chi_distances(m), m.magnitudes()
     cases = [(MATRIX_FLOOR, 0.5), (1e-3, 0.5), (MATRIX_FLOOR, 1.0)]
     refs = {case: [shell_decay_fit(dist, mags, floor=case[0],
                                    exclusion_radius=case[1], s_grid=grid,

@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
+import sys
 
 import pytest
 
@@ -69,3 +71,37 @@ def test_exported_names_have_a_caller_outside_the_tests():
               for n in importlib.import_module(f"gaborfio.{name}").__all__
               if n not in loaded]
     assert not unused, unused
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded without writing bytecode there."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(gaborfio.__file__))), "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(perfbench, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.path.insert(0, perfbench)  # it imports tracing as a top-level name
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(perfbench)
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.mark.parametrize("workload", ["fit-sweep", "propagate",
+                                      "cli-artifacts", "fit-large"])
+def test_benchmark_traced_names_exist(tmp_path, workload):
+    # The traced benchmark run wraps these library names; a rename makes
+    # it raise AttributeError before it measures anything.
+    wl = _benchmark_workloads()
+    assert set(wl.WORKLOADS) == {"fit-sweep", "propagate", "cli-artifacts",
+                                 "fit-large"}
+    run = wl.Run(wl.Tracer(False))
+    patches = wl.WORKLOADS[workload](0, run, str(tmp_path)).patches()
+    assert patches
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in patches if not hasattr(owner, attr)]
+    assert not missing, missing
