@@ -220,13 +220,17 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     16 bytes each; every command is charged for it, which also keeps
     Lattice from enumerating a huge truncation. Only propagate pays for
     sparse_apply's magnitude-ordered copy of the entries, 40 bytes more
-    (magnitude, entry and two int64 indices), and only gabor-matrix for its
-    law report, 35 bytes more: the law and the magnitudes (8 each), two
-    masks (1 each) and two float temporaries (16), after the law's
-    evaluation took 24 (metaplectic_law), and 1 for what grows slower than
-    |L|^2 (the lattice, chi, one-time allocations): traced on 1089 points,
-    gabor-matrix peaks at 50.1-50.7 bytes per entry. GaborMatrix.to_csv
-    holds one lambda's rows and distances at a time, which is not charged.
+    (magnitude, entry and two int64 indices), for the terms of a partial
+    product over at most half of them (8), and for the frame's atoms and
+    dual atoms next to them and what grows slower than |L|^2 (16 on 1089
+    points at N 512): traced there, propagate peaks at 76.2-79.3 bytes
+    per entry. Only gabor-matrix pays for its law report, 26 bytes more:
+    the law, the magnitudes and the ratio's output (8 each) and a mask
+    (1), after the law's evaluation took 24 (metaplectic_law), and 1 for
+    what grows slower than |L|^2 (the lattice, chi, one-time
+    allocations): traced on 1089 points, gabor-matrix peaks at 41.1-41.8
+    bytes per entry. GaborMatrix.to_csv holds one lambda's rows and
+    distances at a time, which is not charged.
     decay-fit and sparsity pay for the fits, 58 bytes more: the distances
     and magnitudes of unflagged entries that every fit reads (16), and the
     censoring of their shells at its peak (42): the samples past the
@@ -269,9 +273,9 @@ def _check_sizes(exp: Experiment, command: str) -> None:
                  * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
     matrix, per_entry = "the dense Gabor matrix of its lattice", 16
     if command == "propagate":
-        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 56
+        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 80
     elif command == "gabor-matrix":
-        matrix, per_entry = f"{matrix} and its law report", 51
+        matrix, per_entry = f"{matrix} and its law report", 43
     elif command in ("decay-fit", "sparsity"):
         matrix, per_entry = f"{matrix} and its fits' samples and shells", 74
     sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
@@ -389,13 +393,14 @@ def _run_gabor_matrix(exp: Experiment, args) -> None:
     if law is None:
         return
     # Unflagged columns only; criterion 1's ratio skips entries below 1e-12.
-    mags, keep, peak = matrix.magnitudes(), matrix.unflagged(), np.max(law)
+    mags, keep, peak = matrix.magnitudes(), ~matrix.flags[:, None], np.max(law)
     above = keep & (mags >= NOISE_FLOOR)
     with np.errstate(divide="ignore"):  # inf where the law underflows
         ratio = np.max(np.divide(mags, law, out=np.zeros_like(mags),
                                  where=above))
-    gap = np.max(np.abs(mags - law), where=keep, initial=0.0) / peak
     noise = np.max(mags, where=keep & (law < LAW_QUIET * peak), initial=0.0)
+    np.subtract(mags, law, out=law)  # the law is not read again
+    gap = np.max(np.abs(law, out=law), where=keep, initial=0.0) / peak
     print(f"metaplectic law: peak {np.max(mags, where=keep, initial=0.0):.6f}"
           f" vs {peak:.6f}; max |entry|/law {ratio:.6g} over "
           f"{int(above.sum())} entries above {NOISE_FLOOR:g}; "

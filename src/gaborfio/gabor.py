@@ -174,15 +174,16 @@ def _steps_within(radius: float, step: float) -> int:
 class Lattice:
     """Separable lattice alpha*Z x beta*Z truncated to a centered box.
 
-    Points are ordered lexicographically so every downstream artifact is
-    deterministic.
+    points is a read-only (|L|, 2) array of the points (i alpha, j beta),
+    ordered lexicographically so every downstream artifact is
+    deterministic. Equality and hashing read the four fields only.
     """
 
     alpha: float
     beta: float
     time_range: float
     freq_range: float
-    points: tuple = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -191,9 +192,10 @@ class Lattice:
             raise ValueError("truncation radii must be nonnegative")
         k1 = _steps_within(self.time_range, self.alpha)
         k2 = _steps_within(self.freq_range, self.beta)
-        pts = tuple((i * self.alpha, j * self.beta)
-                    for i in range(-k1, k1 + 1)
-                    for j in range(-k2, k2 + 1))
+        xs = np.arange(-k1, k1 + 1) * self.alpha
+        ws = np.arange(-k2, k2 + 1) * self.beta
+        pts = np.column_stack([np.repeat(xs, ws.size), np.tile(ws, xs.size)])
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -203,9 +205,6 @@ class Lattice:
 
     def __len__(self):
         return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
 
 
 def make_lattice(alpha: float, beta: float, truncation: float) -> Lattice:
@@ -302,8 +301,7 @@ class GaborFrame:
     def atoms(self) -> np.ndarray:
         """Dense atom matrix, one analytic atom per lattice point column."""
         if self._atoms is None:
-            mat = _atom_matrix(self.window, self.grid,
-                               self.lattice.as_array())
+            mat = _atom_matrix(self.window, self.grid, self.lattice.points)
             mat.flags.writeable = False
             self._atoms = mat
         return self._atoms
@@ -328,7 +326,7 @@ class GaborFrame:
             frame_bounds(self)
             h, _ = _wexler_raz_dual(self.window, self.lattice, self.grid,
                                     EXPANSION_DUAL_WEIGHT)
-            mat = _atom_matrix(h, self.grid, self.lattice.as_array())
+            mat = _atom_matrix(h, self.grid, self.lattice.points)
             g0 = self.window.sampled(self.grid)
             miss = (np.linalg.norm(mat @ self.analysis(g0) - g0.values)
                     / np.linalg.norm(g0.values))
@@ -387,7 +385,7 @@ def frame_bounds(frame: GaborFrame) -> tuple:
     if frame._bounds is not None:
         return frame._bounds
     grid, lat = frame.grid, frame.lattice
-    pts = lat.as_array()
+    pts = lat.points
     central = ((np.abs(pts[:, 0]) <= lat.time_range / 2 + 1e-9)
                & (np.abs(pts[:, 1]) <= lat.freq_range / 2 + 1e-9))
     g_all = frame.atoms()

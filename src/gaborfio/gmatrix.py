@@ -34,21 +34,22 @@ distances from it where they are read (GaborMatrix.flags, _distances).
 fit_decay, restricted_decay_fit (its shell fit at one order),
 decay_bound_check and sparsity_curve read one cached sample set,
 GaborMatrix._fit_samples: the distances and magnitudes of the entries of
-unflagged columns, 16 bytes per entry. The shell fits censor those
-samples once per (floor, exclusion_radius) (GaborMatrix._shells), so
-fit_decay and the restricted fits after it share one pass, and the cache
-keeps only the samples of clean shells. sparsity_curve reads the cached
-magnitudes as one row per unflagged lambda, sorted a block of rows at a
-time, never a sorted copy of them all.
+unflagged lambdas, one row per lambda, 16 bytes per entry. The shell
+fits censor those samples once per (floor, exclusion_radius)
+(GaborMatrix._shells), so fit_decay and the restricted fits after it
+share one pass, and the cache keeps only the samples of clean shells.
+sparsity_curve reads the cached magnitudes row by row, sorted a block of
+rows at a time, never a sorted copy of them all.
 
 sparse_apply reads a second cache, GaborMatrix._magnitude_order: the
 entries sorted by magnitude, with their (mu, lambda) indices, 40 bytes
 per entry next to the matrix's 16. The first sparse_apply on a matrix
-builds it (one argsort of |L|^2 magnitudes); assemble and the fits never
-do. A threshold is then one binary search, and the product sums whichever
-side of it is smaller: the kept entries, or the dense product less the
-dropped ones. So a call costs O(min(kept, dropped)) on top of the
-frame's dual analysis and synthesis, and tau = 0 is one dense product.
+builds it (one argsort of |L|^2 magnitudes), holding no more than the
+matrix and the cache; assemble and the fits never do. A threshold is
+then one binary search, and the product sums whichever side of it is
+smaller: the kept entries, or the dense product less the dropped ones.
+So a call costs O(min(kept, dropped)) on top of the frame's dual
+analysis and synthesis, and tau = 0 is one dense product.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ BLOCK_ATOMS = 128
 
 @dataclass(frozen=True, eq=False)
 class GaborMatrix:
-    """Coordinate-format Gabor matrix and the canonical map of its lattice.
+    """Gabor matrix and the canonical map of its lattice.
 
-    Flat entries run lambda-major: entry l * n + m holds <T g_{lambda_l},
-    g_{mu_m}>, and row l of chi holds chi(lambda_l). Entry count is always
-    len(lattice)^2. The flags and distances are computed from chi.
+    entries has one row per lambda: entries[l, m] holds <T g_{lambda_l},
+    g_{mu_m}>, and row l of chi holds chi(lambda_l), for the points
+    lattice.points. The flags and distances are computed from chi.
     """
 
     operator_name: str
@@ -123,8 +124,8 @@ class GaborMatrix:
 
     def __post_init__(self):
         n = len(self.lattice)
-        if self.entries.shape != (n * n,) or self.chi.shape != (n, 2):
-            raise ValueError("entries need shape (|L|^2,), chi (|L|, 2)")
+        if self.entries.shape != (n, n) or self.chi.shape != (n, 2):
+            raise ValueError("entries need shape (|L|, |L|), chi (|L|, 2)")
         for arr in (self.entries, self.chi):
             arr.flags.writeable = False
 
@@ -145,29 +146,23 @@ class GaborMatrix:
 
     def dense(self) -> np.ndarray:
         """Matrix with rows indexed by mu, columns by lambda."""
-        n = self.n_lattice
-        return self.entries.reshape(n, n).T
+        return self.entries.T
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.entries)
 
-    def unflagged(self) -> np.ndarray:
-        """Flat mask of entries in columns whose chi stayed reliable."""
-        return ~np.repeat(self.flags, self.n_lattice)
-
-    def _distances(self, columns, pts) -> np.ndarray:
-        """|mu - chi(lambda)|, mu over the lattice pts, a row per column."""
-        chi = self.chi[columns]
+    def _distances(self, columns) -> np.ndarray:
+        """|mu - chi(lambda)|, mu over the lattice, a row per column."""
+        pts, chi = self.lattice.points, self.chi[columns]
         dist = pts[None, :, 0] - chi[:, 0, None]
         np.hypot(dist, pts[None, :, 1] - chi[:, 1, None], out=dist)
         return dist
 
     @functools.cached_property
     def _fit_samples(self) -> tuple:
-        """Read-only (distances, |entries|) of unflagged entries."""
-        pts = self.lattice.as_array()
-        samples = (self._distances(~self.flags, pts).ravel(),
-                   self.magnitudes()[self.unflagged()])
+        """Read-only (distances, |entries|), a row per unflagged lambda."""
+        keep = ~self.flags
+        samples = self._distances(keep), self.magnitudes()[keep]
         for arr in samples:
             arr.flags.writeable = False
         return samples
@@ -188,10 +183,11 @@ class GaborMatrix:
     @functools.cached_property
     def _magnitude_order(self) -> tuple:
         """Read-only (|entries|, entries, mu, lambda), |entries| ascending."""
-        mags = self.magnitudes()
+        mags = self.magnitudes().ravel()
         order = np.argsort(mags)
-        lam, mu = np.divmod(order, self.n_lattice)
-        arrays = (mags[order], self.entries[order], mu, lam)
+        mags, entries = mags[order], self.entries.ravel()[order]
+        lam, mu = np.divmod(order, self.n_lattice, out=(None, order))
+        arrays = (mags, entries, mu, lam)
         for arr in arrays:
             arr.flags.writeable = False
         return arrays
@@ -202,12 +198,11 @@ class GaborMatrix:
         Rows are formatted, with their distances, one lambda at a time,
         so no more than one column's values are held.
         """
-        pts = self.lattice.as_array()
-        points = ["%.17g,%.17g," % (x, w) for x, w in pts]
+        points = ["%.17g,%.17g," % (x, w) for x, w in self.lattice.points]
         with open(path, "w", encoding="ascii") as fh:
             fh.write("lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
-            for k, (lam, column) in enumerate(zip(points, self.dense().T)):
-                dists = self._distances(slice(k, k + 1), pts)[0]
+            for k, (lam, column) in enumerate(zip(points, self.entries)):
+                dists = self._distances(slice(k, k + 1))[0]
                 # Scalar abs per entry: np.abs on the array can differ
                 # from it in the last digit, and the file is kept bitwise
                 # stable.
@@ -260,12 +255,12 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
 
     An operator that carries its matrix and no multiplier, on a Gaussian
     window, takes the closed form (metaplectic._covariant_entries),
-    written straight into the lambda-major entries BLOCK_ATOMS lambdas at
-    a time; its entries hold no subnormal part. Any other operator or
+    written straight into the entries BLOCK_ATOMS lambdas (rows) at a
+    time; its entries hold no subnormal part. Any other operator or
     window takes the quadrature (_quadrature_entries), with its noise
     near 1e-14 of the peak. chi is canonical_map's on both paths.
     """
-    pts = frame.lattice.as_array()
+    pts = frame.lattice.points
     n = len(pts)
     # First, so a degenerate operator or a Newton failure is refused
     # before any entry is computed.
@@ -276,7 +271,6 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
             block = slice(lo, lo + BLOCK_ATOMS)
             _covariant_entries(op._matrix, frame.window.width, pts[block],
                                pts, out=entries[block])
-        entries = entries.ravel()
     else:
         entries = _quadrature_entries(op, frame)
     return GaborMatrix(
@@ -285,20 +279,20 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
 
 
 def _quadrature_entries(op: FioOperator, frame: GaborFrame) -> np.ndarray:
-    """<T g_lambda, g_mu> by quadrature, flat and lambda-major.
+    """<T g_lambda, g_mu> by quadrature, one row per lambda.
 
     The frame's atoms are built on the doubled grid and go through the
     operator one block of whole lattice times at a time (BLOCK_ATOMS
     atoms or fewer, but at least one lattice time). Each block's outputs
     T g_lambda are paired with the atoms g_mu of each time x over only
     the rows their window reaches (gabor._atom_rows), one product per
-    block and x, written straight into the lambda-major entries. The
+    block and x, written straight into the block's rows. The
     conjugated analysis atoms are held over those rows only, and every
     shift and modulation is computed once per call (gabor._atom_factors).
     Callers check nondegeneracy.
     """
     pad = frame.grid.doubled()
-    pts = frame.lattice.as_array()
+    pts = frame.lattice.points
     n = len(pts)
     shifted, _, waves, _ = _atom_factors(frame.window, pad, pts)
     # A Lattice lists every w for each x in turn, so the atom at the k-th
@@ -327,7 +321,7 @@ def _quadrature_entries(op: FioOperator, frame: GaborFrame) -> np.ndarray:
                       out=entries[block, k * n_w:(k + 1) * n_w])
         del t_atoms  # before the next block's buffer is allocated
     entries *= pad.spacing
-    return entries.ravel()
+    return entries
 
 
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
@@ -430,8 +424,7 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
     if not s_hat > 0:
         raise ValueError(f"s_hat must be positive, got {s_hat:g}")
     exponent = 1.0 / (2.0 * s_hat)
-    # One row per unflagged lambda, lambda-major like the entries.
-    by_col = matrix._fit_samples[1].reshape(-1, matrix.n_lattice)
+    by_col = matrix._fit_samples[1]
     vectors = by_col.T if axis == "rows" else by_col
     eps, logc, r2 = sorted_tail_fits(vectors, exponent, floor=floor)
     return SparsityReport(exponent_used=exponent, epsilons=eps, log_cs=logc,
@@ -441,10 +434,9 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
 def _partial_product(order: tuple, coeffs, part: slice, n: int):
     """Sum of M[mu, lambda] coeffs[lambda] by mu over part of the order."""
     _, entries, mu, lam = order
-    terms = entries[part] * coeffs[lam[part]]
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(mu[part], terms.real, minlength=n)
-    out.imag = np.bincount(mu[part], terms.imag, minlength=n)
+    out = np.zeros(n, dtype=complex)
+    # In order, bitwise np.bincount's sums, without its copies of inputs.
+    np.add.at(out, mu[part], entries[part] * coeffs[lam[part]])
     return out
 
 

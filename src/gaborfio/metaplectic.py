@@ -207,7 +207,7 @@ def _has_closed_form(op: FioOperator, window) -> bool:
 
 
 def metaplectic_law(op: FioOperator, lattice, window):
-    """Closed-form |<T g_lambda, g_mu>|, flat and lambda-major, or None.
+    """Closed-form |<T g_lambda, g_mu>|, a row per lambda, or None.
 
     For the gaussian(width) window, |V_g g|^2 is a phase-space Gaussian
     of covariance Sigma_g = diag(width, 1/width) / (4 pi). The operator
@@ -220,7 +220,7 @@ def metaplectic_law(op: FioOperator, lattice, window):
     """
     if not _has_closed_form(op, window):
         return None
-    mat, width, pts = op._matrix.as_array(), window.width, lattice.as_array()
+    mat, width, pts = op._matrix.as_array(), window.width, lattice.points
     sig_g = np.diag([width, 1.0 / width]) / (4.0 * np.pi)
     sig = sig_g + mat @ sig_g @ mat.T
     z = pts[None, :, :] - (pts @ mat.T)[:, None, :]
@@ -229,7 +229,7 @@ def metaplectic_law(op: FioOperator, lattice, window):
     np.exp(law, out=law)
     law *= (math.sqrt(width / 2.0) * (2.0 * np.pi) ** -0.5
             * np.linalg.det(sig) ** -0.25)
-    return law.ravel()
+    return law
 
 
 def _covariant_entries(mat: SymplecticMatrix, width: float, lambdas, mus,

@@ -48,15 +48,15 @@ def lstsq_line_fit(xs, ys):
 
 
 def chi_distances(m):
-    """|mu - chi(lambda)| of every entry of m, flat and lambda-major.
+    """|mu - chi(lambda)| of every entry of m, a row per lambda.
 
     One np.hypot of the lattice minus m.chi, independent of the matrix's
     own distance helper: the oracle for the distances its fits and
     matrix.csv read.
     """
-    pts = m.lattice.as_array()
+    pts = m.lattice.points
     return np.hypot(pts[None, :, 0] - m.chi[:, 0, None],
-                    pts[None, :, 1] - m.chi[:, 1, None]).ravel()
+                    pts[None, :, 1] - m.chi[:, 1, None])
 
 
 def centered_gaussian(grid, width):

@@ -35,7 +35,7 @@ def test_criterion_1_concentration_bound(harmonic_g1_matrix):
     noise sits there, though this matrix is assembled in closed form.
     """
     m = harmonic_g1_matrix
-    keep = m.unflagged() & (m.magnitudes() >= 1e-12)
+    keep = ~m.flags[:, None] & (m.magnitudes() >= 1e-12)
     bound = 2.0 ** -0.5 * np.exp(-0.5 * np.pi * chi_distances(m)[keep] ** 2)
     ratios = m.magnitudes()[keep] / (bound * 1.02)
     violations = int(np.sum(ratios > 1.0))

@@ -402,7 +402,7 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     # set to 36 bytes per entry, the matrix alone, assemble's block and
     # analysis atoms and the dual-window system all fit; only the copy
     # does not, and only propagate builds it. Nor does gabor-matrix's
-    # law report, 35 bytes more per entry. decay-fit and sparsity hold the
+    # law report, 27 bytes more per entry. decay-fit and sparsity hold the
     # matrix and the fits' arrays, 58 bytes more (the matrix stores no
     # distances): 74 in all, so they run at 100, where neither the copy
     # nor the law report would fit on top. At 74 bytes per entry (87.8 MB)
@@ -431,19 +431,23 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("command, ceiling", [
     ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9),
-    ("gabor-matrix", 52)])
+    ("gabor-matrix", 52), ("propagate", 80)])
 def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                                                     capsys, command,
                                                     ceiling):
     # Every allocation of the run traced, on the 1089-point frame above:
-    # 67.1-67.7 bytes per entry (decay-fit, sparsity) and 69.2 (all six
-    # operators, each matrix released before the next is assembled),
-    # against the 74 charged; gabor-matrix 50.1-50.7, against 51. The
-    # runs must stay at or under ceiling bytes per entry: before the fits
-    # shared their shells the fit commands peaked at it or more, against
-    # 24 charged, and gabor-matrix peaked at 58.1-58.7 (charged 58) while
-    # the matrix stored its distances. With physical memory set to the
-    # traced peak, the size guard must refuse the run for its matrix.
+    # 67.1-67.8 bytes per entry (decay-fit, sparsity) and 68.4-69.3 (all
+    # six operators, each matrix released before the next is assembled),
+    # against the 74 charged; gabor-matrix 41.1-41.8, against 43;
+    # propagate 76.2-77.0, against 80. The runs must stay at or under
+    # ceiling bytes per entry: before the fits shared their shells the fit
+    # commands peaked at it or more, against 24 charged; gabor-matrix
+    # peaked at 58.1-58.7 (charged 58) while the matrix stored its
+    # distances and at 50.1-50.9 (charged 51) while its law report held
+    # two temporaries; propagate peaked at 87.2-88.1 (charged 56) while
+    # its magnitude order and partial products held copies. With physical
+    # memory set to the traced peak, the size guard must refuse the run
+    # for its matrix.
     cfg = tmp_path / "fine.json"
     cfg.write_text(json.dumps({
         "grid": {"N": 512, "L": 20.0},
@@ -466,7 +470,9 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                         lambda name: fake.get(name) or real_sysconf(name))
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    extra = "law report" if command == "gabor-matrix" else "fits' samples"
+    extra = {"gabor-matrix": "law report",
+             "propagate": "magnitude-ordered copy"}.get(command,
+                                                        "fits' samples")
     assert "frame.truncation" in err and extra in err
 
 

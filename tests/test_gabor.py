@@ -51,15 +51,39 @@ def test_lattice_layout():
     lat = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, TRUNCATION)
     assert len(lat) == 529
     pts = lat.points
-    assert list(pts) == sorted(pts)
-    assert pts[len(lat) // 2] == (0.0, 0.0)
-    arr = lat.as_array()
-    assert arr.shape == (529, 2)
-    assert np.max(np.abs(arr)) <= TRUNCATION + 1e-9
+    assert pts.shape == (529, 2)
+    assert pts.tolist() == sorted(pts.tolist())
+    assert pts[len(lat) // 2].tolist() == [0.0, 0.0]
+    assert np.max(np.abs(pts)) <= TRUNCATION + 1e-9
     # Unequal steps and ranges: 27 x 35 points, origin at 13 * 35 + 17.
     uneven = gf.Lattice(0.75, 0.9, 10.0, 16.0)
     assert len(uneven) == 945
-    assert uneven.points[472] == (0.0, 0.0)
+    assert uneven.points[472].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("steps, ranges, k1, k2", [
+    ((LATTICE_STEP, LATTICE_STEP), (TRUNCATION, TRUNCATION), 11, 11),
+    ((0.75, 0.9), (10.0, 16.0), 13, 17),
+    ((0.5, 0.5), (0.0, 0.0), 0, 0),
+    ((0.75, 0.9), (0.0, 3.0), 0, 3)],
+    ids=["even", "uneven", "truncation-0", "time-truncation-0"])
+def test_lattice_points_are_the_enumeration(steps, ranges, k1, k2):
+    # One read-only (|L|, 2) array, bitwise the points (i alpha, j beta)
+    # in lexicographic order; equality and hashing ignore it.
+    alpha, beta = steps
+    lat = gf.Lattice(alpha, beta, *ranges)
+    expected = np.array([(i * alpha, j * beta)
+                         for i in range(-k1, k1 + 1)
+                         for j in range(-k2, k2 + 1)])
+    assert lat.points.shape == expected.shape
+    assert lat.points.dtype == np.float64
+    assert lat.points.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        lat.points[0, 0] = 1.0
+    twin = gf.Lattice(alpha, beta, *ranges)
+    object.__setattr__(twin, "points", np.zeros((1, 2)))
+    assert twin == lat and hash(twin) == hash(lat)
+    assert lat != gf.Lattice(alpha, beta, ranges[0] + 1.0, ranges[1])
 
 
 def test_lattice_validation():
@@ -145,7 +169,7 @@ def test_atoms_hold_no_subnormal(grid, window):
     # product severalfold.
     pad = gf.Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
     lat = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, TRUNCATION)
-    atoms = gab._atom_matrix(window, pad, lat.as_array())
+    atoms = gab._atom_matrix(window, pad, lat.points)
     for part in (atoms.real, atoms.imag):
         assert not np.any((part != 0) & (np.abs(part) < np.finfo(float).tiny))
 
@@ -214,7 +238,7 @@ def test_frame_bounds_margin_precheck():
 def test_frame_inequality_on_central_span(g2_frame):
     a, b = gf.frame_bounds(g2_frame)
     atoms = g2_frame.atoms()
-    pts = g2_frame.lattice.as_array()
+    pts = g2_frame.lattice.points
     central = ((np.abs(pts[:, 0]) <= TRUNCATION / 2 + 1e-9)
                & (np.abs(pts[:, 1]) <= TRUNCATION / 2 + 1e-9))
     rng = np.random.default_rng(7)
@@ -283,7 +307,7 @@ def test_walnut_frame_operator_matches_atom_sums():
          + 0.5 * gab._atom_matrix(gf.gaussian(3.0), grid,
                                   [(-1.3, -0.4)])[:, 0])
     for window in (gf.gaussian(2.0), gf.hermite(2, 2.0)):
-        atoms = gab._atom_matrix(window, grid, lat.as_array())
+        atoms = gab._atom_matrix(window, grid, lat.points)
         expected = atoms @ (grid.spacing * (atoms.conj().T @ f))
         got = gab._walnut_frame_operator(window, lat, grid, f)
         assert (np.linalg.norm(got - expected)

@@ -25,9 +25,9 @@ def _synthetic_matrix(truncation=4.0, rate=3.0):
     """
     grid = gf.Grid(1, 1024, 32.0)
     lat = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, truncation)
-    pts = lat.as_array()
+    pts = lat.points
     dist = np.hypot(pts[None, :, 0] - pts[:, None, 0],
-                    pts[None, :, 1] - pts[:, None, 1]).ravel()
+                    pts[None, :, 1] - pts[:, None, 1])
     return gf.GaborMatrix(
         operator_name="synthetic", grid=grid, window=gf.gaussian(2.0),
         lattice=lat, entries=np.exp(-rate * dist).astype(complex),
@@ -40,9 +40,9 @@ def test_identity_matrix_closed_form(matrices):
     # For the width-2 window, |<g_mu, g_lambda>| factors into a width-4
     # Gaussian in the time offset and a width-1 Gaussian in frequency.
     m = matrices["identity"]
-    pts = m.lattice.as_array()
-    w1 = (pts[None, :, 0] - pts[:, None, 0]).ravel()
-    w2 = (pts[None, :, 1] - pts[:, None, 1]).ravel()
+    pts = m.lattice.points
+    w1 = pts[None, :, 0] - pts[:, None, 0]
+    w2 = pts[None, :, 1] - pts[:, None, 1]
     law = np.exp(-np.pi * w1 ** 2 / 4.0 - np.pi * w2 ** 2)
     assert np.max(np.abs(m.magnitudes() - law)) <= 1e-12
 
@@ -80,7 +80,7 @@ def test_metaplectic_matrix_closed_form(matrices, g2_frame, spec, mat):
     m = (matrices[spec] if spec in matrices
          else gf.assemble(gf.parse_operator(spec), g2_frame))
     law = gf.metaplectic_law(gf.build_metaplectic(mat), m.lattice, m.window)
-    keep = m.unflagged()
+    keep = ~m.flags
     assert np.max(np.abs(m.magnitudes()[keep] - law[keep])) <= 1e-12
 
 
@@ -93,7 +93,7 @@ def test_cos_multiplier_matrix_closed_form(matrices):
     # 2.9e-14.
     m = matrices["multiplier:cos"]
     width = m.window.width
-    pts = m.lattice.as_array()
+    pts = m.lattice.points
     x, w = pts[:, None, 0], pts[:, None, 1]
     y, v = pts[None, :, 0], pts[None, :, 1]
     ns = np.arange(-30, 31)
@@ -106,7 +106,7 @@ def test_cos_multiplier_matrix_closed_form(matrices):
         law += (1j ** n * j_n * np.exp(1j * np.pi * freq * (x + y)
                                        - np.pi * width * freq ** 2 / 2))
     law *= np.sqrt(width / 2) * np.exp(-np.pi * (x - y) ** 2 / (2 * width))
-    assert np.max(np.abs(m.entries - law.ravel())) <= 1e-12
+    assert np.max(np.abs(m.entries - law)) <= 1e-12
 
 
 COVARIANT = ("identity", "metaplectic:chirp:1.0", "multiplier:poly:0.3",
@@ -130,7 +130,7 @@ def test_covariant_assembly_matches_quadrature(grid, width, name):
     op = gf.parse_operator(name)
     m = gf.assemble(op, frame)
     quad = _quadrature_entries(op, frame)
-    keep = m.unflagged()
+    keep = ~m.flags
     peak = np.max(np.abs(quad))
     assert np.max(np.abs(m.entries - quad)[keep]) <= 1e-12 * peak
     parts = np.abs(m.entries.view(float))
@@ -180,10 +180,10 @@ def test_factored_quadrature_matches_dense(g2_frame, name):
     assert op._matrix is not None
     grid = g2_frame.grid
     pad = grid.doubled()
-    atoms = _atom_matrix(g2_frame.window, pad, g2_frame.lattice.as_array())
+    atoms = _atom_matrix(g2_frame.window, pad, g2_frame.lattice.points)
     fast = _quadrature_entries(op, g2_frame)
     slow = (pad.spacing * atoms.conj().T
-            @ _dense_columns(op, pad, atoms)).T.ravel()
+            @ _dense_columns(op, pad, atoms)).T
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     f = gf.SampledSignal(grid, _atom_matrix(gf.gaussian(2.0), grid,
@@ -211,12 +211,11 @@ def test_atom_local_product_matches_full_gram(grid, spec):
         window, gf.make_lattice(LATTICE_STEP, LATTICE_STEP, TRUNCATION), grid)
     op = gf.parse_operator("harmonic:0.9")
     pad = gf.Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
-    pts = frame.lattice.as_array()
+    pts = frame.lattice.points
     atoms = _atom_matrix(window, pad, pts)
     full = pad.spacing * (atoms.T @ _apply_columns(op, pad, atoms).conj()
                           ).conj()
-    n = len(pts)
-    local = _quadrature_entries(op, frame).reshape(n, n).T
+    local = _quadrature_entries(op, frame).T
     assert np.max(np.abs(local - full)) <= 1e-14 * np.max(np.abs(full))
     rows = _atom_rows(window.evaluate(pad.times()[:, None]
                                       - np.unique(pts[:, 0])))
@@ -231,7 +230,7 @@ def _unblocked_entries(op, frame):
     output over the rows their window reaches, one product per time.
     """
     pad = frame.grid.doubled()
-    pts = frame.lattice.as_array()
+    pts = frame.lattice.points
     n = len(pts)
     atoms = _atom_matrix(frame.window, pad, pts)
     t_atoms = _apply_columns(op, pad, atoms)
@@ -243,7 +242,7 @@ def _unblocked_entries(op, frame):
         np.matmul(t_atoms[lo:hi].T, atoms[lo:hi, a:b].conj(),
                   out=entries[:, a:b])
     entries *= pad.spacing
-    return entries.ravel()
+    return entries
 
 
 @pytest.mark.parametrize("spec, alpha, beta, truncation, name", [
@@ -286,7 +285,7 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     """
     op = gf.parse_operator("multiplier:cos")
     pad = g2_frame.grid.doubled()
-    pts = g2_frame.lattice.as_array()
+    pts = g2_frame.lattice.points
     n, xs = len(pts), np.unique(pts[:, 0])
     rows = _atom_rows(g2_frame.window.evaluate(pad.times()[:, None] - xs))
     bound = (56 * pad.points_per_axis * gf.gmatrix.BLOCK_ATOMS
@@ -354,7 +353,7 @@ def test_harmonic_concentration_bound(harmonic_g1_matrix):
     # Entries above the quadrature noise ceiling obey the rotated-Gaussian
     # law with 2 percent slack; the law is exact for the width-1 window.
     m = harmonic_g1_matrix
-    keep = m.unflagged() & (m.magnitudes() >= 1e-12)
+    keep = ~m.flags[:, None] & (m.magnitudes() >= 1e-12)
     bound = 2.0 ** -0.5 * np.exp(-0.5 * np.pi * chi_distances(m)[keep] ** 2)
     ratios = m.magnitudes()[keep] / (bound * 1.02)
     assert int(np.sum(ratios > 1.0)) == 0
@@ -378,7 +377,7 @@ def test_flag_counts_are_stable(matrices):
 def test_dense_orientation(matrices):
     m = matrices["identity"]
     n = m.n_lattice
-    assert m.dense()[3, 5] == m.entries[5 * n + 3]
+    assert m.dense()[3, 5] == m.entries[5, 3]
     assert len(m) == n * n
     assert np.all(m._fit_samples[0] >= 0)
     assert np.all(np.isfinite(m.entries))
@@ -394,15 +393,19 @@ def test_matrix_validation_and_immutability():
             lattice=m.lattice, entries=m.entries[:-1], chi=m.chi)
 
 
-@pytest.mark.parametrize("rows, cols", [(1, 0), (-1, 0), (0, 1), (0, -1)])
-def test_matrix_refuses_chi_of_the_wrong_shape(rows, cols):
+@pytest.mark.parametrize("field, rows, cols", [
+    ("chi", 1, 0), ("chi", -1, 0), ("chi", 0, 1), ("chi", 0, -1),
+    ("entries", 0, 0)], ids=["1-0", "-1-0", "0-1", "0--1", "flat-entries"])
+def test_matrix_refuses_chi_of_the_wrong_shape(field, rows, cols):
     # chi holds one (x, xi) row per lattice point: the flags and every
-    # distance are computed from it.
+    # distance are computed from it. The entries hold one row per
+    # lambda; a flat (|L|^2,) array is refused.
     m = _synthetic_matrix(truncation=2.0)
     n = m.n_lattice
-    chi = np.zeros((n + rows, 2 + cols))
-    with pytest.raises(ValueError, match="chi"):
-        dataclasses.replace(m, chi=chi)
+    bad = {"chi": np.zeros((n + rows, 2 + cols)),
+           "entries": m.entries.ravel()}[field]
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(m, **{field: bad})
     with pytest.raises(ValueError):
         m.flags[0] = True
 
@@ -422,11 +425,11 @@ def test_flags_and_distances_come_from_chi(tmp_path):
     assert 0 < m.flags.sum() < m.n_lattice
     expected = chi_distances(m)
     dist, _ = m._fit_samples
-    assert np.array_equal(dist, expected[m.unflagged()])
+    assert np.array_equal(dist, expected[~m.flags])
     path = tmp_path / "matrix.csv"
     m.to_csv(path)
     column = np.loadtxt(path, delimiter=",", skiprows=1, usecols=7)
-    assert np.array_equal(column, expected)
+    assert np.array_equal(column, expected.ravel())
 
 
 def test_matrix_csv_schema(tmp_path):
@@ -535,7 +538,7 @@ def test_restricted_fit_is_shell_fit_at_one_order(matrices):
     """
     m = matrices["metaplectic:dilation:2.0"]
     assert m.flags.any()
-    keep = m.unflagged()
+    keep = ~m.flags
     dist, mags = chi_distances(m)[keep], m.magnitudes()[keep]
     for s in (0.5, 1.0):
         fit = shell_decay_fit(dist, mags, floor=MATRIX_FLOOR,
@@ -764,14 +767,14 @@ def test_sparse_apply_matches_thresholded_product(harmonic_matrix,
     matrix = harmonic_matrix
     if kind == "random":
         rng = np.random.default_rng(7)
-        size = len(matrix)
+        shape = matrix.entries.shape
         matrix = dataclasses.replace(
             matrix, operator_name="random",
-            entries=rng.standard_normal(size) * np.exp(
-                2j * np.pi * rng.random(size)))
+            entries=rng.standard_normal(shape) * np.exp(
+                2j * np.pi * rng.random(shape)))
     f = _packet(dual_frame.grid, 1.0, -0.5, 1.5)
     dense = matrix.dense()
-    mags = matrix.magnitudes().reshape(dense.T.shape).T
+    mags = matrix.magnitudes().T
     ordered = np.unique(mags)
     median = float(np.median(mags))
     one = float(mags[3, 7])
@@ -807,6 +810,33 @@ def test_magnitude_order_is_built_by_sparse_apply_only(dual_frame):
     order = matrix.__dict__["_magnitude_order"]
     gf.sparse_apply(matrix, dual_frame, f, 0.0)
     assert matrix.__dict__["_magnitude_order"] is order
+
+
+def test_partial_products_are_bitwise_the_bincount_sums(harmonic_matrix,
+                                                        dual_frame):
+    # The reference order is the argsort of the flat magnitudes, with
+    # (lambda, mu) its divmod by |L|; the reference sums are np.bincount
+    # of the terms' real and imaginary parts, each mu's terms in the
+    # order's sequence.
+    matrix = harmonic_matrix
+    n, size = matrix.n_lattice, len(matrix)
+    mags, entries, mu, lam = matrix._magnitude_order
+    flat = matrix.entries.ravel()
+    ref = np.argsort(np.abs(flat))
+    ref_lam, ref_mu = np.divmod(ref, n)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(mu, ref_mu)
+    assert np.array_equal(entries, flat[ref])
+    assert np.array_equal(mags, np.abs(flat)[ref])
+    coeffs = dual_frame.dual_analysis(_packet(dual_frame.grid, 1.0, -0.5,
+                                              1.5))
+    for part in (slice(0, size // 3), slice(size // 3, size)):
+        terms = entries[part] * coeffs[lam[part]]
+        expected = np.empty(n, dtype=complex)
+        expected.real = np.bincount(mu[part], terms.real, minlength=n)
+        expected.imag = np.bincount(mu[part], terms.imag, minlength=n)
+        got = gf.gmatrix._partial_product(
+            matrix._magnitude_order, coeffs, part, n)
+        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-290, 1e280])

@@ -77,9 +77,9 @@ def test_metaplectic_law_covers_gaussian_windows_of_bare_matrices():
     # time offset and a width-2/w one in frequency (|<g_lambda, g_mu>|
     # of the gaussian(w) window, ||g||^2 = sqrt(w / 2) at its peak).
     lat = gf.make_lattice(0.5, 0.5, 2.0)
-    pts = lat.as_array()
-    dx = (pts[None, :, 0] - pts[:, None, 0]).ravel()
-    dw = (pts[None, :, 1] - pts[:, None, 1]).ravel()
+    pts = lat.points
+    dx = pts[None, :, 0] - pts[:, None, 0]
+    dw = pts[None, :, 1] - pts[:, None, 1]
     identity = gf.parse_operator("identity")
     for w in (1.0, 2.0, 3.0):
         law = gf.metaplectic_law(identity, lat, gf.gaussian(w))

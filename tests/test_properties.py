@@ -27,10 +27,10 @@ def test_covariant_entries_have_the_law_modulus(mat, width):
     # The complex closed form assemble fills matrices with, against the
     # independent overlap law, on a 9 x 9 lattice; measured <= 4e-15 of
     # the peak over 300 random draws.
-    pts = LATTICE.as_array()
+    pts = LATTICE.points
     entries = np.empty((len(pts), len(pts)), dtype=complex)
     _covariant_entries(mat, width, pts, pts, out=entries)
     law = gf.metaplectic_law(gf.build_metaplectic(mat), LATTICE,
                              gf.gaussian(width))
-    assert (np.max(np.abs(np.abs(entries.ravel()) - law))
+    assert (np.max(np.abs(np.abs(entries) - law))
             <= 1e-14 * np.max(law))
