@@ -165,9 +165,11 @@ def scan_orders(shells: CensoredShells, *, s_grid=None,
             f"insufficient data: only {len(shells.ybars)} clean shells")
     # Each order's shell means of r**(1/s), one row per order.
     xs = np.empty((orders.size, shells.ybars.size))
+    # bincount copies a read-only input on every call: one writable copy.
+    idx = shells.idx.copy()
     for s, row in zip(orders, xs):
         with np.errstate(over="ignore"):
-            sums = np.bincount(shells.idx, weights=shells.dist ** (1.0 / s),
+            sums = np.bincount(idx, weights=shells.dist ** (1.0 / s),
                                minlength=shells.clean.size)
         np.divide(sums[shells.clean], shells.counts, out=row)
         if not np.all(np.isfinite(row)):

@@ -176,13 +176,17 @@ class Lattice:
 
     points is a read-only (|L|, 2) array of the points (i alpha, j beta),
     ordered lexicographically so every downstream artifact is
-    deterministic. Equality and hashing read the four fields only.
+    deterministic: every frequency for each time in turn. times and freqs
+    are the read-only axes, the i alpha and the j beta ascending.
+    Equality and hashing read the four fields only.
     """
 
     alpha: float
     beta: float
     time_range: float
     freq_range: float
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    freqs: np.ndarray = field(init=False, repr=False, compare=False)
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -195,8 +199,9 @@ class Lattice:
         xs = np.arange(-k1, k1 + 1) * self.alpha
         ws = np.arange(-k2, k2 + 1) * self.beta
         pts = np.column_stack([np.repeat(xs, ws.size), np.tile(ws, xs.size)])
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        for name, arr in (("times", xs), ("freqs", ws), ("points", pts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def redundancy(self) -> float:
@@ -434,12 +439,20 @@ def _walnut_frame_operator(window: Window, lattice: Lattice, grid: Grid,
 
     Walnut form, for a real window: S x(t) = (1/beta) sum_k G_k(t)
     x(t - k/beta) with G_k(t) = sum_n g(t - n alpha) g(t - n alpha - k/beta).
-    x is shifted spectrally; n and k run over every shift the grid holds.
+    x is shifted spectrally; n runs over every shift the grid holds, and
+    k/beta over those within twice the window's reach: the last grid
+    time |t| where |g| >= ATOM_SUPPORT times its peak (_atom_rows), plus
+    a grid step, past which the tails of both window families decrease.
+    One factor of each product a farther shift would add lies past the
+    reach, so the product is under ATOM_SUPPORT peak^2.
     """
     alpha, beta = lattice.alpha, lattice.beta
+    t = grid.times()
+    lo, hi = _atom_rows(window.evaluate(t)[:, None])[0]
+    reach = max(-t[lo], t[hi - 1]) + grid.spacing
     k_n = _steps_within(grid.half_width, alpha)
-    k_s = _steps_within(grid.half_width, 1.0 / beta)
-    window_times = grid.times()[:, None] - alpha * np.arange(-k_n, k_n + 1)
+    k_s = _steps_within(min(grid.half_width, 2.0 * reach), 1.0 / beta)
+    window_times = t[:, None] - alpha * np.arange(-k_n, k_n + 1)
     windows = window.evaluate(window_times)
     shifts = np.arange(-k_s, k_s + 1) / beta
     shifted = _atom_matrix(values, grid, np.column_stack([shifts, 0 * shifts]))

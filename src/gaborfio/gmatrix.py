@@ -4,12 +4,14 @@ The matrix entry at (mu, lambda) is <T g_lambda, g_mu>. For a
 metaplectic operator without a multiplier and a Gaussian window it is
 known in closed form, a complex Gaussian in mu - A lambda times two
 unit-modulus phases (metaplectic._covariant_entries), and assemble
-evaluates that, BLOCK_ATOMS lambdas at a time: O(|L|^2) elementwise work
-with no quadrature, so no grid truncation or aliasing, in any column and
-at any harmonic time the operator accepts. Every other operator and
-window (a multiplier, a bare phase, a Hermite window) goes through the
-quadrature, _quadrature_entries, which is also the closed form's test
-oracle.
+evaluates that, BLOCK_ATOMS lambdas at a time: one real exp and three
+products per entry, the phase's complex exps taken per (lambda, lattice
+time), per (lambda, frequency) and per mu. That is O(|L|^2) elementwise
+work with no quadrature, so no grid truncation or aliasing, in any
+column and at any harmonic time the operator accepts. Every other
+operator and window (a multiplier, a bare phase, a Hermite window) goes
+through the quadrature, _quadrature_entries, which is also the closed
+form's test oracle.
 
 The quadrature runs on a doubled grid (twice the points, twice the
 length, same spacing) so that operators translating content toward the
@@ -102,7 +104,8 @@ MIN_FIT_SAMPLES = 200
 # rows and a copy of half of it: 56 (2N) BLOCK_ATOMS bytes, 28 MiB at
 # N = 2048, where the whole lattice of the N = 2048, truncation 12 frame
 # (1089 points) took 204 MiB. The closed form fills the entries of this
-# many lambdas at a time, with a few temporaries of BLOCK_ATOMS |L| values.
+# many lambdas at a time, with a float temporary of BLOCK_ATOMS |L| values
+# and the flush's masks.
 BLOCK_ATOMS = 128
 
 
@@ -195,20 +198,23 @@ class GaborMatrix:
     def to_csv(self, path) -> None:
         """One %.17g row per entry, lambda-major; each point formatted once.
 
-        Rows are formatted, with their distances, one lambda at a time,
-        so no more than one column's values are held.
+        A lambda's rows, with their distances, are formatted by one %
+        (the rows' template joined by the lambda's point), so no more than
+        one column's values and text are held. abs is np.hypot of the
+        parts, which is bitwise the scalar abs of each entry; np.abs on
+        the array can differ from it in the last digit, and the file is
+        kept bitwise stable.
         """
         points = ["%.17g,%.17g," % (x, w) for x, w in self.lattice.points]
+        rows = [""] + [mu + "%.17g,%.17g,%.17g,%.17g\n" for mu in points]
+        values = np.empty((self.n_lattice, 4))
         with open(path, "w", encoding="ascii") as fh:
             fh.write("lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
             for k, (lam, column) in enumerate(zip(points, self.entries)):
-                dists = self._distances(slice(k, k + 1))[0]
-                # Scalar abs per entry: np.abs on the array can differ
-                # from it in the last digit, and the file is kept bitwise
-                # stable.
-                fh.writelines(lam + mu + "%.17g,%.17g,%.17g,%.17g\n" % (
-                    e.real, e.imag, abs(e), d)
-                    for mu, e, d in zip(points, column, dists))
+                values[:, 0], values[:, 1] = column.real, column.imag
+                np.hypot(column.real, column.imag, out=values[:, 2])
+                values[:, 3] = self._distances(slice(k, k + 1))[0]
+                fh.write(lam.join(rows) % tuple(values.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -255,22 +261,17 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
 
     An operator that carries its matrix and no multiplier, on a Gaussian
     window, takes the closed form (metaplectic._covariant_entries),
-    written straight into the entries BLOCK_ATOMS lambdas (rows) at a
-    time; its entries hold no subnormal part. Any other operator or
-    window takes the quadrature (_quadrature_entries), with its noise
-    near 1e-14 of the peak. chi is canonical_map's on both paths.
+    filled BLOCK_ATOMS lambdas (rows) at a time; its entries hold no
+    subnormal part. Any other operator or window takes the quadrature
+    (_quadrature_entries), with its noise near 1e-14 of the peak. chi is
+    canonical_map's on both paths.
     """
-    pts = frame.lattice.points
-    n = len(pts)
     # First, so a degenerate operator or a Newton failure is refused
     # before any entry is computed.
-    chi = canonical_map(op, pts)
+    chi = canonical_map(op, frame.lattice.points)
     if _has_closed_form(op, frame.window):
-        entries = np.empty((n, n), dtype=complex)
-        for lo in range(0, n, BLOCK_ATOMS):
-            block = slice(lo, lo + BLOCK_ATOMS)
-            _covariant_entries(op._matrix, frame.window.width, pts[block],
-                               pts, out=entries[block])
+        entries = _covariant_entries(op._matrix, frame.window.width,
+                                     frame.lattice, BLOCK_ATOMS)
     else:
         entries = _quadrature_entries(op, frame)
     return GaborMatrix(

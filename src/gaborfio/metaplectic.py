@@ -22,7 +22,11 @@ Gaussian about the graph of mat (Cordero, Nicola and Rodino 2009), in
 two independent forms: metaplectic_law, its modulus from the overlap of
 two phase-space Gaussians, and _covariant_entries, its complex entries
 from the operator's covariance with time-frequency shifts, which
-gmatrix.assemble fills the matrix with.
+gmatrix.assemble fills the matrix with. _covariant_entries keeps the
+Gaussian's real exponent in mu - A lambda, where it neither cancels nor
+overflows, and expands only the phase over the product lattice: one
+unit factor per (lambda, lattice time), one per (lambda, frequency) and
+a table of mu shared by every lambda, so an entry costs one real exp.
 """
 
 from __future__ import annotations
@@ -232,29 +236,47 @@ def metaplectic_law(op: FioOperator, lattice, window):
     return law
 
 
-def _covariant_entries(mat: SymplecticMatrix, width: float, lambdas, mus,
-                       out: np.ndarray) -> None:
-    """Closed-form complex <T g_lambda, g_mu> into out, lambda-major.
+def _covariant_entries(mat: SymplecticMatrix, width: float, lattice,
+                       block_rows: int) -> np.ndarray:
+    """Closed-form complex <T g_lambda, g_mu>, one row per lambda.
 
     T is the operator of A = mat without a multiplier, g the
     gaussian(width) window and g_lambda(t) = g(t - x) exp(2 pi i w t) for
-    lambda = (x, w); out has one row per lambda and one column per mu. By
-    the covariance T rho(lambda) = rho(A lambda) T, with
-    rho(x, w) = exp(-pi i x w) M_w T_x (Folland 1989, ch. 4), and with
-    (x', w') = A lambda,
+    lambda = (x, w); lambda and mu run over lattice.points, and the rows
+    are filled block_rows at a time, each on its own, so the result does
+    not depend on block_rows. By the covariance
+    T rho(lambda) = rho(A lambda) T, with rho(x, w) = exp(-pi i x w) M_w T_x
+    (Folland 1989, ch. 4), and with (x', w') = A lambda,
     <T g_lambda, g_mu> = exp(pi i (x w - x' w')) exp(2 pi i (w' - w_mu) x')
     V_g(T g)(mu - A lambda).
     T g is a constant times exp(-pi beta t^2), beta = -i tau' for the
     window's tau = i / width moved by the Moebius map
     tau' = (c + d tau) / (a + b tau). With gamma = 1 / width and
-    p = beta + gamma, V_g(T g)(z) is its value at z = 0 times
-    exp(-pi (gamma beta z_x^2 + 2 i gamma z_x z_w + z_w^2) / p).
-    That Gaussian is evaluated in z = mu - A lambda: expanded in
-    (lambda, mu) instead, its terms reach about 100 and cancel. Real and
-    imaginary parts below gabor.ENVELOPE_FLUSH times the entries' peak
-    are set to 0, as subnormal operands slow the BLAS products the
-    matrix enters. Holds a few float and complex temporaries of out's
-    shape.
+    p = beta + gamma, V_g(T g)(z) is its value at z = 0 times exp Q(z),
+    Q(z) = q_xx z_x^2 + q_xw z_x z_w + q_ww z_w^2
+    = -pi (gamma beta z_x^2 + 2 i gamma z_x z_w + z_w^2) / p.
+
+    Only the phase is expanded. The real part of Q, which alone sets the
+    modulus, stays a quadratic in z = mu - A lambda: expanded in
+    (lambda, mu), its terms reach hundreds of either sign and cancel, so
+    their exps would overflow where the entry is merely small. The
+    phase's factors all have modulus 1, and a rounding of the phase
+    moves an entry relative to its own modulus. On the product lattice
+    mu = (x_i, w_j) the phase is a term of (lambda, x_i), a term of
+    (lambda, w_j) and kappa x_i w_j with kappa = Im q_xw, so an entry is
+    one real exp times the unit factors of the two terms and of a table
+    exp(i kappa x_i w_j) that every lambda shares: complex exps per
+    (lambda, x_i), per (lambda, w_j) and per mu, where the unexpanded
+    form spent one, 20-30 real exps' worth, per entry. The expanded
+    terms reach some 450 rad on the truncation-12 lattice; they move
+    the entries by at most 2e-13 of the peak, the modulus by 5e-16.
+
+    Real and imaginary parts below gabor.ENVELOPE_FLUSH times the
+    entries' peak are set to 0, as subnormal operands slow the BLAS
+    products the matrix enters. Exponents of entries that are flushed
+    whole are first raised to a floor where exp and the products stay
+    normal floats, which is also exp's fast path. Holds a float exponent
+    and the flush's masks of one block of rows.
     """
     (a, b), (c, d) = mat.entries
     gam = 1.0 / width
@@ -267,13 +289,40 @@ def _covariant_entries(mat: SymplecticMatrix, width: float, lambdas, mus,
     q_xx = -np.pi * gam * beta / p
     q_xw = -2j * np.pi * gam / p
     q_ww = -np.pi / p
-    x, w = lambdas[:, 0, None], lambdas[:, 1, None]
-    x_out, w_out = a * x + b * w, c * x + d * w
-    zx, zw = mus[:, 0] - x_out, mus[:, 1] - w_out
-    np.multiply(q_xx * zx + q_xw * zw, zx, out=out)
-    out += q_ww * (zw * zw)
-    out.imag += np.pi * (x * w - x_out * w_out) - 2.0 * np.pi * zw * x_out
-    np.exp(out, out=out)
-    out *= scale
-    parts = out.view(float)
-    parts[np.abs(parts) < ENVELOPE_FLUSH * abs(scale)] = 0.0
+    kappa = q_xw.imag
+    pts, xs, ws = lattice.points, lattice.times, lattice.freqs
+    table = np.exp(1j * kappa * xs[:, None] * ws)
+    flush = ENVELOPE_FLUSH * abs(scale)
+    # exp of this is ENVELOPE_FLUSH / e: under the flush below, and some
+    # 30 decades above the subnormal range, so exp and the products that
+    # follow stay off subnormal values.
+    floor = math.log(ENVELOPE_FLUSH) - 1.0
+    out = np.empty((len(pts), len(pts)), dtype=complex)
+    for lo in range(0, len(pts), block_rows):
+        lam = pts[lo:lo + block_rows]
+        # Lattice lists every w for each x in turn: a row is (n_x, n_w).
+        rows = out[lo:lo + len(lam)].reshape(len(lam), len(xs), len(ws))
+        x, w = lam[:, 0, None], lam[:, 1, None]
+        x_out, w_out = a * x + b * w, c * x + d * w
+        zx, zw = xs - x_out, ws - w_out
+        # Re Q(z) = (Re q_xx z_x + Re q_xw z_w) z_x + Re q_ww z_w^2.
+        env = np.add((q_xx.real * zx)[:, :, None],
+                     (q_xw.real * zw)[:, None, :])
+        env *= zx[:, :, None]
+        env += (q_ww.real * (zw * zw))[:, None, :]
+        np.maximum(env, floor, out=env)
+        np.exp(env, out=env)
+        # The phase, pi (x w - x' w') - 2 pi z_w x' + Im Q(z), with
+        # z_x z_w = x_i w_j - x_i w' - x' w_j + x' w' expanded.
+        by_time = np.exp(1j * (q_xx.imag * (zx * zx) - kappa * w_out * xs
+                               + (np.pi * x * w
+                                  + (np.pi + kappa) * x_out * w_out)))
+        by_time *= scale
+        by_freq = np.exp(1j * (q_ww.imag * (zw * zw)
+                               - (kappa + 2.0 * np.pi) * x_out * ws))
+        np.multiply(by_time[:, :, None], table, out=rows)
+        rows *= by_freq[:, None, :]
+        rows *= env
+        parts = rows.view(float)
+        parts[(parts < flush) & (parts > -flush)] = 0.0
+    return out

@@ -69,7 +69,8 @@ def test_lattice_layout():
     ids=["even", "uneven", "truncation-0", "time-truncation-0"])
 def test_lattice_points_are_the_enumeration(steps, ranges, k1, k2):
     # One read-only (|L|, 2) array, bitwise the points (i alpha, j beta)
-    # in lexicographic order; equality and hashing ignore it.
+    # in lexicographic order, and read-only axes, the i alpha and the
+    # j beta; equality and hashing ignore them.
     alpha, beta = steps
     lat = gf.Lattice(alpha, beta, *ranges)
     expected = np.array([(i * alpha, j * beta)
@@ -78,8 +79,11 @@ def test_lattice_points_are_the_enumeration(steps, ranges, k1, k2):
     assert lat.points.shape == expected.shape
     assert lat.points.dtype == np.float64
     assert lat.points.tobytes() == expected.tobytes()
-    with pytest.raises(ValueError):
-        lat.points[0, 0] = 1.0
+    assert lat.times.tobytes() == expected[::2 * k2 + 1, 0].tobytes()
+    assert lat.freqs.tobytes() == expected[:2 * k2 + 1, 1].tobytes()
+    for arr in (lat.points, lat.times, lat.freqs):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
     twin = gf.Lattice(alpha, beta, *ranges)
     object.__setattr__(twin, "points", np.zeros((1, 2)))
     assert twin == lat and hash(twin) == hash(lat)
@@ -312,6 +316,41 @@ def test_walnut_frame_operator_matches_atom_sums():
         got = gab._walnut_frame_operator(window, lat, grid, f)
         assert (np.linalg.norm(got - expected)
                 <= 1e-13 * np.linalg.norm(expected))
+
+
+def _walnut_over_every_shift(window, lattice, grid, values):
+    """The Walnut sum with k/beta over every shift the grid holds."""
+    alpha, beta = lattice.alpha, lattice.beta
+    k_n = gab._steps_within(grid.half_width, alpha)
+    k_s = gab._steps_within(grid.half_width, 1.0 / beta)
+    window_times = grid.times()[:, None] - alpha * np.arange(-k_n, k_n + 1)
+    windows = window.evaluate(window_times)
+    shifts = np.arange(-k_s, k_s + 1) / beta
+    shifted = gab._atom_matrix(values, grid,
+                               np.column_stack([shifts, 0 * shifts]))
+    out = 0.0
+    for shift, x_k in zip(shifts, shifted.T):
+        out += np.sum(windows * window.evaluate(window_times - shift),
+                      axis=1) * x_k
+    return out / beta
+
+
+@pytest.mark.parametrize("window, alpha, beta", [
+    (gf.gaussian(1.0), LATTICE_STEP, LATTICE_STEP),
+    (gf.gaussian(2.0), LATTICE_STEP, LATTICE_STEP),
+    (gf.gaussian(3.0), LATTICE_STEP, LATTICE_STEP),
+    (gf.gaussian(2.0), 0.8, 0.9),
+    (gf.hermite(2, 2.0), LATTICE_STEP, LATTICE_STEP)])
+def test_walnut_sum_skips_only_shifts_past_the_window(grid, window, alpha,
+                                                      beta):
+    # The shifts past twice the window's reach add products under
+    # ATOM_SUPPORT peak^2: applied to the canonical dual on the doubled
+    # grid, as dual_window does, the trimmed sum is bitwise the full one.
+    lat = gf.make_lattice(alpha, beta, TRUNCATION)
+    ext = grid.doubled()
+    x, _ = gab._wexler_raz_dual(window, lat, ext, 0.0)
+    assert np.array_equal(gab._walnut_frame_operator(window, lat, ext, x),
+                          _walnut_over_every_shift(window, lat, ext, x))
 
 
 def test_dual_synthesis_reconstruction(dual_frame):
