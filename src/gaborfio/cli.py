@@ -229,8 +229,9 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     (1), after the law's evaluation took 24 (metaplectic_law), and 1 for
     what grows slower than |L|^2 (the lattice, chi, one-time
     allocations): traced on 1089 points, gabor-matrix peaks at 41.1-41.8
-    bytes per entry. GaborMatrix.to_csv holds one lambda's rows and
-    distances at a time, which is not charged.
+    bytes per entry. GaborMatrix.to_csv holds a transient per lambda,
+    O(|L|): the lambda's values, their laid-out text and its compacted
+    copy; it is not charged.
     decay-fit and sparsity pay for the fits, 58 bytes more: the distances
     and magnitudes of unflagged entries that every fit reads (16), and the
     censoring of their shells at its peak (42): the samples past the
@@ -245,12 +246,11 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     releases each matrix before it assembles the next. The commands that
     assemble hold one block of at most max(BLOCK_ATOMS, frequencies per
     lattice time) atoms on the doubled grid at a time, with the factored
-    apply's buffer of twice as many rows and the copy of half of it that
-    its row moves take: 56 (2N) bytes per atom. They also hold the
-    conjugated analysis atoms of the whole lattice over the rows their
-    window reaches, at most all 2N. frame-check and propagate hold the
-    frame's atoms and its dual's, N x |L| each, on the frame's grid. The
-    canonical dual's Wexler-Raz system on the doubled grid
+    apply's buffer of twice as many rows: 48 (2N) bytes per atom. They
+    also hold the conjugated analysis atoms of the whole lattice over the
+    rows their window reaches, at most all 2N. frame-check and propagate
+    hold the frame's atoms and its dual's, N x |L| each, on the frame's
+    grid. The canonical dual's Wexler-Raz system on the doubled grid
     (gabor._wexler_raz_dual) holds one complex row per adjoint point
     (k/beta, l/alpha), 0 <= k <= beta L and 0 <= l <= alpha N / (2L),
     over the N samples of t >= 0; with its real form, that form's
@@ -285,7 +285,7 @@ def _check_sizes(exp: Experiment, command: str) -> None:
         sizes += [
             (f"grid.N {n}: a block of {block} atoms and their "
              "operator-apply buffer on the doubled grid",
-             56 * (2 * n) * block),
+             48 * (2 * n) * block),
             (f"grid.N {n}: the analysis atoms of {n_lattice} lattice "
              "points on the doubled grid", 16 * (2 * n) * n_lattice)]
     if command in ("frame-check", "propagate"):

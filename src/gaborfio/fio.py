@@ -260,7 +260,7 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
         theta = ia / n
         spec *= (pre * np.exp(1j * np.pi * theta * v * v))[:, None]
         # Index v sits at row v mod 2N, zeros between.
-        buf[n + h:] = buf[h:n]
+        _move_rows(buf, slice(h, n), slice(n + h, None))
         buf[h:n + h] = 0.0
         s = np.fft.ifftshift(np.arange(2 * n) - n)
         chirp = np.fft.fft(np.exp(-1j * np.pi * theta * s * s))
@@ -268,13 +268,23 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
         buf *= chirp[:, None]
         np.fft.ifft(buf, axis=0, out=buf)
         post *= np.exp(1j * np.pi * theta * u * u)
-        buf[h:n] = buf[n + h:]
+        _move_rows(buf, slice(n + h, None), slice(h, n))
     # Output index u sits at row u mod 2N (u mod N at a = 1); gather the
     # centered result into rows h .. n + h - 1.
-    buf[n:n + h] = buf[:h]
+    _move_rows(buf, slice(None, h), slice(n, n + h))
     out = buf[h:n + h]
     out *= post[:, None]
     return out.reshape(values.shape)
+
+
+def _move_rows(buf: np.ndarray, src: slice, dst: slice) -> None:
+    """buf[dst] = buf[src] in an F-ordered buffer, one column at a time.
+
+    Within a column the two row ranges do not overlap; over the whole
+    array their bounds do, and numpy would copy the source first.
+    """
+    for col in buf.T:
+        col[dst] = col[src]
 
 
 def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:

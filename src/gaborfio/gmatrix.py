@@ -52,6 +52,10 @@ then one binary search, and the product sums whichever side of it is
 smaller: the kept entries, or the dense product less the dropped ones.
 So a call costs O(min(kept, dropped)) on top of the frame's dual
 analysis and synthesis, and tau = 0 is one dense product.
+
+to_csv writes matrix.csv, one lambda's rows at a time, through the
+signals module's "%.17g" formatter; the lattice points' text is
+formatted once.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from .fitting import (CensoredShells, ShellFit, censor_shells, scan_orders,
                       sorted_tail_fits)
 from .gabor import GaborFrame, _atom_factors, _atom_rows
 from .metaplectic import _covariant_entries, _has_closed_form
-from .signals import Grid, SampledSignal
+from .signals import Grid, SampledSignal, _csv_rows
 
 __all__ = [
     "GaborMatrix",
@@ -100,12 +104,12 @@ MIN_FIT_SAMPLES = 200
 
 # The quadrature pushes the atoms of whole lattice times through the
 # operator, as many times as fit in this many atoms (at least one). A block
-# holds its atoms on the doubled grid, the apply's buffer of twice as many
-# rows and a copy of half of it: 56 (2N) BLOCK_ATOMS bytes, 28 MiB at
-# N = 2048, where the whole lattice of the N = 2048, truncation 12 frame
-# (1089 points) took 204 MiB. The closed form fills the entries of this
-# many lambdas at a time, with a float temporary of BLOCK_ATOMS |L| values
-# and the flush's masks.
+# holds its atoms on the doubled grid and the apply's buffer of twice as
+# many rows: 48 (2N) BLOCK_ATOMS bytes, 24 MiB at N = 2048, where the
+# whole lattice of the N = 2048, truncation 12 frame (1089 points) took
+# 204 MiB. The closed form fills the entries of this many lambdas at a
+# time, with a float temporary of BLOCK_ATOMS |L| values and the flush's
+# masks.
 BLOCK_ATOMS = 128
 
 
@@ -198,23 +202,28 @@ class GaborMatrix:
     def to_csv(self, path) -> None:
         """One %.17g row per entry, lambda-major; each point formatted once.
 
-        A lambda's rows, with their distances, are formatted by one %
-        (the rows' template joined by the lambda's point), so no more than
-        one column's values and text are held. abs is np.hypot of the
-        parts, which is bitwise the scalar abs of each entry; np.abs on
-        the array can differ from it in the last digit, and the file is
-        kept bitwise stable.
+        Each point's text "x,w," is formatted once, NUL-padded to one
+        width. A lambda's rows are one signals._csv_rows call, led by its
+        point and each mu, so no more than one lambda's values and text
+        are held. abs is np.hypot of the parts, which is bitwise the
+        scalar abs of each entry; np.abs on the array can differ from it
+        in the last digit, and the file is kept bitwise stable.
         """
-        points = ["%.17g,%.17g," % (x, w) for x, w in self.lattice.points]
-        rows = [""] + [mu + "%.17g,%.17g,%.17g,%.17g\n" for mu in points]
+        lines = bytes(_csv_rows(self.lattice.points)).split(b"\n")[:-1]
+        points = np.array([p + b"," for p in lines]).view(np.uint8)
+        points = points.reshape(self.n_lattice, -1)
+        width = points.shape[1]
+        lead = np.empty((self.n_lattice, 2 * width), np.uint8)
+        lead[:, width:] = points
         values = np.empty((self.n_lattice, 4))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
+        with open(path, "wb") as fh:
+            fh.write(b"lambda1,lambda2,mu1,mu2,re,im,abs,dist\n")
             for k, (lam, column) in enumerate(zip(points, self.entries)):
                 values[:, 0], values[:, 1] = column.real, column.imag
                 np.hypot(column.real, column.imag, out=values[:, 2])
                 values[:, 3] = self._distances(slice(k, k + 1))[0]
-                fh.write(lam.join(rows) % tuple(values.ravel().tolist()))
+                lead[:, :width] = lam
+                fh.write(_csv_rows(values, lead))
 
 
 @dataclass(frozen=True)

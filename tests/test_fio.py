@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
+from gaborfio import fio
 from gaborfio.fio import HYPOTHESIS_BOX, HYPOTHESIS_POINTS
 from gaborfio.gabor import _atom_matrix
 from conftest import centered_gaussian, rel_error
@@ -147,6 +148,23 @@ def test_apply_is_linear(grid):
     right = 2.0 * gf.apply(op, f).values - 1.5j * gf.apply(op, g).values
     assert (np.linalg.norm(left.values - right)
             <= 1e-10 * np.linalg.norm(right))
+
+
+@pytest.mark.parametrize("name", ["multiplier:cos",
+                                  "metaplectic:dilation:2.0"])
+def test_row_moves_column_by_column_match_whole_moves(name, monkeypatch):
+    # The factored apply moves rows within its F-ordered buffer one column
+    # at a time; the same moves on whole slices, which numpy copies through
+    # a temporary, give bitwise the same columns, at a = 1 (inverse FFT)
+    # and on the Bluestein path.
+    grid = gf.Grid(1, 256, 16.0)
+    op = gf.parse_operator(name)
+    rng = np.random.default_rng(7)
+    cols = rng.standard_normal((256, 9)) + 1j * rng.standard_normal((256, 9))
+    out = fio._apply_columns(op, grid, cols).copy()
+    monkeypatch.setattr(fio, "_move_rows",
+                        lambda buf, src, dst: buf.__setitem__(dst, buf[src]))
+    assert np.array_equal(fio._apply_columns(op, grid, cols), out)
 
 
 # --------------------------------------------------------- canonical map

@@ -327,21 +327,21 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     reference frame (2N = 2048, 23 x 23 lattice), for an operator that
     takes the quadrature.
 
-    What it holds besides its output: one block's atoms, the apply's
-    buffer of twice their rows and the copy of half that buffer which
-    its row moves take (numpy copies a slice assigned within one array
-    through a temporary), 56 (2N) BLOCK_ATOMS bytes (14 MiB); the
+    What it holds besides its output: one block's atoms and the apply's
+    buffer of twice their rows, whose row moves go a column at a time
+    and copy nothing, 48 (2N) BLOCK_ATOMS bytes (12 MiB); the
     conjugated analysis atoms over their rows, 16 |L| rows bytes at most
     (3.5 MiB); and the shifts and waves, 24 (2N) bytes per lattice time
-    (1.1 MiB). That sums to 18.6 MiB; measured 17.4 MiB. Atoms and
-    buffer for the whole lattice at once left 53.9 MiB.
+    (1.1 MiB). That sums to 16.6 MiB; measured 16.0 MiB. Moving the
+    buffer's rows whole took a temporary of half of it, 17.4 MiB; atoms
+    and buffer for the whole lattice at once left 53.9 MiB.
     """
     op = gf.parse_operator("multiplier:cos")
     pad = g2_frame.grid.doubled()
     pts = g2_frame.lattice.points
     n, xs = len(pts), np.unique(pts[:, 0])
     rows = _atom_rows(g2_frame.window.evaluate(pad.times()[:, None] - xs))
-    bound = (56 * pad.points_per_axis * gf.gmatrix.BLOCK_ATOMS
+    bound = (48 * pad.points_per_axis * gf.gmatrix.BLOCK_ATOMS
              + 16 * n * int(np.max(rows[:, 1] - rows[:, 0]))
              + 24 * pad.points_per_axis * len(xs))
     tracemalloc.start()
@@ -520,7 +520,9 @@ def test_matrix_csv_matches_a_row_by_row_formatter(tmp_path):
 def test_matrix_csv_formats_one_column_at_a_time():
     # 625 lattice points, 390,625 rows. A list of one scalar abs per
     # entry took 12.8 MB (32.7 bytes per entry) on top of the matrix;
-    # one lambda's rows at a time peak at 0.09 MB.
+    # one lambda's rows at a time, laid out in 32-byte slots per value,
+    # peak at 0.50 MB (0.60 MB on the call that builds the formatter's
+    # tables).
     m = _synthetic_matrix(truncation=8.5)
     assert m.n_lattice == 625
     tracemalloc.start()

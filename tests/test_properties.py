@@ -5,6 +5,7 @@ import pytest
 
 import gaborfio as gf
 from gaborfio.metaplectic import _covariant_entries
+from gaborfio.signals import _csv_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -32,3 +33,13 @@ def test_covariant_entries_have_the_law_modulus(mat, width):
                              gf.gaussian(width))
     assert (np.max(np.abs(np.abs(entries) - law))
             <= 1e-14 * np.max(law))
+
+
+@hypothesis.settings(max_examples=500, deadline=None, database=None,
+                     derandomize=True)
+@hypothesis.given(values=st.lists(st.floats(), min_size=1, max_size=6))
+def test_csv_row_is_percent_formatting(values):
+    # One row of any floats, NaNs, infinities and subnormals included,
+    # against one %.17g per value.
+    expected = ",".join(["%.17g"] * len(values)) % tuple(values) + "\n"
+    assert bytes(_csv_rows(np.array([values]))) == expected.encode()

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -105,3 +106,17 @@ def test_benchmark_traced_names_exist(tmp_path, workload):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in patches if not hasattr(owner, attr)]
     assert not missing, missing
+
+
+def test_cli_import_loads_no_heavy_module():
+    # Every process the benchmark times starts by importing the CLI, so
+    # import does no work that can wait: the CSV formatter's tables are
+    # built on its first call, from Python ints, and nothing pulls in
+    # these modules.
+    package_root = os.path.dirname(os.path.dirname(gaborfio.__file__))
+    code = ("import sys, gaborfio.cli; print(sorted(m for m in "
+            "('fractions', 'decimal', 'numpy.ma', 'scipy') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=package_root)
+    assert proc.stdout.strip() == "[]", proc.stdout
