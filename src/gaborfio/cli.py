@@ -231,7 +231,15 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     allocations): traced on 1089 points, gabor-matrix peaks at 41.1-41.8
     bytes per entry. GaborMatrix.to_csv holds a transient per lambda,
     O(|L|): the lambda's values, their laid-out text and its compacted
-    copy; it is not charged.
+    copy; it is not charged. stft and gs-check hold the factors of their
+    windowed sums (gabor._windowed_sums), O(N (n_x + n_w)) for the
+    n_x = n_w = 41 distinct times and frequencies of their samples, and
+    no atom per sample; they are not charged either. Nor is the
+    multiplier's closed form (metaplectic._multiplier_entries): the same
+    factors on the doubled grid over 2 n_x - 1 times and 2 n_w - 1
+    frequencies, released before the entries are allocated, then the
+    flush's masks of one block, under the quadrature's block charged
+    below.
     decay-fit and sparsity pay for the fits, 58 bytes more: the distances
     and magnitudes of unflagged entries that every fit reads (16), and the
     censoring of their shells at its peak (42): the samples past the

@@ -8,10 +8,15 @@ evaluates that, BLOCK_ATOMS lambdas at a time: one real exp and three
 products per entry, the phase's complex exps taken per (lambda, lattice
 time), per (lambda, frequency) and per mu. That is O(|L|^2) elementwise
 work with no quadrature, so no grid truncation or aliasing, in any
-column and at any harmonic time the operator accepts. Every other
-operator and window (a multiplier, a bare phase, a Hermite window) goes
-through the quadrature, _quadrature_entries, which is also the closed
-form's test oracle.
+column and at any harmonic time the operator accepts. A multiplier
+m = exp(2 pi i phi) on the identity matrix (multiplier:cos) on a
+Gaussian window has a closed form too (metaplectic._multiplier_entries):
+each entry is a Gaussian in the time offset x - x' times one value of
+a table of windowed sums of m, gabor._windowed_sums over the
+half-lattice times and the frequency differences, on the doubled grid.
+Every other operator and window (a multiplier after any other matrix, a
+bare phase, a Hermite window) goes through the quadrature,
+_quadrature_entries, which is also the test oracle of both closed forms.
 
 The quadrature runs on a doubled grid (twice the points, twice the
 length, same spacing) so that operators translating content toward the
@@ -70,7 +75,7 @@ from .fio import FioOperator, _apply_columns, canonical_map
 from .fitting import (CensoredShells, ShellFit, censor_shells, scan_orders,
                       sorted_tail_fits)
 from .gabor import GaborFrame, _atom_factors, _atom_rows
-from .metaplectic import _covariant_entries, _has_closed_form
+from .metaplectic import _closed_form_entries
 from .signals import Grid, SampledSignal, _csv_rows
 
 __all__ = [
@@ -91,7 +96,7 @@ RELIABLE_MARGIN = 3.0
 
 # Quadrature noise in entries assembled by _quadrature_entries sits near
 # 1e-14 of the peak; bound checks ignore entries below this. The closed
-# form of covariant operators carries no such noise, only rounding.
+# forms carry no such noise, only rounding.
 NOISE_FLOOR = 1e-12
 
 # decay_bound_check tests entries against the envelope with its constant
@@ -107,9 +112,10 @@ MIN_FIT_SAMPLES = 200
 # holds its atoms on the doubled grid and the apply's buffer of twice as
 # many rows: 48 (2N) BLOCK_ATOMS bytes, 24 MiB at N = 2048, where the
 # whole lattice of the N = 2048, truncation 12 frame (1089 points) took
-# 204 MiB. The closed form fills the entries of this many lambdas at a
-# time, with a float temporary of BLOCK_ATOMS |L| values and the flush's
-# masks.
+# 204 MiB. The closed forms fill the entries of this many lambdas at a
+# time (the multiplier's, whole lattice times of at most this many), with
+# the flush's masks and, for covariant operators, a float temporary of
+# BLOCK_ATOMS |L| values.
 BLOCK_ATOMS = 128
 
 
@@ -268,20 +274,20 @@ class SparsityReport:
 def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
     """Assemble <T g_lambda, g_mu> for all lattice pairs.
 
-    An operator that carries its matrix and no multiplier, on a Gaussian
-    window, takes the closed form (metaplectic._covariant_entries),
-    filled BLOCK_ATOMS lambdas (rows) at a time; its entries hold no
-    subnormal part. Any other operator or window takes the quadrature
-    (_quadrature_entries), with its noise near 1e-14 of the peak. chi is
-    canonical_map's on both paths.
+    On a Gaussian window, an operator that carries its matrix and no
+    multiplier, or a multiplier on the identity matrix, takes its closed
+    form (metaplectic._closed_form_entries), filled BLOCK_ATOMS lambdas
+    (rows) at a time at most; its entries hold no subnormal part. Any
+    other operator or window takes the quadrature (_quadrature_entries),
+    with its noise near 1e-14 of the peak. chi is canonical_map's on
+    every path.
     """
     # First, so a degenerate operator or a Newton failure is refused
     # before any entry is computed.
     chi = canonical_map(op, frame.lattice.points)
-    if _has_closed_form(op, frame.window):
-        entries = _covariant_entries(op._matrix, frame.window.width,
-                                     frame.lattice, BLOCK_ATOMS)
-    else:
+    entries = _closed_form_entries(op, frame.window, frame.lattice,
+                                   frame.grid, BLOCK_ATOMS)
+    if entries is None:
         entries = _quadrature_entries(op, frame)
     return GaborMatrix(
         operator_name=op.name, grid=frame.grid, window=frame.window,

@@ -27,6 +27,18 @@ Gaussian's real exponent in mu - A lambda, where it neither cancels nor
 overflows, and expands only the phase over the product lattice: one
 unit factor per (lambda, lattice time), one per (lambda, frequency) and
 a table of mu shared by every lambda, so an entry costs one real exp.
+
+A multiplier m on the identity matrix, the pseudodifferential case, has
+no such covariance, but its Gabor matrix on a Gaussian window factors
+all the same: the product of two shifted Gaussians is a Gaussian at
+their midpoint, so <m g_lambda, g_mu> is a Gaussian in x - x' times the
+STFT of m under the half-width window at ((x + x') / 2, w' - w)
+(Groechenig 2001, ch. 14). _multiplier_entries takes that STFT as one
+table of gabor._windowed_sums on the quadrature's doubled grid, the same
+Riemann sum without an atom or an operator apply. It is not an
+independent law: metaplectic_law stays None for multipliers, and the
+quadrature is the test oracle. _closed_form_entries picks the closed
+form of an operator and window, or None for the quadrature.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ import numpy as np
 
 from .errors import HypothesisError, SingularTimeError
 from .fio import FioOperator, Phase
-from .gabor import ENVELOPE_FLUSH
+from .gabor import ENVELOPE_FLUSH, _waves, _windowed_sums, gaussian
 
 __all__ = [
     "SymplecticMatrix",
@@ -102,6 +114,10 @@ class SymplecticMatrix:
         return np.asarray(self.entries, dtype=float)
 
 
+# The identity and multiplier:cos are metaplectic operators of this.
+IDENTITY = SymplecticMatrix(((1.0, 0.0), (0.0, 1.0)))
+
+
 def chirp_matrix(c: float) -> SymplecticMatrix:
     return SymplecticMatrix(((1.0, 0.0), (float(c), 1.0)))
 
@@ -132,8 +148,9 @@ def build_metaplectic(mat: SymplecticMatrix, *, name: str = "",
     multiplier alone.
 
     The operator carries mat and multiplier as given, so apply runs the
-    factored quadrature, closed_map is exact, and without a multiplier
-    gmatrix.assemble takes the closed form on a Gaussian window.
+    factored quadrature, closed_map is exact, and on a Gaussian window
+    gmatrix.assemble takes a closed form without a multiplier, or with
+    one on the identity matrix.
 
     Requires |a| >= BLOCK_FLOOR: the generating-phase representation
     breaks down when the upper-left block degenerates.
@@ -199,17 +216,6 @@ def harmonic_oscillator(t: float) -> FioOperator:
     return build_metaplectic(rotation_matrix(t), name=f"harmonic:{t}")
 
 
-def _has_closed_form(op: FioOperator, window) -> bool:
-    """Whether op's Gabor matrix on window is known in closed form.
-
-    So it is for the operator of a matrix with no multiplier on a
-    gaussian window: metaplectic_law gives its modulus and
-    _covariant_entries its entries.
-    """
-    return (op._matrix is not None and op.multiplier is None
-            and window.kind == "gaussian")
-
-
 def metaplectic_law(op: FioOperator, lattice, window):
     """Closed-form |<T g_lambda, g_mu>|, a row per lambda, or None.
 
@@ -222,7 +228,8 @@ def metaplectic_law(op: FioOperator, lattice, window):
     entry, 24 while evaluated. None unless op carries its matrix and no
     multiplier and window is a Gaussian.
     """
-    if not _has_closed_form(op, window):
+    if (op._matrix is None or op.multiplier is not None
+            or window.kind != "gaussian"):
         return None
     mat, width, pts = op._matrix.as_array(), window.width, lattice.points
     sig_g = np.diag([width, 1.0 / width]) / (4.0 * np.pi)
@@ -234,6 +241,78 @@ def metaplectic_law(op: FioOperator, lattice, window):
     law *= (math.sqrt(width / 2.0) * (2.0 * np.pi) ** -0.5
             * np.linalg.det(sig) ** -0.25)
     return law
+
+
+def _closed_form_entries(op: FioOperator, window, lattice, grid,
+                         block_rows: int):
+    """op's <T g_lambda, g_mu> in closed form, one row per lambda, or None.
+
+    On a gaussian window, the operator of a matrix without a multiplier
+    takes _covariant_entries, and a multiplier on the identity matrix
+    takes _multiplier_entries, as its windowed sums on grid's doubled
+    grid. None for every other operator or window: a multiplier after
+    any other matrix, a bare phase, a Hermite window.
+    """
+    if op._matrix is None or window.kind != "gaussian":
+        return None
+    if op.multiplier is None:
+        return _covariant_entries(op._matrix, window.width, lattice,
+                                  block_rows)
+    if op._matrix == IDENTITY:
+        return _multiplier_entries(op.multiplier[0], window.width, lattice,
+                                   grid.doubled(), block_rows)
+    return None
+
+
+def _multiplier_entries(phi, width: float, lattice, grid,
+                        block_rows: int) -> np.ndarray:
+    """<m g_lambda, g_mu> for m = exp(2 pi i phi), one row per lambda.
+
+    g is the gaussian(width) window, lambda = (x, w) and mu = (x', w')
+    run over lattice.points, and the sum is the Riemann sum on grid. As
+    g(t - x) g(t - x') = exp(-pi (x - x')^2 / (2 width)) h(t - c) with
+    c = (x + x') / 2 and h = gaussian(width / 2) (Groechenig 2001,
+    ch. 14),
+    <m g_lambda, g_mu> = exp(-pi (x - x')^2 / (2 width)) S(c, w' - w),
+    with S(c, v) = dx sum_t m(t) h(t - c) exp(-2 pi i v t), the STFT of
+    m under h. S is one table of gabor._windowed_sums over the 2 n_x - 1
+    half-lattice times c and the 2 n_w - 1 frequency differences: N
+    (2 n_x - 1) (2 n_w - 1) work, where the quadrature pushes every atom
+    through the operator. The row of lambda = (x_i, w_j) is then the
+    time factors of x_i times the window S[i + i', n_w - 1 - j + j'] of
+    the table, a strided view of it.
+
+    Rows are filled a block of whole lattice times at a time, at most
+    block_rows lambdas or one lattice time, with _covariant_entries'
+    flush: the time factor's
+    exponent is raised to a floor where exp stays normal, and real and
+    imaginary parts below ENVELOPE_FLUSH times the table's peak, which
+    bounds every entry, are set to 0.
+    """
+    xs, ws = lattice.times, lattice.freqs
+    n_x, n_w = len(xs), len(ws)
+    half_steps = np.arange(1 - n_x, n_x) * (0.5 * lattice.alpha)
+    offsets = np.arange(1 - n_w, n_w) * lattice.beta
+    table = _windowed_sums(np.exp(2j * np.pi * phi(grid.times())),
+                           gaussian(0.5 * width), grid, half_steps,
+                           _waves(offsets, grid))
+    flush = ENVELOPE_FLUSH * np.max(np.abs(table))
+    by_time = -np.pi / (2.0 * width) * (xs[:, None] - xs) ** 2
+    np.maximum(by_time, math.log(ENVELOPE_FLUSH) - 1.0, out=by_time)
+    np.exp(by_time, out=by_time)
+    # windows[i, j] = table[i:i + n_x, n_w - 1 - j:2 n_w - 1 - j].
+    windows = np.lib.stride_tricks.sliding_window_view(
+        table, (n_x, n_w))[:, ::-1]
+    out = np.empty((n_x * n_w, n_x * n_w), dtype=complex)
+    step = max(1, block_rows // n_w)
+    for first in range(0, n_x, step):
+        times = slice(first, min(first + step, n_x))
+        rows = out[times.start * n_w:times.stop * n_w]
+        np.multiply(windows[times], by_time[times, None, :, None],
+                    out=rows.reshape(-1, n_w, n_x, n_w))
+        parts = rows.view(float)
+        parts[(parts < flush) & (parts > -flush)] = 0.0
+    return out
 
 
 def _covariant_entries(mat: SymplecticMatrix, width: float, lattice,

@@ -16,9 +16,8 @@ import numpy as np
 from .errors import ConfigError
 from .fio import FioOperator
 from .gabor import Window, gaussian, hermite
-from .metaplectic import (SymplecticMatrix, build_metaplectic,
-                          chirp_operator, dilation_operator,
-                          harmonic_oscillator)
+from .metaplectic import (IDENTITY, build_metaplectic, chirp_operator,
+                          dilation_operator, harmonic_oscillator)
 
 __all__ = ["parse_operator", "parse_window", "shipped_operator_names"]
 
@@ -26,9 +25,6 @@ DEFAULT_POLY_COEFF = 0.5
 DEFAULT_CHIRP_RATE = 1.0
 DEFAULT_DILATION = 2.0
 DEFAULT_HARMONIC_TIME = math.pi / 4
-
-# The identity and multiplier:cos are metaplectic operators of this.
-IDENTITY = SymplecticMatrix(((1.0, 0.0), (0.0, 1.0)))
 
 
 def _param(parts, index, default, spec):

@@ -16,10 +16,10 @@ PROD_L = 32.0
 LATTICE_STEP = 2.0 ** -0.5
 TRUNCATION = 8.0
 
-# Assembled-matrix fits run with the floor lifted to 1e-12: quadrature noise
-# in the entries of matrices assembled by quadrature (multiplier:cos here)
-# sits around 1e-14 and poisons shells at the default floor.  STFT-sample
-# fits keep the 1e-14 default.
+# Assembled-matrix fits run with the floor lifted to 1e-12, as README
+# advises for matrices assembled by quadrature: their noise sits around
+# 1e-14 and poisons shells at the default floor.  STFT-sample fits keep
+# the 1e-14 default.
 MATRIX_FLOOR = 1e-12
 
 

@@ -431,7 +431,8 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("command, ceiling", [
     ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9),
-    ("gabor-matrix", 52), ("propagate", 80)])
+    ("gabor-matrix", 52), ("propagate", 80),
+    ("gabor-matrix multiplier:cos", 43), ("decay-fit multiplier:cos", 74)])
 def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                                                     capsys, command,
                                                     ceiling):
@@ -439,15 +440,17 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
     # 67.1-67.8 bytes per entry (decay-fit, sparsity) and 68.4-69.3 (all
     # six operators, each matrix released before the next is assembled),
     # against the 74 charged; gabor-matrix 41.1-41.8, against 43;
-    # propagate 76.2-77.0, against 80. The runs must stay at or under
-    # ceiling bytes per entry: before the fits shared their shells the fit
-    # commands peaked at it or more, against 24 charged; gabor-matrix
-    # peaked at 58.1-58.7 (charged 58) while the matrix stored its
-    # distances and at 50.1-50.9 (charged 51) while its law report held
-    # two temporaries; propagate peaked at 87.2-88.1 (charged 56) while
-    # its magnitude order and partial products held copies. With physical
-    # memory set to the traced peak, the size guard must refuse the run
-    # for its matrix.
+    # propagate 76.2-77.0, against 80. multiplier:cos, with no law
+    # report, peaks at 17.6 (gabor-matrix; 27.2 on the quadrature) and
+    # 68.4 (decay-fit), and its ceilings are the charges. The runs must
+    # stay at or under ceiling bytes per entry: before the fits shared
+    # their shells the fit commands peaked at it or more, against 24
+    # charged; gabor-matrix peaked at 58.1-58.7 (charged 58) while the
+    # matrix stored its distances and at 50.1-50.9 (charged 51) while its
+    # law report held two temporaries; propagate peaked at 87.2-88.1
+    # (charged 56) while its magnitude order and partial products held
+    # copies. With physical memory set to the traced peak, the size guard
+    # must refuse the run for its matrix.
     cfg = tmp_path / "fine.json"
     cfg.write_text(json.dumps({
         "grid": {"N": 512, "L": 20.0},
@@ -471,7 +474,7 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     extra = {"gabor-matrix": "law report",
-             "propagate": "magnitude-ordered copy"}.get(command,
+             "propagate": "magnitude-ordered copy"}.get(command.split()[0],
                                                         "fits' samples")
     assert "frame.truncation" in err and extra in err
 

@@ -13,10 +13,29 @@ from gaborfio.fio import _apply_columns, _dense_columns
 from gaborfio.fitting import shell_decay_fit
 from gaborfio.gabor import ENVELOPE_FLUSH, _atom_matrix, _atom_rows
 from gaborfio.gmatrix import _quadrature_entries
-from gaborfio.metaplectic import _covariant_entries
+from gaborfio.metaplectic import _covariant_entries, _multiplier_entries
 from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION,
                       centered_gaussian, chi_distances, lstsq_line_fit,
                       rel_error)
+
+
+# phi = 0.3 sin 2x with phi' and phi'': a second multiplier phase.
+SIN_MULTIPLIER = (lambda x: 0.3 * np.sin(2 * x),
+                  lambda x: 0.6 * np.cos(2 * x),
+                  lambda x: -1.2 * np.sin(2 * x))
+MULTIPLIERS = {"sin": SIN_MULTIPLIER,
+               "cos": gf.parse_operator("multiplier:cos").multiplier}
+
+
+def _operator(name):
+    """A parse_operator spec, or <spec>+<sin|cos>: the matrix of that
+    operator followed by the multiplier exp(2 pi i phi) of the phase."""
+    spec, _, phase = name.partition("+")
+    op = gf.parse_operator(spec)
+    if not phase:
+        return op
+    return gf.build_metaplectic(op._matrix, name=name,
+                                multiplier=MULTIPLIERS[phase])
 
 
 def _synthetic_matrix(truncation=4.0, rate=3.0):
@@ -85,14 +104,15 @@ def test_metaplectic_matrix_closed_form(matrices, g2_frame, spec, mat):
     assert np.max(np.abs(m.magnitudes()[keep] - law[keep])) <= 1e-12
 
 
-def test_cos_multiplier_matrix_closed_form(matrices):
-    # Jacobi-Anger: exp(2 pi i cos x) = sum_n i^n J_n(2 pi) exp(i n x), so
-    # each entry is a sum of Gaussian overlaps <M_{n/2pi} g_lambda, g_mu>
-    # in closed form; J_n(2 pi) ~ pi^n / n! is below 1e-17 past |n| = 30.
-    # J_n is (1/pi) int_0^pi cos(n s - x sin s) ds by the midpoint rule,
-    # exact to rounding for a periodic integrand. Measured agreement is
-    # 2.9e-14.
-    m = matrices["multiplier:cos"]
+def _cos_multiplier_law(m):
+    """multiplier:cos's entries on m's frame by Jacobi-Anger.
+
+    exp(2 pi i cos x) = sum_n i^n J_n(2 pi) exp(i n x), so each entry is
+    a sum of Gaussian overlaps <M_{n/2pi} g_lambda, g_mu> in closed form;
+    J_n(2 pi) ~ pi^n / n! is below 1e-17 past |n| = 30. J_n is
+    (1/pi) int_0^pi cos(n s - x sin s) ds by the midpoint rule, exact to
+    rounding for a periodic integrand.
+    """
     width = m.window.width
     pts = m.lattice.points
     x, w = pts[:, None, 0], pts[:, None, 1]
@@ -107,7 +127,27 @@ def test_cos_multiplier_matrix_closed_form(matrices):
         law += (1j ** n * j_n * np.exp(1j * np.pi * freq * (x + y)
                                        - np.pi * width * freq ** 2 / 2))
     law *= np.sqrt(width / 2) * np.exp(-np.pi * (x - y) ** 2 / (2 * width))
-    assert np.max(np.abs(m.entries - law)) <= 1e-12
+    return law
+
+
+def test_cos_multiplier_matrix_closed_form(matrices):
+    # Measured agreement is 3.7e-14 (1.8e-14 for the quadrature).
+    m = matrices["multiplier:cos"]
+    assert np.max(np.abs(m.entries - _cos_multiplier_law(m))) <= 1e-12
+
+
+def test_cos_multiplier_matrix_carries_no_quadrature_noise(matrices,
+                                                           g2_frame):
+    """Where the law is under 1e-20, the closed form's entries stay under
+    1e-15 (measured 1.5e-16) and the quadrature's do not (8.6e-15): the
+    windowed sums reduce each wave's phase to a fraction of a cycle,
+    where a rounded w t left 1.4e-14."""
+    m = matrices["multiplier:cos"]
+    tiny = np.abs(_cos_multiplier_law(m)) < 1e-20
+    assert tiny.sum() > m.n_lattice ** 2 / 2
+    assert np.max(np.abs(m.entries[tiny])) <= 1e-15
+    quad = _quadrature_entries(gf.parse_operator("multiplier:cos"), g2_frame)
+    assert np.max(np.abs(quad[tiny])) > 1e-15
 
 
 COVARIANT = ("identity", "metaplectic:chirp:1.0", "multiplier:poly:0.3",
@@ -192,16 +232,65 @@ def test_covariant_assembly_matches_law_on_the_large_frame(large_frame,
 
 
 @pytest.mark.parametrize("window, name", [
-    ("gaussian:2", "multiplier:cos"), ("hermite:1:2", "harmonic:0.8")])
+    ("hermite:1:2", "harmonic:0.8"),
+    ("gaussian:2", "metaplectic:chirp:0.5+sin"),
+    ("gaussian:2", "metaplectic:chirp:0.5+cos")])
 def test_assembly_outside_the_closed_form_is_the_quadrature(grid, window,
                                                             name):
-    # A multiplier and a Hermite window have no closed form: assemble
-    # returns the quadrature's entries bitwise.
+    # A Hermite window, and a multiplier after any matrix but the
+    # identity, have no closed form: assemble returns the quadrature's
+    # entries bitwise.
     frame = gf.GaborFrame(gf.parse_window(window),
                           gf.make_lattice(0.5, 0.5, 6.0), grid)
-    op = gf.parse_operator(name)
+    op = _operator(name)
     assert np.array_equal(gf.assemble(op, frame).entries,
                           _quadrature_entries(op, frame))
+
+
+@pytest.mark.parametrize("width", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("name", ["multiplier:cos", "identity+sin"])
+def test_multiplier_assembly_matches_quadrature(grid, width, name):
+    """A multiplier on the identity matrix, on a Gaussian window, takes
+    the closed form of its windowed sums (metaplectic._multiplier_entries)
+    in assemble. Against the quadrature it replaces, complex entries on
+    every column agree to 1e-13 of the peak (measured <= 3.3e-14). No
+    real or imaginary part of the closed form is subnormal: parts under
+    ENVELOPE_FLUSH times the peak are 0.
+    """
+    frame = gf.GaborFrame(gf.gaussian(width), gf.make_lattice(
+        LATTICE_STEP, LATTICE_STEP, TRUNCATION), grid)
+    op = _operator(name)
+    m = gf.assemble(op, frame)
+    quad = _quadrature_entries(op, frame)
+    peak = np.max(np.abs(quad))
+    assert np.max(np.abs(m.entries - quad)) <= 1e-13 * peak
+    parts = np.abs(m.entries.view(float))
+    assert not np.any((parts > 0) & (parts < ENVELOPE_FLUSH * peak))
+    assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+
+
+def test_multiplier_assembly_matches_quadrature_on_the_large_frame(
+        large_frame):
+    # Lattice times up to 12 on a 4096-point doubled grid: measured
+    # 1.2e-13 of the peak on every column.
+    op = gf.parse_operator("multiplier:cos")
+    m = gf.assemble(op, large_frame)
+    quad = _quadrature_entries(op, large_frame)
+    assert (np.max(np.abs(m.entries - quad))
+            <= 5e-13 * np.max(np.abs(quad)))
+
+
+@pytest.mark.parametrize("name", ["multiplier:cos", "identity+sin"])
+def test_multiplier_assembly_does_not_depend_on_the_block(g2_frame, name):
+    # Each entry is one product of a time factor and a table value, so
+    # block_rows 7 (one lattice time a block) or the whole lattice give
+    # assemble's entries bitwise.
+    op = _operator(name)
+    m = gf.assemble(op, g2_frame)
+    pad = g2_frame.grid.doubled()
+    for rows in (m.n_lattice, 7):
+        assert np.array_equal(m.entries, _multiplier_entries(
+            op.multiplier[0], 2.0, g2_frame.lattice, pad, rows))
 
 
 @pytest.mark.parametrize("t", [0.3, 0.7853981633974483, 1.2, 1.4,
@@ -325,7 +414,7 @@ def test_blocked_assembly_is_bitwise_unblocked(grid, spec, alpha, beta,
 def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     """assemble's traced peak, less the arrays it returns, on the
     reference frame (2N = 2048, 23 x 23 lattice), for an operator that
-    takes the quadrature.
+    takes the quadrature: cos's multiplier after a chirp.
 
     What it holds besides its output: one block's atoms and the apply's
     buffer of twice their rows, whose row moves go a column at a time
@@ -336,7 +425,7 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     buffer's rows whole took a temporary of half of it, 17.4 MiB; atoms
     and buffer for the whole lattice at once left 53.9 MiB.
     """
-    op = gf.parse_operator("multiplier:cos")
+    op = _operator("metaplectic:chirp:1.0+cos")
     pad = g2_frame.grid.doubled()
     pts = g2_frame.lattice.points
     n, xs = len(pts), np.unique(pts[:, 0])
@@ -355,21 +444,14 @@ def test_assembly_transient_memory_is_bounded_by_the_block(g2_frame):
     assert peak - returned <= bound, (peak - returned) / 2 ** 20
 
 
-def test_covariant_assembly_transient_memory_is_one_block():
-    """assemble's traced peak, less the arrays it returns, on the closed
-    form: 1089 lattice points (a 33 x 33 lattice).
-
-    What it holds besides its output: the closed form's temporaries for
-    BLOCK_ATOMS lambdas, a float exponent and the flush's masks, 32
-    BLOCK_ATOMS |L| bytes at most (4.3 MiB); measured 2.5 MiB. Complex
-    temporaries per entry, as the unfactored phase held, left 6.5 MiB.
-    One more |L|^2 float array would add 9.0 MiB.
-    """
+def _closed_form_transient(name):
+    """assemble's traced peak, less the arrays it returns, in bytes, on
+    1089 lattice points (a 33 x 33 lattice), with the closed form's
+    bound of 32 BLOCK_ATOMS |L| bytes (4.3 MiB)."""
     frame = gf.GaborFrame(gf.gaussian(2.0), gf.make_lattice(
         LATTICE_STEP, LATTICE_STEP, 12.0), gf.Grid(1, 1156, 34.0))
-    op = gf.parse_operator("harmonic:0.8")
+    op = gf.parse_operator(name)
     n = len(frame.lattice)
-    bound = 32 * gf.gmatrix.BLOCK_ATOMS * n
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -377,9 +459,31 @@ def test_covariant_assembly_transient_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (m.entries, m.chi))
     assert n == 1089
-    assert peak - returned <= bound, (peak - returned) / 2 ** 20
+    return (peak - sum(a.nbytes for a in (m.entries, m.chi)),
+            32 * gf.gmatrix.BLOCK_ATOMS * n)
+
+
+def test_covariant_assembly_transient_memory_is_one_block():
+    """What the covariant closed form holds besides its output: its
+    temporaries for BLOCK_ATOMS lambdas, a float exponent and the
+    flush's masks, 32 BLOCK_ATOMS |L| bytes at most; measured 2.5 MiB.
+    Complex temporaries per entry, as the unfactored phase held, left
+    6.5 MiB. One more |L|^2 float array would add 9.0 MiB.
+    """
+    transient, bound = _closed_form_transient("harmonic:0.8")
+    assert transient <= bound, transient / 2 ** 20
+
+
+def test_multiplier_assembly_transient_memory_is_one_block():
+    """What the multiplier's closed form holds besides its output. The
+    windowed sums' factors, O(2N (n_x + n_w)) (6.0 MiB here), are
+    released before the entries are allocated. Then it holds the flush's
+    masks of one block of whole lattice times, at most BLOCK_ATOMS
+    lambdas; measured 0.7 MiB.
+    """
+    transient, bound = _closed_form_transient("multiplier:cos")
+    assert transient <= bound, transient / 2 ** 20
 
 
 def test_dense_kernel_assembly_matches_factored():
