@@ -240,18 +240,20 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     frequencies, released before the entries are allocated, then the
     flush's masks of one block, under the quadrature's block charged
     below.
-    decay-fit and sparsity pay for the fits, 58 bytes more: the distances
-    and magnitudes of unflagged entries that every fit reads (16), and the
-    censoring of their shells at its peak (42): the samples past the
-    exclusion radius and their mask (17), their shell indices (8), the
-    above-floor mask (1), and the shell indices and log magnitudes of the
-    above-floor samples (16). The clean-shell samples it keeps (16 at
-    most), the envelope calibration and sparsity_curve's block of rows
-    come after it and take less. Traced on 1089 points, decay-fit peaks at
-    68 bytes per entry, all allocations counted; with every sample above
-    the floor and in a clean shell (multiplier:cos at floor 1e-300), at
-    75, of which these arrays are 74. decay-fit over several operators
-    releases each matrix before it assembles the next. The commands that
+    decay-fit and sparsity pay for the fits, 49 bytes more at most. The
+    fits' one pass over the entries keeps the distance and magnitude of
+    each entry at or above the floor (16; none of the others), and the
+    censoring of their shells keeps the distances and shell indices of
+    the samples of clean shells (16). At its peak, fit_decay's envelope
+    calibration holds a mask (1) and two temporaries (16) of the samples
+    next to those; the censoring's transients are no larger. All of it is
+    per entry at or above the floor, so the 49 are paid in full only with
+    every entry above the floor and in a clean shell: traced on 1089
+    points, multiplier:cos at floor 1e-300 peaks at 64.9 bytes per entry,
+    all allocations counted, and decay-fit at the default floor 1e-14
+    (46-67% of the entries above it) at 44.7, sparsity at 44.0.
+    decay-fit over several operators releases each matrix before it
+    assembles the next. The commands that
     assemble hold one block of at most max(BLOCK_ATOMS, frequencies per
     lattice time) atoms on the doubled grid at a time, with the factored
     apply's buffer of twice as many rows: 48 (2N) bytes per atom. They
@@ -285,7 +287,7 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     elif command == "gabor-matrix":
         matrix, per_entry = f"{matrix} and its law report", 43
     elif command in ("decay-fit", "sparsity"):
-        matrix, per_entry = f"{matrix} and its fits' samples and shells", 74
+        matrix, per_entry = f"{matrix} and its fits' samples and shells", 65
     sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
               f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2)]
     if command in ("gabor-matrix", "decay-fit", "sparsity", "propagate"):
@@ -435,7 +437,7 @@ def _run_decay_fit(exp: Experiment, args) -> None:
                 exclusion_radius=exp.exclusion_radius)
             print(f"  restricted s={s_fixed:.1f}: epsilon={eps:.4f} "
                   f"r2={r2:.5f}")
-        # Before the next assemble: with its fits' caches, up to 74 bytes
+        # Before the next assemble: with its fits' caches, up to 65 bytes
         # per entry (_check_sizes).
         del matrix
 

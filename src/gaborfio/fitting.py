@@ -14,6 +14,11 @@ A fit is two steps: censor_shells groups and censors the samples once,
 keeping only the samples of clean shells, and scan_orders runs the s scan
 on that result, so fits at several orders can share one censoring. The
 scan builds each order's shell means and fits every order in one batch.
+The censoring reads only the samples at or above the floor and each
+shell's count of all its samples (censor_counted_shells): censor_shells
+takes both from flat samples, and a Gabor matrix's fits from one pass
+over its entries that keeps no sample below the floor
+(gmatrix._above_floor), so both fits censor on one path.
 
 Per-row sparsity profiles fit each row's descending-sorted magnitudes
 against the rank n**exponent (sorted_tail_fits). The rows are sorted
@@ -38,6 +43,7 @@ __all__ = [
     "SHELL_WIDTH",
     "CensoredShells",
     "ShellFit",
+    "censor_counted_shells",
     "censor_shells",
     "scan_orders",
     "shell_decay_fit",
@@ -101,40 +107,65 @@ def censor_shells(dist, mags, *, floor, exclusion_radius=None
     """The censoring step of shell_decay_fit, shared by fits at any order.
 
     dist and mags are flat arrays of radial distances and magnitudes.
-    Samples closer than exclusion_radius are dropped first (near-field
-    plateau; InsufficientDataError if none is left), and samples below
-    floor never enter a fit (NoSignalError if none is above it).
+    Their shells' sample counts past exclusion_radius and their samples
+    at or above floor go to censor_counted_shells; see it for the errors
+    raised.
     """
     dist = np.asarray(dist, dtype=float).ravel()
     mags = np.asarray(mags, dtype=float).ravel()
+    past = dist if exclusion_radius is None else dist[
+        dist >= exclusion_radius]
+    counts = np.bincount(_shell_index(past))
+    ok = mags >= floor
+    return censor_counted_shells(dist[ok], mags[ok], counts, floor=floor,
+                                 exclusion_radius=exclusion_radius,
+                                 n_in=dist.size)
+
+
+def censor_counted_shells(dist, mags, counts, *, floor, n_in,
+                          exclusion_radius=None) -> CensoredShells:
+    """Censor shells given only their samples at or above the floor.
+
+    dist and mags are the flat distances and magnitudes of the samples at
+    or above floor, in input order, whether past exclusion_radius or not;
+    counts[i] counts every sample of shell i at or past exclusion_radius
+    (every sample of it when that is None), above the floor or not; n_in
+    counts the samples that came in. Samples closer than exclusion_radius
+    are dropped first (near-field plateau; InsufficientDataError if none
+    is left), and samples below floor never enter a fit (NoSignalError if
+    none is above it). A shell is clean when its count is that of its
+    samples at or above the floor.
+    """
     if exclusion_radius is not None:
-        keep = dist >= exclusion_radius
-        if not keep.any():
+        if not np.any(counts):
             raise InsufficientDataError(
                 f"insufficient data: exclusion radius {exclusion_radius:g} "
-                f"dropped all {keep.size} samples that came in")
-        dist, mags = dist[keep], mags[keep]
-    ok = mags >= floor
-    n_above = int(np.count_nonzero(ok))
-    if n_above == 0:
+                f"dropped all {n_in} samples that came in")
+        past = dist >= exclusion_radius
+        dist, logs = dist[past], mags[past]
+        del past
+        np.log(logs, out=logs)
+    else:
+        logs = np.log(mags)
+    if dist.size == 0:
         raise NoSignalError("no signal: all samples below floor "
                             f"{floor:g}")
-    idx = np.floor(dist / SHELL_WIDTH).astype(np.intp)
-    counts = np.bincount(idx)
-    # A shell is clean when all its samples are at or above the floor,
-    # counted over those samples only: far from the graph they are the
-    # few.
-    idx_ok = idx[ok]
-    clean = (counts > 0) & (np.bincount(idx_ok, minlength=counts.size)
+    idx = _shell_index(dist)
+    clean = (counts > 0) & (np.bincount(idx, minlength=counts.size)
                             == counts)
-    logs = mags[ok]
-    np.log(logs, out=logs)
-    log_sums = np.bincount(idx_ok, weights=logs, minlength=counts.size)
-    del ok, idx_ok, logs  # before the clean-shell samples are gathered
+    log_sums = np.bincount(idx, weights=logs, minlength=counts.size)
+    del logs  # before the clean-shell samples are gathered
     in_clean = clean[idx]
-    return CensoredShells(floor, n_above, clean, counts[clean],
+    return CensoredShells(floor, dist.size, clean, counts[clean],
                           log_sums[clean] / counts[clean], dist[in_clean],
                           idx[in_clean])
+
+
+def _shell_index(dist) -> np.ndarray:
+    """floor(dist / SHELL_WIDTH), the shell of each distance, as intp."""
+    idx = dist / SHELL_WIDTH
+    np.floor(idx, out=idx)
+    return idx.astype(np.intp)
 
 
 def scan_orders(shells: CensoredShells, *, s_grid=None,
@@ -200,21 +231,22 @@ def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
 def sorted_tail_fits(vectors, exponent, *, floor):
     """Fit log of each row's descending-sorted magnitudes against n**exponent.
 
-    vectors is a 2-D array, one vector of magnitudes per row; n counts
-    from 1 over a row's k entries at or above floor, and rows with k < 3
-    are skipped. The model is |a|_n <= C exp(-eps n**exponent). Rows are
-    copied and sorted BLOCK_ROWS at a time, and a block keeps only its top
-    max(k) columns, whose lines _line_fits fits at once, each row masked
-    to its first k columns.
+    vectors is a 2-D array, one vector of magnitudes per row, or any
+    sequence of such rows whose slices are 2-D arrays (sparsity_curve's
+    computes each slice from a Gabor matrix's entries as it is read); n
+    counts from 1 over a row's k entries at or above floor, and rows with
+    k < 3 are skipped. The model is |a|_n <= C exp(-eps n**exponent).
+    Rows are read, copied and sorted BLOCK_ROWS at a time, and a block
+    keeps only its top max(k) columns, whose lines _line_fits fits at
+    once, each row masked to its first k columns.
 
     Returns (epsilons, log_cs, r_squareds) of the fitted rows, in row
     order. Raises InsufficientDataError when no row is fitted and
     ValueError when n**exponent overflows.
     """
-    vectors = np.asarray(vectors, dtype=float)
     fits = []
     for lo in range(0, len(vectors), BLOCK_ROWS):
-        block = np.array(vectors[lo:lo + BLOCK_ROWS], order="C")
+        block = np.array(vectors[lo:lo + BLOCK_ROWS], dtype=float, order="C")
         above = block >= floor
         k = np.count_nonzero(above, axis=1)
         fitted = k >= 3

@@ -38,15 +38,21 @@ are flagged, kept in the matrix, and excluded from fits. The matrix
 stores chi, canonical_map's on both paths, and computes the flags and
 distances from it where they are read (GaborMatrix.flags, _distances).
 
-fit_decay, restricted_decay_fit (its shell fit at one order),
-decay_bound_check and sparsity_curve read one cached sample set,
-GaborMatrix._fit_samples: the distances and magnitudes of the entries of
-unflagged lambdas, one row per lambda, 16 bytes per entry. The shell
-fits censor those samples once per (floor, exclusion_radius)
-(GaborMatrix._shells), so fit_decay and the restricted fits after it
-share one pass, and the cache keeps only the samples of clean shells.
-sparsity_curve reads the cached magnitudes row by row, sorted a block of
-rows at a time, never a sorted copy of them all.
+The fits read the entries in one pass per (floor, exclusion_radius),
+_above_floor, cached on the matrix (GaborMatrix._samples). It reads
+FIT_BLOCK_ROWS unflagged lambdas at a time and gives each entry its
+shell index, from the separable squares of the lattice times and
+frequencies minus chi, with np.hypot where a shell boundary is within
+rounding: exactly floor(np.hypot(dx, dw) / SHELL_WIDTH). It keeps the
+np.hypot distance and the magnitude of the entries at or above the floor
+only, 16 bytes per kept entry, and per-shell counts of all entries past
+the exclusion radius; at floor 1e-12 the kept entries of the N = 2048,
+truncation 12 frame are 9-13% of them. The censoring
+(fitting.censor_counted_shells, cached per key, GaborMatrix._shells),
+fit_decay's envelope, the restricted fits and decay_bound_check read only
+those samples, so no array of every entry's distance or magnitude is
+held. sparsity_curve takes the magnitudes of a block of rows (or
+columns) from the entries as it fits them, with no cached copy.
 
 sparse_apply reads a second cache, GaborMatrix._magnitude_order: the
 entries sorted by magnitude, with their (mu, lambda) indices, 40 bytes
@@ -72,8 +78,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fio import FioOperator, _apply_columns, canonical_map
-from .fitting import (CensoredShells, ShellFit, censor_shells, scan_orders,
-                      sorted_tail_fits)
+from .fitting import (SHELL_WIDTH, CensoredShells, ShellFit, _shell_index,
+                      censor_counted_shells, scan_orders, sorted_tail_fits)
 from .gabor import GaborFrame, _atom_factors, _atom_rows
 from .metaplectic import _closed_form_entries
 from .signals import Grid, SampledSignal, _csv_rows
@@ -117,6 +123,19 @@ MIN_FIT_SAMPLES = 200
 # the flush's masks and, for covariant operators, a float temporary of
 # BLOCK_ATOMS |L| values.
 BLOCK_ATOMS = 128
+
+# The fits' pass over the entries (_above_floor) reads this many lambdas
+# at a time, holding a few float, index and mask arrays of FIT_BLOCK_ROWS
+# |L| values. At 128 the pass ran 1.8x slower on 1089 points than at 32
+# or 64.
+FIT_BLOCK_ROWS = 32
+
+# The square root of the separable squares dx^2 + dw^2 lies within a few
+# ulps of np.hypot(dx, dw). Where a shell boundary is within this much of
+# it, relative to the block's largest distance (plus an absolute part for
+# squares that underflow), np.hypot decides the shell.
+CERTIFY_RTOL = 1e-12
+CERTIFY_ATOL = 1e-150
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,26 +191,44 @@ class GaborMatrix:
         return dist
 
     @functools.cached_property
-    def _fit_samples(self) -> tuple:
-        """Read-only (distances, |entries|), a row per unflagged lambda."""
-        keep = ~self.flags
-        samples = self._distances(keep), self.magnitudes()[keep]
-        for arr in samples:
-            arr.flags.writeable = False
-        return samples
+    def _sample_cache(self) -> dict:
+        return {}
 
     @functools.cached_property
     def _shell_cache(self) -> dict:
         return {}
 
+    def _samples(self, floor, exclusion_radius) -> tuple:
+        """_above_floor's (dist, mags, counts), cached per (floor, radius)."""
+        key = (floor, exclusion_radius)
+        if key not in self._sample_cache:
+            self._sample_cache[key] = _above_floor(self, floor,
+                                                   exclusion_radius)
+        return self._sample_cache[key]
+
     def _shells(self, floor, exclusion_radius) -> CensoredShells:
-        """The fit samples' censored shells, cached per (floor, radius)."""
+        """The censored shells of those samples, cached likewise."""
         key = (floor, exclusion_radius)
         if key not in self._shell_cache:
-            self._shell_cache[key] = censor_shells(
-                *self._fit_samples, floor=floor,
-                exclusion_radius=exclusion_radius)
+            n_in = int(np.count_nonzero(~self.flags)) * self.n_lattice
+            self._shell_cache[key] = censor_counted_shells(
+                *self._samples(floor, exclusion_radius), floor=floor,
+                exclusion_radius=exclusion_radius, n_in=n_in)
         return self._shell_cache[key]
+
+    def _samples_above(self, floor) -> tuple:
+        """(dist, mags) of the unflagged entries at or above floor.
+
+        Taken from the cached fit pass at the highest floor not above
+        this one, or from a new pass at floor with no exclusion radius.
+        """
+        lower = [key for key in self._sample_cache if key[0] <= floor]
+        key = max(lower, key=lambda k: k[0], default=(floor, None))
+        dist, mags, _ = self._samples(*key)
+        if key[0] == floor:
+            return dist, mags
+        above = mags >= floor
+        return dist[above], mags[above]
 
     @functools.cached_property
     def _magnitude_order(self) -> tuple:
@@ -340,6 +377,113 @@ def _quadrature_entries(op: FioOperator, frame: GaborFrame) -> np.ndarray:
     return entries
 
 
+def _above_floor(matrix: GaborMatrix, floor, exclusion_radius) -> tuple:
+    """The fits' one pass over the entries: (dist, mags, counts).
+
+    dist and mags are the np.hypot distances and np.abs magnitudes of the
+    entries of unflagged lambdas at or above floor, lambda-major. counts
+    holds, per shell, how many entries of unflagged lambdas lie at or past
+    exclusion_radius (all of them when it is None), above the floor or
+    not. It is bitwise fitting.censor_shells' count of the flat samples:
+    np.bincount of the shell indices floor(d / SHELL_WIDTH) of the
+    np.hypot distances d >= exclusion_radius.
+
+    The pass reads FIT_BLOCK_ROWS lambdas at a time. Their entries' shell
+    indices come from the separable squares (_shell_indices); only the
+    entries of the shell that holds exclusion_radius take np.hypot for
+    the exclusion test, since SHELL_WIDTH is a power of two, so d /
+    SHELL_WIDTH is exact and every other shell lies wholly on one side of
+    the radius. np.hypot also gives the distance of every entry at or
+    above the floor.
+    """
+    lattice = matrix.lattice
+    unflagged = np.flatnonzero(~matrix.flags)
+    # Shells below edge lie wholly inside the exclusion radius, shells
+    # above it wholly past it; n_edge counts the entries of shell edge
+    # that lie at or past it.
+    if exclusion_radius is None or exclusion_radius <= 0:
+        edge = None  # every entry is past it
+    elif exclusion_radius < 2.0 ** 62 * SHELL_WIDTH:
+        edge = math.floor(exclusion_radius / SHELL_WIDTH)
+    else:
+        edge = 2 ** 62  # past every shell (NaN included)
+    n_edge = 0
+    counts = np.zeros(0, dtype=np.intp)
+    dists, mags = [], []
+    for lo in range(0, unflagged.size, FIT_BLOCK_ROWS):
+        rows = unflagged[lo:lo + FIT_BLOCK_ROWS]
+        dx = lattice.times - matrix.chi[rows, :1]
+        dw = lattice.freqs - matrix.chi[rows, 1:]
+        idx = _shell_indices(dx, dw)
+        block = np.bincount(idx.ravel())
+        if edge is not None and edge < block.size:
+            at_edge = np.flatnonzero(idx == edge)
+            n_edge += int(np.count_nonzero(
+                _exact_distances(dx, dw, at_edge) >= exclusion_radius))
+        del idx
+        if block.size > counts.size:
+            block[:counts.size] += counts
+            counts = block
+        else:
+            counts[:block.size] += block
+
+        if rows[-1] - rows[0] == len(rows) - 1:  # a run: no copy
+            block_mags = np.abs(matrix.entries[rows[0]:rows[-1] + 1])
+        else:
+            block_mags = np.abs(matrix.entries[rows])
+        above = np.flatnonzero(block_mags >= floor)
+        mags.append(block_mags.ravel()[above])
+        dists.append(_exact_distances(dx, dw, above))
+    if edge is not None:
+        counts[:edge] = 0
+        if edge < counts.size:
+            counts[edge] = n_edge
+        counts = np.trim_zeros(counts, "b")
+    # One at a time, so the blocks and the whole of both are never held
+    # together.
+    dists = np.concatenate([np.zeros(0)] + dists)
+    mags = np.concatenate([np.zeros(0)] + mags)
+    for arr in (dists, mags, counts):
+        arr.flags.writeable = False
+    return dists, mags, counts
+
+
+def _shell_indices(dx, dw) -> np.ndarray:
+    """floor(np.hypot(dx, dw) / SHELL_WIDTH) of a pass's block.
+
+    dx and dw hold the block's lattice times and frequencies minus chi,
+    a row per lambda; the result has a row per lambda and a column per
+    lattice point. Each index is first that of the square root of the
+    separable squares, which lies within a few ulps of np.hypot. Where it
+    lies within CERTIFY_RTOL of a shell boundary, relative to the block's
+    largest distance, np.hypot decides.
+    """
+    q = (np.square(dx / SHELL_WIDTH)[:, :, None]
+         + np.square(dw / SHELL_WIDTH)[:, None, :])
+    np.sqrt(q, out=q)  # d / SHELL_WIDTH
+    idx = q.astype(np.intp)  # floor, as q >= 0
+    slack = CERTIFY_RTOL * float(np.max(q, initial=0.0)) + CERTIFY_ATOL
+    # Each q's distance to the nearest integer.
+    np.subtract(q, np.rint(q), out=q)
+    np.abs(q, out=q)
+    unsure = np.flatnonzero(q <= slack)
+    if unsure.size:
+        idx.ravel()[unsure] = _shell_index(_exact_distances(dx, dw, unsure))
+    return idx.reshape(len(dx), -1)
+
+
+def _exact_distances(dx, dw, flat) -> np.ndarray:
+    """np.hypot(dx, dw) at flat positions of a pass's (b, n_x, n_w) block.
+
+    dx and dw hold the block's lattice times and frequencies minus chi,
+    a row per lambda; the point of time i and frequency j is the entry
+    i n_w + j of a row, as Lattice lists them.
+    """
+    row, time, freq = np.unravel_index(flat, (len(dx), dx.shape[1],
+                                              dw.shape[1]))
+    return np.hypot(dx[row, time], dw[row, freq])
+
+
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
               exclusion_radius: float = 0.5, s_grid=None) -> DecayFit:
     """Fit the concentration law of a Gabor matrix.
@@ -355,13 +499,14 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     """
     fit = scan_orders(matrix._shells(floor, exclusion_radius),
                       s_grid=s_grid, min_samples=MIN_FIT_SAMPLES)
-    dist, mags = matrix._fit_samples
+    # Every sample at or above the floor, past the radius or not.
+    dist, mags, _ = matrix._samples(floor, exclusion_radius)
 
-    above = mags >= floor
-    env_log_c = float(np.max(np.log(mags[above])))
-    # Up to one value per sample each, next to the cached shells: worked
-    # on in place, they stay under the censoring's peak.
-    spread = above & (dist > 1e-9)
+    env_log_c = float(np.max(np.log(mags)))
+    # A mask and up to two values per sample, next to the cached samples
+    # and shells: worked on in place, they are all the fits' peak holds
+    # (cli._check_sizes).
+    spread = dist > 1e-9
     if np.any(spread):
         # At small s_hat, d**(1/s_hat) overflows (ratio 0: no positive rate
         # keeps that sample under the envelope) or underflows (floored at
@@ -403,25 +548,47 @@ def decay_bound_check(matrix: GaborMatrix, fit: DecayFit) -> dict:
     envelope dominates every sample at or above fit's floor, the check can
     fail only at a floor above NOISE_FLOOR (at or below it, max_ratio is
     exactly 1 / CONSTANT_SLACK = 0.952). Returns checked and violation
-    counts plus the worst entry/bound ratio.
+    counts plus the worst entry/bound ratio. The entries are those of a
+    fit pass at or below NOISE_FLOOR (GaborMatrix._samples_above).
     """
-    dist, mags = matrix._fit_samples
-    above = mags >= NOISE_FLOOR
+    dist, mags = matrix._samples_above(NOISE_FLOOR)
     # At small s_hat, d**(1/s_hat) overflows. Capped at the largest float,
     # a zero rate still gives a flat envelope (not 0 * inf = nan), and a
     # positive one a zero bound, so any sample there is a violation
     # (ratio inf).
     with np.errstate(over="ignore", divide="ignore"):
-        scale = dist[above] ** (1.0 / fit.s_hat)
+        scale = dist ** (1.0 / fit.s_hat)
         np.minimum(scale, np.finfo(float).max, out=scale)
         bound = (CONSTANT_SLACK * np.exp(fit.envelope_log_c)
                  * np.exp(-RATE_SLACK * fit.envelope_epsilon * scale))
-        ratio = mags[above] / bound
+        ratio = mags / bound
     return {
-        "checked": int(above.sum()),
+        "checked": int(mags.size),
         "violations": int(np.sum(ratio > 1.0)),
         "max_ratio": float(ratio.max()) if ratio.size else 0.0,
     }
+
+
+@dataclass(frozen=True)
+class _MagnitudeVectors:
+    """|entries| of unflagged lambdas, a vector per mu or per lambda.
+
+    A slice of the vectors is computed when it is read, from the entries
+    it covers, so no copy of all the magnitudes is held.
+    """
+
+    entries: np.ndarray
+    unflagged: np.ndarray
+    per_mu: bool
+
+    def __len__(self):
+        return len(self.entries) if self.per_mu else self.unflagged.size
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        # np.abs reads a contiguous copy, as it read the whole matrix.
+        if self.per_mu:
+            return np.abs(self.entries[self.unflagged, part]).T
+        return np.abs(self.entries[self.unflagged[part]])
 
 
 def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
@@ -431,17 +598,17 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
     Rows are output indices mu (restricted to unflagged columns); columns
     are input indices lambda (flagged columns skipped entirely). Vectors
     with fewer than three entries above floor are skipped. All vectors
-    are fitted in one call of fitting.sorted_tail_fits, on the
-    magnitudes the fits cache (GaborMatrix._fit_samples), one block of
-    vectors at a time.
+    are fitted in one call of fitting.sorted_tail_fits, which reads them
+    one block at a time; each block's magnitudes are taken from the
+    entries as it is read (_MagnitudeVectors).
     """
     if axis not in ("rows", "cols"):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     if not s_hat > 0:
         raise ValueError(f"s_hat must be positive, got {s_hat:g}")
     exponent = 1.0 / (2.0 * s_hat)
-    by_col = matrix._fit_samples[1]
-    vectors = by_col.T if axis == "rows" else by_col
+    vectors = _MagnitudeVectors(matrix.entries, np.flatnonzero(~matrix.flags),
+                                per_mu=axis == "rows")
     eps, logc, r2 = sorted_tail_fits(vectors, exponent, floor=floor)
     return SparsityReport(exponent_used=exponent, epsilons=eps, log_cs=logc,
                           r_squareds=r2)

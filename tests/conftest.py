@@ -59,6 +59,22 @@ def chi_distances(m):
                     pts[None, :, 1] - m.chi[:, 1, None])
 
 
+def zero_matrix(chi, truncation):
+    """A matrix on the reference lattice steps, every entry 0.
+
+    Every lambda has the same chi, so every row holds the distances of
+    the lattice to that one point. No entry reaches a positive floor, so
+    the fits' pass (gmatrix._above_floor) keeps only its shell counts.
+    """
+    lattice = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, truncation)
+    n = len(lattice)
+    return gf.GaborMatrix(
+        operator_name="zero", grid=gf.Grid(1, PROD_N, PROD_L),
+        window=gf.gaussian(2.0), lattice=lattice,
+        entries=np.zeros((n, n), dtype=complex),
+        chi=np.broadcast_to(np.asarray(chi, dtype=float), (n, 2)).copy())
+
+
 def centered_gaussian(grid, width):
     return gf.gaussian(width).sampled(grid)
 

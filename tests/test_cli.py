@@ -392,7 +392,7 @@ def test_dual_window_system_is_counted_before_allocating(tmp_path):
 
 @pytest.mark.parametrize("command, memory, code", [
     ("propagate", 36, 2), ("decay-fit", 100, 0), ("sparsity", 100, 0),
-    ("decay-fit", 74, 0), ("gabor-matrix", 36, 2), ("decay-fit", 73, 2)],
+    ("decay-fit", 65, 0), ("gabor-matrix", 36, 2), ("decay-fit", 64, 2)],
     ids=["propagate-2", "decay-fit-0", "sparsity-0", "decay-fit-0-block",
          "gabor-matrix-2", "decay-fit-2-fits"])
 def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
@@ -403,12 +403,12 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     # analysis atoms and the dual-window system all fit; only the copy
     # does not, and only propagate builds it. Nor does gabor-matrix's
     # law report, 27 bytes more per entry. decay-fit and sparsity hold the
-    # matrix and the fits' arrays, 58 bytes more (the matrix stores no
-    # distances): 74 in all, so they run at 100, where neither the copy
-    # nor the law report would fit on top. At 74 bytes per entry (87.8 MB)
-    # they just fit, and so does assemble: its 128-atom block with its
-    # apply buffer takes 7.3 MB and its analysis atoms at most 17.8 MB. At
-    # 73 the matrix with the fits' arrays does not fit.
+    # matrix and the fits' arrays, 49 bytes more at most (the matrix
+    # stores no distances): 65 in all, so they run at 100, where neither
+    # the copy nor the law report would fit on top. At 65 bytes per entry
+    # (77.1 MB) they just fit, and so does assemble: its 128-atom block
+    # with its apply buffer takes 7.3 MB and its analysis atoms at most
+    # 17.8 MB. At 64 the matrix with the fits' arrays does not fit.
     n_lattice = 33 ** 2
     real_sysconf = os.sysconf
     fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory * n_lattice ** 2}
@@ -477,6 +477,46 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
              "propagate": "magnitude-ordered copy"}.get(command.split()[0],
                                                         "fits' samples")
     assert "frame.truncation" in err and extra in err
+
+
+def _traced_peak_per_entry(tmp_path, command, fit=None):
+    """Traced peak of a CLI run on the 1089-point frame, per entry."""
+    config = {"grid": {"N": 512, "L": 20.0},
+              "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}
+    if fit is not None:
+        config["fit"] = fit
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["--config", str(cfg), "--out",
+                         str(tmp_path / "out"), *command.split()]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (33 ** 2) ** 2
+
+
+def test_decay_fit_peak_holds_no_array_of_every_entry(tmp_path, capsys):
+    # Traced on the 1089-point frame at the default floor, decay-fit
+    # peaked at 44.7 bytes per entry: the matrix (16) and the fits' arrays
+    # of the 46-67% of its entries at or above the floor. While the fits
+    # cached every entry's distance and magnitude (16 bytes per entry) it
+    # peaked at 67.1-67.8. The run must stay within 5% of 44.7.
+    peak = _traced_peak_per_entry(tmp_path, "decay-fit")
+    capsys.readouterr()
+    assert peak <= 1.05 * 44.7, peak
+
+
+@pytest.mark.parametrize("command", ["decay-fit multiplier:cos",
+                                     "sparsity multiplier:cos"])
+def test_fit_commands_worst_case_is_charged(tmp_path, capsys, command):
+    # Every entry above the floor and in a clean shell is the fits' worst
+    # case, which _check_sizes charges: 64.9 bytes per entry traced.
+    peak = _traced_peak_per_entry(tmp_path, command, {"floor": 1e-300})
+    capsys.readouterr()
+    assert 60 <= peak <= 65, peak
 
 
 def test_exclusion_radius_past_every_sample_exits_3(tmp_path):

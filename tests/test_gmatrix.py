@@ -538,7 +538,7 @@ def test_dense_orientation(matrices):
     n = m.n_lattice
     assert m.dense()[3, 5] == m.entries[5, 3]
     assert len(m) == n * n
-    assert np.all(m._fit_samples[0] >= 0)
+    assert np.all(m._samples(MATRIX_FLOOR, 0.5)[0] >= 0)
     assert np.all(np.isfinite(m.entries))
 
 
@@ -573,7 +573,7 @@ def test_flags_and_distances_come_from_chi(tmp_path):
     """The fits' distances and matrix.csv's dist column are bitwise one
     np.hypot of the lattice minus chi (conftest.chi_distances), on a
     matrix with flagged columns; the flags are the RELIABLE_MARGIN rule
-    on chi.
+    on chi. At floor 0 the fits' pass keeps every unflagged entry.
     """
     frame = gf.GaborFrame(gf.gaussian(2.0), gf.make_lattice(0.5, 0.5, 3.0),
                           gf.Grid(1, 256, 16.0))
@@ -583,8 +583,8 @@ def test_flags_and_distances_come_from_chi(tmp_path):
                           | (np.abs(m.chi[:, 1]) > 8.0 - margin))
     assert 0 < m.flags.sum() < m.n_lattice
     expected = chi_distances(m)
-    dist, _ = m._fit_samples
-    assert np.array_equal(dist, expected[~m.flags])
+    dist, _, _ = m._samples(0.0, None)
+    assert np.array_equal(dist, expected[~m.flags].ravel())
     path = tmp_path / "matrix.csv"
     m.to_csv(path)
     column = np.loadtxt(path, delimiter=",", skiprows=1, usecols=7)
@@ -730,9 +730,10 @@ def test_restricted_fit_is_shell_fit_at_one_order(matrices):
 
 
 def test_fits_censor_the_shells_once_per_floor(monkeypatch):
-    # fit_decay and the restricted fits after it share one censoring of
-    # the samples. Another floor or exclusion radius censors afresh and
-    # reads its own result, never an earlier one's.
+    # fit_decay and the restricted fits after it share one pass over the
+    # entries and one censoring of its samples. Another floor or
+    # exclusion radius runs both afresh and reads its own result, never an
+    # earlier one's.
     m = _synthetic_matrix()
     dist, mags = chi_distances(m), m.magnitudes()
     cases = [(MATRIX_FLOOR, 0.5), (1e-3, 0.5), (MATRIX_FLOOR, 1.0)]
@@ -740,15 +741,20 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
                                    exclusion_radius=case[1], s_grid=grid,
                                    min_samples=1)
                    for grid in (None, (0.5,), (1.0,))] for case in cases}
-    calls = []
-    real = gf.gmatrix.censor_shells
+    calls, passes = [], []
+    real = gf.gmatrix.censor_counted_shells
+    real_pass = gf.gmatrix._above_floor
 
-    def counted(dist, mags, *, floor, exclusion_radius):
-        calls.append(floor)
-        return real(dist, mags, floor=floor,
-                    exclusion_radius=exclusion_radius)
+    def counted(dist, mags, counts, **kwargs):
+        calls.append(kwargs["floor"])
+        return real(dist, mags, counts, **kwargs)
 
-    monkeypatch.setattr(gf.gmatrix, "censor_shells", counted)
+    def counted_pass(matrix, floor, exclusion_radius):
+        passes.append((floor, exclusion_radius))
+        return real_pass(matrix, floor, exclusion_radius)
+
+    monkeypatch.setattr(gf.gmatrix, "censor_counted_shells", counted)
+    monkeypatch.setattr(gf.gmatrix, "_above_floor", counted_pass)
     for floor, radius in cases:
         fit = gf.fit_decay(m, floor=floor, exclusion_radius=radius)
         restricted = [gf.restricted_decay_fit(m, s, floor=floor,
@@ -761,6 +767,7 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
         assert restricted == [(r.epsilon_hat, r.log_c, r.r_squared)
                               for r in (half, one)]
     assert calls == [MATRIX_FLOOR, 1e-3, MATRIX_FLOOR]
+    assert passes == cases
     assert refs[cases[0]][0].n_samples > refs[cases[1]][0].n_samples
 
 

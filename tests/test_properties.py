@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
+from gaborfio import gmatrix
+from gaborfio.fitting import SHELL_WIDTH
 from gaborfio.metaplectic import _covariant_entries
 from gaborfio.signals import _csv_rows
+from conftest import LATTICE_STEP, chi_distances, zero_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -43,3 +46,51 @@ def test_csv_row_is_percent_formatting(values):
     # against one %.17g per value.
     expected = ",".join(["%.17g"] * len(values)) % tuple(values) + "\n"
     assert bytes(_csv_rows(np.array([values]))) == expected.encode()
+
+
+# chi anywhere, on a lattice point (where i = j = m puts the identity's
+# distance d = m on a shell boundary) or on a half-step.
+CHI_COORDS = st.one_of(
+    st.floats(-6.0, 6.0),
+    st.integers(-8, 8).map(lambda k: k * LATTICE_STEP),
+    st.integers(-16, 16).map(lambda k: k * LATTICE_STEP / 2))
+RADII = st.one_of(st.none(), st.sampled_from((0.0, 0.5, 0.7, 1.0, 1.3, 2.5)),
+                  st.floats(0.0, 6.0))
+# The reference lattice: every point's distance to one chi.
+SHELL_LATTICE = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, 8.0)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None,
+                     derandomize=True)
+@hypothesis.given(chis=st.lists(st.tuples(CHI_COORDS, CHI_COORDS),
+                                min_size=1, max_size=8))
+def test_certified_shells_are_those_of_hypot(chis):
+    # The fits' pass takes each shell index from the separable squares,
+    # with np.hypot near a boundary: it must be exactly floor(d /
+    # SHELL_WIDTH) of the np.hypot distance d. The square roots alone put
+    # some entries of half-step chi, such as (-15, -7) half-steps, in the
+    # next shell.
+    chi = np.array(chis)
+    dx = SHELL_LATTICE.times - chi[:, :1]
+    dw = SHELL_LATTICE.freqs - chi[:, 1:]
+    exact = np.hypot(SHELL_LATTICE.points[None, :, 0] - chi[:, 0, None],
+                     SHELL_LATTICE.points[None, :, 1] - chi[:, 1, None])
+    assert np.array_equal(gmatrix._shell_indices(dx, dw),
+                          np.floor(exact / SHELL_WIDTH).astype(np.intp))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None,
+                     derandomize=True)
+@hypothesis.given(x=CHI_COORDS, w=CHI_COORDS, radius=RADII)
+def test_pass_counts_past_the_radius_are_those_of_hypot(x, w, radius):
+    # The exclusion test takes np.hypot only in the shell that holds the
+    # radius; the counts must be np.bincount of the np.hypot shells of
+    # the entries with d >= radius.
+    matrix = zero_matrix((x, w), truncation=3.0)
+    exact = chi_distances(matrix)
+    reference = np.floor(exact / SHELL_WIDTH).astype(np.intp)
+    past = reference if radius is None else reference[exact >= radius]
+    _, _, counts = gmatrix._above_floor(matrix, 1.0, radius)
+    expected = np.bincount(past.ravel())
+    assert counts.dtype == expected.dtype
+    assert np.array_equal(counts, expected)
