@@ -218,13 +218,19 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     The lattice is counted as Lattice would enumerate it, without
     enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
     16 bytes each; every command is charged for it, which also keeps
-    Lattice from enumerating a huge truncation. Only propagate pays for
-    sparse_apply's magnitude-ordered copy of the entries, 40 bytes more
-    (magnitude, entry and two int64 indices), for the terms of a partial
-    product over at most half of them (8), and for the frame's atoms and
-    dual atoms next to them and what grows slower than |L|^2 (16 on 1089
-    points at N 512): traced there, propagate peaks at 76.2-79.3 bytes
-    per entry. Only gabor-matrix pays for its law report, 26 bytes more:
+    Lattice from enumerating a huge truncation. frame-check builds no
+    matrix; its 16 bytes per entry pay for frame_bounds' Gram matrix of
+    the |L| atoms against the |C| central ones (16 |L| |C|, with |C|
+    about |L| / 4) and the pencil's |C| x |C| arrays next to it: traced
+    on 1089 points, frame_bounds peaks at 7.3-8.8 bytes per entry at N
+    512 to 2048. Only propagate pays for sparse_apply's
+    magnitude-ordered copy of the entries, 40 bytes more (magnitude,
+    entry and two int64 indices), and for the terms of a partial product
+    over at most half of them (8): 64 in all. The frame's expansions hold
+    the factors of its atoms only, O(N (n_x + n_w)), and frame_bounds'
+    Gram matrix is released before the matrix is assembled: traced on
+    1089 points at N 512, propagate peaks at 62.4 bytes per entry. Only
+    gabor-matrix pays for its law report, 26 bytes more:
     the law, the magnitudes and the ratio's output (8 each) and a mask
     (1), after the law's evaluation took 24 (metaplectic_law), and 1 for
     what grows slower than |L|^2 (the lattice, chi, one-time
@@ -234,7 +240,8 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     copy; it is not charged. stft and gs-check hold the factors of their
     windowed sums (gabor._windowed_sums), O(N (n_x + n_w)) for the
     n_x = n_w = 41 distinct times and frequencies of their samples, and
-    no atom per sample; they are not charged either. Nor is the
+    no atom per sample; they are not charged either, nor is frame-check's
+    inversion formula, the same over 161 times and frequencies. Nor is the
     multiplier's closed form (metaplectic._multiplier_entries): the same
     factors on the doubled grid over 2 n_x - 1 times and 2 n_w - 1
     frequencies, released before the entries are allocated, then the
@@ -258,15 +265,13 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     lattice time) atoms on the doubled grid at a time, with the factored
     apply's buffer of twice as many rows: 48 (2N) bytes per atom. They
     also hold the conjugated analysis atoms of the whole lattice over the
-    rows their window reaches, at most all 2N. frame-check and propagate
-    hold the frame's atoms and its dual's, N x |L| each, on the frame's
-    grid. The canonical dual's Wexler-Raz system on the doubled grid
-    (gabor._wexler_raz_dual) holds one complex row per adjoint point
-    (k/beta, l/alpha), 0 <= k <= beta L and 0 <= l <= alpha N / (2L),
-    over the N samples of t >= 0; with its real form, that form's
-    weighted copy and lstsq's copy of it, 64 bytes per (k, l, t). Sizes
-    are exact integers (inf for a count past the float range), so none
-    overflows.
+    rows their window reaches, at most all 2N. The canonical dual's
+    Wexler-Raz system on the doubled grid (gabor._wexler_raz_dual) holds
+    one complex row per adjoint point (k/beta, l/alpha), 0 <= k <= beta L
+    and 0 <= l <= alpha N / (2L), over the N samples of t >= 0; with its
+    real form, that form's weighted copy and lstsq's copy of it, 64 bytes
+    per (k, l, t). Sizes are exact integers (inf for a count past the
+    float range), so none overflows.
     """
     try:
         n_times, n_freqs = (2 * _steps_within(exp.truncation, step) + 1
@@ -282,8 +287,10 @@ def _check_sizes(exp: Experiment, command: str) -> None:
     n_adjoint = ((_steps_within(length, 1.0 / exp.beta) + 1)
                  * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
     matrix, per_entry = "the dense Gabor matrix of its lattice", 16
-    if command == "propagate":
-        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 80
+    if command == "frame-check":
+        matrix = "the Gram matrix of its lattice and central points"
+    elif command == "propagate":
+        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 64
     elif command == "gabor-matrix":
         matrix, per_entry = f"{matrix} and its law report", 43
     elif command in ("decay-fit", "sparsity"):
@@ -298,9 +305,6 @@ def _check_sizes(exp: Experiment, command: str) -> None:
              48 * (2 * n) * block),
             (f"grid.N {n}: the analysis atoms of {n_lattice} lattice "
              "points on the doubled grid", 16 * (2 * n) * n_lattice)]
-    if command in ("frame-check", "propagate"):
-        sizes.append((f"grid.N {n}: the atoms and dual atoms of "
-                      f"{n_lattice} lattice points", 2 * 16 * n * n_lattice))
     sizes.append((f"grid.N {n} with steps {exp.alpha:g} x {exp.beta:g}: the "
                   f"dual-window system of {n_adjoint} adjoint points on the "
                   "doubled grid", 64 * n_adjoint * n))

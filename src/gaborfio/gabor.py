@@ -6,23 +6,26 @@ central atoms (|lambda_i| <= truncation/2): eigenvalues of the full frame
 operator on the grid are polluted by lattice-edge effects, while on the
 central span the truncation error is negligible.
 
-Every time-frequency-shifted window in the package (frame atoms, dual
-atoms, and the atoms gmatrix's quadrature pushes through an operator)
-is a product of the factors _atom_factors computes once per call: the
-distinct shifts window(t - x) and modulations exp(2 pi i w t).
-_atom_matrix takes that product whole; gmatrix's quadrature takes it in
-blocks of lattice times and, for the analysis side, over each atom's
-rows only (_atom_rows).
-
-A windowed sum dx sum_t v(t) window(t - x) exp(-2 pi i w t) over a
-product grid of (x, w) needs no atoms: _windowed_sums takes it as one
-(n_x x N) @ (N x n_w) product of the shifts times v and the waves
-(_waves). It serves stft (over its points' distinct times and
-frequencies), inversion_formula_reconstruct (whose synthesis reuses the
-waves) and the closed-form Gabor matrix of a multiplier
-(metaplectic._multiplier_entries). The waves' phases are reduced to a
-fraction of a cycle exactly (_fractional_cycles), so large w t leave no
-phase noise in the sums.
+Every frame computation comes from one factorization of the lattice's
+time-frequency shifts, and no N x |L| atom matrix is built. The factors
+are the shifts source(t - x), one column per distinct time x (_shifted:
+a Window's closed form, or a spectral shift of samples), and the waves
+exp(-2 pi i w t), one column per distinct frequency w (_waves). Each
+wave's phase is reduced to a fraction of a cycle exactly
+(_fractional_cycles), so large w t leave no phase noise. Two kernels
+take every sum over the product grid of (x, w), N n_x n_w work and
+O(N (n_x + n_w)) memory each:
+- _windowed_sums, the analysis dx sum_t v(t) shift(t - x) exp(-2 pi i
+  w t), one (n_x x N) @ (N x n_w) product. It serves stft,
+  GaborFrame.analysis and dual_analysis, frame_bounds' Gram matrix,
+  the inversion formula and metaplectic._multiplier_entries;
+- _synthesis, the expansion sum_{x,w} c(x, w) shift(t - x) exp(2 pi i
+  w t), one (N x n_w) @ (n_w x n_x) product and a weighted row sum. It
+  serves GaborFrame.dual_synthesis (so sparse_apply) and the inversion
+  formula.
+gmatrix's quadrature pushes products of the same factors through an
+operator, a block of lattice times at a time, and pairs them with the
+outputs over the rows each window reaches only (_atom_rows).
 
 Both dual windows come from one solver, _wexler_raz_dual: the solution
 of the Wexler-Raz identities with the least ||exp(c t^2) h||. dual_window
@@ -38,6 +41,7 @@ time and the window's localization in frequency.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -226,38 +230,21 @@ def make_lattice(alpha: float, beta: float, truncation: float) -> Lattice:
     return Lattice(alpha, beta, truncation, truncation)
 
 
-def _atom_matrix(source, grid: Grid, points) -> np.ndarray:
-    """Atoms source(t - x) exp(2 pi i w t) on grid, one column per (x, w).
+def _shifted(source, grid: Grid, xs) -> np.ndarray:
+    """source(t - x) on grid's times, one column per x in xs.
 
     source is a Window, evaluated at the shifted times, or samples on
-    grid, shifted in time by a periodic spectral shift (exact for grid
-    functions whose boundary values vanish). The product of
-    _atom_factors' shifts and waves, one column per point.
+    grid, shifted by a periodic spectral shift (exact for grid functions
+    whose boundary values vanish), which is complex.
     """
-    shifted, column_x, waves, column_w = _atom_factors(source, grid, points)
-    return shifted[:, column_x] * waves[:, column_w]
-
-
-def _atom_factors(source, grid: Grid, points) -> tuple:
-    """(shifted, column_x, waves, column_w): the factors of the atoms.
-
-    Column k of shifted holds source(t - x) for the k-th distinct x, and
-    column j of waves exp(2 pi i w t) for the j-th distinct w, so each x
-    is shifted, and each w modulates, once. The atom of point i is
-    shifted[:, column_x[i]] * waves[:, column_w[i]].
-    """
-    xs, column_x, ws, column_w = _distinct_axes(points)
-    t = grid.times()
+    t, xs = grid.times(), np.asarray(xs, dtype=float)
     if isinstance(source, Window):
-        shifted = source.evaluate(t[:, None] - xs)
-    else:
-        spec = np.fft.fft(np.fft.ifftshift(source))
-        freqs = np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-        shifted = np.fft.fftshift(np.fft.ifft(
-            spec[:, None] * np.exp(-2j * np.pi * freqs[:, None] * xs),
-            axis=0), axes=0)
-    waves = np.exp(2j * np.pi * ws * t[:, None])
-    return shifted, column_x, waves, column_w
+        return source.evaluate(t[:, None] - xs)
+    spec = np.fft.fft(np.fft.ifftshift(source))
+    freqs = np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+    return np.fft.fftshift(np.fft.ifft(
+        spec[:, None] * np.exp(-2j * np.pi * freqs[:, None] * xs), axis=0),
+        axes=0)
 
 
 def _distinct_axes(points) -> tuple:
@@ -288,19 +275,34 @@ def _waves(ws, grid: Grid) -> np.ndarray:
     return waves
 
 
-def _windowed_sums(values, window: Window, grid: Grid, xs, waves
-                   ) -> np.ndarray:
-    """dx sum_t values(t) window(t - x_k) exp(-2 pi i w_j t), an (n_x, n_w)
-    table over every x_k in xs and the w_j of waves = _waves(ws, grid).
+def _windowed_sums(values, shifted, grid: Grid, waves) -> np.ndarray:
+    """dx sum_t values(t) shifted(t, k) exp(-2 pi i w_j t), an (n_x, n_w)
+    table over the columns k of shifted = _shifted(source, grid, xs) and
+    the w_j of waves = _waves(ws, grid).
 
-    For a real window this is the STFT of values on the product grid.
-    One (n_x, N) @ (N, n_w) product of the window's shifts times the
-    values and the waves: N n_x n_w work, O(N (n_x + n_w)) memory, and
-    no atom per (x, w).
+    For a real window this is the STFT of values on the product grid of
+    (xs, ws); in Lattice's order, its ravel is the analysis of values on
+    that lattice. One (n_x, N) @ (N, n_w) product of the shifts times the
+    values and the waves: N n_x n_w work, O(N (n_x + n_w)) memory, and no
+    atom per (x, w).
     """
-    shifted = window.evaluate(grid.times()[:, None] - xs)
     shifted = shifted * np.asarray(values)[:, None]
     return grid.spacing * (shifted.T @ waves)
+
+
+def _synthesis(coeffs, shifted, waves) -> np.ndarray:
+    """sum_{k,j} coeffs[k, j] shifted(t, k) exp(2 pi i w_j t) on the grid.
+
+    The expansion over the atoms of _windowed_sums' factors, for real
+    shifts (a window's, or GaborFrame.dual_atoms), with coeffs an
+    (n_x, n_w) table or its ravel (Lattice's order). One (N, n_w) @
+    (n_w, n_x) product and a weighted sum over x, taken conjugated so
+    that the waves are not copied: N n_x n_w work, O(N n_x) memory.
+    """
+    table = np.reshape(coeffs, (shifted.shape[1], waves.shape[1]))
+    out = waves @ table.conj().T
+    out *= shifted
+    return np.sum(out, axis=1).conj()
 
 
 def _fractional_cycles(a, b) -> np.ndarray:
@@ -335,7 +337,7 @@ def _fractional_cycles(a, b) -> np.ndarray:
 def _atom_rows(shifted: np.ndarray) -> np.ndarray:
     """Rows [lo, hi) where |shifted| >= ATOM_SUPPORT * its peak, by column.
 
-    shifted is _atom_factors' window(t - x), one column per x; peak is
+    shifted is _shifted's window(t - x), one column per x; peak is
     its largest magnitude over all of them. A range runs from the first
     to the last row at or above the cutoff, so a Hermite window's zeros
     stay inside it.
@@ -356,19 +358,23 @@ def stft(f: SampledSignal, window: Window, eval_points) -> np.ndarray:
     per point is built.
     """
     xs, column_x, ws, column_w = _distinct_axes(eval_points)
-    table = _windowed_sums(f.values, window, f.grid, xs, _waves(ws, f.grid))
+    table = _windowed_sums(f.values, _shifted(window, f.grid, xs), f.grid,
+                           _waves(ws, f.grid))
     return table[column_x, column_w]
 
 
 @dataclass(eq=False)
 class GaborFrame:
-    """A window and truncated lattice on a grid, with write-once caches."""
+    """A window and truncated lattice on a grid, with write-once caches.
+
+    Its expansions hold the factors of its atoms only (_factors,
+    dual_atoms): N x (n_x + n_w) values, not an N x |L| atom matrix.
+    """
 
     window: Window
     lattice: Lattice
     grid: Grid
 
-    _atoms: np.ndarray | None = field(init=False, default=None, repr=False)
     _bounds: tuple | None = field(init=False, default=None, repr=False)
     _dual: SampledSignal | None = field(init=False, default=None, repr=False)
     _dual_residuals: tuple | None = field(init=False, default=None,
@@ -388,44 +394,48 @@ class GaborFrame:
                 "grid too small for this lattice truncation: need margin "
                 f"{GRID_MARGIN} beyond ({lat.time_range}, {lat.freq_range})")
 
-    def atoms(self) -> np.ndarray:
-        """Dense atom matrix, one analytic atom per lattice point column."""
-        if self._atoms is None:
-            mat = _atom_matrix(self.window, self.grid, self.lattice.points)
-            mat.flags.writeable = False
-            self._atoms = mat
-        return self._atoms
+    @functools.cached_property
+    def _factors(self) -> tuple:
+        """(window shifts, waves) at the lattice's times and frequencies."""
+        return (_shifted(self.window, self.grid, self.lattice.times),
+                _waves(self.lattice.freqs, self.grid))
 
     def analysis(self, f: SampledSignal) -> np.ndarray:
         """Coefficients <f, g_lambda> for all lattice points."""
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        return self.grid.spacing * (f.values.conj() @ self.atoms()).conj()
+        shifts, waves = self._factors
+        return _windowed_sums(f.values, shifts, self.grid, waves).ravel()
 
     def dual_atoms(self) -> np.ndarray:
-        """Atom matrix of the expansion dual h (spectral shifts of its samples).
+        """The expansion dual h shifted to each lattice time, N x n_x.
 
         h is the time-localized dual (_wexler_raz_dual at weight
-        EXPANSION_DUAL_WEIGHT), not the canonical dual_window. Built once,
-        after the frame-bounds check; the column of the lattice origin is
-        h itself. NotAFrameError unless dual_synthesis(analysis(g_0))
-        returns the central atom g_0: the Rayleigh quotients of
-        frame_bounds miss some non-frames.
+        EXPANSION_DUAL_WEIGHT), not the canonical dual_window. Column k is
+        h(t - x_k), a spectral shift of its samples; h is real, so the
+        shift's imaginary parts, rounding (2.6e-16 of the peak on the
+        reference frame), are dropped. The column of time 0 is h itself.
+        Built once, read-only, after the frame-bounds check.
+        NotAFrameError unless dual_synthesis(analysis(g_0)) returns the
+        central atom g_0: the Rayleigh quotients of frame_bounds miss
+        some non-frames.
         """
         if self._dual_atoms is None:
             frame_bounds(self)
             h, _ = _wexler_raz_dual(self.window, self.lattice, self.grid,
                                     EXPANSION_DUAL_WEIGHT)
-            mat = _atom_matrix(h, self.grid, self.lattice.points)
+            shifts = np.ascontiguousarray(
+                _shifted(h, self.grid, self.lattice.times).real)
             g0 = self.window.sampled(self.grid)
-            miss = (np.linalg.norm(mat @ self.analysis(g0) - g0.values)
+            rec = _synthesis(self.analysis(g0), shifts, self._factors[1])
+            miss = (np.linalg.norm(rec - g0.values)
                     / np.linalg.norm(g0.values))
             if miss > RECONSTRUCTION_CEILING:
                 raise NotAFrameError(
                     f"no frame for this window: dual expansion misses the "
                     f"central atom by {miss:.3e} (relative)")
-            mat.flags.writeable = False
-            self._dual_atoms = mat
+            shifts.flags.writeable = False
+            self._dual_atoms = shifts
         return self._dual_atoms
 
     def dual_analysis(self, f: SampledSignal) -> np.ndarray:
@@ -444,11 +454,13 @@ class GaborFrame:
         values = f.values.copy()
         parts = values.view(float)
         parts[np.abs(parts) < ENVELOPE_FLUSH * np.abs(values).max()] = 0.0
-        return self.grid.spacing * (values.conj() @ self.dual_atoms()).conj()
+        return _windowed_sums(values, self.dual_atoms(), self.grid,
+                              self._factors[1]).ravel()
 
     def dual_synthesis(self, coeffs) -> SampledSignal:
-        return SampledSignal(self.grid,
-                             self.dual_atoms() @ np.asarray(coeffs))
+        """sum_lambda coeffs[lambda] h_lambda, in Lattice's order."""
+        return SampledSignal(self.grid, _synthesis(
+            coeffs, self.dual_atoms(), self._factors[1]))
 
     @property
     def dual_residuals(self) -> tuple:
@@ -468,31 +480,57 @@ def frame_bounds(frame: GaborFrame) -> tuple:
     """Extreme Rayleigh quotients of the frame operator on the central span.
 
     The test space is span{g_lambda : |lambda_i| <= truncation/2}; with
-    C the central atom matrix and G all atoms, the quotient pencil is
-    (dx G^H C)^H (dx G^H C) against dx C^H C, reduced by an eigenvalue
-    cutoff on the Gram matrix.
+    C the central atoms and G all atoms, the quotient pencil is Y^H Y
+    against Y's central rows, dx C^H C, for the Gram matrix
+    Y = dx G^H C (_central_gram), reduced by an eigenvalue cutoff on the
+    latter: the quotients are the eigenvalues of Z^H Z, with Z = Y B and
+    B the kept eigenvectors of dx C^H C scaled to unit quotient. The cutoff amplifies rounding-level changes of the Gram
+    matrix: merely rounding the atoms' waves differently moved A by up
+    to 4.6e-8 relative (1,089 points, N 512), so A and B carry about 7
+    digits.
     """
     if frame._bounds is not None:
         return frame._bounds
-    grid, lat = frame.grid, frame.lattice
-    pts = lat.points
-    central = ((np.abs(pts[:, 0]) <= lat.time_range / 2 + 1e-9)
-               & (np.abs(pts[:, 1]) <= lat.freq_range / 2 + 1e-9))
-    g_all = frame.atoms()
-    c = g_all[:, central]
-    y = grid.spacing * (g_all.conj().T @ c)
-    t_mat = y.conj().T @ y
-    p_mat = grid.spacing * (c.conj().T @ c)
-    ev, vec = np.linalg.eigh(p_mat)
+    y, central = _central_gram(frame)
+    ev, vec = np.linalg.eigh(y[central])
     keep = ev > 1e-10 * ev[-1]
-    basis = vec[:, keep] / np.sqrt(ev[keep])
-    quot = np.linalg.eigvalsh(basis.conj().T @ t_mat @ basis)
+    z = y @ (vec[:, keep] / np.sqrt(ev[keep]))  # Y over the whitened basis
+    quot = np.linalg.eigvalsh(z.conj().T @ z)
     a, b = float(quot[0]), float(quot[-1])
     if a <= FRAME_FLOOR:
         raise NotAFrameError(
             f"not a frame at this truncation: lower bound {a:.3e}")
     frame._bounds = (a, b)
     return frame._bounds
+
+
+def _central_gram(frame: GaborFrame) -> tuple:
+    """(Y, central): the Gram matrix Y = dx G^H C and C's rows of it.
+
+    G holds the atoms g_lambda of every lattice point, C those of the
+    central points (|x| <= time_range / 2, |w| <= freq_range / 2), both
+    in Lattice's order. For the real window g, the central atom
+    g(t - x_k) exp(2 pi i w_l t) pairs with g_lambda, lambda = (x_i, w_j),
+    as dx sum_t g(t - x_k) g(t - x_i) exp(-2 pi i (w_j - w_l) t). So one
+    _windowed_sums table per central time x_k, of g(t - x_k) over every
+    lattice time and the 2 n_w - 1 frequency offsets (j - l) beta, holds
+    the columns of its central atoms: column l is table[i, n_w - 1 - l + j]
+    over (i, j). Y takes 16 |L| |C| bytes and the tables
+    O(N (n_x + n_w)); no atom is built.
+    """
+    grid, lat, shifts = frame.grid, frame.lattice, frame._factors[0]
+    n_x, n_w = len(lat.times), len(lat.freqs)
+    times = np.flatnonzero(np.abs(lat.times) <= lat.time_range / 2 + 1e-9)
+    freqs = np.flatnonzero(np.abs(lat.freqs) <= lat.freq_range / 2 + 1e-9)
+    offsets = _waves(np.arange(1 - n_w, n_w) * lat.beta, grid)
+    # The offset of (j, l) is j - l, column n_w - 1 - l + j of a table.
+    gather = np.arange(n_w)[:, None] + (n_w - 1 - freqs)
+    y = np.empty((n_x, n_w, times.size, freqs.size), dtype=complex)
+    for a, k in enumerate(times):
+        y[:, :, a] = _windowed_sums(shifts[:, k], shifts, grid,
+                                    offsets)[:, gather]
+    central = (times[:, None] * n_w + freqs).ravel()
+    return y.reshape(n_x * n_w, -1), central
 
 
 def dual_window(frame: GaborFrame) -> SampledSignal:
@@ -540,7 +578,7 @@ def _walnut_frame_operator(window: Window, lattice: Lattice, grid: Grid,
     window_times = t[:, None] - alpha * np.arange(-k_n, k_n + 1)
     windows = window.evaluate(window_times)
     shifts = np.arange(-k_s, k_s + 1) / beta
-    shifted = _atom_matrix(values, grid, np.column_stack([shifts, 0 * shifts]))
+    shifted = _shifted(values, grid, shifts)
     out = 0.0
     for shift, x_k in zip(shifts, shifted.T):
         out += np.sum(windows * window.evaluate(window_times - shift),
@@ -628,11 +666,9 @@ def inversion_formula_reconstruct(f: SampledSignal, window: Window
     INVERSION_STEP over the box of radius INVERSION_EXTENT.
     """
     step, extent = INVERSION_STEP, INVERSION_EXTENT
-    xs = np.arange(-extent, extent + 1e-9, step)
-    ws = np.arange(-extent, extent + 1e-9, step)
-    waves = _waves(ws, f.grid)
-    coeffs = _windowed_sums(f.values, window, f.grid, xs, waves)
-    wins = window.evaluate(f.grid.times()[:, None] - xs)
-    rec = np.sum(wins * (waves.conj() @ coeffs.T), axis=1)
+    xs = ws = np.arange(-extent, extent + 1e-9, step)
+    wins, waves = _shifted(window, f.grid, xs), _waves(ws, f.grid)
+    rec = _synthesis(_windowed_sums(f.values, wins, f.grid, waves), wins,
+                     waves)
     g_sq = inner_product(window.sampled(f.grid), window.sampled(f.grid)).real
     return SampledSignal(f.grid, rec * step * step / g_sq)

@@ -80,7 +80,7 @@ import numpy as np
 from .fio import FioOperator, _apply_columns, canonical_map
 from .fitting import (SHELL_WIDTH, CensoredShells, ShellFit, _shell_index,
                       censor_counted_shells, scan_orders, sorted_tail_fits)
-from .gabor import GaborFrame, _atom_factors, _atom_rows
+from .gabor import GaborFrame, _atom_rows, _shifted, _waves
 from .metaplectic import _closed_form_entries
 from .signals import Grid, SampledSignal, _csv_rows
 
@@ -341,13 +341,12 @@ def _quadrature_entries(op: FioOperator, frame: GaborFrame) -> np.ndarray:
     the rows their window reaches (gabor._atom_rows), one product per
     block and x, written straight into the block's rows. The
     conjugated analysis atoms are held over those rows only, and every
-    shift and modulation is computed once per call (gabor._atom_factors).
-    Callers check nondegeneracy.
+    shift and wave is computed once per call (gabor._shifted, and
+    gabor._waves conjugated). Callers check nondegeneracy.
     """
-    pad = frame.grid.doubled()
-    pts = frame.lattice.points
-    n = len(pts)
-    shifted, _, waves, _ = _atom_factors(frame.window, pad, pts)
+    pad, n = frame.grid.doubled(), len(frame.lattice)
+    shifted = _shifted(frame.window, pad, frame.lattice.times)
+    waves = _waves(frame.lattice.freqs, pad).conj()  # exp(2 pi i w t)
     # A Lattice lists every w for each x in turn, so the atom at the k-th
     # x and j-th w is column k n_w + j, and a run of times is a run of
     # columns.
@@ -640,7 +639,9 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
     sums the smaller side: the kept entries when they are fewer than the
     dropped ones, else the dense product minus the dropped entries. Its
     cost is therefore O(min(kept, dropped)) past one dense product at
-    most; the dual analysis and synthesis cost O(N |L|) each.
+    most. The dual analysis and synthesis cost N |L| flops each, but hold
+    only the frame's factors, O(N (n_x + n_w)) values
+    (gabor._windowed_sums, gabor._synthesis), not an N x |L| matrix.
     """
     if math.isnan(tau) or tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
@@ -659,5 +660,4 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
         out_coeffs = matrix.dense() @ coeffs
         if cut:
             out_coeffs -= _partial_product(order, coeffs, slice(0, cut), n)
-    out = SampledSignal(frame.grid, frame.dual_atoms() @ out_coeffs)
-    return out, (size - cut) / float(size)
+    return frame.dual_synthesis(out_coeffs), (size - cut) / float(size)

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import HypothesisError, SingularTimeError
 from .fio import FioOperator, Phase
-from .gabor import ENVELOPE_FLUSH, _waves, _windowed_sums, gaussian
+from .gabor import ENVELOPE_FLUSH, _shifted, _waves, _windowed_sums, gaussian
 
 __all__ = [
     "SymplecticMatrix",
@@ -294,8 +294,8 @@ def _multiplier_entries(phi, width: float, lattice, grid,
     half_steps = np.arange(1 - n_x, n_x) * (0.5 * lattice.alpha)
     offsets = np.arange(1 - n_w, n_w) * lattice.beta
     table = _windowed_sums(np.exp(2j * np.pi * phi(grid.times())),
-                           gaussian(0.5 * width), grid, half_steps,
-                           _waves(offsets, grid))
+                           _shifted(gaussian(0.5 * width), grid, half_steps),
+                           grid, _waves(offsets, grid))
     flush = ENVELOPE_FLUSH * np.max(np.abs(table))
     by_time = -np.pi / (2.0 * width) * (xs[:, None] - xs) ** 2
     np.maximum(by_time, math.log(ENVELOPE_FLUSH) - 1.0, out=by_time)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gaborfio as gf
+from gaborfio import gabor as gab
 
 PROD_N = 1024
 PROD_L = 32.0
@@ -45,6 +46,19 @@ def lstsq_line_fit(xs, ys):
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
     eps = float(coef[1]) / scale
     return eps, float(coef[0]) + eps * centre, ssr, r2
+
+
+def atom_matrix(source, grid, points):
+    """Atoms source(t - x) exp(2 pi i w t) on grid, one column per (x, w).
+
+    The product of the library's factors, gabor._shifted and the
+    conjugated gabor._waves, taken whole: N x |points| complex values.
+    The library builds no such matrix; this is the oracle of its factored
+    sums (analysis, synthesis, Gram matrix, quadrature).
+    """
+    xs, column_x, ws, column_w = gab._distinct_axes(points)
+    return (gab._shifted(source, grid, xs)[:, column_x]
+            * gab._waves(ws, grid).conj()[:, column_w])
 
 
 def chi_distances(m):

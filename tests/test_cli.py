@@ -431,7 +431,7 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("command, ceiling", [
     ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9),
-    ("gabor-matrix", 52), ("propagate", 80),
+    ("gabor-matrix", 52), ("propagate", 64),
     ("gabor-matrix multiplier:cos", 43), ("decay-fit multiplier:cos", 74)])
 def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                                                     capsys, command,
@@ -440,7 +440,8 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
     # 67.1-67.8 bytes per entry (decay-fit, sparsity) and 68.4-69.3 (all
     # six operators, each matrix released before the next is assembled),
     # against the 74 charged; gabor-matrix 41.1-41.8, against 43;
-    # propagate 76.2-77.0, against 80. multiplier:cos, with no law
+    # propagate 62.4, against 64 (76.2-77.0, against 80, while the frame
+    # held N x |L| atoms and dual atoms). multiplier:cos, with no law
     # report, peaks at 17.6 (gabor-matrix; 27.2 on the quadrature) and
     # 68.4 (decay-fit), and its ceilings are the charges. The runs must
     # stay at or under ceiling bytes per entry: before the fits shared
@@ -477,6 +478,28 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
              "propagate": "magnitude-ordered copy"}.get(command.split()[0],
                                                         "fits' samples")
     assert "frame.truncation" in err and extra in err
+
+
+def test_frame_check_builds_no_atom_matrix(tmp_path, capsys):
+    # N 2048 with 1089 lattice points: frame-check traced 138.6 MiB while
+    # the frame built its N x |L| atoms and dual atoms (34 MiB each) and
+    # frame_bounds took a conjugated copy of the atoms. From the atoms'
+    # factors it traces 28.3 MiB, of which dual_window's Wexler-Raz
+    # system takes 26.4.
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({
+        "grid": {"N": 2048, "L": 20.0},
+        "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "frame-check"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 40 * 2 ** 20, peak / 2 ** 20
 
 
 def _traced_peak_per_entry(tmp_path, command, fit=None):

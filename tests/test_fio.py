@@ -6,8 +6,7 @@ import pytest
 import gaborfio as gf
 from gaborfio import fio
 from gaborfio.fio import HYPOTHESIS_BOX, HYPOTHESIS_POINTS
-from gaborfio.gabor import _atom_matrix
-from conftest import centered_gaussian, rel_error
+from conftest import atom_matrix, centered_gaussian, rel_error
 
 
 def _random_points(n=100, box=5.0, seed=0):
@@ -141,7 +140,7 @@ def test_multiplier_quadrature_matches_shortcut(grid):
 def test_apply_is_linear(grid):
     op = gf.parse_operator("harmonic:0.7853981633974483")
     f = centered_gaussian(grid, 2.0)
-    g = gf.SampledSignal(grid, _atom_matrix(
+    g = gf.SampledSignal(grid, atom_matrix(
         centered_gaussian(grid, 1.0).values, grid, [(0.5, -1.0)])[:, 0])
     combo = gf.SampledSignal(grid, 2.0 * f.values - 1.5j * g.values)
     left = gf.apply(op, combo)

@@ -13,7 +13,8 @@ import pytest
 import gaborfio as gf
 from gaborfio import cli
 from gaborfio import gabor as gab
-from conftest import LATTICE_STEP, TRUNCATION, centered_gaussian, rel_error
+from conftest import (LATTICE_STEP, TRUNCATION, atom_matrix,
+                      centered_gaussian, rel_error)
 
 
 # ---------------------------------------------------------------- windows
@@ -107,7 +108,7 @@ def test_lattice_validation():
 
 def _shift(source, grid, lam):
     """The atom at lam: a Window's closed form or a spectral shift of samples."""
-    return gf.SampledSignal(grid, gab._atom_matrix(source, grid, [lam])[:, 0])
+    return gf.SampledSignal(grid, atom_matrix(source, grid, [lam])[:, 0])
 
 
 def test_tf_shift_at_origin_is_identity(grid):
@@ -147,25 +148,38 @@ def test_tf_shift_rejects_non_finite(grid):
 
 
 def test_atoms_match_per_column_formulas(dual_frame):
-    """Frame and dual atoms equal the per-column formulas they replace.
+    """The factors of the frame's atoms equal their per-column formulas.
 
-    Window atoms are window(t - x) exp(2 pi i w t), bitwise. Dual atoms
-    are the origin column h, shifted spectrally to x, then modulated.
+    The window's shifts are window(t - x), bitwise. The waves are
+    exp(-2 pi i w t) with w t reduced to a fraction of a cycle by exact
+    rationals, to 1e-15 (a rounded w t of up to 124 cycles on this grid
+    leaves up to 1e-13). The dual atoms are the expansion dual h, shifted
+    spectrally to each lattice time, to 1e-15 of h's peak.
     """
+    from fractions import Fraction
+
     grid, lat = dual_frame.grid, dual_frame.lattice
     t = grid.times()
-    atoms, duals = dual_frame.atoms(), dual_frame.dual_atoms()
-    h = duals[:, len(lat) // 2]
+    shifts, waves = dual_frame._factors
+    for k, x in enumerate(lat.times):
+        assert np.array_equal(shifts[:, k], dual_frame.window.evaluate(t - x))
+    for j in range(0, len(lat.freqs), 4):
+        w = lat.freqs[j]
+        for i in range(0, len(t), 37):
+            turns = Fraction(w) * Fraction(t[i])
+            angle = -2.0 * np.pi * float(turns - round(turns))
+            assert abs(waves[i, j] - complex(np.cos(angle), np.sin(angle))
+                       ) <= 1e-15
+    h, _ = gab._wexler_raz_dual(dual_frame.window, lat, grid,
+                                gab.EXPANSION_DUAL_WEIGHT)
+    duals = dual_frame.dual_atoms()
+    assert duals.shape == (len(t), len(lat.times))
     spec = np.fft.fft(np.fft.ifftshift(h))
     freqs = np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-    for j in range(0, len(lat), 37):
-        x, w = lat.points[j]
-        wave = np.exp(2j * np.pi * w * t)
-        assert np.array_equal(atoms[:, j],
-                              dual_frame.window.evaluate(t - x) * wave)
+    for k, x in enumerate(lat.times):
         shifted = np.fft.fftshift(np.fft.ifft(
             spec * np.exp(-2j * np.pi * freqs * x)))
-        assert (np.max(np.abs(duals[:, j] - shifted * wave))
+        assert (np.max(np.abs(duals[:, k] - shifted))
                 <= 1e-15 * np.max(np.abs(h)))
 
 
@@ -176,7 +190,7 @@ def test_atoms_hold_no_subnormal(grid, window):
     # product severalfold.
     pad = gf.Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
     lat = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, TRUNCATION)
-    atoms = gab._atom_matrix(window, pad, lat.points)
+    atoms = atom_matrix(window, pad, lat.points)
     for part in (atoms.real, atoms.imag):
         assert not np.any((part != 0) & (np.abs(part) < np.finfo(float).tiny))
 
@@ -209,7 +223,7 @@ def test_stft_odd_signal_vanishes_at_origin(grid):
 
 def _stft_by_atoms(f, window, pts):
     """<f, g_{x,w}> through the N x |points| atom matrix: stft's oracle."""
-    atoms = gab._atom_matrix(window, f.grid, pts)
+    atoms = atom_matrix(window, f.grid, pts)
     return f.grid.spacing * (f.values.conj() @ atoms).conj()
 
 
@@ -317,8 +331,8 @@ def test_frame_bounds_margin_precheck():
 
 def test_frame_inequality_on_central_span(g2_frame):
     a, b = gf.frame_bounds(g2_frame)
-    atoms = g2_frame.atoms()
     pts = g2_frame.lattice.points
+    atoms = atom_matrix(g2_frame.window, g2_frame.grid, pts)
     central = ((np.abs(pts[:, 0]) <= TRUNCATION / 2 + 1e-9)
                & (np.abs(pts[:, 1]) <= TRUNCATION / 2 + 1e-9))
     rng = np.random.default_rng(7)
@@ -328,6 +342,92 @@ def test_frame_inequality_on_central_span(g2_frame):
         f = gf.SampledSignal(g2_frame.grid, atoms[:, central] @ coeffs)
         quotient = np.sum(np.abs(g2_frame.analysis(f)) ** 2) / f.norm() ** 2
         assert a * (1 - 1e-3) <= quotient <= b * (1 + 1e-3)
+
+
+# The frames of the factored-path oracles: the reference frame, a Hermite
+# window, unequal steps, and 1089 points at N 512.
+ORACLE_FRAMES = {
+    "reference": (gf.gaussian(2.0), LATTICE_STEP, LATTICE_STEP, TRUNCATION,
+                  None),
+    "hermite:1:2": (gf.hermite(1, 2.0), 0.5, 0.5, 6.0, None),
+    "steps-0.8-0.6": (gf.gaussian(1.0), 0.8, 0.6, TRUNCATION, None),
+    "1089-points": (gf.gaussian(2.0), 0.25, 0.25, 4.0, (512, 20.0)),
+}
+
+
+def _oracle_frame(grid, case):
+    window, alpha, beta, truncation, size = ORACLE_FRAMES[case]
+    if size is not None:
+        grid = gf.Grid(1, *size)
+    return gf.GaborFrame(window, gf.make_lattice(alpha, beta, truncation),
+                         grid)
+
+
+def _atom_gram(frame):
+    """(dx G^H C, central mask) from the whole atom matrix G."""
+    pts = frame.lattice.points
+    atoms = atom_matrix(frame.window, frame.grid, pts)
+    central = ((np.abs(pts[:, 0]) <= frame.lattice.time_range / 2 + 1e-9)
+               & (np.abs(pts[:, 1]) <= frame.lattice.freq_range / 2 + 1e-9))
+    return frame.grid.spacing * (atoms.conj().T @ atoms[:, central]), central
+
+
+@pytest.mark.parametrize("case", ORACLE_FRAMES)
+def test_separable_gram_matches_the_atom_gram(grid, case):
+    """frame_bounds' Gram matrix, one windowed-sums table per central
+    time, against the product of the whole atom matrix with its central
+    columns: to 1e-14 of the peak (measured 6.7e-16 to 8.1e-15), with
+    the same central rows. The largest gap (steps 0.8 x 0.6) is the
+    lattice's: the tables take the offsets (j - l) beta exactly, the
+    atoms the difference of the rounded frequencies j beta and l beta."""
+    frame = _oracle_frame(grid, case)
+    got, rows = gab._central_gram(frame)
+    want, central = _atom_gram(frame)
+    assert got.shape == want.shape
+    assert np.array_equal(rows, np.flatnonzero(central))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ORACLE_FRAMES)
+def test_frame_bounds_match_the_atom_pencil(grid, case):
+    """A and B against the Rayleigh pencil of the atom path, (dx G^H C)^H
+    (dx G^H C) against dx C^H C with the same eigenvalue cutoff: to 1e-7
+    relative (measured 2.3e-13 to 1.2e-8). The cutoff amplifies
+    rounding-level changes of the Gram matrix, so the bounds carry about
+    7 digits, not 15."""
+    frame = _oracle_frame(grid, case)
+    y, central = _atom_gram(frame)
+    ev, vec = np.linalg.eigh(y[central])
+    keep = ev > 1e-10 * ev[-1]
+    basis = vec[:, keep] / np.sqrt(ev[keep])
+    quot = np.linalg.eigvalsh(basis.conj().T @ (y.conj().T @ y) @ basis)
+    a, b = gf.frame_bounds(frame)
+    assert abs(a - quot[0]) <= 1e-7 * quot[0]
+    assert abs(b - quot[-1]) <= 1e-7 * quot[-1]
+
+
+@pytest.mark.parametrize("case", ["reference", "hermite:1:2"])
+def test_frame_expansions_match_the_atom_products(grid, case):
+    """analysis, dual_analysis and dual_synthesis take their sums from
+    the factors of the atoms; the oracle is the product with the whole
+    N x |L| atom matrix of the window and of the expansion dual h. They
+    agree to 1e-14 of the peak (measured 4.6e-16 to 1.0e-15)."""
+    frame = _oracle_frame(grid, case)
+    lat = frame.lattice
+    atoms = atom_matrix(frame.window, frame.grid, lat.points)
+    duals = atom_matrix(frame.dual_atoms()[:, len(lat.times) // 2],
+                        frame.grid, lat.points)
+    t = grid.times()
+    f = gf.SampledSignal(grid, np.exp(-np.pi * (t - 1.3) ** 2
+                                      + 2j * np.pi * 1.7 * t))
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal(len(lat)) + 1j * rng.standard_normal(len(lat))
+    for got, want in [
+            (frame.analysis(f), grid.spacing * (f.values.conj() @ atoms).conj()),
+            (frame.dual_analysis(f),
+             grid.spacing * (f.values.conj() @ duals).conj()),
+            (frame.dual_synthesis(coeffs).values, duals @ coeffs)]:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------- duals
@@ -383,11 +483,10 @@ def test_walnut_frame_operator_matches_atom_sums():
     """
     grid = gf.Grid(1, 256, 16.0)
     lat = gf.Lattice(0.75, 0.9, grid.half_width, grid.freq_half_width)
-    f = (gab._atom_matrix(gf.gaussian(1.5), grid, [(0.7, 0.9)])[:, 0]
-         + 0.5 * gab._atom_matrix(gf.gaussian(3.0), grid,
-                                  [(-1.3, -0.4)])[:, 0])
+    f = (atom_matrix(gf.gaussian(1.5), grid, [(0.7, 0.9)])[:, 0]
+         + 0.5 * atom_matrix(gf.gaussian(3.0), grid, [(-1.3, -0.4)])[:, 0])
     for window in (gf.gaussian(2.0), gf.hermite(2, 2.0)):
-        atoms = gab._atom_matrix(window, grid, lat.points)
+        atoms = atom_matrix(window, grid, lat.points)
         expected = atoms @ (grid.spacing * (atoms.conj().T @ f))
         got = gab._walnut_frame_operator(window, lat, grid, f)
         assert (np.linalg.norm(got - expected)
@@ -402,8 +501,7 @@ def _walnut_over_every_shift(window, lattice, grid, values):
     window_times = grid.times()[:, None] - alpha * np.arange(-k_n, k_n + 1)
     windows = window.evaluate(window_times)
     shifts = np.arange(-k_s, k_s + 1) / beta
-    shifted = gab._atom_matrix(values, grid,
-                               np.column_stack([shifts, 0 * shifts]))
+    shifted = gab._shifted(values, grid, shifts)
     out = 0.0
     for shift, x_k in zip(shifts, shifted.T):
         out += np.sum(windows * window.evaluate(window_times - shift),
@@ -446,8 +544,10 @@ def test_dual_analysis_reconstruction(dual_frame):
     lattice truncation are not negligible.
     """
     f = centered_gaussian(dual_frame.grid, 2.0)
+    atoms = atom_matrix(dual_frame.window, dual_frame.grid,
+                        dual_frame.lattice.points)
     rec = gf.SampledSignal(dual_frame.grid,
-                           dual_frame.atoms() @ dual_frame.dual_analysis(f))
+                           atoms @ dual_frame.dual_analysis(f))
     assert rel_error(rec, f) <= 1e-8
 
 
@@ -461,27 +561,30 @@ def test_dual_analysis_flush_keeps_coefficients_bitwise(dual_frame):
                          * np.exp(2j * np.pi * 1.7 * t))
     parts = f.values.view(float)
     assert np.any((parts != 0) & (np.abs(parts) < np.finfo(float).tiny))
-    unflushed = grid.spacing * (f.values.conj()
-                                @ dual_frame.dual_atoms()).conj()
+    unflushed = gab._windowed_sums(f.values, dual_frame.dual_atoms(), grid,
+                                   dual_frame._factors[1]).ravel()
     assert dual_frame.dual_analysis(f).tobytes() == unflushed.tobytes()
 
 
 def test_dual_expansion_symmetry(dual_frame):
     """Both expansion orders agree; measured gap 3.5e-11."""
     f = centered_gaussian(dual_frame.grid, 2.0)
+    atoms = atom_matrix(dual_frame.window, dual_frame.grid,
+                        dual_frame.lattice.points)
     left = gf.SampledSignal(dual_frame.grid,
-                            dual_frame.atoms() @ dual_frame.dual_analysis(f))
+                            atoms @ dual_frame.dual_analysis(f))
     right = dual_frame.dual_synthesis(dual_frame.analysis(f))
     assert rel_error(left, right) <= 1e-8
 
 
 def test_expansion_dual_is_time_localized(dual_frame):
-    # The origin column of the dual atoms is the expansion dual h. It and
+    # The dual atoms' column of time 0 is the expansion dual h. It and
     # the canonical dual gamma satisfy the Wexler-Raz identities
     # <h, M_{l/alpha} T_{k/beta} g> = alpha*beta delta_k delta_l; h is
     # below 1e-10 past |t| = 8, where gamma is still 2.5e-5.
     grid, lat = dual_frame.grid, dual_frame.lattice
-    h = gf.SampledSignal(grid, dual_frame.dual_atoms()[:, len(lat) // 2])
+    h = gf.SampledSignal(grid,
+                         dual_frame.dual_atoms()[:, len(lat.times) // 2])
     gamma = gf.dual_window(dual_frame)
     adjoint = [(k / lat.beta, l / lat.alpha)
                for k in range(-4, 5) for l in range(-4, 5)]

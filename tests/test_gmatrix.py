@@ -11,10 +11,10 @@ import pytest
 import gaborfio as gf
 from gaborfio.fio import _apply_columns, _dense_columns
 from gaborfio.fitting import shell_decay_fit
-from gaborfio.gabor import ENVELOPE_FLUSH, _atom_matrix, _atom_rows
+from gaborfio.gabor import ENVELOPE_FLUSH, _atom_rows
 from gaborfio.gmatrix import _quadrature_entries
 from gaborfio.metaplectic import _covariant_entries, _multiplier_entries
-from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION,
+from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION, atom_matrix,
                       centered_gaussian, chi_distances, lstsq_line_fit,
                       rel_error)
 
@@ -139,15 +139,16 @@ def test_cos_multiplier_matrix_closed_form(matrices):
 def test_cos_multiplier_matrix_carries_no_quadrature_noise(matrices,
                                                            g2_frame):
     """Where the law is under 1e-20, the closed form's entries stay under
-    1e-15 (measured 1.5e-16) and the quadrature's do not (8.6e-15): the
-    windowed sums reduce each wave's phase to a fraction of a cycle,
-    where a rounded w t left 1.4e-14."""
+    1e-15 (measured 1.5e-16), and so do the quadrature's (measured
+    4.6e-16): both take their waves from gabor._waves, which reduces each
+    wave's phase to a fraction of a cycle. The quadrature's own waves of
+    a rounded w t left 8.6e-15 there."""
     m = matrices["multiplier:cos"]
     tiny = np.abs(_cos_multiplier_law(m)) < 1e-20
     assert tiny.sum() > m.n_lattice ** 2 / 2
     assert np.max(np.abs(m.entries[tiny])) <= 1e-15
     quad = _quadrature_entries(gf.parse_operator("multiplier:cos"), g2_frame)
-    assert np.max(np.abs(quad[tiny])) > 1e-15
+    assert np.max(np.abs(quad[tiny])) <= 1e-15
 
 
 COVARIANT = ("identity", "metaplectic:chirp:1.0", "multiplier:poly:0.3",
@@ -322,14 +323,14 @@ def test_factored_quadrature_matches_dense(g2_frame, name):
     assert op._matrix is not None
     grid = g2_frame.grid
     pad = grid.doubled()
-    atoms = _atom_matrix(g2_frame.window, pad, g2_frame.lattice.points)
+    atoms = atom_matrix(g2_frame.window, pad, g2_frame.lattice.points)
     fast = _quadrature_entries(op, g2_frame)
     slow = (pad.spacing * atoms.conj().T
             @ _dense_columns(op, pad, atoms)).T
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
-    f = gf.SampledSignal(grid, _atom_matrix(gf.gaussian(2.0), grid,
-                                            [(2.0, -1.5)])[:, 0])
+    f = gf.SampledSignal(grid, atom_matrix(gf.gaussian(2.0), grid,
+                                           [(2.0, -1.5)])[:, 0])
     h = grid.points_per_axis // 2
     padded = np.zeros(pad.points_per_axis, dtype=complex)
     padded[h:3 * h] = f.values
@@ -354,7 +355,7 @@ def test_atom_local_product_matches_full_gram(grid, spec):
     op = gf.parse_operator("harmonic:0.9")
     pad = gf.Grid(1, 2 * grid.points_per_axis, 2 * grid.length)
     pts = frame.lattice.points
-    atoms = _atom_matrix(window, pad, pts)
+    atoms = atom_matrix(window, pad, pts)
     full = pad.spacing * (atoms.T @ _apply_columns(op, pad, atoms).conj()
                           ).conj()
     local = _quadrature_entries(op, frame).T
@@ -374,7 +375,7 @@ def _unblocked_entries(op, frame):
     pad = frame.grid.doubled()
     pts = frame.lattice.points
     n = len(pts)
-    atoms = _atom_matrix(frame.window, pad, pts)
+    atoms = atom_matrix(frame.window, pad, pts)
     t_atoms = _apply_columns(op, pad, atoms)
     xs, starts = np.unique(pts[:, 0], return_index=True)
     stops = np.append(starts[1:], n)
@@ -970,11 +971,13 @@ def test_sparse_apply_matches_thresholded_product(harmonic_matrix,
             float(ordered[ordered > median][0]), float(ordered[-1]),
             float(np.nextafter(ordered[-1], np.inf)), np.inf]
     coeffs = dual_frame.dual_analysis(f)
+    lat = dual_frame.lattice
+    duals = atom_matrix(dual_frame.dual_atoms()[:, len(lat.times) // 2],
+                        dual_frame.grid, lat.points)
     for tau in taus:
         out, ratio = gf.sparse_apply(matrix, dual_frame, f, tau)
         kept = mags >= tau
-        expected = dual_frame.dual_atoms() @ (np.where(kept, dense, 0)
-                                              @ coeffs)
+        expected = duals @ (np.where(kept, dense, 0) @ coeffs)
         assert (np.linalg.norm(out.values - expected)
                 <= 1e-13 * np.linalg.norm(expected)), tau
         assert ratio == np.mean(kept), tau

@@ -60,18 +60,46 @@ def test_exported_names_have_a_caller_outside_the_tests():
     # No public surface that only tests use: every exported name is read
     # by the package itself (the re-exports of __init__.py do not count)
     # or by the benchmark under perfbench/.
-    package = os.path.dirname(gaborfio.__file__)
-    perfbench = os.path.join(os.path.dirname(os.path.dirname(package)),
-                             "perfbench")
-    sources = [os.path.join(package, f) for f in os.listdir(package)
-               if f.endswith(".py") and f != "__init__.py"]
-    sources += [os.path.join(perfbench, f) for f in os.listdir(perfbench)
-                if f.endswith(".py")]
-    loaded = _loaded_names(sources)
+    loaded = _loaded_names(_package_and_benchmark_sources())
     unused = [f"{name}.{n}" for name in SUBMODULES
               for n in importlib.import_module(f"gaborfio.{name}").__all__
               if n not in loaded]
     assert not unused, unused
+
+
+def _package_and_benchmark_sources():
+    """The package's modules but __init__.py, and perfbench/'s."""
+    package = os.path.dirname(gaborfio.__file__)
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(package)),
+                             "perfbench")
+    return ([os.path.join(package, f) for f in os.listdir(package)
+             if f.endswith(".py") and f != "__init__.py"]
+            + [os.path.join(perfbench, f) for f in os.listdir(perfbench)
+               if f.endswith(".py")])
+
+
+def test_private_functions_and_methods_have_a_reader():
+    # No test-only oracle in the library either: every module-level
+    # private function and every method of a class (dunders aside, which
+    # Python calls) is read somewhere in the package or the benchmark.
+    # A test's oracle belongs in the tests (conftest.atom_matrix).
+    defined = []
+    for name in SUBMODULES:
+        with open(importlib.import_module(f"gaborfio.{name}").__file__) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defined.append((name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(name, f"{node.name}.{item.name}")
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__")
+                                     and item.name.endswith("__"))]
+    loaded = _loaded_names(_package_and_benchmark_sources())
+    unread = [f"{module}.{name}" for module, name in defined
+              if name.rsplit(".", 1)[-1] not in loaded]
+    assert not unread, unread
 
 
 def _benchmark_workloads():
