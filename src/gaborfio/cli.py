@@ -5,9 +5,8 @@ rejected), merges it over the documented defaults, executes one
 subcommand, writes its artifacts plus a manifest.json into the output
 directory, and exits 0. Config and usage problems exit 2; numerical
 failures (solver stalls, refused operators, insufficient signal) exit 3.
-A config whose dense Gabor matrix, atoms or dual-window system would not
-fit in physical memory is refused (exit 2) before anything large is
-built.
+A config whose largest stage would not fit in physical memory
+(_memory_table) is refused (exit 2) before anything large is built.
 
 Artifacts are bitwise deterministic for a fixed config; the manifest is
 exempt (it records wall-clock time). gabor-matrix also prints the matrix
@@ -29,11 +28,12 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .fio import apply as fio_apply
 from .fio import canonical_map
-from .fitting import DEFAULT_S_GRID
-from .gabor import (GaborFrame, Window, _steps_within, dual_window,
-                    frame_bounds, gs_decay_classify, make_lattice,
-                    inversion_formula_reconstruct,
-                    moment_constant_conversion, moment_epsilon_bound, stft)
+from .fitting import BLOCK_ROWS, DEFAULT_S_GRID
+from .gabor import (INVERSION_EXTENT, INVERSION_STEP, GaborFrame, Window,
+                    _steps_within, dual_window, frame_bounds,
+                    gs_decay_classify, inversion_formula_reconstruct,
+                    make_lattice, moment_constant_conversion,
+                    moment_epsilon_bound, stft)
 from .gmatrix import (BLOCK_ATOMS, NOISE_FLOOR, assemble, fit_decay,
                       restricted_decay_fit, sparse_apply, sparsity_curve)
 from .metaplectic import metaplectic_law
@@ -212,106 +212,121 @@ class Experiment:
         return self.window.sampled(self.grid)
 
 
-def _check_sizes(exp: Experiment, command: str) -> None:
-    """Refuse a run whose largest arrays cannot fit in physical memory.
+def _memory_table(exp: Experiment) -> dict:
+    """The size guard's table: command -> its stages -> their rows.
 
-    The lattice is counted as Lattice would enumerate it, without
-    enumerating it. The dense Gabor matrix holds |L|^2 complex entries,
-    16 bytes each; every command is charged for it, which also keeps
-    Lattice from enumerating a huge truncation. frame-check builds no
-    matrix; its 16 bytes per entry pay for frame_bounds' Gram matrix of
-    the |L| atoms against the |C| central ones (16 |L| |C|, with |C|
-    about |L| / 4) and the pencil's |C| x |C| arrays next to it: traced
-    on 1089 points, frame_bounds peaks at 7.3-8.8 bytes per entry at N
-    512 to 2048. Only propagate pays for sparse_apply's
-    magnitude-ordered copy of the entries, 40 bytes more (magnitude,
-    entry and two int64 indices), and for the terms of a partial product
-    over at most half of them (8): 64 in all. The frame's expansions hold
-    the factors of its atoms only, O(N (n_x + n_w)), and frame_bounds'
-    Gram matrix is released before the matrix is assembled: traced on
-    1089 points at N 512, propagate peaks at 62.4 bytes per entry. Only
-    gabor-matrix pays for its law report, 26 bytes more:
-    the law, the magnitudes and the ratio's output (8 each) and a mask
-    (1), after the law's evaluation took 24 (metaplectic_law), and 1 for
-    what grows slower than |L|^2 (the lattice, chi, one-time
-    allocations): traced on 1089 points, gabor-matrix peaks at 41.1-41.8
-    bytes per entry. GaborMatrix.to_csv holds a transient per lambda,
-    O(|L|): the lambda's values, their laid-out text and its compacted
-    copy; it is not charged. stft and gs-check hold the factors of their
-    windowed sums (gabor._windowed_sums), O(N (n_x + n_w)) for the
-    n_x = n_w = 41 distinct times and frequencies of their samples, and
-    no atom per sample; they are not charged either, nor is frame-check's
-    inversion formula, the same over 161 times and frequencies. Nor is the
-    multiplier's closed form (metaplectic._multiplier_entries): the same
-    factors on the doubled grid over 2 n_x - 1 times and 2 n_w - 1
-    frequencies, released before the entries are allocated, then the
-    flush's masks of one block, under the quadrature's block charged
-    below.
-    decay-fit and sparsity pay for the fits, 49 bytes more at most. The
-    fits' one pass over the entries keeps the distance and magnitude of
-    each entry at or above the floor (16; none of the others), and the
-    censoring of their shells keeps the distances and shell indices of
-    the samples of clean shells (16). At its peak, fit_decay's envelope
-    calibration holds a mask (1) and two temporaries (16) of the samples
-    next to those; the censoring's transients are no larger. All of it is
-    per entry at or above the floor, so the 49 are paid in full only with
-    every entry above the floor and in a clean shell: traced on 1089
-    points, multiplier:cos at floor 1e-300 peaks at 64.9 bytes per entry,
-    all allocations counted, and decay-fit at the default floor 1e-14
-    (46-67% of the entries above it) at 44.7, sparsity at 44.0.
-    decay-fit over several operators releases each matrix before it
-    assembles the next. The commands that
-    assemble hold one block of at most max(BLOCK_ATOMS, frequencies per
-    lattice time) atoms on the doubled grid at a time, with the factored
-    apply's buffer of twice as many rows: 48 (2N) bytes per atom. They
-    also hold the conjugated analysis atoms of the whole lattice over the
-    rows their window reaches, at most all 2N. The canonical dual's
-    Wexler-Raz system on the doubled grid (gabor._wexler_raz_dual) holds
-    one complex row per adjoint point (k/beta, l/alpha), 0 <= k <= beta L
-    and 0 <= l <= alpha N / (2L), over the N samples of t >= 0; with its
-    real form, that form's weighted copy and lstsq's copy of it, 64 bytes
-    per (k, l, t). Sizes are exact integers (inf for a count past the
-    float range), so none overflows.
+    A stage's rows are what it holds together at its peak: an array, or
+    arrays made and freed together, with their bytes, as exact integers
+    (inf past the float range), and the config keys they grow with.
+    Complex values take 16 bytes, floats and indices 8, masks 1.
     """
+    n, length, t = exp.grid.points_per_axis, exp.grid.length, exp.truncation
+    radii = ((t, exp.alpha), (t, exp.beta), (t / 2, exp.alpha),
+             (t / 2, exp.beta), (length, exp.alpha),
+             (INVERSION_EXTENT, INVERSION_STEP), (STFT_EXTENT, STFT_STEP),
+             (length, 1 / exp.beta), (length / 2, 1 / exp.beta),
+             (n / length / 2, 1 / exp.alpha))
     try:
-        n_times, n_freqs = (2 * _steps_within(exp.truncation, step) + 1
-                            for step in (exp.alpha, exp.beta))
-        n_lattice = n_times * n_freqs
+        counts = [2 * _steps_within(r, step) + 1 for r, step in radii]
     except OverflowError:
-        n_lattice = n_freqs = math.inf
+        counts = [math.inf] * len(radii)
+    # Axes of the lattice and of its centre, the Walnut check's shifts,
+    # axes of the inversion formula and of the STFT, the adjoint points'
+    # shifts k / beta on 2N and on N, and their l / alpha.
+    n_x, n_w, c_x, c_w, n_walnut, n_inv, n_stft, k_2, k_1, m = counts
+    lat, block = n_x * n_w, min(n_x * n_w, max(BLOCK_ATOMS, n_w))
+    lk = ("frame.truncation", "frame.alpha", "frame.beta")
+    nk, wk, ak = ("grid.N",), ("grid.N",) + lk, ("grid.N", "grid.L") + lk[1:]
+
+    def sq(name, size):  # size bytes per entry of the matrix
+        return name, size * lat * lat, lk
+
+    frame = [("the lattice", 16 * lat + 8 * (n_x + n_w), lk),
+             ("the frame's shifts and waves", 8 * n * (n_x + 2 * n_w), wk)]
+    held = frame[:1] + [("chi", 16 * lat, lk), sq("the Gabor matrix", 16)]
+    signal, dual = ("the test signal", 16 * n, nk), ("the dual", 16 * n, nk)
+    # Every command that assembles, whichever path its operator takes.
+    assembly = held + [
+        ("the quadrature's shifts and waves", 16 * n * (n_x + 2 * n_w), wk),
+        ("a block of atoms and its apply buffer", 96 * n * block, wk),
+        ("the analysis atoms", 32 * n * lat, wk)]
+    # A fit holds a value per entry at or above the floor, |L|^2 at most.
+    flags = ("the column flags", lat, lk)
+    samples = held + [flags, sq("the fits' samples (distance, magnitude)", 16)]
+    shells = samples + [sq("the censored shells (distance, index)", 16)]
+    fits = {"assembly": assembly, "fits' pass": samples + [
+        sq("the samples' concatenated copy", 8),
+        ("the fits' pass's block of rows", 56 * BLOCK_ROWS * lat, lk)],
+        "fits": shells + [sq("the fits' two temporaries", 16)]}
+    bounds = [("the frame bounds' offset waves", 16 * n * (2 * n_w - 1), wk),
+              ("the frame bounds' Gram matrices", 48 * lat * c_x * c_w, lk)]
+    # 64 bytes per adjoint point (k, l >= 0) and sample t >= 0: its row,
+    # the real form, that form's weighted copy and lstsq's copy.
+    system = ("the expansion dual's system",
+              16 * (k_1 + 1) * (m + 1) * (n - n // 2), ak)
+    expansion = [("the expansion's shifts and products", 24 * n * n_x, wk),
+                 ("the coefficients", 48 * lat, lk)]
+    stft = {"STFT": [signal, ("the transformed signal", 16 * n, nk),
+                     ("the STFT's sums", 40 * n * n_stft, nk)]}
+    table = {
+        "frame-check": {
+            "frame bounds": frame + bounds,
+            "canonical dual": frame + [("the dual-window system",
+                                        16 * (k_2 + 1) * (m + 1) * n, ak)],
+            # Window.evaluate holds 3 floats and a mask per value (a
+            # Gaussian) or 8 (a Hermite window), the check 2 floats more.
+            "Walnut check": frame + [("the dual and window on 2N", 32 * n, nk),
+                ("the Walnut check's window products", 2 * n * n_walnut * (
+                    41 if exp.window.kind == "gaussian" else 81), ak[:3]),
+                ("the Walnut check's shifted duals", 96 * n * k_2, ak)],
+            "inversion formula": frame + [signal, dual, (
+                "the inversion formula's sums", 40 * n * n_inv, nk)],
+            "dual expansion": frame + [signal, dual, system] + expansion},
+        "stft": stft,
+        "gs-check": stft,
+        "gabor-matrix": {"assembly": assembly, "law report": held + [flags,
+            sq("the law report's law, magnitudes and ratios", 24),
+            # The above-floor mask, and a comparison's while it is made.
+            sq("the law report's masks", 2)]},
+        "decay-fit": fits,
+        "sparsity": dict(fits, **{"sparsity fits": shells + [
+            ("the sparsity fits' block of rows", 80 * BLOCK_ROWS * lat, lk)]}),
+        "propagate": {
+            "assembly": assembly,
+            "expansion dual": held + frame[1:] + [signal] + bounds + [system],
+            "thresholded apply": held + frame[1:] + [
+                signal, sq("the magnitude-ordered copy", 40),
+                sq("a partial product's terms, of half the entries", 8),
+                ("the reference and direct outputs", 32 * n, nk)] + expansion},
+        # fio._chirp_z_columns' padding, 4N-point buffer, chirps: traced 389.
+        "oracle-check": {"operator applies": [
+            signal, ("the outputs and closed forms", 64 * n, nk),
+            ("the operator apply's buffers", 400 * n, nk)]},
+    }
+    interpreter = ("the interpreter's objects (parser, config, STFT points)",
+                   3 * 2 ** 18, ())
+    return {command: {stage: rows + [interpreter] for stage, rows
+                      in stages.items()} for command, stages in table.items()}
+
+
+def _check_sizes(exp: Experiment, command: str) -> None:
+    """Refuse a run whose largest stage cannot fit in physical memory."""
     try:
         limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # the platform cannot say
-        limit = math.inf
-    n, length = exp.grid.points_per_axis, exp.grid.length
-    n_adjoint = ((_steps_within(length, 1.0 / exp.beta) + 1)
-                 * (_steps_within(n / (2.0 * length), 1.0 / exp.alpha) + 1))
-    matrix, per_entry = "the dense Gabor matrix of its lattice", 16
-    if command == "frame-check":
-        matrix = "the Gram matrix of its lattice and central points"
-    elif command == "propagate":
-        matrix, per_entry = f"{matrix} and its magnitude-ordered copy", 64
-    elif command == "gabor-matrix":
-        matrix, per_entry = f"{matrix} and its law report", 43
-    elif command in ("decay-fit", "sparsity"):
-        matrix, per_entry = f"{matrix} and its fits' samples and shells", 65
-    sizes = [(f"frame.truncation {exp.truncation:g} with steps {exp.alpha:g} "
-              f"x {exp.beta:g}: {matrix}", per_entry * n_lattice ** 2)]
-    if command in ("gabor-matrix", "decay-fit", "sparsity", "propagate"):
-        block = min(n_lattice, max(BLOCK_ATOMS, n_freqs))
-        sizes += [
-            (f"grid.N {n}: a block of {block} atoms and their "
-             "operator-apply buffer on the doubled grid",
-             48 * (2 * n) * block),
-            (f"grid.N {n}: the analysis atoms of {n_lattice} lattice "
-             "points on the doubled grid", 16 * (2 * n) * n_lattice)]
-    sizes.append((f"grid.N {n} with steps {exp.alpha:g} x {exp.beta:g}: the "
-                  f"dual-window system of {n_adjoint} adjoint points on the "
-                  "doubled grid", 64 * n_adjoint * n))
-    for what, size in sizes:
-        if size > limit:
-            raise ConfigError(f"{what} would exceed the "
-                              f"{limit / 2 ** 30:.3g} GiB of physical memory")
+        return
+    stage, rows = max(_memory_table(exp)[command].items(),
+                      key=lambda item: sum(row[1] for row in item[1]))
+    total = sum(row[1] for row in rows)
+    rows = sorted((r for r in rows if r[1] >= total / 100),
+                  key=lambda row: -row[1])
+    if total > limit:
+        raise ConfigError(
+            f"{command}'s {stage} would take {total / 2 ** 30:.3g} GiB, past "
+            f"the {limit / 2 ** 30:.3g} GiB of physical memory (set by "
+            + ", ".join(dict.fromkeys(key for row in rows for key in row[2]))
+            + "): " + ", ".join(f"{name} {size / 2 ** 30:.3g} GiB"
+                                for name, size, _ in rows))
 
 
 def _phase_space_points(grid: Grid):
@@ -441,9 +456,7 @@ def _run_decay_fit(exp: Experiment, args) -> None:
                 exclusion_radius=exp.exclusion_radius)
             print(f"  restricted s={s_fixed:.1f}: epsilon={eps:.4f} "
                   f"r2={r2:.5f}")
-        # Before the next assemble: with its fits' caches, up to 65 bytes
-        # per entry (_check_sizes).
-        del matrix
+        del matrix  # and its fits' caches, before the next assemble
 
 
 def _run_sparsity(exp: Experiment, args) -> None:

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.fft  # noqa: F401  (loaded on first use, these took 0.9 MiB
+import numpy.random  # noqa: F401  inside a run: see cli._memory_table)
 
 from .errors import HypothesisError, SolverError
 from .signals import Grid, SampledSignal

@@ -53,12 +53,11 @@ __all__ = [
 DEFAULT_S_GRID = tuple(np.round(np.arange(0.40, 2.0001, 0.05), 2))
 SHELL_WIDTH = 0.5
 
-# sorted_tail_fits sorts this many rows at a time, so it holds one block's
-# copy of the rows and a few temporaries of that size, never a sorted copy
-# of them all. At 128 rows the temporaries (0.5 MB each on the reference
-# frame) left the heap of a CLI process running every subcommand in turn
-# 4.7 MiB larger on two of six benchmark seeds; at 32 on none, at the
-# same speed.
+# sorted_tail_fits sorts, and gmatrix's fits' pass (_above_floor) reads,
+# this many rows at a time: a block of rows in cli._memory_table. At 128
+# rows the sort's temporaries left the heap of a CLI process running
+# every subcommand in turn 4.7 MiB larger on two of six benchmark seeds
+# (at 32 on none), and the pass ran 1.8x slower on 1089 points.
 BLOCK_ROWS = 32
 
 
@@ -155,10 +154,10 @@ def censor_counted_shells(dist, mags, counts, *, floor, n_in,
                             == counts)
     log_sums = np.bincount(idx, weights=logs, minlength=counts.size)
     del logs  # before the clean-shell samples are gathered
-    in_clean = clean[idx]
-    return CensoredShells(floor, dist.size, clean, counts[clean],
-                          log_sums[clean] / counts[clean], dist[in_clean],
-                          idx[in_clean])
+    n_samples, in_clean = dist.size, clean[idx]
+    dist = dist[in_clean]  # before idx's gather, releasing its source
+    return CensoredShells(floor, n_samples, clean, counts[clean],
+                          log_sums[clean] / counts[clean], dist, idx[in_clean])
 
 
 def _shell_index(dist) -> np.ndarray:

@@ -515,8 +515,7 @@ def _central_gram(frame: GaborFrame) -> tuple:
     _windowed_sums table per central time x_k, of g(t - x_k) over every
     lattice time and the 2 n_w - 1 frequency offsets (j - l) beta, holds
     the columns of its central atoms: column l is table[i, n_w - 1 - l + j]
-    over (i, j). Y takes 16 |L| |C| bytes and the tables
-    O(N (n_x + n_w)); no atom is built.
+    over (i, j). No atom is built.
     """
     grid, lat, shifts = frame.grid, frame.lattice, frame._factors[0]
     n_x, n_w = len(lat.times), len(lat.freqs)

@@ -40,7 +40,7 @@ distances from it where they are read (GaborMatrix.flags, _distances).
 
 The fits read the entries in one pass per (floor, exclusion_radius),
 _above_floor, cached on the matrix (GaborMatrix._samples). It reads
-FIT_BLOCK_ROWS unflagged lambdas at a time and gives each entry its
+fitting.BLOCK_ROWS unflagged lambdas at a time and gives each entry its
 shell index, from the separable squares of the lattice times and
 frequencies minus chi, with np.hypot where a shell boundary is within
 rounding: exactly floor(np.hypot(dx, dw) / SHELL_WIDTH). It keeps the
@@ -57,8 +57,7 @@ columns) from the entries as it fits them, with no cached copy.
 sparse_apply reads a second cache, GaborMatrix._magnitude_order: the
 entries sorted by magnitude, with their (mu, lambda) indices, 40 bytes
 per entry next to the matrix's 16. The first sparse_apply on a matrix
-builds it (one argsort of |L|^2 magnitudes), holding no more than the
-matrix and the cache; assemble and the fits never do. A threshold is
+builds it (one argsort); assemble and the fits never do. A threshold is
 then one binary search, and the product sums whichever side of it is
 smaller: the kept entries, or the dense product less the dropped ones.
 So a call costs O(min(kept, dropped)) on top of the frame's dual
@@ -78,8 +77,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fio import FioOperator, _apply_columns, canonical_map
-from .fitting import (SHELL_WIDTH, CensoredShells, ShellFit, _shell_index,
-                      censor_counted_shells, scan_orders, sorted_tail_fits)
+from .fitting import (BLOCK_ROWS, SHELL_WIDTH, CensoredShells, ShellFit,
+                      _shell_index, censor_counted_shells, scan_orders,
+                      sorted_tail_fits)
 from .gabor import GaborFrame, _atom_rows, _shifted, _waves
 from .metaplectic import _closed_form_entries
 from .signals import Grid, SampledSignal, _csv_rows
@@ -114,21 +114,11 @@ RATE_SLACK = 0.95
 MIN_FIT_SAMPLES = 200
 
 # The quadrature pushes the atoms of whole lattice times through the
-# operator, as many times as fit in this many atoms (at least one). A block
-# holds its atoms on the doubled grid and the apply's buffer of twice as
-# many rows: 48 (2N) BLOCK_ATOMS bytes, 24 MiB at N = 2048, where the
-# whole lattice of the N = 2048, truncation 12 frame (1089 points) took
-# 204 MiB. The closed forms fill the entries of this many lambdas at a
-# time (the multiplier's, whole lattice times of at most this many), with
-# the flush's masks and, for covariant operators, a float temporary of
-# BLOCK_ATOMS |L| values.
+# operator, as many as fit in this many atoms (one time at least):
+# cli._memory_table's block of atoms and apply buffer; the whole 1089-point
+# lattice at N = 2048 took 204 MiB. The closed forms fill this many lambdas'
+# entries at a time (the multiplier's, whole lattice times).
 BLOCK_ATOMS = 128
-
-# The fits' pass over the entries (_above_floor) reads this many lambdas
-# at a time, holding a few float, index and mask arrays of FIT_BLOCK_ROWS
-# |L| values. At 128 the pass ran 1.8x slower on 1089 points than at 32
-# or 64.
-FIT_BLOCK_ROWS = 32
 
 # The square root of the separable squares dx^2 + dw^2 lies within a few
 # ulps of np.hypot(dx, dw). Where a shell boundary is within this much of
@@ -387,7 +377,7 @@ def _above_floor(matrix: GaborMatrix, floor, exclusion_radius) -> tuple:
     np.bincount of the shell indices floor(d / SHELL_WIDTH) of the
     np.hypot distances d >= exclusion_radius.
 
-    The pass reads FIT_BLOCK_ROWS lambdas at a time. Their entries' shell
+    The pass reads BLOCK_ROWS lambdas at a time. Their entries' shell
     indices come from the separable squares (_shell_indices); only the
     entries of the shell that holds exclusion_radius take np.hypot for
     the exclusion test, since SHELL_WIDTH is a power of two, so d /
@@ -409,8 +399,8 @@ def _above_floor(matrix: GaborMatrix, floor, exclusion_radius) -> tuple:
     n_edge = 0
     counts = np.zeros(0, dtype=np.intp)
     dists, mags = [], []
-    for lo in range(0, unflagged.size, FIT_BLOCK_ROWS):
-        rows = unflagged[lo:lo + FIT_BLOCK_ROWS]
+    for lo in range(0, unflagged.size, BLOCK_ROWS):
+        rows = unflagged[lo:lo + BLOCK_ROWS]
         dx = lattice.times - matrix.chi[rows, :1]
         dw = lattice.freqs - matrix.chi[rows, 1:]
         idx = _shell_indices(dx, dw)
@@ -502,22 +492,19 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     dist, mags, _ = matrix._samples(floor, exclusion_radius)
 
     env_log_c = float(np.max(np.log(mags)))
-    # A mask and up to two values per sample, next to the cached samples
-    # and shells: worked on in place, they are all the fits' peak holds
-    # (cli._check_sizes).
-    spread = dist > 1e-9
-    if np.any(spread):
-        # At small s_hat, d**(1/s_hat) overflows (ratio 0: no positive rate
-        # keeps that sample under the envelope) or underflows (floored at
-        # the smallest normal float: a huge ratio, since every rate does).
+    if np.any(dist > 1e-9):
+        # The fits' two temporaries (cli._memory_table). At small s_hat,
+        # d**(1/s_hat) overflows (ratio 0: no positive rate keeps that
+        # sample under the envelope) or underflows (floored at the
+        # smallest normal float: a huge ratio, since every rate does).
         with np.errstate(over="ignore"):
-            scale = dist[spread]
-            scale **= 1.0 / fit.s_hat
+            scale = dist ** (1.0 / fit.s_hat)
             np.maximum(scale, np.finfo(float).tiny, out=scale)
-            ratios = mags[spread]
-            np.log(ratios, out=ratios)
+            ratios = np.log(mags)
             np.subtract(env_log_c, ratios, out=ratios)
             ratios /= scale
+        del scale
+        ratios[dist <= 1e-9] = np.inf  # no distance: no bound on the rate
         env_eps = float(max(0.0, np.min(ratios)))
     else:
         env_eps = 0.0

@@ -400,14 +400,15 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
     # 1089 lattice points: the dense matrix takes 16 bytes per entry and
     # sparse_apply's magnitude-ordered copy 40 more. With physical memory
     # set to 36 bytes per entry, the matrix alone, assemble's block and
-    # analysis atoms and the dual-window system all fit; only the copy
-    # does not, and only propagate builds it. Nor does gabor-matrix's
-    # law report, 27 bytes more per entry. decay-fit and sparsity hold the
-    # matrix and the fits' arrays, 49 bytes more at most (the matrix
-    # stores no distances): 65 in all, so they run at 100, where neither
-    # the copy nor the law report would fit on top. At 65 bytes per entry
+    # analysis atoms all fit; only the copy does not, and only propagate
+    # builds it. Nor does gabor-matrix's law report, 26 bytes more per
+    # entry. decay-fit and sparsity hold the matrix and the fits' arrays,
+    # 48 bytes more at most (the matrix stores no distances), and the
+    # table's arrays of O(|L|) and its interpreter allowance, 0.69 more
+    # on this frame: 64.69 in all, so they run at 100, where neither the
+    # copy nor the law report would fit on top. At 65 bytes per entry
     # (77.1 MB) they just fit, and so does assemble: its 128-atom block
-    # with its apply buffer takes 7.3 MB and its analysis atoms at most
+    # with its apply buffer takes 6.3 MB and its analysis atoms at most
     # 17.8 MB. At 64 the matrix with the fits' arrays does not fit.
     n_lattice = 33 ** 2
     real_sysconf = os.sysconf
@@ -429,6 +430,52 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
         assert "frame.truncation" in err and extra in err
 
 
+def _charged(config, command):
+    """The size guard's bytes per stage of command on config (a dict)."""
+    exp = cli.Experiment.from_dict(cli._merge(config, cli.DEFAULTS, ""))
+    return {stage: sum(row[1] for row in rows)
+            for stage, rows in cli._memory_table(exp)[command].items()}
+
+
+def _traced_peak(tmp_path, config, command):
+    """Traced peak bytes of one CLI run of command on config (a dict)."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["--config", str(cfg), "--out",
+                         str(tmp_path / "out"), *command.split()]) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _traced_and_refused(tmp_path, monkeypatch, capsys, config, command):
+    """A CLI run's traced peak; the guard must refuse it at that memory.
+
+    Returns (peak, the guard's largest stage sum, its refusal message).
+    """
+    peak = _traced_peak(tmp_path, config, command)
+    capsys.readouterr()
+    real_sysconf = os.sysconf
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak}
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sysconf",
+                      lambda name: fake.get(name) or real_sysconf(name))
+        assert cli.main(["--config", str(tmp_path / "run.json"), "--out",
+                         str(tmp_path / "out"), *command.split()]) == 2
+    charged = max(_charged(config, command.split()[0]).values())
+    return peak, charged, capsys.readouterr().err
+
+
+def _fine(truncation, **sections):
+    """The 0.25-step frame on N 512: 625 points at truncation 3, 1089 at 4."""
+    return dict({"grid": {"N": 512, "L": 20.0},
+                 "frame": {"alpha": 0.25, "beta": 0.25,
+                           "truncation": truncation}}, **sections)
+
+
 @pytest.mark.parametrize("command, ceiling", [
     ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9),
     ("gabor-matrix", 52), ("propagate", 64),
@@ -436,89 +483,117 @@ def test_ordered_matrix_copy_is_counted(tmp_path, monkeypatch, capsys,
 def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                                                     capsys, command,
                                                     ceiling):
-    # Every allocation of the run traced, on the 1089-point frame above:
-    # 67.1-67.8 bytes per entry (decay-fit, sparsity) and 68.4-69.3 (all
-    # six operators, each matrix released before the next is assembled),
-    # against the 74 charged; gabor-matrix 41.1-41.8, against 43;
-    # propagate 62.4, against 64 (76.2-77.0, against 80, while the frame
-    # held N x |L| atoms and dual atoms). multiplier:cos, with no law
-    # report, peaks at 17.6 (gabor-matrix; 27.2 on the quadrature) and
-    # 68.4 (decay-fit), and its ceilings are the charges. The runs must
-    # stay at or under ceiling bytes per entry: before the fits shared
-    # their shells the fit commands peaked at it or more, against 24
-    # charged; gabor-matrix peaked at 58.1-58.7 (charged 58) while the
+    # Every allocation of the run traced, on 625 and 1089 points: the run
+    # must stay under the size guard's charge (cli._memory_table), so the
+    # guard refuses it with physical memory set to its traced peak, for
+    # its matrix. Traced on 1089 points, bytes per entry: decay-fit and
+    # sparsity 44.0 (53.8 on 625), all six operators 48.0, gabor-matrix
+    # 41.1 against 42.7 charged, propagate 61.6 against 65.4 (65.1 on 625
+    # against 67.8; 65.3-67.7 there while the guard charged 64 and no
+    # array of O(N) or O(|L|)), multiplier:cos 16.8 (gabor-matrix) and
+    # 48.0 (decay-fit). On 1089 points the run must also stay under
+    # ceiling bytes per entry, the charges and peaks of earlier designs:
+    # before the fits shared their shells the fit commands peaked at it
+    # or more; gabor-matrix peaked at 58.1-58.7 (charged 58) while the
     # matrix stored its distances and at 50.1-50.9 (charged 51) while its
     # law report held two temporaries; propagate peaked at 87.2-88.1
     # (charged 56) while its magnitude order and partial products held
-    # copies. With physical memory set to the traced peak, the size guard
-    # must refuse the run for its matrix.
-    cfg = tmp_path / "fine.json"
-    cfg.write_text(json.dumps({
-        "grid": {"N": 512, "L": 20.0},
-        "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}))
-    argv = ["--config", str(cfg), "--out", str(tmp_path / "out"),
-            *command.split()]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert cli.main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak / (33 ** 2) ** 2 <= ceiling
-    capsys.readouterr()
-
-    real_sysconf = os.sysconf
-    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak}
-    monkeypatch.setattr(os, "sysconf",
-                        lambda name: fake.get(name) or real_sysconf(name))
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
+    # copies.
+    for truncation in (3.0, 4.0):
+        peak, charged, err = _traced_and_refused(
+            tmp_path, monkeypatch, capsys, _fine(truncation), command)
+        entries = (8 * truncation + 1) ** 4
+        assert peak < charged, (peak / entries, charged / entries)
+        assert "frame.truncation" in err
+    assert peak / entries <= ceiling
     extra = {"gabor-matrix": "law report",
              "propagate": "magnitude-ordered copy"}.get(command.split()[0],
                                                         "fits' samples")
-    assert "frame.truncation" in err and extra in err
+    assert extra in err
+
+
+@pytest.mark.parametrize("command", [
+    "gabor-matrix", "decay-fit multiplier:cos", "sparsity multiplier:cos",
+    "propagate"])
+def test_table_slope_is_the_traced_slope(tmp_path, monkeypatch, capsys,
+                                         command):
+    # Every entry above the floor is the fits' and the law report's worst
+    # case. Between 625 and 1089 points, the charge of the stage that
+    # holds the run's peak must grow at least as fast per entry as the
+    # traced peak, and at most 1.25 times as fast: traced 41.0 (law
+    # report), 63.9 (fits) and 59.9 (thresholded apply) bytes per entry,
+    # charged 42.0, 64.0 and 64.3.
+    peaks, charges = [], []
+    for truncation in (3.0, 4.0):
+        config = _fine(truncation, fit={"floor": 1e-300})
+        peak, _, _ = _traced_and_refused(tmp_path, monkeypatch, capsys,
+                                         config, command)
+        peaks.append(peak)
+        charges.append(_charged(config, command.split()[0]))
+    stage = max(charges[1], key=charges[1].get)
+    growth = 1089 ** 2 - 625 ** 2
+    traced = (peaks[1] - peaks[0]) / growth
+    charged = (charges[1][stage] - charges[0][stage]) / growth
+    assert traced <= charged <= 1.25 * traced, (stage, traced, charged)
+
+
+@pytest.mark.parametrize("n, truncation", [(512, 3.0), (2048, 4.0)])
+def test_frame_check_is_charged_its_traced_peak(tmp_path, monkeypatch,
+                                                capsys, n, truncation):
+    # Traced 7.0 MiB on 625 points at N 512 and 28.0 MiB on 1089 points at
+    # N 2048; both ran with physical memory set there while the guard
+    # charged the Walnut check's window products nowhere, about 5 floats
+    # per doubled-grid time and window shift: 26.4 MiB of the 28.0.
+    config = {"grid": {"N": n, "L": 20.0},
+              "frame": {"alpha": 0.25, "beta": 0.25, "truncation": truncation}}
+    peak, charged, err = _traced_and_refused(tmp_path, monkeypatch, capsys,
+                                             config, "frame-check")
+    assert peak < charged
+    assert "Walnut check" in err and "grid.N" in err
+
+
+def test_walnut_check_is_counted_before_allocating(monkeypatch):
+    # N 65536, L 128, steps 0.125: the Walnut check's window products are
+    # 2N x 2049 values, about 10.3 GiB, and the next stage, the canonical
+    # dual's system, takes 2.2 GiB. On 7.8 GiB of physical memory the
+    # guard refuses it; when it charged frame-check the dual-window system
+    # alone, it admitted it. Not run.
+    fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 7.8 * 2 ** 30 // 4096}
+    monkeypatch.setattr(os, "sysconf", fake.__getitem__)
+    exp = cli.Experiment.from_dict(cli._merge(
+        {"grid": {"N": 65536, "L": 128.0},
+         "frame": {"alpha": 0.125, "beta": 0.125, "truncation": 2.0}},
+        cli.DEFAULTS, ""))
+    with pytest.raises(cli.ConfigError,
+                       match="Walnut check's window products"):
+        cli._check_sizes(exp, "frame-check")
+
+
+def test_every_command_is_in_the_memory_table():
+    # A subcommand without a table entry would fall through the guard.
+    exp = cli.Experiment.from_dict(cli._merge({}, cli.DEFAULTS, ""))
+    assert set(cli._memory_table(exp)) == set(cli.RUNNERS)
 
 
 def test_frame_check_builds_no_atom_matrix(tmp_path, capsys):
     # N 2048 with 1089 lattice points: frame-check traced 138.6 MiB while
     # the frame built its N x |L| atoms and dual atoms (34 MiB each) and
     # frame_bounds took a conjugated copy of the atoms. From the atoms'
-    # factors it traces 28.3 MiB, of which dual_window's Wexler-Raz
-    # system takes 26.4.
-    cfg = tmp_path / "wide.json"
-    cfg.write_text(json.dumps({
+    # factors it traces 28.0 MiB: by stage, the Walnut check
+    # (gabor._walnut_frame_operator) holds 26.4 of it and the canonical
+    # dual's Wexler-Raz system (gabor._wexler_raz_dual) 7.3.
+    peak = _traced_peak(tmp_path, {
         "grid": {"N": 2048, "L": 20.0},
-        "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert cli.main(["--config", str(cfg), "--out",
-                         str(tmp_path / "out"), "frame-check"]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}},
+        "frame-check")
     capsys.readouterr()
     assert peak <= 40 * 2 ** 20, peak / 2 ** 20
 
 
 def _traced_peak_per_entry(tmp_path, command, fit=None):
     """Traced peak of a CLI run on the 1089-point frame, per entry."""
-    config = {"grid": {"N": 512, "L": 20.0},
-              "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}}
-    if fit is not None:
-        config["fit"] = fit
-    cfg = tmp_path / "fine.json"
-    cfg.write_text(json.dumps(config))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert cli.main(["--config", str(cfg), "--out",
-                         str(tmp_path / "out"), *command.split()]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return peak / (33 ** 2) ** 2
+    config = _fine(4.0) if fit is None else _fine(4.0, fit=fit)
+    return _traced_peak(tmp_path, config, command) / (33 ** 2) ** 2
 
 
 def test_decay_fit_peak_holds_no_array_of_every_entry(tmp_path, capsys):
