@@ -234,7 +234,8 @@ def _memory_table(exp: Experiment) -> dict:
     # axes of the inversion formula and of the STFT, the adjoint points'
     # shifts k / beta on 2N and on N, and their l / alpha.
     n_x, n_w, c_x, c_w, n_walnut, n_inv, n_stft, k_2, k_1, m = counts
-    lat, block = n_x * n_w, min(n_x * n_w, max(BLOCK_ATOMS, n_w))
+    # assemble's run of whole lattice times: BLOCK_ATOMS lambdas at most.
+    lat, block = n_x * n_w, n_w * min(n_x, max(1, BLOCK_ATOMS // n_w))
     lk = ("frame.truncation", "frame.alpha", "frame.beta")
     nk, wk, ak = ("grid.N",), ("grid.N",) + lk, ("grid.N", "grid.L") + lk[1:]
 

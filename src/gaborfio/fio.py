@@ -4,7 +4,7 @@ An operator acts as Tf(x) = (1/L)^d sum_k exp(2 pi i Phi(x, w_k))
 sigma(x, w_k) fhat(w_k) over the centered frequency grid, i.e. the
 trapezoid-free Riemann quadrature that is exact for grid-bandlimited
 inputs. It is T of the input periodised with the grid's length, so
-apply and gmatrix's quadrature (_quadrature_entries) both take it on
+apply and gmatrix's quadrature (_quadrature_source) both take it on
 the zero-padded input's Grid.doubled. Phases are real with quadratic
 growth; all phase values are in cycles (the 2 pi lives in the
 exponential, not in Phi).

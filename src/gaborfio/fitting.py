@@ -21,9 +21,9 @@ over its entries that keeps no sample below the floor
 (gmatrix._above_floor), so both fits censor on one path.
 
 Per-row sparsity profiles fit each row's descending-sorted magnitudes
-against the rank n**exponent (sorted_tail_fits). The rows are sorted
-BLOCK_ROWS at a time, and each row's line is fitted over its own count of
-entries above the floor.
+against the rank n**exponent (sorted_tail_fits). The rows are read and
+sorted a block at a time, and each row's line is fitted over its own
+count of entries above the floor.
 
 One closed-form kernel, _line_fits, fits every line: the s scan, the fits
 at an imposed order and the sparsity rows. It fits many lines at once,
@@ -53,11 +53,12 @@ __all__ = [
 DEFAULT_S_GRID = tuple(np.round(np.arange(0.40, 2.0001, 0.05), 2))
 SHELL_WIDTH = 0.5
 
-# sorted_tail_fits sorts, and gmatrix's fits' pass (_above_floor) reads,
-# this many rows at a time: a block of rows in cli._memory_table. At 128
-# rows the sort's temporaries left the heap of a CLI process running
-# every subcommand in turn 4.7 MiB larger on two of six benchmark seeds
-# (at 32 on none), and the pass ran 1.8x slower on 1089 points.
+# gmatrix.sparsity_curve hands sorted_tail_fits blocks of this many rows
+# to sort, and gmatrix's fits' pass (_above_floor) reads as many at a
+# time: a block of rows in cli._memory_table. At 128 rows the sort's
+# temporaries left the heap of a CLI process running every subcommand in
+# turn 4.7 MiB larger on two of six benchmark seeds (at 32 on none), and
+# the pass ran 1.8x slower on 1089 points.
 BLOCK_ROWS = 32
 
 
@@ -227,25 +228,25 @@ def shell_decay_fit(dist, mags, *, floor, exclusion_radius=None,
                        s_grid=s_grid, min_samples=min_samples)
 
 
-def sorted_tail_fits(vectors, exponent, *, floor):
+def sorted_tail_fits(blocks, exponent, *, floor):
     """Fit log of each row's descending-sorted magnitudes against n**exponent.
 
-    vectors is a 2-D array, one vector of magnitudes per row, or any
-    sequence of such rows whose slices are 2-D arrays (sparsity_curve's
-    computes each slice from a Gabor matrix's entries as it is read); n
-    counts from 1 over a row's k entries at or above floor, and rows with
-    k < 3 are skipped. The model is |a|_n <= C exp(-eps n**exponent).
-    Rows are read, copied and sorted BLOCK_ROWS at a time, and a block
-    keeps only its top max(k) columns, whose lines _line_fits fits at
-    once, each row masked to its first k columns.
+    blocks is an iterable of 2-D arrays, each one vector of magnitudes
+    per row (sparsity_curve's computes each block of BLOCK_ROWS rows
+    from a Gabor matrix's entries as it is read); n counts from 1 over a
+    row's k entries at or above floor, and rows with k < 3 are skipped.
+    The model is |a|_n <= C exp(-eps n**exponent). Each block is copied
+    and sorted in turn, and keeps only its top max(k) columns, whose
+    lines _line_fits fits at once, each row masked to its first k
+    columns.
 
     Returns (epsilons, log_cs, r_squareds) of the fitted rows, in row
     order. Raises InsufficientDataError when no row is fitted and
     ValueError when n**exponent overflows.
     """
     fits = []
-    for lo in range(0, len(vectors), BLOCK_ROWS):
-        block = np.array(vectors[lo:lo + BLOCK_ROWS], dtype=float, order="C")
+    for block in blocks:
+        block = np.array(block, dtype=float, order="C")
         above = block >= floor
         k = np.count_nonzero(above, axis=1)
         fitted = k >= 3

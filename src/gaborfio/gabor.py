@@ -18,13 +18,13 @@ O(N (n_x + n_w)) memory each:
 - _windowed_sums, the analysis dx sum_t v(t) shift(t - x) exp(-2 pi i
   w t), one (n_x x N) @ (N x n_w) product. It serves stft,
   GaborFrame.analysis and dual_analysis, frame_bounds' Gram matrix,
-  the inversion formula and metaplectic._multiplier_entries;
+  the inversion formula and metaplectic's multiplier source;
 - _synthesis, the expansion sum_{x,w} c(x, w) shift(t - x) exp(2 pi i
   w t), one (N x n_w) @ (n_w x n_x) product and a weighted row sum. It
   serves GaborFrame.dual_synthesis (so sparse_apply) and the inversion
   formula.
-gmatrix's quadrature pushes products of the same factors through an
-operator, a block of lattice times at a time, and pairs them with the
+gmatrix's quadrature source pushes products of the same factors through
+an operator, a run of lattice times at a time, and pairs them with the
 outputs over the rows each window reaches only (_atom_rows).
 
 Both dual windows come from one solver, _wexler_raz_dual: the solution
@@ -110,12 +110,13 @@ INVERSION_EXTENT = 10.0
 # keeps the products with the atoms' unit-modulus waves normal too (their
 # smallest nonzero part on the shipped grids is 7e-5). What is dropped
 # lies some 260 decades below any entry that is read, so the Gram product
-# stays bitwise equal. The closed-form Gabor matrix of a covariant
-# operator (metaplectic._covariant_entries) flushes its parts below this
-# fraction of its peak for the same reason: unflushed, the 1089-point
-# lattice of N = 2048, truncation 12 held 20,728 to 33,256 subnormal
-# parts (harmonic 1.0, chirp 0.7, dilation 1.5, identity), and
-# sparse_apply's dense product took 0.85-1.52 ms instead of 0.53-0.58.
+# stays bitwise equal. The closed-form Gabor matrices (metaplectic's
+# covariant and multiplier sources) and dual analysis set the parts
+# below this fraction of their peak to 0 (_flush) for the same reason:
+# unflushed, the covariant form on the 1089-point lattice of N = 2048,
+# truncation 12 held 20,728 to 33,256 subnormal parts (harmonic 1.0,
+# chirp 0.7, dilation 1.5, identity), and sparse_apply's dense product
+# took 0.85-1.52 ms instead of 0.53-0.58.
 ENVELOPE_FLUSH = np.finfo(float).tiny / np.finfo(float).eps ** 2
 
 # gmatrix's quadrature pairs the atoms shifted to x with the operator's
@@ -349,6 +350,15 @@ def _atom_rows(shifted: np.ndarray) -> np.ndarray:
     return np.column_stack([lo, hi])
 
 
+def _flush(values, peak) -> None:
+    """Set the real and imaginary parts of values under ENVELOPE_FLUSH
+    times peak to 0, in place: subnormal operands slow the BLAS products
+    they enter. values is a complex array with contiguous rows."""
+    parts = values.view(float)
+    cutoff = ENVELOPE_FLUSH * peak
+    parts[(parts < cutoff) & (parts > -cutoff)] = 0.0
+
+
 def stft(f: SampledSignal, window: Window, eval_points) -> np.ndarray:
     """V f(x, w) = <f, window shifted to (x, w)> at each requested point.
 
@@ -367,20 +377,16 @@ def stft(f: SampledSignal, window: Window, eval_points) -> np.ndarray:
 class GaborFrame:
     """A window and truncated lattice on a grid, with write-once caches.
 
-    Its expansions hold the factors of its atoms only (_factors,
-    dual_atoms): N x (n_x + n_w) values, not an N x |L| atom matrix.
+    The caches are cached properties: the factors (_factors), the frame
+    bounds (_bounds), the canonical dual with its residuals (_dual) and
+    the expansion dual's atoms (_dual_atoms). Its expansions hold the
+    factors of its atoms only: N x (n_x + n_w) values, not an N x |L|
+    atom matrix.
     """
 
     window: Window
     lattice: Lattice
     grid: Grid
-
-    _bounds: tuple | None = field(init=False, default=None, repr=False)
-    _dual: SampledSignal | None = field(init=False, default=None, repr=False)
-    _dual_residuals: tuple | None = field(init=False, default=None,
-                                          repr=False)
-    _dual_atoms: np.ndarray | None = field(init=False, default=None,
-                                           repr=False)
 
     def __post_init__(self):
         # Density theorem; frame_bounds can still find healthy bounds.
@@ -420,23 +426,24 @@ class GaborFrame:
         central atom g_0: the Rayleigh quotients of frame_bounds miss
         some non-frames.
         """
-        if self._dual_atoms is None:
-            frame_bounds(self)
-            h, _ = _wexler_raz_dual(self.window, self.lattice, self.grid,
-                                    EXPANSION_DUAL_WEIGHT)
-            shifts = np.ascontiguousarray(
-                _shifted(h, self.grid, self.lattice.times).real)
-            g0 = self.window.sampled(self.grid)
-            rec = _synthesis(self.analysis(g0), shifts, self._factors[1])
-            miss = (np.linalg.norm(rec - g0.values)
-                    / np.linalg.norm(g0.values))
-            if miss > RECONSTRUCTION_CEILING:
-                raise NotAFrameError(
-                    f"no frame for this window: dual expansion misses the "
-                    f"central atom by {miss:.3e} (relative)")
-            shifts.flags.writeable = False
-            self._dual_atoms = shifts
         return self._dual_atoms
+
+    @functools.cached_property
+    def _dual_atoms(self) -> np.ndarray:
+        frame_bounds(self)
+        h, _ = _wexler_raz_dual(self.window, self.lattice, self.grid,
+                                EXPANSION_DUAL_WEIGHT)
+        shifts = np.ascontiguousarray(
+            _shifted(h, self.grid, self.lattice.times).real)
+        g0 = self.window.sampled(self.grid)
+        rec = _synthesis(self.analysis(g0), shifts, self._factors[1])
+        miss = np.linalg.norm(rec - g0.values) / np.linalg.norm(g0.values)
+        if miss > RECONSTRUCTION_CEILING:
+            raise NotAFrameError(
+                f"no frame for this window: dual expansion misses the "
+                f"central atom by {miss:.3e} (relative)")
+        shifts.flags.writeable = False
+        return shifts
 
     def dual_analysis(self, f: SampledSignal) -> np.ndarray:
         """Coefficients <f, h_lambda> on the expansion dual's atoms.
@@ -452,8 +459,7 @@ class GaborFrame:
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
         values = f.values.copy()
-        parts = values.view(float)
-        parts[np.abs(parts) < ENVELOPE_FLUSH * np.abs(values).max()] = 0.0
+        _flush(values, np.abs(values).max())
         return _windowed_sums(values, self.dual_atoms(), self.grid,
                               self._factors[1]).ravel()
 
@@ -471,9 +477,37 @@ class GaborFrame:
         is solved from; the second is ||S gamma - g|| / ||g|| with S the
         frame operator of the full lattice alpha*Z x beta*Z in Walnut form.
         """
-        if self._dual_residuals is None:
+        if "_dual" not in vars(self):
             raise ValueError("dual window has not been computed yet")
-        return self._dual_residuals
+        return self._dual[1]
+
+    @functools.cached_property
+    def _bounds(self) -> tuple:
+        y, central = _central_gram(self)
+        ev, vec = np.linalg.eigh(y[central])
+        keep = ev > 1e-10 * ev[-1]
+        z = y @ (vec[:, keep] / np.sqrt(ev[keep]))  # Y over the whitened basis
+        quot = np.linalg.eigvalsh(z.conj().T @ z)
+        a, b = float(quot[0]), float(quot[-1])
+        if a <= FRAME_FLOOR:
+            raise NotAFrameError(
+                f"not a frame at this truncation: lower bound {a:.3e}")
+        return a, b
+
+    @functools.cached_property
+    def _dual(self) -> tuple:
+        """(dual_window's gamma, dual_residuals' pair), from one solve."""
+        frame_bounds(self)
+        grid, lat, window = self.grid, self.lattice, self.window
+        ext = grid.doubled()
+        x, wr_residual = _wexler_raz_dual(window, lat, ext, 0.0)
+        g_vals = window.evaluate(ext.times())
+        s_x = _walnut_frame_operator(window, lat, ext, x)
+        frame_residual = float(np.linalg.norm(s_x - g_vals)
+                               / np.linalg.norm(g_vals))
+        n = grid.points_per_axis
+        dual = SampledSignal(grid, x[n // 2: n // 2 + n].astype(complex))
+        return dual, (wr_residual, frame_residual)
 
 
 def frame_bounds(frame: GaborFrame) -> tuple:
@@ -484,23 +518,12 @@ def frame_bounds(frame: GaborFrame) -> tuple:
     against Y's central rows, dx C^H C, for the Gram matrix
     Y = dx G^H C (_central_gram), reduced by an eigenvalue cutoff on the
     latter: the quotients are the eigenvalues of Z^H Z, with Z = Y B and
-    B the kept eigenvectors of dx C^H C scaled to unit quotient. The cutoff amplifies rounding-level changes of the Gram
-    matrix: merely rounding the atoms' waves differently moved A by up
-    to 4.6e-8 relative (1,089 points, N 512), so A and B carry about 7
-    digits.
+    B the kept eigenvectors of dx C^H C scaled to unit quotient. The
+    cutoff amplifies rounding-level changes of the Gram matrix: merely
+    rounding the atoms' waves differently moved A by up to 4.6e-8
+    relative (1,089 points, N 512), so A and B carry about 7 digits.
+    Computed once per frame (GaborFrame._bounds).
     """
-    if frame._bounds is not None:
-        return frame._bounds
-    y, central = _central_gram(frame)
-    ev, vec = np.linalg.eigh(y[central])
-    keep = ev > 1e-10 * ev[-1]
-    z = y @ (vec[:, keep] / np.sqrt(ev[keep]))  # Y over the whitened basis
-    quot = np.linalg.eigvalsh(z.conj().T @ z)
-    a, b = float(quot[0]), float(quot[-1])
-    if a <= FRAME_FLOOR:
-        raise NotAFrameError(
-            f"not a frame at this truncation: lower bound {a:.3e}")
-    frame._bounds = (a, b)
     return frame._bounds
 
 
@@ -538,21 +561,7 @@ def dual_window(frame: GaborFrame) -> SampledSignal:
     gamma is the Wexler-Raz dual of least L^2 norm (weight 0), solved on
     the doubled grid and restricted, so that it is free of edge effects.
     """
-    if frame._dual is not None:
-        return frame._dual
-    frame_bounds(frame)
-    grid, lat, window = frame.grid, frame.lattice, frame.window
-    ext = grid.doubled()
-    x, wr_residual = _wexler_raz_dual(window, lat, ext, 0.0)
-    g_vals = window.evaluate(ext.times())
-    s_x = _walnut_frame_operator(window, lat, ext, x)
-    frame_residual = float(np.linalg.norm(s_x - g_vals)
-                           / np.linalg.norm(g_vals))
-    n = grid.points_per_axis
-    dual = SampledSignal(grid, x[n // 2: n // 2 + n].astype(complex))
-    frame._dual = dual
-    frame._dual_residuals = (wr_residual, frame_residual)
-    return dual
+    return frame._dual[0]
 
 
 def _walnut_frame_operator(window: Window, lattice: Lattice, grid: Grid,

@@ -1,41 +1,49 @@
 """Gabor matrix of an operator: assembly, decay fits, sparse application.
 
-The matrix entry at (mu, lambda) is <T g_lambda, g_mu>. For a
-metaplectic operator without a multiplier and a Gaussian window it is
-known in closed form, a complex Gaussian in mu - A lambda times two
-unit-modulus phases (metaplectic._covariant_entries), and assemble
-evaluates that, BLOCK_ATOMS lambdas at a time: one real exp and three
-products per entry, the phase's complex exps taken per (lambda, lattice
-time), per (lambda, frequency) and per mu. That is O(|L|^2) elementwise
-work with no quadrature, so no grid truncation or aliasing, in any
-column and at any harmonic time the operator accepts. A multiplier
-m = exp(2 pi i phi) on the identity matrix (multiplier:cos) on a
-Gaussian window has a closed form too (metaplectic._multiplier_entries):
-each entry is a Gaussian in the time offset x - x' times one value of
-a table of windowed sums of m, gabor._windowed_sums over the
-half-lattice times and the frequency differences, on the doubled grid.
-Every other operator and window (a multiplier after any other matrix, a
-bare phase, a Hermite window) goes through the quadrature,
-_quadrature_entries, which is also the test oracle of both closed forms.
+The matrix entry at (mu, lambda) is <T g_lambda, g_mu>, and assemble
+builds every matrix in one loop: it allocates the entries once and
+walks the lattice in runs of whole lattice times, BLOCK_ATOMS lambdas at
+most and one lattice time at least, handing each run's rows to a row
+source to fill in place. A source is built once per matrix, with
+whatever tables its formula shares across rows, and computes each row
+on its own, so the matrix does not depend on the runs. There are three:
 
-The quadrature runs on a doubled grid (twice the points, twice the
-length, same spacing) so that operators translating content toward the
-edge of the original box are still integrated accurately. The atoms
-g_lambda go through the operator a block of whole lattice times at a
-time (about BLOCK_ATOMS atoms), so it holds one block's atoms and apply
-buffer on the doubled grid, never the whole lattice's; its output, |L|^2
-entries, is the largest thing it keeps. Each analysis atom g_mu enters
-the sum only over the grid rows its window reaches (gabor._atom_rows):
-one product per block and lattice time, not one Gram product over the
-whole grid. The blocks change only which products run together, not
-what each entry sums, so the matrix is bitwise that of the whole lattice
-at once.
+- For a metaplectic operator without a multiplier and a Gaussian
+  window, the closed form (metaplectic._covariant_source): a complex
+  Gaussian in mu - A lambda times two unit-modulus phases, one real exp
+  and three products per entry, the phase's complex exps taken per
+  (lambda, lattice time), per (lambda, frequency) and, in the source's
+  table, per mu. That is O(|L|^2) elementwise work with no quadrature,
+  so no grid truncation or aliasing, in any column and at any harmonic
+  time the operator accepts.
+- For a multiplier m = exp(2 pi i phi) on the identity matrix
+  (multiplier:cos) on a Gaussian window, a closed form too
+  (metaplectic._multiplier_source): each entry is a Gaussian in the
+  time offset x - x' times one value of the source's table of windowed
+  sums of m, gabor._windowed_sums over the half-lattice times and the
+  frequency differences, on the doubled grid.
+- Every other operator and window (a multiplier after any other matrix,
+  a bare phase, a Hermite window) takes the quadrature,
+  _quadrature_source, which is also the test oracle of both closed
+  forms. It runs on a doubled grid (twice the points, twice the length,
+  same spacing) so that operators translating content toward the edge
+  of the original box are still integrated accurately. A fill pushes
+  its run's atoms g_lambda through the operator, so it holds one run's
+  atoms and apply buffer on the doubled grid, never the whole
+  lattice's; the entries, |L|^2 of them, are the largest thing assemble
+  keeps. Each analysis atom g_mu enters the sum only over the grid rows
+  its window reaches (gabor._atom_rows): one product per run and
+  lattice time, not one Gram product over the whole grid.
+
+Both closed forms set real and imaginary parts below
+gabor.ENVELOPE_FLUSH times their peak to 0 (gabor._flush); the
+quadrature is left unflushed.
 
 Entries concentrate along mu = chi(lambda); every fit is in the distance
 d(mu, chi(lambda)). Lattice points whose image chi(lambda) leaves the
 reliable region of the original grid (half extent minus a fixed margin)
 are flagged, kept in the matrix, and excluded from fits. The matrix
-stores chi, canonical_map's on both paths, and computes the flags and
+stores chi, canonical_map's on every path, and computes the flags and
 distances from it where they are read (GaborMatrix.flags, _distances).
 
 The fits read the entries in one pass per (floor, exclusion_radius),
@@ -47,7 +55,9 @@ rounding: exactly floor(np.hypot(dx, dw) / SHELL_WIDTH). It keeps the
 np.hypot distance and the magnitude of the entries at or above the floor
 only, 16 bytes per kept entry, and per-shell counts of all entries past
 the exclusion radius; at floor 1e-12 the kept entries of the N = 2048,
-truncation 12 frame are 9-13% of them. The censoring
+truncation 12 frame are 9-13% of them. The distances and magnitudes do
+not depend on the radius, so a second radius at one floor shares them
+with the first and keeps only its own counts. The censoring
 (fitting.censor_counted_shells, cached per key, GaborMatrix._shells),
 fit_decay's envelope, the restricted fits and decay_bound_check read only
 those samples, so no array of every entry's distance or magnitude is
@@ -81,7 +91,7 @@ from .fitting import (BLOCK_ROWS, SHELL_WIDTH, CensoredShells, ShellFit,
                       _shell_index, censor_counted_shells, scan_orders,
                       sorted_tail_fits)
 from .gabor import GaborFrame, _atom_rows, _shifted, _waves
-from .metaplectic import _closed_form_entries
+from .metaplectic import _closed_form_source
 from .signals import Grid, SampledSignal, _csv_rows
 
 __all__ = [
@@ -100,7 +110,7 @@ __all__ = [
 # for the column to count as reliable.
 RELIABLE_MARGIN = 3.0
 
-# Quadrature noise in entries assembled by _quadrature_entries sits near
+# Quadrature noise in entries filled by _quadrature_source sits near
 # 1e-14 of the peak; bound checks ignore entries below this. The closed
 # forms carry no such noise, only rounding.
 NOISE_FLOOR = 1e-12
@@ -113,11 +123,11 @@ RATE_SLACK = 0.95
 # fit_decay needs this many entries above the floor.
 MIN_FIT_SAMPLES = 200
 
-# The quadrature pushes the atoms of whole lattice times through the
-# operator, as many as fit in this many atoms (one time at least):
-# cli._memory_table's block of atoms and apply buffer; the whole 1089-point
-# lattice at N = 2048 took 204 MiB. The closed forms fill this many lambdas'
-# entries at a time (the multiplier's, whole lattice times).
+# assemble fills the entries a run of whole lattice times at a time, as
+# many as fit in this many lambdas (one time at least). The quadrature
+# holds a run's atoms and apply buffer, cli._memory_table's block of
+# atoms (the whole 1089-point lattice at N = 2048 took 204 MiB), and a
+# closed form its run's temporaries.
 BLOCK_ATOMS = 128
 
 # The square root of the separable squares dx^2 + dw^2 lies within a few
@@ -189,11 +199,20 @@ class GaborMatrix:
         return {}
 
     def _samples(self, floor, exclusion_radius) -> tuple:
-        """_above_floor's (dist, mags, counts), cached per (floor, radius)."""
+        """_above_floor's (dist, mags, counts), cached per (floor, radius).
+
+        dist and mags do not depend on the radius: a pass at a floor
+        already cached under another radius keeps its counts only, and
+        shares that pass's dist and mags.
+        """
         key = (floor, exclusion_radius)
         if key not in self._sample_cache:
-            self._sample_cache[key] = _above_floor(self, floor,
-                                                   exclusion_radius)
+            dist, mags, counts = _above_floor(self, floor, exclusion_radius)
+            for (other, _), cached in self._sample_cache.items():
+                if other == floor:
+                    dist, mags = cached[:2]
+                    break
+            self._sample_cache[key] = dist, mags, counts
         return self._sample_cache[key]
 
     def _shells(self, floor, exclusion_radius) -> CensoredShells:
@@ -303,67 +322,75 @@ def assemble(op: FioOperator, frame: GaborFrame) -> GaborMatrix:
 
     On a Gaussian window, an operator that carries its matrix and no
     multiplier, or a multiplier on the identity matrix, takes its closed
-    form (metaplectic._closed_form_entries), filled BLOCK_ATOMS lambdas
-    (rows) at a time at most; its entries hold no subnormal part. Any
-    other operator or window takes the quadrature (_quadrature_entries),
-    with its noise near 1e-14 of the peak. chi is canonical_map's on
-    every path.
+    form (metaplectic._closed_form_source); its entries hold no
+    subnormal part. Any other operator or window takes the quadrature
+    (_quadrature_source), with its noise near 1e-14 of the peak. Either
+    source fills the entries, allocated here once, a run of whole
+    lattice times at a time: BLOCK_ATOMS lambdas at most, one lattice
+    time at least. chi is canonical_map's on every path.
     """
     # First, so a degenerate operator or a Newton failure is refused
     # before any entry is computed.
-    chi = canonical_map(op, frame.lattice.points)
-    entries = _closed_form_entries(op, frame.window, frame.lattice,
-                                   frame.grid, BLOCK_ATOMS)
-    if entries is None:
-        entries = _quadrature_entries(op, frame)
+    lattice = frame.lattice
+    chi = canonical_map(op, lattice.points)
+    fill = (_closed_form_source(op, frame.window, lattice, frame.grid)
+            or _quadrature_source(op, frame))
+    n, n_x, n_w = len(lattice), len(lattice.times), len(lattice.freqs)
+    step = max(1, BLOCK_ATOMS // n_w)
+    entries = np.empty((n, n), dtype=complex)
+    for first in range(0, n_x, step):
+        times = slice(first, min(first + step, n_x))
+        fill(times, entries[times.start * n_w:times.stop * n_w])
     return GaborMatrix(
         operator_name=op.name, grid=frame.grid, window=frame.window,
-        lattice=frame.lattice, entries=entries, chi=chi)
+        lattice=lattice, entries=entries, chi=chi)
 
 
-def _quadrature_entries(op: FioOperator, frame: GaborFrame) -> np.ndarray:
-    """<T g_lambda, g_mu> by quadrature, one row per lambda.
+def _quadrature_source(op: FioOperator, frame: GaborFrame):
+    """Row source of <T g_lambda, g_mu> by quadrature.
 
-    The frame's atoms are built on the doubled grid and go through the
-    operator one block of whole lattice times at a time (BLOCK_ATOMS
-    atoms or fewer, but at least one lattice time). Each block's outputs
-    T g_lambda are paired with the atoms g_mu of each time x over only
-    the rows their window reaches (gabor._atom_rows), one product per
-    block and x, written straight into the block's rows. The
+    The frame's atoms are built on the doubled grid, and a fill pushes
+    those of its run of lattice times through the operator. The
+    outputs T g_lambda are paired with the atoms g_mu of each time x
+    over only the rows their window reaches (gabor._atom_rows), one
+    product per run and x, written straight into the run's rows. The
     conjugated analysis atoms are held over those rows only, and every
-    shift and wave is computed once per call (gabor._shifted, and
-    gabor._waves conjugated). Callers check nondegeneracy.
+    shift and wave is computed once, with the source (gabor._shifted,
+    and gabor._waves conjugated). The runs change only which products
+    run together, not what each entry sums, so the rows do not depend
+    on the run. Callers check nondegeneracy.
     """
-    pad, n = frame.grid.doubled(), len(frame.lattice)
+    pad = frame.grid.doubled()
     shifted = _shifted(frame.window, pad, frame.lattice.times)
     waves = _waves(frame.lattice.freqs, pad).conj()  # exp(2 pi i w t)
     # A Lattice lists every w for each x in turn, so the atom at the k-th
     # x and j-th w is column k n_w + j, and a run of times is a run of
     # columns.
-    n_x, n_w = shifted.shape[1], waves.shape[1]
+    n_w = waves.shape[1]
     rows = [slice(lo, hi) for lo, hi in _atom_rows(shifted)]
     analysis = [(shifted[r, k, None] * waves[r]).conj()
                 for k, r in enumerate(rows)]
-    step = max(1, BLOCK_ATOMS // n_w)
-    # Every block's atoms go into this one array: built fresh per block,
-    # with gathered factors, the multi-MiB arrays were mapped and
-    # page-faulted anew each time, which made the reference frame's
-    # assemble 25% slower.
-    block_atoms = np.empty((pad.points_per_axis, min(step, n_x), n_w),
-                           dtype=complex)
-    entries = np.empty((n, n), dtype=complex)
-    for first in range(0, n_x, step):
-        times = slice(first, min(first + step, n_x))
-        atoms = block_atoms[:, :times.stop - first]
+    # Every run's atoms go into one array, made at the first fill and
+    # made anew only for a longer run: built fresh per run, the
+    # multi-MiB arrays were mapped and page-faulted anew each time,
+    # which made the reference frame's assemble 25% slower.
+    block_atoms = np.empty((pad.points_per_axis, 0, n_w), dtype=complex)
+
+    def fill(times: slice, out: np.ndarray) -> None:
+        nonlocal block_atoms
+        n_times = times.stop - times.start
+        if block_atoms.shape[1] < n_times:
+            block_atoms = np.empty((len(block_atoms), n_times, n_w),
+                                   dtype=complex)
+        atoms = block_atoms[:, :n_times]
         np.multiply(shifted[:, times, None], waves[:, None, :], out=atoms)
         t_atoms = _apply_columns(op, pad, atoms.reshape(len(atoms), -1))
-        block = slice(times.start * n_w, times.stop * n_w)
         for k, (r, conj_atoms) in enumerate(zip(rows, analysis)):
             np.matmul(t_atoms[r].T, conj_atoms,
-                      out=entries[block, k * n_w:(k + 1) * n_w])
-        del t_atoms  # before the next block's buffer is allocated
-    entries *= pad.spacing
-    return entries
+                      out=out[:, k * n_w:(k + 1) * n_w])
+        out *= pad.spacing
+
+    return fill
 
 
 def _above_floor(matrix: GaborMatrix, floor, exclusion_radius) -> tuple:
@@ -533,7 +560,7 @@ def decay_bound_check(matrix: GaborMatrix, fit: DecayFit) -> dict:
     Entries below NOISE_FLOOR are quadrature noise and are skipped. As the
     envelope dominates every sample at or above fit's floor, the check can
     fail only at a floor above NOISE_FLOOR (at or below it, max_ratio is
-    exactly 1 / CONSTANT_SLACK = 0.952). Returns checked and violation
+    1 / CONSTANT_SLACK = 0.952 to within an ulp). Returns checked and violation
     counts plus the worst entry/bound ratio. The entries are those of a
     fit pass at or below NOISE_FLOOR (GaborMatrix._samples_above).
     """
@@ -555,28 +582,6 @@ def decay_bound_check(matrix: GaborMatrix, fit: DecayFit) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class _MagnitudeVectors:
-    """|entries| of unflagged lambdas, a vector per mu or per lambda.
-
-    A slice of the vectors is computed when it is read, from the entries
-    it covers, so no copy of all the magnitudes is held.
-    """
-
-    entries: np.ndarray
-    unflagged: np.ndarray
-    per_mu: bool
-
-    def __len__(self):
-        return len(self.entries) if self.per_mu else self.unflagged.size
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        # np.abs reads a contiguous copy, as it read the whole matrix.
-        if self.per_mu:
-            return np.abs(self.entries[self.unflagged, part]).T
-        return np.abs(self.entries[self.unflagged[part]])
-
-
 def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
                    floor: float = 1e-14) -> SparsityReport:
     """Fit each row's (or column's) sorted magnitudes against n^(1/(2s)).
@@ -585,17 +590,24 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
     are input indices lambda (flagged columns skipped entirely). Vectors
     with fewer than three entries above floor are skipped. All vectors
     are fitted in one call of fitting.sorted_tail_fits, which reads them
-    one block at a time; each block's magnitudes are taken from the
-    entries as it is read (_MagnitudeVectors).
+    one block of BLOCK_ROWS vectors at a time; each block's magnitudes
+    are taken from the entries as it is read, so no copy of all the
+    magnitudes is held.
     """
     if axis not in ("rows", "cols"):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     if not s_hat > 0:
         raise ValueError(f"s_hat must be positive, got {s_hat:g}")
     exponent = 1.0 / (2.0 * s_hat)
-    vectors = _MagnitudeVectors(matrix.entries, np.flatnonzero(~matrix.flags),
-                                per_mu=axis == "rows")
-    eps, logc, r2 = sorted_tail_fits(vectors, exponent, floor=floor)
+    entries, unflagged = matrix.entries, np.flatnonzero(~matrix.flags)
+    # np.abs reads a contiguous copy, as it read the whole matrix.
+    if axis == "rows":
+        blocks = (np.abs(entries[unflagged, lo:lo + BLOCK_ROWS]).T
+                  for lo in range(0, matrix.n_lattice, BLOCK_ROWS))
+    else:
+        blocks = (np.abs(entries[unflagged[lo:lo + BLOCK_ROWS]])
+                  for lo in range(0, unflagged.size, BLOCK_ROWS))
+    eps, logc, r2 = sorted_tail_fits(blocks, exponent, floor=floor)
     return SparsityReport(exponent_used=exponent, epsilons=eps, log_cs=logc,
                           r_squareds=r2)
 

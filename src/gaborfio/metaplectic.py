@@ -20,9 +20,9 @@ singular time.
 For a Gaussian window the operator's Gabor matrix is a closed-form
 Gaussian about the graph of mat (Cordero, Nicola and Rodino 2009), in
 two independent forms: metaplectic_law, its modulus from the overlap of
-two phase-space Gaussians, and _covariant_entries, its complex entries
+two phase-space Gaussians, and _covariant_source, its complex entries
 from the operator's covariance with time-frequency shifts, which
-gmatrix.assemble fills the matrix with. _covariant_entries keeps the
+gmatrix.assemble fills the matrix with. _covariant_source keeps the
 Gaussian's real exponent in mu - A lambda, where it neither cancels nor
 overflows, and expands only the phase over the product lattice: one
 unit factor per (lambda, lattice time), one per (lambda, frequency) and
@@ -33,12 +33,18 @@ no such covariance, but its Gabor matrix on a Gaussian window factors
 all the same: the product of two shifted Gaussians is a Gaussian at
 their midpoint, so <m g_lambda, g_mu> is a Gaussian in x - x' times the
 STFT of m under the half-width window at ((x + x') / 2, w' - w)
-(Groechenig 2001, ch. 14). _multiplier_entries takes that STFT as one
+(Groechenig 2001, ch. 14). _multiplier_source takes that STFT as one
 table of gabor._windowed_sums on the quadrature's doubled grid, the same
 Riemann sum without an atom or an operator apply. It is not an
 independent law: metaplectic_law stays None for multipliers, and the
-quadrature is the test oracle. _closed_form_entries picks the closed
-form of an operator and window, or None for the quadrature.
+quadrature is the test oracle.
+
+Both are row sources, gmatrix.assemble's one interface to an entry
+formula: built once per matrix with the tables every row shares (the
+phase table of mu, the table of windowed sums), then called on the rows
+of one run of whole lattice times at a time, which they fill in place
+and flush (gabor._flush). _closed_form_source picks the source of an
+operator and window, or None for the quadrature.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ import numpy as np
 
 from .errors import HypothesisError, SingularTimeError
 from .fio import FioOperator, Phase
-from .gabor import ENVELOPE_FLUSH, _shifted, _waves, _windowed_sums, gaussian
+from .gabor import (ENVELOPE_FLUSH, _flush, _shifted, _waves, _windowed_sums,
+                    gaussian)
 
 __all__ = [
     "SymplecticMatrix",
@@ -243,30 +250,30 @@ def metaplectic_law(op: FioOperator, lattice, window):
     return law
 
 
-def _closed_form_entries(op: FioOperator, window, lattice, grid,
-                         block_rows: int):
-    """op's <T g_lambda, g_mu> in closed form, one row per lambda, or None.
+def _closed_form_source(op: FioOperator, window, lattice, grid):
+    """The row source of op's closed-form Gabor matrix, or None.
 
     On a gaussian window, the operator of a matrix without a multiplier
-    takes _covariant_entries, and a multiplier on the identity matrix
-    takes _multiplier_entries, as its windowed sums on grid's doubled
-    grid. None for every other operator or window: a multiplier after
-    any other matrix, a bare phase, a Hermite window.
+    takes _covariant_source, and a multiplier on the identity matrix
+    takes _multiplier_source, with its windowed sums on grid's doubled
+    grid. None for every other operator or window, which take the
+    quadrature: a multiplier after any other matrix, a bare phase, a
+    Hermite window. A source fills the rows of gmatrix.assemble's run of
+    whole lattice times in place: fill(times, rows), with times a slice
+    of lattice.times and rows the entries of the lambdas at those times.
     """
     if op._matrix is None or window.kind != "gaussian":
         return None
     if op.multiplier is None:
-        return _covariant_entries(op._matrix, window.width, lattice,
-                                  block_rows)
+        return _covariant_source(op._matrix, window.width, lattice)
     if op._matrix == IDENTITY:
-        return _multiplier_entries(op.multiplier[0], window.width, lattice,
-                                   grid.doubled(), block_rows)
+        return _multiplier_source(op.multiplier[0], window.width, lattice,
+                                  grid.doubled())
     return None
 
 
-def _multiplier_entries(phi, width: float, lattice, grid,
-                        block_rows: int) -> np.ndarray:
-    """<m g_lambda, g_mu> for m = exp(2 pi i phi), one row per lambda.
+def _multiplier_source(phi, width: float, lattice, grid):
+    """Row source of <m g_lambda, g_mu> for m = exp(2 pi i phi).
 
     g is the gaussian(width) window, lambda = (x, w) and mu = (x', w')
     run over lattice.points, and the sum is the Riemann sum on grid. As
@@ -282,12 +289,11 @@ def _multiplier_entries(phi, width: float, lattice, grid,
     time factors of x_i times the window S[i + i', n_w - 1 - j + j'] of
     the table, a strided view of it.
 
-    Rows are filled a block of whole lattice times at a time, at most
-    block_rows lambdas or one lattice time, with _covariant_entries'
-    flush: the time factor's
+    The table and time factors are built with the source. Each entry is
+    one product, so the rows do not depend on the run. The time factor's
     exponent is raised to a floor where exp stays normal, and real and
     imaginary parts below ENVELOPE_FLUSH times the table's peak, which
-    bounds every entry, are set to 0.
+    bounds every entry, are set to 0 (gabor._flush).
     """
     xs, ws = lattice.times, lattice.freqs
     n_x, n_w = len(xs), len(ws)
@@ -296,36 +302,32 @@ def _multiplier_entries(phi, width: float, lattice, grid,
     table = _windowed_sums(np.exp(2j * np.pi * phi(grid.times())),
                            _shifted(gaussian(0.5 * width), grid, half_steps),
                            grid, _waves(offsets, grid))
-    flush = ENVELOPE_FLUSH * np.max(np.abs(table))
+    peak = np.max(np.abs(table))
     by_time = -np.pi / (2.0 * width) * (xs[:, None] - xs) ** 2
     np.maximum(by_time, math.log(ENVELOPE_FLUSH) - 1.0, out=by_time)
     np.exp(by_time, out=by_time)
     # windows[i, j] = table[i:i + n_x, n_w - 1 - j:2 n_w - 1 - j].
     windows = np.lib.stride_tricks.sliding_window_view(
         table, (n_x, n_w))[:, ::-1]
-    out = np.empty((n_x * n_w, n_x * n_w), dtype=complex)
-    step = max(1, block_rows // n_w)
-    for first in range(0, n_x, step):
-        times = slice(first, min(first + step, n_x))
-        rows = out[times.start * n_w:times.stop * n_w]
+
+    def fill(times: slice, rows: np.ndarray) -> None:
         np.multiply(windows[times], by_time[times, None, :, None],
                     out=rows.reshape(-1, n_w, n_x, n_w))
-        parts = rows.view(float)
-        parts[(parts < flush) & (parts > -flush)] = 0.0
-    return out
+        _flush(rows, peak)
+
+    return fill
 
 
-def _covariant_entries(mat: SymplecticMatrix, width: float, lattice,
-                       block_rows: int) -> np.ndarray:
-    """Closed-form complex <T g_lambda, g_mu>, one row per lambda.
+def _covariant_source(mat: SymplecticMatrix, width: float, lattice):
+    """Row source of the closed-form complex <T g_lambda, g_mu>.
 
     T is the operator of A = mat without a multiplier, g the
     gaussian(width) window and g_lambda(t) = g(t - x) exp(2 pi i w t) for
-    lambda = (x, w); lambda and mu run over lattice.points, and the rows
-    are filled block_rows at a time, each on its own, so the result does
-    not depend on block_rows. By the covariance
-    T rho(lambda) = rho(A lambda) T, with rho(x, w) = exp(-pi i x w) M_w T_x
-    (Folland 1989, ch. 4), and with (x', w') = A lambda,
+    lambda = (x, w); lambda and mu run over lattice.points, and each row
+    is computed on its own, so the rows do not depend on the run. By the
+    covariance T rho(lambda) = rho(A lambda) T, with
+    rho(x, w) = exp(-pi i x w) M_w T_x (Folland 1989, ch. 4), and with
+    (x', w') = A lambda,
     <T g_lambda, g_mu> = exp(pi i (x w - x' w')) exp(2 pi i (w' - w_mu) x')
     V_g(T g)(mu - A lambda).
     T g is a constant times exp(-pi beta t^2), beta = -i tau' for the
@@ -344,18 +346,19 @@ def _covariant_entries(mat: SymplecticMatrix, width: float, lattice,
     mu = (x_i, w_j) the phase is a term of (lambda, x_i), a term of
     (lambda, w_j) and kappa x_i w_j with kappa = Im q_xw, so an entry is
     one real exp times the unit factors of the two terms and of a table
-    exp(i kappa x_i w_j) that every lambda shares: complex exps per
-    (lambda, x_i), per (lambda, w_j) and per mu, where the unexpanded
-    form spent one, 20-30 real exps' worth, per entry. The expanded
-    terms reach some 450 rad on the truncation-12 lattice; they move
-    the entries by at most 2e-13 of the peak, the modulus by 5e-16.
+    exp(i kappa x_i w_j) that every lambda shares, built with the
+    source: complex exps per (lambda, x_i), per (lambda, w_j) and per
+    mu, where the unexpanded form spent one, 20-30 real exps' worth, per
+    entry. The expanded terms reach some 450 rad on the truncation-12
+    lattice; they move the entries by at most 2e-13 of the peak, the
+    modulus by 5e-16.
 
     Real and imaginary parts below gabor.ENVELOPE_FLUSH times the
-    entries' peak are set to 0, as subnormal operands slow the BLAS
-    products the matrix enters. Exponents of entries that are flushed
-    whole are first raised to a floor where exp and the products stay
-    normal floats, which is also exp's fast path. Holds a float exponent
-    and the flush's masks of one block of rows.
+    entries' peak are set to 0 (gabor._flush), as subnormal operands
+    slow the BLAS products the matrix enters. Exponents of entries that
+    are flushed whole are first raised to a floor where exp and the
+    products stay normal floats, which is also exp's fast path. A fill
+    holds a float exponent and the flush's masks of its run.
     """
     (a, b), (c, d) = mat.entries
     gam = 1.0 / width
@@ -370,17 +373,17 @@ def _covariant_entries(mat: SymplecticMatrix, width: float, lattice,
     q_ww = -np.pi / p
     kappa = q_xw.imag
     pts, xs, ws = lattice.points, lattice.times, lattice.freqs
+    n_w = len(ws)
     table = np.exp(1j * kappa * xs[:, None] * ws)
-    flush = ENVELOPE_FLUSH * abs(scale)
-    # exp of this is ENVELOPE_FLUSH / e: under the flush below, and some
-    # 30 decades above the subnormal range, so exp and the products that
+    # exp of this is ENVELOPE_FLUSH / e: under the flush, and some 30
+    # decades above the subnormal range, so exp and the products that
     # follow stay off subnormal values.
     floor = math.log(ENVELOPE_FLUSH) - 1.0
-    out = np.empty((len(pts), len(pts)), dtype=complex)
-    for lo in range(0, len(pts), block_rows):
-        lam = pts[lo:lo + block_rows]
+
+    def fill(times: slice, rows: np.ndarray) -> None:
+        lam = pts[times.start * n_w:times.stop * n_w]
         # Lattice lists every w for each x in turn: a row is (n_x, n_w).
-        rows = out[lo:lo + len(lam)].reshape(len(lam), len(xs), len(ws))
+        rows = rows.reshape(len(lam), len(xs), n_w)
         x, w = lam[:, 0, None], lam[:, 1, None]
         x_out, w_out = a * x + b * w, c * x + d * w
         zx, zw = xs - x_out, ws - w_out
@@ -402,6 +405,6 @@ def _covariant_entries(mat: SymplecticMatrix, width: float, lattice,
         np.multiply(by_time[:, :, None], table, out=rows)
         rows *= by_freq[:, None, :]
         rows *= env
-        parts = rows.view(float)
-        parts[(parts < flush) & (parts > -flush)] = 0.0
-    return out
+        _flush(rows, abs(scale))
+
+    return fill

@@ -11,6 +11,7 @@ import pytest
 
 import gaborfio as gf
 from gaborfio import gabor as gab
+from gaborfio import gmatrix
 
 PROD_N = 1024
 PROD_L = 32.0
@@ -59,6 +60,28 @@ def atom_matrix(source, grid, points):
     xs, column_x, ws, column_w = gab._distinct_axes(points)
     return (gab._shifted(source, grid, xs)[:, column_x]
             * gab._waves(ws, grid).conj()[:, column_w])
+
+
+def source_entries(fill, lattice, times_per_run=None):
+    """The entries a row source fills, times_per_run lattice times a run.
+
+    By default in assemble's runs: gmatrix.BLOCK_ATOMS lambdas at most,
+    one lattice time at least.
+    """
+    n_x, n_w = len(lattice.times), len(lattice.freqs)
+    step = times_per_run or max(1, gmatrix.BLOCK_ATOMS // n_w)
+    entries = np.empty((len(lattice), len(lattice)), dtype=complex)
+    for first in range(0, n_x, step):
+        stop = min(first + step, n_x)
+        fill(slice(first, stop), entries[first * n_w:stop * n_w])
+    return entries
+
+
+def quadrature_entries(op, frame):
+    """<T g_lambda, g_mu> by the quadrature (gmatrix._quadrature_source),
+    a row per lambda: the oracle of both closed forms."""
+    return source_entries(gmatrix._quadrature_source(op, frame),
+                          frame.lattice)
 
 
 def chi_distances(m):

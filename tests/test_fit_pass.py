@@ -138,7 +138,7 @@ def test_sparsity_rows_are_bitwise_the_full_array_route(frame, name):
     for floor in FLOORS:
         for axis, vectors in (("rows", mags.T), ("cols", mags)):
             report = gf.sparsity_curve(matrix, 0.5, axis=axis, floor=floor)
-            expected = sorted_tail_fits(vectors, 1.0, floor=floor)
+            expected = sorted_tail_fits([vectors], 1.0, floor=floor)
             got = (report.epsilons, report.log_cs, report.r_squareds)
             for g, e in zip(got, expected):
                 assert g.tobytes() == e.tobytes(), (floor, axis)

@@ -202,7 +202,7 @@ def test_sorted_tail_fit_exact():
     # Entries below the floor would bend the line if they entered the fit.
     mags = np.concatenate([np.exp(-n.astype(float)), np.full(5, 1e-20)])
     rng.shuffle(mags)
-    eps, logc, r2 = sorted_tail_fits(mags[None, :], 1.0, floor=1e-18)
+    eps, logc, r2 = sorted_tail_fits([mags[None, :]], 1.0, floor=1e-18)
     assert abs(eps[0] - 1.0) <= 1e-9
     assert abs(logc[0]) <= 1e-9
     assert r2[0] > 0.999999
@@ -219,7 +219,7 @@ def _row_tail_lstsq(row, exponent, floor):
 
 @pytest.mark.parametrize("exponent", [0.3, 1.0, 1.7])
 def test_batched_tail_fits_match_per_row_lstsq(exponent):
-    # 300 rows of 60, several blocks, each row with its own count of
+    # 300 rows of 60 in ten blocks, each row with its own count of
     # entries above the floor (0 to 60); rows with fewer than 3 must be
     # skipped. The rest are zeros, tiny values and NaN, which the
     # per-row fit drops like values under the floor.
@@ -236,7 +236,7 @@ def test_batched_tail_fits_match_per_row_lstsq(exponent):
     kept = [row for row in rows if np.count_nonzero(row >= floor) >= 3]
     assert len(kept) == np.count_nonzero(counts >= 3)
 
-    got = sorted_tail_fits(rows, exponent, floor=floor)
+    got = sorted_tail_fits(np.split(rows, 10), exponent, floor=floor)
     ref = np.array([_row_tail_lstsq(row, exponent, floor) for row in kept]).T
     for g, r in zip(got, ref):
         assert g.shape == r.shape
@@ -247,8 +247,8 @@ def test_batched_tail_fits_errors():
     rows = np.full((5, 10), 1e-20)
     rows[:, :2] = 1.0
     with pytest.raises(gf.InsufficientDataError):
-        sorted_tail_fits(rows, 1.0, floor=1e-14)
+        sorted_tail_fits([rows], 1.0, floor=1e-14)
     # Rank 100 raised to 160 overflows.
     rows = np.exp(-np.arange(100.0))[None, :].repeat(3, axis=0)
     with pytest.raises(ValueError, match="s_grid"):
-        sorted_tail_fits(rows, 160.0, floor=0.0)
+        sorted_tail_fits([rows], 160.0, floor=0.0)

@@ -12,11 +12,11 @@ import gaborfio as gf
 from gaborfio.fio import _apply_columns, _dense_columns
 from gaborfio.fitting import shell_decay_fit
 from gaborfio.gabor import ENVELOPE_FLUSH, _atom_rows
-from gaborfio.gmatrix import _quadrature_entries
-from gaborfio.metaplectic import _covariant_entries, _multiplier_entries
+from gaborfio.gmatrix import _quadrature_source
+from gaborfio.metaplectic import _closed_form_source
 from conftest import (MATRIX_FLOOR, LATTICE_STEP, TRUNCATION, atom_matrix,
                       centered_gaussian, chi_distances, lstsq_line_fit,
-                      rel_error)
+                      quadrature_entries, rel_error, source_entries)
 
 
 # phi = 0.3 sin 2x with phi' and phi'': a second multiplier phase.
@@ -147,7 +147,7 @@ def test_cos_multiplier_matrix_carries_no_quadrature_noise(matrices,
     tiny = np.abs(_cos_multiplier_law(m)) < 1e-20
     assert tiny.sum() > m.n_lattice ** 2 / 2
     assert np.max(np.abs(m.entries[tiny])) <= 1e-15
-    quad = _quadrature_entries(gf.parse_operator("multiplier:cos"), g2_frame)
+    quad = quadrature_entries(gf.parse_operator("multiplier:cos"), g2_frame)
     assert np.max(np.abs(quad[tiny])) <= 1e-15
 
 
@@ -171,7 +171,7 @@ def test_covariant_assembly_matches_quadrature(grid, width, name):
         LATTICE_STEP, LATTICE_STEP, TRUNCATION), grid)
     op = gf.parse_operator(name)
     m = gf.assemble(op, frame)
-    quad = _quadrature_entries(op, frame)
+    quad = quadrature_entries(op, frame)
     keep = ~m.flags
     peak = np.max(np.abs(quad))
     assert np.max(np.abs(m.entries - quad)[keep]) <= 1e-12 * peak
@@ -180,19 +180,50 @@ def test_covariant_assembly_matches_quadrature(grid, width, name):
     assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
 
 
+def _assert_runs_do_not_matter(op, frame, kind):
+    """assemble's entries against fills of the operator's row source.
+
+    assemble allocates the entries and fills them from the source, a run
+    of whole lattice times at a time: 5, 5, 5, 5 and 3 of the reference
+    lattice's 23 times (BLOCK_ATOMS lambdas at most). Every row is
+    computed on its own, so the entries are bitwise those of one fill of
+    every lattice time, and of fills of one lattice time each.
+    """
+    m = gf.assemble(op, frame)
+    fill = (_closed_form_source(op, frame.window, frame.lattice, frame.grid)
+            or _quadrature_source(op, frame))
+    assert fill.__qualname__ == f"_{kind}_source.<locals>.fill"
+    n_x = len(frame.lattice.times)
+    assert 1 < gf.gmatrix.BLOCK_ATOMS // len(frame.lattice.freqs) < n_x
+    for times_per_run in (n_x, 1):
+        assert np.array_equal(m.entries, source_entries(
+            fill, frame.lattice, times_per_run))
+
+
+@pytest.mark.parametrize("kind, window, name", [
+    ("covariant", "gaussian:1", "harmonic:0.8"),
+    ("multiplier", "gaussian:1", "multiplier:cos"),
+    ("quadrature", "hermite:1:2", "harmonic:0.8")])
+def test_assemble_fills_runs_of_lattice_times(grid, kind, window, name):
+    # One loop for every source: the two closed forms, here on the
+    # width-1 window, and the quadrature.
+    frame = gf.GaborFrame(gf.parse_window(window), gf.make_lattice(
+        LATTICE_STEP, LATTICE_STEP, TRUNCATION), grid)
+    _assert_runs_do_not_matter(gf.parse_operator(name), frame, kind)
+
+
 @pytest.mark.parametrize("name", COVARIANT)
 def test_covariant_assembly_is_one_whole_lattice_call(g2_frame, name):
-    # assemble fills BLOCK_ATOMS rows at a time; every row is computed
-    # on its own, so the entries are bitwise those of one block holding
-    # the whole lattice, or of blocks of 7 rows, and do not depend on
-    # BLOCK_ATOMS.
-    op = gf.parse_operator(name)
-    m = gf.assemble(op, g2_frame)
-    n = m.n_lattice
-    assert n > gf.gmatrix.BLOCK_ATOMS
-    for rows in (n, 7):
-        assert np.array_equal(m.entries, _covariant_entries(
-            op._matrix, g2_frame.window.width, g2_frame.lattice, rows))
+    # The covariant case above, for every covariant operator.
+    _assert_runs_do_not_matter(gf.parse_operator(name), g2_frame,
+                               "covariant")
+
+
+@pytest.mark.parametrize("name", ["multiplier:cos", "identity+sin"])
+def test_multiplier_assembly_does_not_depend_on_the_block(g2_frame, name):
+    # The multiplier case above, for both multipliers on the width-2
+    # window.
+    _assert_runs_do_not_matter(_operator(name), g2_frame, "multiplier")
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +244,7 @@ def test_covariant_assembly_matches_quadrature_on_the_large_frame(
     """
     op = gf.parse_operator(name)
     m = gf.assemble(op, large_frame)
-    quad = _quadrature_entries(op, large_frame)
+    quad = quadrature_entries(op, large_frame)
     keep = ~m.flags
     assert keep.sum() > 900
     peak = np.max(np.abs(quad))
@@ -245,14 +276,14 @@ def test_assembly_outside_the_closed_form_is_the_quadrature(grid, window,
                           gf.make_lattice(0.5, 0.5, 6.0), grid)
     op = _operator(name)
     assert np.array_equal(gf.assemble(op, frame).entries,
-                          _quadrature_entries(op, frame))
+                          quadrature_entries(op, frame))
 
 
 @pytest.mark.parametrize("width", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("name", ["multiplier:cos", "identity+sin"])
 def test_multiplier_assembly_matches_quadrature(grid, width, name):
     """A multiplier on the identity matrix, on a Gaussian window, takes
-    the closed form of its windowed sums (metaplectic._multiplier_entries)
+    the closed form of its windowed sums (metaplectic._multiplier_source)
     in assemble. Against the quadrature it replaces, complex entries on
     every column agree to 1e-13 of the peak (measured <= 3.3e-14). No
     real or imaginary part of the closed form is subnormal: parts under
@@ -262,7 +293,7 @@ def test_multiplier_assembly_matches_quadrature(grid, width, name):
         LATTICE_STEP, LATTICE_STEP, TRUNCATION), grid)
     op = _operator(name)
     m = gf.assemble(op, frame)
-    quad = _quadrature_entries(op, frame)
+    quad = quadrature_entries(op, frame)
     peak = np.max(np.abs(quad))
     assert np.max(np.abs(m.entries - quad)) <= 1e-13 * peak
     parts = np.abs(m.entries.view(float))
@@ -276,22 +307,9 @@ def test_multiplier_assembly_matches_quadrature_on_the_large_frame(
     # 1.2e-13 of the peak on every column.
     op = gf.parse_operator("multiplier:cos")
     m = gf.assemble(op, large_frame)
-    quad = _quadrature_entries(op, large_frame)
+    quad = quadrature_entries(op, large_frame)
     assert (np.max(np.abs(m.entries - quad))
             <= 5e-13 * np.max(np.abs(quad)))
-
-
-@pytest.mark.parametrize("name", ["multiplier:cos", "identity+sin"])
-def test_multiplier_assembly_does_not_depend_on_the_block(g2_frame, name):
-    # Each entry is one product of a time factor and a table value, so
-    # block_rows 7 (one lattice time a block) or the whole lattice give
-    # assemble's entries bitwise.
-    op = _operator(name)
-    m = gf.assemble(op, g2_frame)
-    pad = g2_frame.grid.doubled()
-    for rows in (m.n_lattice, 7):
-        assert np.array_equal(m.entries, _multiplier_entries(
-            op.multiplier[0], 2.0, g2_frame.lattice, pad, rows))
 
 
 @pytest.mark.parametrize("t", [0.3, 0.7853981633974483, 1.2, 1.4,
@@ -324,7 +342,7 @@ def test_factored_quadrature_matches_dense(g2_frame, name):
     grid = g2_frame.grid
     pad = grid.doubled()
     atoms = atom_matrix(g2_frame.window, pad, g2_frame.lattice.points)
-    fast = _quadrature_entries(op, g2_frame)
+    fast = quadrature_entries(op, g2_frame)
     slow = (pad.spacing * atoms.conj().T
             @ _dense_columns(op, pad, atoms)).T
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
@@ -358,7 +376,7 @@ def test_atom_local_product_matches_full_gram(grid, spec):
     atoms = atom_matrix(window, pad, pts)
     full = pad.spacing * (atoms.T @ _apply_columns(op, pad, atoms).conj()
                           ).conj()
-    local = _quadrature_entries(op, frame).T
+    local = quadrature_entries(op, frame).T
     assert np.max(np.abs(local - full)) <= 1e-14 * np.max(np.abs(full))
     rows = _atom_rows(window.evaluate(pad.times()[:, None]
                                       - np.unique(pts[:, 0])))
@@ -408,7 +426,7 @@ def test_blocked_assembly_is_bitwise_unblocked(grid, spec, alpha, beta,
                           gf.Lattice(alpha, beta, truncation, truncation),
                           grid)
     op = gf.parse_operator(name)
-    assert np.array_equal(_quadrature_entries(op, frame),
+    assert np.array_equal(quadrature_entries(op, frame),
                           _unblocked_entries(op, frame))
 
 
@@ -734,7 +752,9 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
     # fit_decay and the restricted fits after it share one pass over the
     # entries and one censoring of its samples. Another floor or
     # exclusion radius runs both afresh and reads its own result, never an
-    # earlier one's.
+    # earlier one's. Another radius at the same floor keeps its own
+    # counts, but shares the distances and magnitudes of the first pass,
+    # which do not depend on the radius.
     m = _synthetic_matrix()
     dist, mags = chi_distances(m), m.magnitudes()
     cases = [(MATRIX_FLOOR, 0.5), (1e-3, 0.5), (MATRIX_FLOOR, 1.0)]
@@ -769,6 +789,10 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
                               for r in (half, one)]
     assert calls == [MATRIX_FLOOR, 1e-3, MATRIX_FLOOR]
     assert passes == cases
+    first, other = (m._sample_cache[MATRIX_FLOOR, r] for r in (0.5, 1.0))
+    for shared, own in zip(first[:2], other[:2]):
+        assert np.shares_memory(shared, own)
+    assert not np.shares_memory(m._sample_cache[1e-3, 0.5][0], first[0])
     assert refs[cases[0]][0].n_samples > refs[cases[1]][0].n_samples
 
 
@@ -796,6 +820,23 @@ def test_decay_bound_envelope_holds(matrices, fits):
         assert report["violations"] == 0, name
         assert report["max_ratio"] <= 1.0
         assert report["checked"] > 0
+
+
+@pytest.mark.parametrize("floor", [1e-12, 1e-14])
+def test_decay_bound_check_cannot_fail_at_or_below_the_noise_floor(
+        matrices, floor):
+    # The envelope dominates every sample at or above the fit's floor, so
+    # at a floor at or below NOISE_FLOOR the check finds no violation and
+    # its worst ratio is 1 / CONSTANT_SLACK, the peak's, to within an ulp
+    # (metaplectic:dilation:2.0 reads one ulp above it at both floors).
+    expected = 1.0 / gf.gmatrix.CONSTANT_SLACK
+    for name, m in matrices.items():
+        fresh = dataclasses.replace(m)  # its caches stay off the fixture
+        report = gf.decay_bound_check(fresh, gf.fit_decay(fresh,
+                                                          floor=floor))
+        assert report["violations"] == 0, name
+        assert abs(report["max_ratio"] - expected) <= np.spacing(expected), (
+            name, report["max_ratio"])
 
 
 def test_decay_bound_check_at_tiny_order(harmonic_matrix):

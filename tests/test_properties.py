@@ -6,9 +6,9 @@ import pytest
 import gaborfio as gf
 from gaborfio import gmatrix
 from gaborfio.fitting import SHELL_WIDTH
-from gaborfio.metaplectic import _covariant_entries
+from gaborfio.metaplectic import _covariant_source
 from gaborfio.signals import _csv_rows
-from conftest import LATTICE_STEP, chi_distances, zero_matrix
+from conftest import LATTICE_STEP, chi_distances, source_entries, zero_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,9 +29,10 @@ def symplectic_matrices(draw):
 @hypothesis.given(mat=symplectic_matrices(), width=st.floats(0.5, 3.0))
 def test_covariant_entries_have_the_law_modulus(mat, width):
     # The complex closed form assemble fills matrices with, against the
-    # independent overlap law, on a 9 x 9 lattice in blocks of 7 rows;
-    # measured <= 6.9e-15 of the peak over 2000 random draws.
-    entries = _covariant_entries(mat, width, LATTICE, 7)
+    # independent overlap law, on a 9 x 9 lattice in runs of one lattice
+    # time; measured <= 6.9e-15 of the peak over 2000 random draws.
+    entries = source_entries(_covariant_source(mat, width, LATTICE),
+                             LATTICE, 1)
     law = gf.metaplectic_law(gf.build_metaplectic(mat), LATTICE,
                              gf.gaussian(width))
     assert (np.max(np.abs(np.abs(entries) - law))
