@@ -165,11 +165,11 @@ class Experiment:
             raise ConfigError("config key 'fit.s_grid' must be a list of "
                               "positive finite numbers")
         thresholds = cfg["thresholds"]
-        if (not isinstance(thresholds, list)
+        if (not isinstance(thresholds, list) or not thresholds
                 or any(not _is_finite_number(t) or t < 0
                        for t in thresholds)):
-            raise ConfigError("config key 'thresholds' must be a list of "
-                              "nonnegative finite numbers")
+            raise ConfigError("config key 'thresholds' must be a non-empty "
+                              "list of nonnegative finite numbers")
         operator_spec = cfg["operator"]
         if not isinstance(operator_spec, str):
             raise ConfigError("config key 'operator' must be a string")
@@ -255,9 +255,15 @@ def _memory_table(exp: Experiment) -> dict:
     flags = ("the column flags", lat, lk)
     samples = held + [flags, sq("the fits' samples (distance, magnitude)", 16)]
     shells = samples + [sq("the censored shells (distance, index)", 16)]
-    fits = {"assembly": assembly, "fits' pass": samples + [
+    # Each pass's block of rows, traced on one block of the 625- and
+    # 1089-point frames with every entry above the floor: the samples
+    # pass 56.5-56.8 bytes per block entry past its kept samples, the
+    # counts pass 24.5-24.7 (both with their O(|L|) dx and dw).
+    fits = {"assembly": assembly, "samples pass": samples + [
         sq("the samples' concatenated copy", 8),
-        ("the fits' pass's block of rows", 56 * BLOCK_ROWS * lat, lk)],
+        ("the samples pass's block of rows", 56 * BLOCK_ROWS * lat, lk)],
+        "counts pass": samples + [
+            ("the counts pass's block of rows", 25 * BLOCK_ROWS * lat, lk)],
         "fits": shells + [sq("the fits' two temporaries", 16)]}
     bounds = [("the frame bounds' offset waves", 16 * n * (2 * n_w - 1), wk),
               ("the frame bounds' Gram matrices", 48 * lat * c_x * c_w, lk)]

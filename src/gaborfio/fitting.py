@@ -15,10 +15,12 @@ keeping only the samples of clean shells, and scan_orders runs the s scan
 on that result, so fits at several orders can share one censoring. The
 scan builds each order's shell means and fits every order in one batch.
 The censoring reads only the samples at or above the floor and each
-shell's count of all its samples (censor_counted_shells): censor_shells
-takes both from flat samples, and a Gabor matrix's fits from one pass
-over its entries that keeps no sample below the floor
-(gmatrix._above_floor), so both fits censor on one path.
+shell's count of all its samples past the exclusion radius
+(censor_counted_shells): censor_shells takes both from flat samples, and
+a Gabor matrix's fits from two passes, one over its entries that keeps no
+sample below the floor (gmatrix._above_floor) and one that counts the
+shells from chi alone (gmatrix._shell_counts), so both fits censor on one
+path.
 
 Per-row sparsity profiles fit each row's descending-sorted magnitudes
 against the rank n**exponent (sorted_tail_fits). The rows are read and
@@ -54,11 +56,12 @@ DEFAULT_S_GRID = tuple(np.round(np.arange(0.40, 2.0001, 0.05), 2))
 SHELL_WIDTH = 0.5
 
 # gmatrix.sparsity_curve hands sorted_tail_fits blocks of this many rows
-# to sort, and gmatrix's fits' pass (_above_floor) reads as many at a
-# time: a block of rows in cli._memory_table. At 128 rows the sort's
-# temporaries left the heap of a CLI process running every subcommand in
-# turn 4.7 MiB larger on two of six benchmark seeds (at 32 on none), and
-# the pass ran 1.8x slower on 1089 points.
+# to sort, and gmatrix's fits' two passes (_above_floor, _shell_counts)
+# read as many at a time: a block of rows each in cli._memory_table. At
+# 128 rows the sort's temporaries left the heap of a CLI process running
+# every subcommand in turn 4.7 MiB larger on two of six benchmark seeds
+# (at 32 on none), and the one pass the fits then made ran 1.8x slower on
+# 1089 points.
 BLOCK_ROWS = 32
 
 
@@ -81,7 +84,10 @@ class ShellFit:
 class CensoredShells:
     """Samples grouped into radial shells, shells touching the floor dropped.
 
-    n_samples counts the samples at or above floor. clean masks the
+    n_samples counts the samples the fit reads: those at or above floor
+    and at or past the exclusion radius (fit*.json's n_points). For the
+    identity on the reference frame at floor 1e-12 that is 46,044 of the
+    46,573 unflagged entries at or above the floor. clean masks the
     clean shells among all shell indices; counts and ybars hold each clean
     shell's sample count and mean log magnitude. dist and idx are the
     distances and shell indices of the samples in clean shells, in input
@@ -176,8 +182,8 @@ def scan_orders(shells: CensoredShells, *, s_grid=None,
     by more than 1e-15. Raises ValueError when the grid is empty or holds
     an order that is not positive (NaN included) or so small that
     r**(1/s) overflows, and InsufficientDataError when fewer than
-    min_samples samples are at or above the floor or fewer than three
-    shells stay clean.
+    min_samples samples are at or above the floor and past the exclusion
+    radius (shells.n_samples), or fewer than three shells stay clean.
     """
     orders = np.asarray(DEFAULT_S_GRID if s_grid is None else s_grid,
                         dtype=float)

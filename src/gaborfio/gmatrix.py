@@ -46,23 +46,30 @@ are flagged, kept in the matrix, and excluded from fits. The matrix
 stores chi, canonical_map's on every path, and computes the flags and
 distances from it where they are read (GaborMatrix.flags, _distances).
 
-The fits read the entries in one pass per (floor, exclusion_radius),
-_above_floor, cached on the matrix (GaborMatrix._samples). It reads
-fitting.BLOCK_ROWS unflagged lambdas at a time and gives each entry its
-shell index, from the separable squares of the lattice times and
-frequencies minus chi, with np.hypot where a shell boundary is within
-rounding: exactly floor(np.hypot(dx, dw) / SHELL_WIDTH). It keeps the
-np.hypot distance and the magnitude of the entries at or above the floor
-only, 16 bytes per kept entry, and per-shell counts of all entries past
-the exclusion radius; at floor 1e-12 the kept entries of the N = 2048,
-truncation 12 frame are 9-13% of them. The distances and magnitudes do
-not depend on the radius, so a second radius at one floor shares them
-with the first and keeps only its own counts. The censoring
-(fitting.censor_counted_shells, cached per key, GaborMatrix._shells),
-fit_decay's envelope, the restricted fits and decay_bound_check read only
-those samples, so no array of every entry's distance or magnitude is
-held. sparsity_curve takes the magnitudes of a block of rows (or
-columns) from the entries as it fits them, with no cached copy.
+The fits read a matrix in two passes, each cached on the matrix by what
+it reads, and both read fitting.BLOCK_ROWS unflagged lambdas at a time:
+
+- The samples pass, _above_floor, cached per floor
+  (GaborMatrix._samples), keeps the np.hypot distance and the magnitude
+  of the entries at or above the floor only, 16 bytes per kept entry; at
+  floor 1e-12 the kept entries of the N = 2048, truncation 12 frame are
+  9-13% of them.
+- The counts pass, _shell_counts, cached per exclusion radius
+  (GaborMatrix._counts), counts the entries of each shell past the
+  radius, above the floor or not. It reads chi, the flags and the
+  lattice, and no entry. It gives each entry its shell index from the
+  separable squares of the lattice times and frequencies minus chi,
+  with np.hypot where a shell boundary is within rounding: exactly
+  floor(np.hypot(dx, dw) / SHELL_WIDTH).
+
+The censoring (fitting.censor_counted_shells, GaborMatrix._shells)
+reads the samples of a floor and the counts of a radius, and is cached
+per (floor, radius) in the same cache. The s scans of fit_decay and
+the restricted fits read only the shells, fit_decay's envelope and
+decay_bound_check only the samples (the check those at NOISE_FLOOR), so
+no array of every entry's distance or magnitude is held.
+sparsity_curve takes the magnitudes of a block of rows (or columns) from
+the entries as it fits them, with no cached copy.
 
 sparse_apply reads a second cache, GaborMatrix._magnitude_order: the
 entries sorted by magnitude, with their (mu, lambda) indices, 40 bytes
@@ -191,53 +198,37 @@ class GaborMatrix:
         return dist
 
     @functools.cached_property
-    def _sample_cache(self) -> dict:
+    def _fit_cache(self) -> dict:
         return {}
 
-    @functools.cached_property
-    def _shell_cache(self) -> dict:
-        return {}
+    def _cached(self, key, make):
+        """make()'s result, made once per key and kept in _fit_cache."""
+        if key not in self._fit_cache:
+            self._fit_cache[key] = make()
+        return self._fit_cache[key]
 
-    def _samples(self, floor, exclusion_radius) -> tuple:
-        """_above_floor's (dist, mags, counts), cached per (floor, radius).
+    def _samples(self, floor) -> tuple:
+        """_above_floor's (dist, mags), cached per floor."""
+        return self._cached(("samples", floor),
+                            lambda: _above_floor(self, floor))
 
-        dist and mags do not depend on the radius: a pass at a floor
-        already cached under another radius keeps its counts only, and
-        shares that pass's dist and mags.
-        """
-        key = (floor, exclusion_radius)
-        if key not in self._sample_cache:
-            dist, mags, counts = _above_floor(self, floor, exclusion_radius)
-            for (other, _), cached in self._sample_cache.items():
-                if other == floor:
-                    dist, mags = cached[:2]
-                    break
-            self._sample_cache[key] = dist, mags, counts
-        return self._sample_cache[key]
+    def _counts(self, exclusion_radius) -> np.ndarray:
+        """_shell_counts' counts, cached per exclusion radius."""
+        return self._cached(("counts", exclusion_radius),
+                            lambda: _shell_counts(self, exclusion_radius))
 
     def _shells(self, floor, exclusion_radius) -> CensoredShells:
-        """The censored shells of those samples, cached likewise."""
-        key = (floor, exclusion_radius)
-        if key not in self._shell_cache:
-            n_in = int(np.count_nonzero(~self.flags)) * self.n_lattice
-            self._shell_cache[key] = censor_counted_shells(
-                *self._samples(floor, exclusion_radius), floor=floor,
-                exclusion_radius=exclusion_radius, n_in=n_in)
-        return self._shell_cache[key]
+        """_samples(floor) censored by _counts(exclusion_radius).
 
-    def _samples_above(self, floor) -> tuple:
-        """(dist, mags) of the unflagged entries at or above floor.
-
-        Taken from the cached fit pass at the highest floor not above
-        this one, or from a new pass at floor with no exclusion radius.
+        Cached per (floor, exclusion_radius); the counts pass runs while
+        the samples are held.
         """
-        lower = [key for key in self._sample_cache if key[0] <= floor]
-        key = max(lower, key=lambda k: k[0], default=(floor, None))
-        dist, mags, _ = self._samples(*key)
-        if key[0] == floor:
-            return dist, mags
-        above = mags >= floor
-        return dist[above], mags[above]
+        def censor():
+            n_in = int(np.count_nonzero(~self.flags)) * self.n_lattice
+            return censor_counted_shells(
+                *self._samples(floor), self._counts(exclusion_radius),
+                floor=floor, exclusion_radius=exclusion_radius, n_in=n_in)
+        return self._cached(("shells", floor, exclusion_radius), censor)
 
     @functools.cached_property
     def _magnitude_order(self) -> tuple:
@@ -393,27 +384,62 @@ def _quadrature_source(op: FioOperator, frame: GaborFrame):
     return fill
 
 
-def _above_floor(matrix: GaborMatrix, floor, exclusion_radius) -> tuple:
-    """The fits' one pass over the entries: (dist, mags, counts).
+def _row_blocks(matrix: GaborMatrix):
+    """The fits' passes' blocks: (rows, dx, dw) of BLOCK_ROWS lambdas.
+
+    rows are unflagged lambdas, ascending; dx and dw hold the lattice
+    times and frequencies minus their chi, a row per lambda.
+    """
+    unflagged = np.flatnonzero(~matrix.flags)
+    times, freqs = matrix.lattice.times, matrix.lattice.freqs
+    for lo in range(0, unflagged.size, BLOCK_ROWS):
+        rows = unflagged[lo:lo + BLOCK_ROWS]
+        yield rows, times - matrix.chi[rows, :1], freqs - matrix.chi[rows, 1:]
+
+
+def _above_floor(matrix: GaborMatrix, floor) -> tuple:
+    """The fits' samples pass over the entries: (dist, mags).
 
     dist and mags are the np.hypot distances and np.abs magnitudes of the
-    entries of unflagged lambdas at or above floor, lambda-major. counts
-    holds, per shell, how many entries of unflagged lambdas lie at or past
-    exclusion_radius (all of them when it is None), above the floor or
-    not. It is bitwise fitting.censor_shells' count of the flat samples:
-    np.bincount of the shell indices floor(d / SHELL_WIDTH) of the
-    np.hypot distances d >= exclusion_radius.
-
-    The pass reads BLOCK_ROWS lambdas at a time. Their entries' shell
-    indices come from the separable squares (_shell_indices); only the
-    entries of the shell that holds exclusion_radius take np.hypot for
-    the exclusion test, since SHELL_WIDTH is a power of two, so d /
-    SHELL_WIDTH is exact and every other shell lies wholly on one side of
-    the radius. np.hypot also gives the distance of every entry at or
-    above the floor.
+    entries of unflagged lambdas at or above floor, lambda-major. The
+    pass reads BLOCK_ROWS lambdas at a time, and takes np.hypot of the
+    kept entries only.
     """
-    lattice = matrix.lattice
-    unflagged = np.flatnonzero(~matrix.flags)
+    dists, mags = [], []
+    for rows, dx, dw in _row_blocks(matrix):
+        if rows[-1] - rows[0] == len(rows) - 1:  # a run: no copy
+            block = np.abs(matrix.entries[rows[0]:rows[-1] + 1])
+        else:
+            block = np.abs(matrix.entries[rows])
+        above = np.flatnonzero(block >= floor)
+        mags.append(block.ravel()[above])
+        dists.append(_exact_distances(dx, dw, above))
+    # One at a time, so the blocks and the whole of both are never held
+    # together.
+    dists = np.concatenate([np.zeros(0)] + dists)
+    mags = np.concatenate([np.zeros(0)] + mags)
+    for arr in (dists, mags):
+        arr.flags.writeable = False
+    return dists, mags
+
+
+def _shell_counts(matrix: GaborMatrix, exclusion_radius) -> np.ndarray:
+    """The fits' counts pass: per shell, the entries past the radius.
+
+    counts[i] holds how many entries of unflagged lambdas in shell i lie
+    at or past exclusion_radius (all of them when it is None), whatever
+    their magnitude: bitwise fitting.censor_shells' count of the flat
+    samples, np.bincount of the shell indices floor(d / SHELL_WIDTH) of
+    the np.hypot distances d >= exclusion_radius. The pass reads chi,
+    the flags and the lattice, and no entry.
+
+    It reads BLOCK_ROWS lambdas at a time. Their entries' shell indices
+    come from the separable squares (_shell_indices); only the entries
+    of the shell that holds exclusion_radius take np.hypot for the
+    exclusion test, since SHELL_WIDTH is a power of two, so d /
+    SHELL_WIDTH is exact and every other shell lies wholly on one side
+    of the radius.
+    """
     # Shells below edge lie wholly inside the exclusion radius, shells
     # above it wholly past it; n_edge counts the entries of shell edge
     # that lie at or past it.
@@ -425,43 +451,23 @@ def _above_floor(matrix: GaborMatrix, floor, exclusion_radius) -> tuple:
         edge = 2 ** 62  # past every shell (NaN included)
     n_edge = 0
     counts = np.zeros(0, dtype=np.intp)
-    dists, mags = [], []
-    for lo in range(0, unflagged.size, BLOCK_ROWS):
-        rows = unflagged[lo:lo + BLOCK_ROWS]
-        dx = lattice.times - matrix.chi[rows, :1]
-        dw = lattice.freqs - matrix.chi[rows, 1:]
+    for _, dx, dw in _row_blocks(matrix):
         idx = _shell_indices(dx, dw)
-        block = np.bincount(idx.ravel())
+        block = np.bincount(idx.ravel(), minlength=counts.size)
         if edge is not None and edge < block.size:
             at_edge = np.flatnonzero(idx == edge)
             n_edge += int(np.count_nonzero(
                 _exact_distances(dx, dw, at_edge) >= exclusion_radius))
         del idx
-        if block.size > counts.size:
-            block[:counts.size] += counts
-            counts = block
-        else:
-            counts[:block.size] += block
-
-        if rows[-1] - rows[0] == len(rows) - 1:  # a run: no copy
-            block_mags = np.abs(matrix.entries[rows[0]:rows[-1] + 1])
-        else:
-            block_mags = np.abs(matrix.entries[rows])
-        above = np.flatnonzero(block_mags >= floor)
-        mags.append(block_mags.ravel()[above])
-        dists.append(_exact_distances(dx, dw, above))
+        block[:counts.size] += counts
+        counts = block
     if edge is not None:
         counts[:edge] = 0
         if edge < counts.size:
             counts[edge] = n_edge
         counts = np.trim_zeros(counts, "b")
-    # One at a time, so the blocks and the whole of both are never held
-    # together.
-    dists = np.concatenate([np.zeros(0)] + dists)
-    mags = np.concatenate([np.zeros(0)] + mags)
-    for arr in (dists, mags, counts):
-        arr.flags.writeable = False
-    return dists, mags, counts
+    counts.flags.writeable = False
+    return counts
 
 
 def _shell_indices(dx, dw) -> np.ndarray:
@@ -507,7 +513,8 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     Same procedure as the STFT classifier (shell means over the s grid),
     applied to the magnitudes of unflagged entries, with a near-diagonal
     exclusion: below exclusion_radius the discrete distance does not
-    resolve the law. Requires MIN_FIT_SAMPLES entries above floor.
+    resolve the law. Requires MIN_FIT_SAMPLES entries at or above floor
+    and at or past exclusion_radius, the fit's n_samples.
 
     The envelope pair is calibrated on the same samples: the constant is
     the peak magnitude and the rate is the largest one the peak-anchored
@@ -516,7 +523,7 @@ def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
     fit = scan_orders(matrix._shells(floor, exclusion_radius),
                       s_grid=s_grid, min_samples=MIN_FIT_SAMPLES)
     # Every sample at or above the floor, past the radius or not.
-    dist, mags, _ = matrix._samples(floor, exclusion_radius)
+    dist, mags = matrix._samples(floor)
 
     env_log_c = float(np.max(np.log(mags)))
     if np.any(dist > 1e-9):
@@ -561,10 +568,11 @@ def decay_bound_check(matrix: GaborMatrix, fit: DecayFit) -> dict:
     envelope dominates every sample at or above fit's floor, the check can
     fail only at a floor above NOISE_FLOOR (at or below it, max_ratio is
     1 / CONSTANT_SLACK = 0.952 to within an ulp). Returns checked and violation
-    counts plus the worst entry/bound ratio. The entries are those of a
-    fit pass at or below NOISE_FLOOR (GaborMatrix._samples_above).
+    counts plus the worst entry/bound ratio. The entries are the samples
+    at NOISE_FLOOR (GaborMatrix._samples), which a fit at that floor has
+    already taken.
     """
-    dist, mags = matrix._samples_above(NOISE_FLOOR)
+    dist, mags = matrix._samples(NOISE_FLOOR)
     # At small s_hat, d**(1/s_hat) overflows. Capped at the largest float,
     # a zero rate still gives a flat envelope (not 0 * inf = nan), and a
     # positive one a zero bound, so any sample there is a violation

@@ -100,8 +100,9 @@ def zero_matrix(chi, truncation):
     """A matrix on the reference lattice steps, every entry 0.
 
     Every lambda has the same chi, so every row holds the distances of
-    the lattice to that one point. No entry reaches a positive floor, so
-    the fits' pass (gmatrix._above_floor) keeps only its shell counts.
+    the lattice to that one point. The fits' counts pass
+    (gmatrix._shell_counts) reads no entry, only chi and the lattice; no
+    entry reaches a positive floor in the samples pass.
     """
     lattice = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, truncation)
     n = len(lattice)

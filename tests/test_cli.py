@@ -229,6 +229,15 @@ def test_config_value_errors_exit_2(tmp_path, config_path):
     proc = run_cli(["propagate"], tmp_path / "b", cfg, check=False)
     assert proc.returncode == 2
 
+    # An empty list once failed in the CSV writer, after the assembly and
+    # the apply, naming no key.
+    cfg.write_text(json.dumps({"grid": {"N": 512, "L": 20.0},
+                               "frame": {"truncation": 3.0},
+                               "thresholds": []}))
+    proc = run_cli(["propagate"], tmp_path / "empty", cfg, check=False)
+    assert proc.returncode == 2 and "'thresholds'" in proc.stderr
+    assert not (tmp_path / "empty" / "propagate.csv").exists()
+
     cfg2 = tmp_path / "odd.json"
     cfg2.write_text(json.dumps({"grid": {"N": 511, "L": 20.0}}))
     proc = run_cli(["stft"], tmp_path / "c", cfg2, check=False)

@@ -1,11 +1,11 @@
-"""The fits' one pass over a Gabor matrix against the full-array route.
+"""The fits' two passes over a Gabor matrix against the full-array route.
 
-The fits read only the entries at or above the floor, with their
-distances, and per-shell counts of all entries past the exclusion radius
-(gmatrix._above_floor). The oracle is the route that held every sample:
-censor_shells over the distances and magnitudes of every entry of an
-unflagged lambda, and the envelope, bound check and sparsity rows
-computed from those full arrays.
+The fits read two passes: the entries at or above the floor, with their
+distances (gmatrix._above_floor), and per-shell counts of all entries
+past the exclusion radius (gmatrix._shell_counts). The oracle is the
+route that held every sample: censor_shells over the distances and
+magnitudes of every entry of an unflagged lambda, and the envelope,
+bound check and sparsity rows computed from those full arrays.
 """
 
 import dataclasses
@@ -144,21 +144,30 @@ def test_sparsity_rows_are_bitwise_the_full_array_route(frame, name):
                 assert g.tobytes() == e.tobytes(), (floor, axis)
 
 
-def test_bound_check_reads_the_highest_pass_at_or_below_its_floor():
-    # A fit at floor 1e-14 leaves a pass the check filters to 1e-12; a
-    # fit above the noise floor leaves none it can read, and the check
-    # runs its own pass at 1e-12.
+def test_bound_check_reads_the_highest_pass_at_or_below_its_floor(
+        monkeypatch):
+    # The check reads the samples at NOISE_FLOOR. After a fit at that
+    # floor it runs no pass of its own; after a fit at any other floor it
+    # runs one samples pass at NOISE_FLOOR, and no counts pass.
     matrix = gf.assemble(gf.parse_operator("harmonic:0.9"),
                          _frame("reference"))
     dist, mags = _full_samples(matrix)
-    for floor in (1e-14, 1e-6):
+    passes = []
+    real_samples, real_counts = gmatrix._above_floor, gmatrix._shell_counts
+    monkeypatch.setattr(gmatrix, "_above_floor", lambda m, floor: (
+        passes.append(("samples", floor)) or real_samples(m, floor)))
+    monkeypatch.setattr(gmatrix, "_shell_counts", lambda m, radius: (
+        passes.append(("counts", radius)) or real_counts(m, radius)))
+    for floor in (1e-14, gmatrix.NOISE_FLOOR, 1e-6):
         fresh = dataclasses.replace(matrix)
         fit = gf.fit_decay(fresh, floor=floor)
+        assert passes == [("samples", floor), ("counts", 0.5)]
+        passes.clear()
         assert gf.decay_bound_check(fresh, fit) == _oracle_bound_check(
             dist, mags, fit)
-        assert sorted(fresh._sample_cache) == sorted(
-            {(floor, 0.5), (gmatrix.NOISE_FLOOR, None)}
-            if floor > gmatrix.NOISE_FLOOR else {(floor, 0.5)})
+        assert passes == ([] if floor == gmatrix.NOISE_FLOOR
+                          else [("samples", gmatrix.NOISE_FLOOR)])
+        passes.clear()
 
 
 def test_certified_shells_where_the_squares_round_across_a_boundary():
@@ -180,9 +189,9 @@ def test_certified_shells_where_the_squares_round_across_a_boundary():
         rounded_across += np.count_nonzero(
             np.floor(squares).reshape(reference.shape) != reference)
         assert np.array_equal(gmatrix._shell_indices(dx, dw), reference)
-        for radius in (None, 0.5, 1.0, math.sqrt(2.0), 3.0, 1e300,
-                       math.inf, math.nan):
-            _, _, counts = gmatrix._above_floor(matrix, 1.0, radius)
+        for radius in (None, -1.0, 0.0, 0.5, 1.0, math.sqrt(2.0), 3.0,
+                       1e300, math.inf, math.nan):
+            counts = gmatrix._shell_counts(matrix, radius)
             past = reference if radius is None else reference[
                 exact >= radius]
             assert np.array_equal(counts, np.bincount(past.ravel())), (

@@ -557,7 +557,7 @@ def test_dense_orientation(matrices):
     n = m.n_lattice
     assert m.dense()[3, 5] == m.entries[5, 3]
     assert len(m) == n * n
-    assert np.all(m._samples(MATRIX_FLOOR, 0.5)[0] >= 0)
+    assert np.all(m._samples(MATRIX_FLOOR)[0] >= 0)
     assert np.all(np.isfinite(m.entries))
 
 
@@ -592,7 +592,7 @@ def test_flags_and_distances_come_from_chi(tmp_path):
     """The fits' distances and matrix.csv's dist column are bitwise one
     np.hypot of the lattice minus chi (conftest.chi_distances), on a
     matrix with flagged columns; the flags are the RELIABLE_MARGIN rule
-    on chi. At floor 0 the fits' pass keeps every unflagged entry.
+    on chi. At floor 0 the samples pass keeps every unflagged entry.
     """
     frame = gf.GaborFrame(gf.gaussian(2.0), gf.make_lattice(0.5, 0.5, 3.0),
                           gf.Grid(1, 256, 16.0))
@@ -602,7 +602,7 @@ def test_flags_and_distances_come_from_chi(tmp_path):
                           | (np.abs(m.chi[:, 1]) > 8.0 - margin))
     assert 0 < m.flags.sum() < m.n_lattice
     expected = chi_distances(m)
-    dist, _, _ = m._samples(0.0, None)
+    dist, _ = m._samples(0.0)
     assert np.array_equal(dist, expected[~m.flags].ravel())
     path = tmp_path / "matrix.csv"
     m.to_csv(path)
@@ -749,12 +749,11 @@ def test_restricted_fit_is_shell_fit_at_one_order(matrices):
 
 
 def test_fits_censor_the_shells_once_per_floor(monkeypatch):
-    # fit_decay and the restricted fits after it share one pass over the
-    # entries and one censoring of its samples. Another floor or
-    # exclusion radius runs both afresh and reads its own result, never an
-    # earlier one's. Another radius at the same floor keeps its own
-    # counts, but shares the distances and magnitudes of the first pass,
-    # which do not depend on the radius.
+    # fit_decay and the restricted fits after it share one censoring of
+    # one samples pass (per floor) and one counts pass (per exclusion
+    # radius). Another floor runs a samples pass, another radius a counts
+    # pass, and each (floor, radius) its own censoring; a second radius at
+    # one floor reads that floor's distances and magnitudes, not a copy.
     m = _synthetic_matrix()
     dist, mags = chi_distances(m), m.magnitudes()
     cases = [(MATRIX_FLOOR, 0.5), (1e-3, 0.5), (MATRIX_FLOOR, 1.0)]
@@ -762,20 +761,27 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
                                    exclusion_radius=case[1], s_grid=grid,
                                    min_samples=1)
                    for grid in (None, (0.5,), (1.0,))] for case in cases}
-    calls, passes = [], []
+    calls, read, samples_passes, counts_passes = [], [], [], []
     real = gf.gmatrix.censor_counted_shells
-    real_pass = gf.gmatrix._above_floor
+    real_samples = gf.gmatrix._above_floor
+    real_counts = gf.gmatrix._shell_counts
 
     def counted(dist, mags, counts, **kwargs):
         calls.append(kwargs["floor"])
+        read.append((dist, mags))
         return real(dist, mags, counts, **kwargs)
 
-    def counted_pass(matrix, floor, exclusion_radius):
-        passes.append((floor, exclusion_radius))
-        return real_pass(matrix, floor, exclusion_radius)
+    def counted_samples(matrix, floor):
+        samples_passes.append(floor)
+        return real_samples(matrix, floor)
+
+    def counted_counts(matrix, exclusion_radius):
+        counts_passes.append(exclusion_radius)
+        return real_counts(matrix, exclusion_radius)
 
     monkeypatch.setattr(gf.gmatrix, "censor_counted_shells", counted)
-    monkeypatch.setattr(gf.gmatrix, "_above_floor", counted_pass)
+    monkeypatch.setattr(gf.gmatrix, "_above_floor", counted_samples)
+    monkeypatch.setattr(gf.gmatrix, "_shell_counts", counted_counts)
     for floor, radius in cases:
         fit = gf.fit_decay(m, floor=floor, exclusion_radius=radius)
         restricted = [gf.restricted_decay_fit(m, s, floor=floor,
@@ -788,11 +794,13 @@ def test_fits_censor_the_shells_once_per_floor(monkeypatch):
         assert restricted == [(r.epsilon_hat, r.log_c, r.r_squared)
                               for r in (half, one)]
     assert calls == [MATRIX_FLOOR, 1e-3, MATRIX_FLOOR]
-    assert passes == cases
-    first, other = (m._sample_cache[MATRIX_FLOOR, r] for r in (0.5, 1.0))
-    for shared, own in zip(first[:2], other[:2]):
-        assert np.shares_memory(shared, own)
-    assert not np.shares_memory(m._sample_cache[1e-3, 0.5][0], first[0])
+    assert samples_passes == [MATRIX_FLOOR, 1e-3]
+    assert counts_passes == [0.5, 1.0]
+    # Both radii at one floor censor the same arrays, that floor's pass.
+    first, other, again = read
+    assert all(a is b for a, b in zip(first, again))
+    assert all(a is b for a, b in zip(first, m._samples(MATRIX_FLOOR)))
+    assert not np.shares_memory(other[0], first[0])
     assert refs[cases[0]][0].n_samples > refs[cases[1]][0].n_samples
 
 

@@ -66,7 +66,7 @@ SHELL_LATTICE = gf.make_lattice(LATTICE_STEP, LATTICE_STEP, 8.0)
 @hypothesis.given(chis=st.lists(st.tuples(CHI_COORDS, CHI_COORDS),
                                 min_size=1, max_size=8))
 def test_certified_shells_are_those_of_hypot(chis):
-    # The fits' pass takes each shell index from the separable squares,
+    # The counts pass takes each shell index from the separable squares,
     # with np.hypot near a boundary: it must be exactly floor(d /
     # SHELL_WIDTH) of the np.hypot distance d. The square roots alone put
     # some entries of half-step chi, such as (-15, -7) half-steps, in the
@@ -91,7 +91,7 @@ def test_pass_counts_past_the_radius_are_those_of_hypot(x, w, radius):
     exact = chi_distances(matrix)
     reference = np.floor(exact / SHELL_WIDTH).astype(np.intp)
     past = reference if radius is None else reference[exact >= radius]
-    _, _, counts = gmatrix._above_floor(matrix, 1.0, radius)
+    counts = gmatrix._shell_counts(matrix, radius)
     expected = np.bincount(past.ravel())
     assert counts.dtype == expected.dtype
     assert np.array_equal(counts, expected)

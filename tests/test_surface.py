@@ -102,6 +102,29 @@ def test_private_functions_and_methods_have_a_reader():
     assert not unread, unread
 
 
+def test_module_constants_have_a_reader():
+    # No constant left behind by a change that removed its last reader:
+    # every module-level UPPER_CASE name is read somewhere in the package
+    # or the benchmark, its own module included.
+    defined = []
+    for name in SUBMODULES:
+        with open(importlib.import_module(f"gaborfio.{name}").__file__) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:  # A = ... or A, B = ...
+                defined += [(name, t.id) for t in getattr(
+                    target, "elts", [target])
+                    if isinstance(t, ast.Name) and t.id.isupper()]
+    assert defined
+    loaded = _loaded_names(_package_and_benchmark_sources())
+    unread = [f"{module}.{name}" for module, name in defined
+              if name not in loaded]
+    assert not unread, unread
+
+
 def _benchmark_workloads():
     """perfbench/workloads.py, loaded without writing bytecode there."""
     perfbench = os.path.join(os.path.dirname(os.path.dirname(
