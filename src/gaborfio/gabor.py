@@ -27,16 +27,23 @@ gmatrix's quadrature source pushes products of the same factors through
 an operator, a run of lattice times at a time, and pairs them with the
 outputs over the rows each window reaches only (_atom_rows).
 
-Both dual windows come from one solver, _wexler_raz_dual: the solution
-of the Wexler-Raz identities with the least ||exp(c t^2) h||. dual_window
-returns the canonical dual gamma = S^-1 g, which is the one of least L^2
-norm (c = 0), solved on a doubled grid and restricted to the frame's
-grid. gamma decays only exponentially in time (gamma(8) ~ 2.5e-5 on the
+Both dual windows solve one real system, the Wexler-Raz identities at
+every adjoint point the grid resolves (_wexler_raz_system). dual_window
+returns the canonical dual gamma = S^-1 g, the solution of least L^2
+norm (_canonical_dual), solved on a doubled grid and restricted to the
+frame's grid. It is a combination of adjoint atoms (Janssen), found from
+their Gram matrix with one LU solve: that matrix is well conditioned
+exactly when the window spans a frame (Ron & Shen), 7.7 on the reference
+frame. The Walnut check applies the full lattice's frame operator to
+gamma (_walnut_frame_operator) and reports ||S gamma - g|| / ||g||.
+gamma decays only exponentially in time (gamma(8) ~ 2.5e-5 on the
 reference frame), so an expansion sum <f, gamma_lambda> g_lambda over
 the truncated lattice drops coefficients that are not negligible. The
 frame's expansions (dual_atoms, dual_analysis, dual_synthesis) therefore
-use c = EXPANSION_DUAL_WEIGHT, which gives a dual with Gaussian decay in
-time and the window's localization in frequency.
+use the solution of least ||exp(c t^2) h||, c = EXPANSION_DUAL_WEIGHT
+(_wexler_raz_dual), which has Gaussian decay in time and the window's
+localization in frequency. Its weighted system's condition number is
+near 1e24, so it is solved by an SVD with a cut-off.
 """
 
 from __future__ import annotations
@@ -119,6 +126,12 @@ INVERSION_EXTENT = 10.0
 # took 0.85-1.52 ms instead of 0.53-0.58.
 ENVELOPE_FLUSH = np.finfo(float).tiny / np.finfo(float).eps ** 2
 
+# Window.evaluate raises exponents below this to it. Their envelopes are
+# under ENVELOPE_FLUSH / e, so they are flushed to 0 either way, and
+# np.exp takes a slow path on results that underflow: on the Walnut
+# check's arguments, where 1 in 20 underflow, it took 7x longer.
+_FLUSHED_EXPONENT = math.log(ENVELOPE_FLUSH) - 1.0
+
 # gmatrix's quadrature pairs the atoms shifted to x with the operator's
 # outputs only over the grid rows where |g(t - x)| is at least this
 # fraction of the window's peak (_atom_rows). A dropped term of
@@ -126,8 +139,14 @@ ENVELOPE_FLUSH = np.finfo(float).tiny / np.finfo(float).eps ** 2
 # so all of them together lie some 30 decades under the peak entry, far
 # below the last bit of any entry a fit or bound check reads. On the
 # reference frame a product runs over at most 434 of the doubled grid's
-# 2048 rows.
+# 2048 rows. The canonical dual's Gram solve (_canonical_dual) sets the
+# parts of its system under this fraction of their peak to 0.
 ATOM_SUPPORT = np.finfo(float).eps ** 2
+
+# The Walnut check (_walnut_frame_operator) walks the grid this many rows
+# at a time. At N 2048, L 20, steps 0.25 it traced 3.4 MiB in blocks and
+# 39.5 MiB in one block over the doubled grid.
+WALNUT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -157,7 +176,9 @@ class Window:
     def evaluate(self, x):
         """Window values at x; envelope values below ENVELOPE_FLUSH are 0."""
         x = np.asarray(x, dtype=float)
-        envelope = np.exp(-(np.pi / self.width) * x * x)
+        exponent = -(np.pi / self.width) * x * x
+        np.maximum(exponent, _FLUSHED_EXPONENT, out=exponent)
+        envelope = np.exp(exponent)
         envelope = envelope * (envelope >= ENVELOPE_FLUSH)
         if self.kind == "gaussian":
             return envelope
@@ -473,9 +494,12 @@ class GaborFrame:
         """(Wexler-Raz relative residual, frame-equation relative residual).
 
         Available after dual_window has run, both on the doubled grid.
-        The first is the relative miss of the Wexler-Raz identities gamma
-        is solved from; the second is ||S gamma - g|| / ||g|| with S the
-        frame operator of the full lattice alpha*Z x beta*Z in Walnut form.
+        The first is the relative miss of the Wexler-Raz identities whose
+        Gram matrix gamma is solved from (_canonical_dual); the second,
+        the Walnut check, is ||S gamma - g|| / ||g|| with S the frame
+        operator of the full lattice alpha*Z x beta*Z in Walnut form
+        (_walnut_frame_operator). On the reference frame they read
+        3.9e-16 and 1.4e-15.
         """
         if "_dual" not in vars(self):
             raise ValueError("dual window has not been computed yet")
@@ -496,11 +520,18 @@ class GaborFrame:
 
     @functools.cached_property
     def _dual(self) -> tuple:
-        """(dual_window's gamma, dual_residuals' pair), from one solve."""
+        """(dual_window's gamma, dual_residuals' pair).
+
+        gamma is _canonical_dual's on the doubled grid: one Gram matrix
+        of the adjoint atoms and one LU solve, no SVD. The Walnut check
+        then applies the full lattice's frame operator to it, a block of
+        the grid's rows at a time. On the reference frame the two take
+        about 14 and 15 ms warm.
+        """
         frame_bounds(self)
         grid, lat, window = self.grid, self.lattice, self.window
         ext = grid.doubled()
-        x, wr_residual = _wexler_raz_dual(window, lat, ext, 0.0)
+        x, wr_residual = _canonical_dual(window, lat, ext)
         g_vals = window.evaluate(ext.times())
         s_x = _walnut_frame_operator(window, lat, ext, x)
         frame_residual = float(np.linalg.norm(s_x - g_vals)
@@ -558,8 +589,11 @@ def _central_gram(frame: GaborFrame) -> tuple:
 def dual_window(frame: GaborFrame) -> SampledSignal:
     """Canonical dual window gamma = S^-1 g on the frame's grid.
 
-    gamma is the Wexler-Raz dual of least L^2 norm (weight 0), solved on
-    the doubled grid and restricted, so that it is free of edge effects.
+    gamma is the Wexler-Raz dual of least L^2 norm, a combination of
+    adjoint atoms solved from their Gram matrix (_canonical_dual) on the
+    doubled grid and restricted, so that it is free of edge effects.
+    Its residuals, the Wexler-Raz miss and the Walnut check, are
+    frame.dual_residuals.
     """
     return frame._dual[0]
 
@@ -576,6 +610,12 @@ def _walnut_frame_operator(window: Window, lattice: Lattice, grid: Grid,
     a grid step, past which the tails of both window families decrease.
     One factor of each product a farther shift would add lies past the
     reach, so the product is under ATOM_SUPPORT peak^2.
+
+    The grid is walked WALNUT_ROWS rows at a time, and each row's shifted
+    windows are evaluated only where g(t - n alpha) is nonzero. Those
+    products fill rows that are zero elsewhere and hold every n, so each
+    sum over n adds what the sum over the whole table of n adds, bit for
+    bit. A block holds O(WALNUT_ROWS n) values, not O(N n).
     """
     alpha, beta = lattice.alpha, lattice.beta
     t = grid.times()
@@ -583,34 +623,41 @@ def _walnut_frame_operator(window: Window, lattice: Lattice, grid: Grid,
     reach = max(-t[lo], t[hi - 1]) + grid.spacing
     k_n = _steps_within(grid.half_width, alpha)
     k_s = _steps_within(min(grid.half_width, 2.0 * reach), 1.0 / beta)
-    window_times = t[:, None] - alpha * np.arange(-k_n, k_n + 1)
-    windows = window.evaluate(window_times)
+    offsets = alpha * np.arange(-k_n, k_n + 1)
     shifts = np.arange(-k_s, k_s + 1) / beta
     shifted = _shifted(values, grid, shifts)
-    out = 0.0
-    for shift, x_k in zip(shifts, shifted.T):
-        out += np.sum(windows * window.evaluate(window_times - shift),
-                      axis=1) * x_k
+    out = np.zeros(len(t), dtype=shifted.dtype)
+    for start in range(0, len(t), WALNUT_ROWS):
+        rows = slice(start, start + WALNUT_ROWS)
+        window_times = t[rows, None] - offsets
+        windows = window.evaluate(window_times)
+        inside = windows != 0
+        times, weights = window_times[inside], windows[inside]
+        products = np.zeros(windows.shape)
+        for shift, x_k in zip(shifts, shifted[rows].T):
+            products[inside] = weights * window.evaluate(times - shift)
+            out[rows] += np.sum(products, axis=1) * x_k
     return out / beta
 
 
-def _wexler_raz_dual(window: Window, lattice: Lattice, grid: Grid,
-                     weight: float) -> tuple:
-    """Dual window h of least ||exp(weight t^2) h||, and its residual.
+def _wexler_raz_system(window: Window, lattice: Lattice, grid: Grid
+                       ) -> tuple:
+    """(A, b, t): the Wexler-Raz identities as a real system A h = b.
 
     Wexler-Raz: h is dual to g on alpha*Z x beta*Z when
-    <h, M_{l/alpha} T_{k/beta} g> = alpha*beta delta_k delta_l. Of all
-    such h this returns the samples of the one with the least
-    ||exp(c t^2) h||, c = weight, so h is exp(-2c t^2) times a combination
-    of adjoint atoms; c = 0 gives the canonical dual S^-1 g (Janssen).
-    The identities are imposed at every adjoint point the grid resolves,
+    <h, M_{l/alpha} T_{k/beta} g> = alpha*beta delta_k delta_l. The
+    identities are imposed at every adjoint point the grid resolves,
     |k/beta| <= L/2 and |l/alpha| <= N/(2L); past those they hold to the
-    window's tails. The residual is the identities' relative miss.
+    window's tails.
 
-    Windows are real with parity (-1)^order, and so is h. The solve
-    therefore runs on h(t), t >= 0, with the real parts of the identities
-    for k, l >= 0 and their imaginary parts for k, l > 0 (the others are
-    conjugates or copies). The unpaired sample t = -L/2 is set to 0.
+    Windows are real with parity (-1)^order, and so is every dual solved
+    from this system. It therefore acts on h(t) at the grid's times
+    t >= 0, with the real parts of the identities for k, l >= 0 and their
+    imaginary parts for k, l > 0 (the others are conjugates or copies).
+    At the grid's Nyquist frequency N/(2L) the modulation is real on the
+    grid, so the imaginary parts of those identities vanish to rounding
+    and are left out: kept, they made the canonical dual's Gram matrix
+    singular (condition 3e28) at steps 0.5 on N 1024, L 32.
     """
     parity = -1.0 if window.order % 2 else 1.0
     n = grid.points_per_axis
@@ -618,6 +665,7 @@ def _wexler_raz_dual(window: Window, lattice: Lattice, grid: Grid,
     shift, mod = 1.0 / lattice.beta, 1.0 / lattice.alpha
     ks = np.arange(_steps_within(grid.half_width, shift) + 1)
     ls = np.arange(_steps_within(grid.freq_half_width, mod) + 1)
+    below_nyquist = np.count_nonzero(ls < grid.freq_half_width / mod - 1e-9)
     # Row (k, l) applied to h(t >= 0): each t > 0 stands for t and -t.
     wave = np.exp(-2j * np.pi * mod * ls[:, None] * t)
     rows = grid.spacing * (
@@ -626,18 +674,78 @@ def _wexler_raz_dual(window: Window, lattice: Lattice, grid: Grid,
         * wave.conj())
     rows[..., 0] *= 0.5
     mat = np.vstack([rows.real.reshape(-1, t.size),
-                     rows.imag[1:, 1:].reshape(-1, t.size)])
+                     rows.imag[1:, 1:below_nyquist].reshape(-1, t.size)])
     rhs = np.zeros(len(mat))
     rhs[0] = lattice.redundancy
+    return mat, rhs, t
+
+
+def _whole(half, window: Window) -> np.ndarray:
+    """h on the whole grid from h(t), t >= 0, by the window's parity.
+
+    The unpaired sample t = -L/2 is set to 0.
+    """
+    n = 2 * len(half)
+    h = np.zeros(n)
+    h[n // 2:] = half
+    h[1: n // 2] = (-1.0 if window.order % 2 else 1.0) * half[:0:-1]
+    return h
+
+
+def _wexler_raz_dual(window: Window, lattice: Lattice, grid: Grid,
+                     weight: float) -> tuple:
+    """Dual window h of least ||exp(weight t^2) h||, and its residual.
+
+    Of all solutions h of _wexler_raz_system this returns the samples of
+    the one with the least ||exp(c t^2) h||, c = weight, so h is
+    exp(-2c t^2) times a combination of adjoint atoms; c = 0 gives the
+    canonical dual S^-1 g (Janssen). The residual is the identities'
+    relative miss. The weighted system's condition number is near 1e24
+    at c = EXPANSION_DUAL_WEIGHT, so it is solved by an SVD with its
+    cut-off (np.linalg.lstsq).
+    """
+    mat, rhs, t = _wexler_raz_system(window, lattice, grid)
     # u = h / decay has the norm of exp(c t^2) h over the whole grid.
     decay = (np.exp(-weight * t * t)
              / np.sqrt(np.where(t > 0, 2.0, 1.0)))
     half = decay * np.linalg.lstsq(mat * decay, rhs, rcond=None)[0]
     residual = float(np.linalg.norm(mat @ half - rhs) / rhs[0])
-    h = np.zeros(n)
-    h[n // 2:] = half
-    h[1: n // 2] = parity * half[:0:-1]
-    return h, residual
+    return _whole(half, window), residual
+
+
+def _canonical_dual(window: Window, lattice: Lattice, grid: Grid) -> tuple:
+    """The canonical dual S^-1 g on grid, and its Wexler-Raz residual.
+
+    The least-norm solution of _wexler_raz_system's A h = b, through the
+    Gram matrix of the adjoint atoms (Janssen): h = W A^T y with
+    A W A^T y = b, where W weighs each sample t > 0 by 1/2 (it stands
+    for t and -t) and t = 0 by 1. That Gram matrix is well conditioned
+    exactly when the window spans a frame (Ron & Shen 1997): condition
+    7.7 on the reference frame. It meets _wexler_raz_dual at weight 0
+    to 2.2e-15 relative on the frames of the tests, without its SVD.
+    scaled @ scaled.T is a symmetric product (BLAS syrk, half a general
+    product's work). NotAFrameError when the Gram matrix cannot be
+    factored.
+    """
+    mat, rhs, t = _wexler_raz_system(window, lattice, grid)
+    root = 1.0 / np.sqrt(np.where(t > 0, 2.0, 1.0))
+    scaled = mat * root
+    # Products of the window's far tails underflow, and their subnormal
+    # results made the Gram product and the solve about 3x slower (11 and
+    # 8 ms on the reference frame, against 3 and 3). Parts under
+    # ATOM_SUPPORT of the peak are set to 0: gamma stayed bitwise equal on
+    # 9 of the tests' 10 frames, and moved by 5e-46 relative on the tenth.
+    cutoff = ATOM_SUPPORT * max(scaled.max(), -scaled.min())
+    scaled[(scaled < cutoff) & (scaled > -cutoff)] = 0.0
+    try:
+        y = np.linalg.solve(scaled @ scaled.T, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NotAFrameError(
+            "no frame: the canonical dual's adjoint system (the Gram "
+            "matrix of the Wexler-Raz identities) is singular") from exc
+    half = root * (scaled.T @ y)
+    residual = float(np.linalg.norm(mat @ half - rhs) / rhs[0])
+    return _whole(half, window), residual
 
 
 def gs_decay_classify(points, magnitudes, *, floor: float = 1e-14,

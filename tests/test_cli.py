@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gaborfio
@@ -588,9 +589,10 @@ def test_frame_check_builds_no_atom_matrix(tmp_path, capsys):
     # N 2048 with 1089 lattice points: frame-check traced 138.6 MiB while
     # the frame built its N x |L| atoms and dual atoms (34 MiB each) and
     # frame_bounds took a conjugated copy of the atoms. From the atoms'
-    # factors it traces 28.0 MiB: by stage, the Walnut check
-    # (gabor._walnut_frame_operator) holds 26.4 of it and the canonical
-    # dual's Wexler-Raz system (gabor._wexler_raz_dual) 7.3.
+    # factors it traced 28.0 MiB, 26.4 of it the Walnut check's window
+    # products over the whole doubled grid (gabor._walnut_frame_operator).
+    # Walked in 256-row blocks, that stage traces 3.4 MiB, the canonical
+    # dual's Gram solve (gabor._canonical_dual) 6.0, and the run 15.2.
     peak = _traced_peak(tmp_path, {
         "grid": {"N": 2048, "L": 20.0},
         "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}},
@@ -637,6 +639,24 @@ def test_exclusion_radius_past_every_sample_exits_3(tmp_path):
     assert "insufficient data: exclusion radius 1e+300 dropped all" in (
         proc.stderr)
     assert "below floor" not in proc.stderr
+
+
+def test_singular_dual_gram_exits_3(tmp_path, config_path, monkeypatch,
+                                    capsys):
+    # np.linalg.LinAlgError is a ValueError, which the CLI reports as a
+    # config error (exit 2). A Gram matrix of the canonical dual that
+    # cannot be factored is a numerical failure of this frame instead.
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code = cli.main(["--config", str(config_path), "--out",
+                     str(tmp_path / "out"), "frame-check"])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert ("numerical failure: no frame: the canonical dual's adjoint "
+            "system") in err
+    assert "Traceback" not in err
 
 
 def test_large_lattice_assembles_under_a_gib(tmp_path):

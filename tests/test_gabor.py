@@ -39,6 +39,28 @@ def test_gaussian_evaluate():
                                rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("window", [gf.gaussian(2.0), gf.gaussian(0.3),
+                                    gf.hermite(3, 2.0)],
+                         ids=["g2", "g0.3", "hermite-3-2"])
+def test_evaluate_is_the_flushed_closed_form_bitwise(window):
+    # Window.evaluate raises exponents far below the flush cutoff before
+    # np.exp, which is slow on results that underflow. Those envelopes are
+    # flushed to 0 either way, so every value, non-finite ones included,
+    # is bitwise the unclamped closed form's.
+    x = np.concatenate([np.linspace(-60.0, 60.0, 200_001),
+                        [np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        envelope = np.exp(-(np.pi / window.width) * x * x)
+        expected = envelope * (envelope >= gab.ENVELOPE_FLUSH)
+        if window.order:
+            coef = np.zeros(window.order + 1)
+            coef[-1] = 1.0
+            expected = np.polynomial.hermite.hermval(
+                np.sqrt(2.0 * np.pi / window.width) * x, coef) * expected
+        got = window.evaluate(x)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_hermite_is_odd_polynomial_times_envelope():
     # First Hermite window: linear factor times the Gaussian envelope,
     # hence odd; second is even.
@@ -525,6 +547,72 @@ def test_walnut_sum_skips_only_shifts_past_the_window(grid, window, alpha,
     x, _ = gab._wexler_raz_dual(window, lat, ext, 0.0)
     assert np.array_equal(gab._walnut_frame_operator(window, lat, ext, x),
                           _walnut_over_every_shift(window, lat, ext, x))
+
+
+# (window, N, L, alpha, beta, truncation). The last frame's doubled grid,
+# 2000 rows, is no whole number of the Walnut check's row blocks; steps
+# 0.5 on N 1024, L 32 put the modulation l / alpha = 16 at the grid's
+# Nyquist frequency.
+CANONICAL_FRAMES = {
+    "g1": (gf.gaussian(1.0), 1024, 32.0, LATTICE_STEP, LATTICE_STEP, 8.0),
+    "g2": (gf.gaussian(2.0), 1024, 32.0, LATTICE_STEP, LATTICE_STEP, 8.0),
+    "g3": (gf.gaussian(3.0), 1024, 32.0, LATTICE_STEP, LATTICE_STEP, 8.0),
+    "g2-steps-0.8-0.9": (gf.gaussian(2.0), 1024, 32.0, 0.8, 0.9, 8.0),
+    "hermite-2-2": (gf.hermite(2, 2.0), 1024, 32.0, LATTICE_STEP,
+                    LATTICE_STEP, 8.0),
+    "N2048-L44-t12": (gf.gaussian(2.0), 2048, 44.0, LATTICE_STEP,
+                      LATTICE_STEP, 12.0),
+    "N2048-L20-steps-0.25": (gf.gaussian(2.0), 2048, 20.0, 0.25, 0.25, 4.0),
+    "nyquist-hermite-1-2": (gf.hermite(1, 2.0), 1024, 32.0, 0.5, 0.5, 8.0),
+    "nyquist-g2": (gf.gaussian(2.0), 1024, 32.0, 0.5, 0.5, 8.0),
+    "N1000-g2": (gf.gaussian(2.0), 1000, 32.0, LATTICE_STEP, LATTICE_STEP,
+                 8.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_FRAMES))
+def test_canonical_dual_and_walnut_check_meet_their_oracles(name):
+    """The Gram solve against the SVD, the row blocks against one table.
+
+    On the doubled grid, _canonical_dual's Gram solve meets the least-norm
+    solution by SVD (_wexler_raz_dual at weight 0) to 1e-13 relative
+    (measured at most 2.2e-15), and the Walnut check walked in row blocks
+    is bitwise the sum over every shift in one table.
+    """
+    window, n, length, alpha, beta, truncation = CANONICAL_FRAMES[name]
+    ext = gf.Grid(1, n, length).doubled()
+    lat = gf.Lattice(alpha, beta, truncation, truncation)
+    gamma, residual = gab._canonical_dual(window, lat, ext)
+    oracle, _ = gab._wexler_raz_dual(window, lat, ext, 0.0)
+    assert (np.linalg.norm(gamma - oracle)
+            <= 1e-13 * np.linalg.norm(oracle))
+    assert residual <= 1e-14
+    assert np.array_equal(gab._walnut_frame_operator(window, lat, ext, gamma),
+                          _walnut_over_every_shift(window, lat, ext, gamma))
+
+
+@pytest.mark.parametrize("window", [gf.hermite(1, 2.0), gf.gaussian(2.0)],
+                         ids=["hermite-1-2", "g2"])
+def test_canonical_dual_at_the_nyquist_frequency(grid, window):
+    """Steps 0.5 put l / alpha = 16 at the Nyquist frequency of N 1024, L 32.
+
+    There the modulation is real on the grid, and the imaginary parts of
+    its identities vanish to rounding. Kept, they made the Gram matrix
+    singular (condition 3e28), and gamma missed the SVD's by 5.2e-2
+    (hermite) and 6.6e-3 (gaussian), with frame-equation residuals of
+    5.4e-2 and 6.6e-3. Left out, every row of the system is a live
+    identity, and the residual reads 6.7e-11 and 8.0e-16.
+    """
+    lat = gf.make_lattice(0.5, 0.5, TRUNCATION)
+    for on in (grid, grid.doubled()):
+        mat, _, _ = gab._wexler_raz_system(window, lat, on)
+        norms = np.linalg.norm(mat, axis=1)
+        assert norms.min() >= 1e-3 * norms.max()
+    frame = gf.GaborFrame(window, lat, grid)
+    gf.dual_window(frame)
+    solver_residual, frame_residual = frame.dual_residuals
+    assert solver_residual <= 1e-14
+    assert frame_residual <= 1e-9
 
 
 def test_dual_synthesis_reconstruction(dual_frame):
