@@ -29,9 +29,10 @@ from .errors import ConfigError, NumericalError
 from .fio import apply as fio_apply
 from .fio import canonical_map
 from .fitting import BLOCK_ROWS, DEFAULT_S_GRID
-from .gabor import (INVERSION_EXTENT, INVERSION_STEP, GaborFrame, Window,
-                    _steps_within, dual_window, frame_bounds,
-                    gs_decay_classify, inversion_formula_reconstruct,
+from .gabor import (INVERSION_EXTENT, INVERSION_STEP, WALNUT_ROWS,
+                    GaborFrame, Window, _steps_within, dual_window,
+                    frame_bounds, gs_decay_classify,
+                    inversion_formula_reconstruct,
                     make_lattice, moment_constant_conversion,
                     moment_epsilon_bound, stft)
 from .gmatrix import (BLOCK_ATOMS, NOISE_FLOOR, assemble, fit_decay,
@@ -275,16 +276,33 @@ def _memory_table(exp: Experiment) -> dict:
                  ("the coefficients", 48 * lat, lk)]
     stft = {"STFT": [signal, ("the transformed signal", 16 * n, nk),
                      ("the STFT's sums", 40 * n * n_stft, nk)]}
+    # The canonical dual (gabor._canonical_dual) on 2N: its system has at
+    # most 2P rows over the N samples t >= 0, for the P = adjoint / 4
+    # adjoint points (k, l >= 0). Built, it is held with its complex rows
+    # and a copy of their imaginary parts; solved, with its weighted copy
+    # (and, before the Gram matrix is made, that copy's masks, 6 P N),
+    # then the Gram matrix and LAPACK's copy of it, which tracemalloc
+    # does not see. Traced 36-39 bytes per (point, sample) on frames of
+    # N 1024-4096, the Gram matrix included.
+    adjoint = (k_2 + 1) * (m + 1)
+    canonical = ("the dual-window system", 4 * adjoint * n, ak)
     table = {
         "frame-check": {
             "frame bounds": frame + bounds,
-            "canonical dual": frame + [("the dual-window system",
-                                        16 * (k_2 + 1) * (m + 1) * n, ak)],
-            # Window.evaluate holds 3 floats and a mask per value (a
-            # Gaussian) or 8 (a Hermite window), the check 2 floats more.
+            "Wexler-Raz system": frame + [canonical, (
+                "the system's complex rows and imaginary parts",
+                6 * adjoint * n, ak)],
+            "canonical dual": frame + [canonical, (
+                "the system's weighted copy", 4 * adjoint * n, ak),
+                ("the Gram matrix and its LU copy", 4 * adjoint ** 2, ak)],
+            # A block of WALNUT_ROWS doubled-grid times by every window
+            # shift: traced 73.9 (a Gaussian) and 112.8 (a Hermite window
+            # of any order) bytes per value where every value lies in
+            # the window's support.
             "Walnut check": frame + [("the dual and window on 2N", 32 * n, nk),
-                ("the Walnut check's window products", 2 * n * n_walnut * (
-                    41 if exp.window.kind == "gaussian" else 81), ak[:3]),
+                ("the Walnut check's block of window products",
+                 min(2 * n, WALNUT_ROWS) * n_walnut * (
+                     74 if exp.window.kind == "gaussian" else 113), ak[:3]),
                 ("the Walnut check's shifted duals", 96 * n * k_2, ak)],
             "inversion formula": frame + [signal, dual, (
                 "the inversion formula's sums", 40 * n * n_inv, nk)],
@@ -301,6 +319,9 @@ def _memory_table(exp: Experiment) -> dict:
         "propagate": {
             "assembly": assembly,
             "expansion dual": held + frame[1:] + [signal] + bounds + [system],
+            # A threshold that keeps half of the entries or more orders
+            # them all (GaborMatrix._magnitude_order): traced 57.0 bytes
+            # per entry on 1089 points, 58.5 on 625.
             "thresholded apply": held + frame[1:] + [
                 signal, sq("the magnitude-ordered copy", 40),
                 sq("a partial product's terms, of half the entries", 8),

@@ -71,14 +71,20 @@ no array of every entry's distance or magnitude is held.
 sparsity_curve takes the magnitudes of a block of rows (or columns) from
 the entries as it fits them, with no cached copy.
 
-sparse_apply reads a second cache, GaborMatrix._magnitude_order: the
-entries sorted by magnitude, with their (mu, lambda) indices, 40 bytes
-per entry next to the matrix's 16. The first sparse_apply on a matrix
-builds it (one argsort); assemble and the fits never do. A threshold is
-then one binary search, and the product sums whichever side of it is
-smaller: the kept entries, or the dense product less the dropped ones.
-So a call costs O(min(kept, dropped)) on top of the frame's dual
-analysis and synthesis, and tau = 0 is one dense product.
+sparse_apply reads a second cache, GaborMatrix._magnitude_order(tau):
+the entries sorted by magnitude, with their (mu, lambda) indices, 40
+bytes per held entry next to the matrix's 16. It holds only the entries
+at or above the smallest positive threshold asked so far, and every
+entry once a threshold keeps half of them or more; a lower threshold
+rebuilds it (one stable argsort, so a cutoff's entries come in the same
+order whichever cache holds them, and no output depends on the
+thresholds asked before). At 1e-6 it holds 9.3% of the entries on the
+reference frame and 4.8% on 1,089 points. assemble, the fits and tau = 0
+never build it. A threshold is then one binary search, and the product
+sums whichever side of it is smaller: the kept entries, or the dense
+product less the dropped ones. So a call costs O(min(kept, dropped)) on
+top of the frame's dual analysis and synthesis, and tau = 0 is one dense
+product.
 
 to_csv writes matrix.csv, one lambda's rows at a time, through the
 signals module's "%.17g" formatter; the lattice points' text is
@@ -198,14 +204,14 @@ class GaborMatrix:
         return dist
 
     @functools.cached_property
-    def _fit_cache(self) -> dict:
+    def _cache(self) -> dict:
         return {}
 
     def _cached(self, key, make):
-        """make()'s result, made once per key and kept in _fit_cache."""
-        if key not in self._fit_cache:
-            self._fit_cache[key] = make()
-        return self._fit_cache[key]
+        """make()'s result, made once per key and kept in _cache."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
     def _samples(self, floor) -> tuple:
         """_above_floor's (dist, mags), cached per floor."""
@@ -230,17 +236,33 @@ class GaborMatrix:
                 floor=floor, exclusion_radius=exclusion_radius, n_in=n_in)
         return self._cached(("shells", floor, exclusion_radius), censor)
 
-    @functools.cached_property
-    def _magnitude_order(self) -> tuple:
-        """Read-only (|entries|, entries, mu, lambda), |entries| ascending."""
-        mags = self.magnitudes().ravel()
-        order = np.argsort(mags)
-        mags, entries = mags[order], self.entries.ravel()[order]
-        lam, mu = np.divmod(order, self.n_lattice, out=(None, order))
-        arrays = (mags, entries, mu, lam)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+    def _magnitude_order(self, tau) -> tuple:
+        """Read-only (|M|, M, mu, lambda) by ascending |M|, from |M| >= tau.
+
+        Cached in _cache: the entries at or above the smallest positive
+        tau asked so far, or every entry once a tau kept half of them or
+        more (sparse_apply then subtracts the dropped ones). A lower tau
+        rebuilds it. The sort is stable, so the order of the entries at
+        or above any tau is the same in every cache that holds them.
+        """
+        cutoff, order = self._cache.get("order", (None, None))
+        if order is None or tau < cutoff:
+            mags = self.magnitudes().ravel()
+            above = mags >= tau
+            if 2 * np.count_nonzero(above) < mags.size:
+                flat = np.flatnonzero(above)
+                flat = flat[np.argsort(mags[flat], kind="stable")]
+                cutoff = tau
+            else:
+                flat, cutoff = np.argsort(mags, kind="stable"), 0.0
+            del above
+            mags, entries = mags[flat], self.entries.ravel()[flat]
+            lam, mu = np.divmod(flat, self.n_lattice, out=(None, flat))
+            order = (mags, entries, mu, lam)
+            for arr in order:
+                arr.flags.writeable = False
+            self._cache["order"] = cutoff, order
+        return order
 
     def to_csv(self, path) -> None:
         """One %.17g row per entry, lambda-major; each point formatted once.
@@ -641,8 +663,10 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
     tau = 0 keeps everything; tau = inf yields the zero signal, ratio 0.
     frame and f must be on the frame the matrix was assembled on.
 
-    The threshold is a binary search in the matrix's magnitude order
-    (built by the first call, then cached on the matrix). The product
+    tau = 0 is one dense product. Any other threshold is a binary search
+    in the matrix's magnitude order (GaborMatrix._magnitude_order),
+    cached on the matrix and holding only the entries the thresholds
+    asked so far keep, unless one kept half of them or more. The product
     sums the smaller side: the kept entries when they are fewer than the
     dropped ones, else the dense product minus the dropped entries. Its
     cost is therefore O(min(kept, dropped)) past one dense product at
@@ -657,14 +681,17 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
         raise ValueError("frame or signal is not on the frame the matrix "
                          "was assembled on")
     coeffs = frame.dual_analysis(f)
-    order = matrix._magnitude_order
-    n, size = matrix.n_lattice, len(matrix)
-    # The order's entries [0, cut) are those with |M| < tau.
+    if tau == 0:
+        return frame.dual_synthesis(matrix.dense() @ coeffs), 1.0
+    order = matrix._magnitude_order(tau)
+    # The order's entries [cut, held) are those with |M| >= tau.
+    held, size, n = order[0].size, len(matrix), matrix.n_lattice
     cut = int(np.searchsorted(order[0], tau, side="left"))
-    if size - cut < cut:
-        out_coeffs = _partial_product(order, coeffs, slice(cut, size), n)
-    else:
+    kept = held - cut
+    if kept < size - kept:
+        out_coeffs = _partial_product(order, coeffs, slice(cut, held), n)
+    else:  # the order holds every entry
         out_coeffs = matrix.dense() @ coeffs
         if cut:
             out_coeffs -= _partial_product(order, coeffs, slice(0, cut), n)
-    return frame.dual_synthesis(out_coeffs), (size - cut) / float(size)
+    return frame.dual_synthesis(out_coeffs), kept / float(size)

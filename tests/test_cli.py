@@ -387,8 +387,8 @@ def test_oversized_configs_exit_2_before_allocating(tmp_path, config, key):
 
 def test_dual_window_system_is_counted_before_allocating(tmp_path):
     # At grid.N 2**20 with one lattice point the apply buffer is 64 MiB,
-    # but the canonical dual's Wexler-Raz system on the doubled grid
-    # would take about 16 TiB. Without its own term in the size guard,
+    # but the canonical dual's Gram solve on the doubled grid would take
+    # about 12 TiB. Without its own term in the size guard,
     # frame-check reaches that solve and crashes under the 1 GiB cap.
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"grid": {"N": 2 ** 20},
@@ -488,7 +488,7 @@ def _fine(truncation, **sections):
 
 @pytest.mark.parametrize("command, ceiling", [
     ("decay-fit", 80.6), ("sparsity", 79.8), ("decay-fit all", 81.9),
-    ("gabor-matrix", 52), ("propagate", 64),
+    ("gabor-matrix", 52), ("propagate", 48),
     ("gabor-matrix multiplier:cos", 43), ("decay-fit multiplier:cos", 74)])
 def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
                                                     capsys, command,
@@ -498,17 +498,17 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
     # guard refuses it with physical memory set to its traced peak, for
     # its matrix. Traced on 1089 points, bytes per entry: decay-fit and
     # sparsity 44.0 (53.8 on 625), all six operators 48.0, gabor-matrix
-    # 41.1 against 42.7 charged, propagate 61.6 against 65.4 (65.1 on 625
-    # against 67.8; 65.3-67.7 there while the guard charged 64 and no
-    # array of O(N) or O(|L|)), multiplier:cos 16.8 (gabor-matrix) and
-    # 48.0 (decay-fit). On 1089 points the run must also stay under
-    # ceiling bytes per entry, the charges and peaks of earlier designs:
-    # before the fits shared their shells the fit commands peaked at it
-    # or more; gabor-matrix peaked at 58.1-58.7 (charged 58) while the
-    # matrix stored its distances and at 50.1-50.9 (charged 51) while its
-    # law report held two temporaries; propagate peaked at 87.2-88.1
+    # 41.1 against 42.7 charged, propagate 43.4 against 65.4 (54.9 on 625
+    # against 67.8), multiplier:cos 16.8 (gabor-matrix) and 48.0
+    # (decay-fit). On 1089 points the run must also stay under ceiling
+    # bytes per entry, the charges and peaks of earlier designs: before
+    # the fits shared their shells the fit commands peaked at it or more;
+    # gabor-matrix peaked at 58.1-58.7 (charged 58) while the matrix
+    # stored its distances and at 50.1-50.9 (charged 51) while its law
+    # report held two temporaries; propagate peaked at 87.2-88.1
     # (charged 56) while its magnitude order and partial products held
-    # copies.
+    # copies, and at 61.6 (65.1 on 625) while the order held every entry
+    # whatever the thresholds kept.
     for truncation in (3.0, 4.0):
         peak, charged, err = _traced_and_refused(
             tmp_path, monkeypatch, capsys, _fine(truncation), command)
@@ -528,14 +528,16 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
 def test_table_slope_is_the_traced_slope(tmp_path, monkeypatch, capsys,
                                          command):
     # Every entry above the floor is the fits' and the law report's worst
-    # case. Between 625 and 1089 points, the charge of the stage that
-    # holds the run's peak must grow at least as fast per entry as the
-    # traced peak, and at most 1.25 times as fast: traced 41.0 (law
-    # report), 63.9 (fits) and 59.9 (thresholded apply) bytes per entry,
-    # charged 42.0, 64.0 and 64.3.
+    # case, and a threshold that keeps every entry propagate's: its
+    # magnitude order then holds every entry. Between 625 and 1089
+    # points, the charge of the stage that holds the run's peak must grow
+    # at least as fast per entry as the traced peak, and at most 1.25
+    # times as fast: traced 41.0 (law report), 63.9 (fits) and 56.3
+    # (thresholded apply) bytes per entry, charged 42.0, 64.0 and 64.3.
     peaks, charges = [], []
     for truncation in (3.0, 4.0):
-        config = _fine(truncation, fit={"floor": 1e-300})
+        config = _fine(truncation, fit={"floor": 1e-300},
+                       thresholds=[1e-300, 0.0])
         peak, _, _ = _traced_and_refused(tmp_path, monkeypatch, capsys,
                                          config, command)
         peaks.append(peak)
@@ -550,33 +552,42 @@ def test_table_slope_is_the_traced_slope(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("n, truncation", [(512, 3.0), (2048, 4.0)])
 def test_frame_check_is_charged_its_traced_peak(tmp_path, monkeypatch,
                                                 capsys, n, truncation):
-    # Traced 7.0 MiB on 625 points at N 512 and 28.0 MiB on 1089 points at
-    # N 2048; both ran with physical memory set there while the guard
-    # charged the Walnut check's window products nowhere, about 5 floats
-    # per doubled-grid time and window shift: 26.4 MiB of the 28.0.
+    # Traced 4.3 MiB on 625 points at N 512 and 15.1 MiB on 1089 points
+    # at N 2048. The Walnut check is charged its 256-row blocks, 7.4 MiB
+    # at N 2048 (traced 3.4), and the canonical dual its system's build
+    # and its Gram solve, 8.4 and 7.6 MiB (traced 6.0), where the guard
+    # charged 30.2 and 12.1 while the check held every row. The frame
+    # bounds' Gram matrices now hold the largest charge, 18.8 MiB (6.3
+    # at N 512).
     config = {"grid": {"N": n, "L": 20.0},
               "frame": {"alpha": 0.25, "beta": 0.25, "truncation": truncation}}
     peak, charged, err = _traced_and_refused(tmp_path, monkeypatch, capsys,
                                              config, "frame-check")
     assert peak < charged
-    assert "Walnut check" in err and "grid.N" in err
+    assert "frame-check's frame bounds" in err and "grid.N" in err
 
 
 def test_walnut_check_is_counted_before_allocating(monkeypatch):
-    # N 65536, L 128, steps 0.125: the Walnut check's window products are
-    # 2N x 2049 values, about 10.3 GiB, and the next stage, the canonical
-    # dual's system, takes 2.2 GiB. On 7.8 GiB of physical memory the
-    # guard refuses it; when it charged frame-check the dual-window system
-    # alone, it admitted it. Not run.
+    # N 65536 on L 16384, alpha 1/32, beta 1/4: a block of 256 doubled-
+    # grid times by the 1,048,577 window shifts is 18.5 GiB, past 7.8 GiB
+    # of physical memory on its own, and the Walnut check is the largest
+    # stage (the Wexler-Raz system's is 10.1 GiB). On N 65536, L 128,
+    # steps 1/8, which the guard refused while it charged the products
+    # over every doubled-grid time (10.3 GiB), the blocks take 38 MiB
+    # and the largest stage, the Wexler-Raz system's, 1.4 GiB. Not run.
     fake = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 7.8 * 2 ** 30 // 4096}
     monkeypatch.setattr(os, "sysconf", fake.__getitem__)
-    exp = cli.Experiment.from_dict(cli._merge(
-        {"grid": {"N": 65536, "L": 128.0},
-         "frame": {"alpha": 0.125, "beta": 0.125, "truncation": 2.0}},
-        cli.DEFAULTS, ""))
-    with pytest.raises(cli.ConfigError,
-                       match="Walnut check's window products"):
-        cli._check_sizes(exp, "frame-check")
+
+    def experiment(n, length, alpha, beta):
+        return cli.Experiment.from_dict(cli._merge(
+            {"grid": {"N": n, "L": length},
+             "frame": {"alpha": alpha, "beta": beta, "truncation": 2.0}},
+            cli.DEFAULTS, ""))
+    with pytest.raises(cli.ConfigError, match="frame-check's Walnut check "
+                       ".*Walnut check's block of window products"):
+        cli._check_sizes(experiment(65536, 16384.0, 2 ** -5, 0.25),
+                         "frame-check")
+    cli._check_sizes(experiment(65536, 128.0, 0.125, 0.125), "frame-check")
 
 
 def test_every_command_is_in_the_memory_table():

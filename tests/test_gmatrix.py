@@ -1035,48 +1035,121 @@ def test_sparse_apply_matches_thresholded_product(harmonic_matrix,
     assert np.mean(mags >= median) > 0.5 > np.mean(mags >= taus[4])
 
 
+def _order_cache(matrix):
+    """(cutoff, order) of matrix's magnitude order, or None before one."""
+    return matrix._cache.get("order")
+
+
 def test_magnitude_order_is_built_by_sparse_apply_only(dual_frame):
-    # The fits never pay the sort (11 ms at 529 points); the first
-    # sparse_apply builds it, and later calls reuse it.
+    # The fits never pay the sort (11 ms at 529 points), nor does tau = 0,
+    # one dense product; the first positive tau builds it, and later
+    # calls at or above that tau reuse it.
     matrix = gf.assemble(gf.parse_operator("harmonic:0.5"), dual_frame)
     fit = gf.fit_decay(matrix, floor=MATRIX_FLOOR)
     for s in (0.5, 1.0):
         gf.restricted_decay_fit(matrix, s, floor=MATRIX_FLOOR)
     gf.decay_bound_check(matrix, fit)
     gf.sparsity_curve(matrix, fit.s_hat, floor=MATRIX_FLOOR)
-    assert "_magnitude_order" not in matrix.__dict__
     f = centered_gaussian(dual_frame.grid, 2.0)
-    gf.sparse_apply(matrix, dual_frame, f, 1e-6)
-    order = matrix.__dict__["_magnitude_order"]
     gf.sparse_apply(matrix, dual_frame, f, 0.0)
-    assert matrix.__dict__["_magnitude_order"] is order
+    assert _order_cache(matrix) is None
+    gf.sparse_apply(matrix, dual_frame, f, 1e-6)
+    cache = _order_cache(matrix)
+    for tau in (0.0, 1e-6, 1e-2, np.inf):
+        gf.sparse_apply(matrix, dual_frame, f, tau)
+        assert _order_cache(matrix) is cache
+
+
+def test_magnitude_order_is_rebuilt_only_for_a_lower_threshold(
+        harmonic_matrix, dual_frame):
+    matrix = dataclasses.replace(harmonic_matrix)
+    f = centered_gaussian(dual_frame.grid, 2.0)
+    cutoffs, cache = [], None
+    for tau in (1e-2, 1e-6, 1e-4, 1e-6, 1e-2, 0.0, np.inf, 1e-6):
+        gf.sparse_apply(matrix, dual_frame, f, tau)
+        if _order_cache(matrix) is not cache:
+            cache = _order_cache(matrix)
+            cutoffs.append(cache[0])
+    assert cutoffs == [1e-2, 1e-6]
+
+
+def test_magnitude_order_holds_what_its_thresholds_keep(harmonic_matrix,
+                                                        dual_frame):
+    # Below half kept, the order holds the kept entries only; from half
+    # kept on, every entry, since the product subtracts the dropped ones.
+    # On this matrix 1e-6 keeps 9.3% of the entries, and the median
+    # magnitude lies under 5e-17.
+    matrix = dataclasses.replace(harmonic_matrix)
+    mags = np.sort(matrix.magnitudes().ravel())
+    size = mags.size
+    half = float(mags[size // 2])  # keeps at least half of the entries
+    f = centered_gaussian(dual_frame.grid, 2.0)
+    for tau, held in ((np.inf, 0), (1e-2, None), (1e-6, None),
+                      (half, size), (1e-6, size)):
+        out, ratio = gf.sparse_apply(matrix, dual_frame, f, tau)
+        kept = int(np.count_nonzero(mags >= tau))
+        assert ratio == kept / size, tau
+        assert _order_cache(matrix)[1][0].size == (
+            kept if held is None else held), tau
+        if tau == np.inf:
+            assert ratio == 0.0 and not np.any(out.values)
+    assert np.count_nonzero(mags >= 1e-6) < size / 2
+    assert np.count_nonzero(mags >= half) >= size / 2
 
 
 def test_partial_products_are_bitwise_the_bincount_sums(harmonic_matrix,
                                                         dual_frame):
-    # The reference order is the argsort of the flat magnitudes, with
-    # (lambda, mu) its divmod by |L|; the reference sums are np.bincount
-    # of the terms' real and imaginary parts, each mu's terms in the
-    # order's sequence.
-    matrix = harmonic_matrix
-    n, size = matrix.n_lattice, len(matrix)
-    mags, entries, mu, lam = matrix._magnitude_order
-    flat = matrix.entries.ravel()
-    ref = np.argsort(np.abs(flat))
-    ref_lam, ref_mu = np.divmod(ref, n)
-    assert np.array_equal(lam, ref_lam) and np.array_equal(mu, ref_mu)
-    assert np.array_equal(entries, flat[ref])
-    assert np.array_equal(mags, np.abs(flat)[ref])
+    # The reference order is the stable argsort of the flat magnitudes,
+    # restricted to those at or above the cutoff (none for the full
+    # order), with (lambda, mu) its divmod by |L|; the reference sums
+    # are np.bincount of the terms' real and imaginary parts, each mu's
+    # terms in the order's sequence.
+    n = harmonic_matrix.n_lattice
+    flat = harmonic_matrix.entries.ravel()
+    ref = np.argsort(np.abs(flat), kind="stable")
     coeffs = dual_frame.dual_analysis(_packet(dual_frame.grid, 1.0, -0.5,
                                               1.5))
-    for part in (slice(0, size // 3), slice(size // 3, size)):
-        terms = entries[part] * coeffs[lam[part]]
-        expected = np.empty(n, dtype=complex)
-        expected.real = np.bincount(mu[part], terms.real, minlength=n)
-        expected.imag = np.bincount(mu[part], terms.imag, minlength=n)
-        got = gf.gmatrix._partial_product(
-            matrix._magnitude_order, coeffs, part, n)
-        assert got.tobytes() == expected.tobytes()
+    for tau in (1e-6, 1e-300):
+        matrix = dataclasses.replace(harmonic_matrix)
+        order = matrix._magnitude_order(tau)
+        cutoff, _ = _order_cache(matrix)
+        mags, entries, mu, lam = order
+        restricted = ref[np.abs(flat)[ref] >= cutoff]
+        assert cutoff == (tau if tau == 1e-6 else 0.0)
+        ref_lam, ref_mu = np.divmod(restricted, n)
+        assert np.array_equal(lam, ref_lam) and np.array_equal(mu, ref_mu)
+        assert np.array_equal(entries, flat[restricted])
+        assert np.array_equal(mags, np.abs(flat)[restricted])
+        held = mags.size
+        for part in (slice(0, held // 3), slice(held // 3, held)):
+            terms = entries[part] * coeffs[lam[part]]
+            expected = np.empty(n, dtype=complex)
+            expected.real = np.bincount(mu[part], terms.real, minlength=n)
+            expected.imag = np.bincount(mu[part], terms.imag, minlength=n)
+            got = gf.gmatrix._partial_product(order, coeffs, part, n)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["metaplectic:dilation:2.0", "identity",
+                                  "harmonic:1.2"])
+def test_sparse_apply_does_not_depend_on_earlier_thresholds(dual_frame,
+                                                            name):
+    # Each tau's output on a fresh matrix, bitwise against the same tau
+    # after a lower one built the order (the full order for the lowest).
+    # Dilation 2.0 holds many exactly equal magnitudes, whose relative
+    # order only a stable sort keeps.
+    matrix = gf.assemble(gf.parse_operator(name), dual_frame)
+    f = _packet(dual_frame.grid, 0.5, -1.0, 1.5)
+    taus = (1e-2, 1e-4, 1e-6, 1e-10, 1e-300)
+    fresh = [gf.sparse_apply(dataclasses.replace(matrix), dual_frame, f, tau)
+             for tau in taus]
+    for lower in range(1, len(taus)):
+        warm = dataclasses.replace(matrix)
+        gf.sparse_apply(warm, dual_frame, f, taus[lower])
+        for tau, (out, ratio) in zip(taus[:lower], fresh):
+            got, got_ratio = gf.sparse_apply(warm, dual_frame, f, tau)
+            assert got_ratio == ratio
+            assert got.values.tobytes() == out.values.tobytes(), (lower, tau)
 
 
 @pytest.mark.parametrize("scale", [1e-290, 1e280])
