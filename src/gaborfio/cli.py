@@ -304,8 +304,12 @@ def _memory_table(exp: Experiment) -> dict:
                  min(2 * n, WALNUT_ROWS) * n_walnut * (
                      74 if exp.window.kind == "gaussian" else 113), ak[:3]),
                 ("the Walnut check's shifted duals", 96 * n * k_2, ak)],
+            # The sums' table of coefficients, and the conjugated copy
+            # gabor._synthesis takes of it.
             "inversion formula": frame + [signal, dual, (
-                "the inversion formula's sums", 40 * n * n_inv, nk)],
+                "the inversion formula's sums", 40 * n * n_inv, nk), (
+                "the inversion formula's coefficients", 32 * n_inv ** 2,
+                ())],
             "dual expansion": frame + [signal, dual, system] + expansion},
         "stft": stft,
         "gs-check": stft,

@@ -240,12 +240,12 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
     n, h = grid.points_per_axis, grid.points_per_axis // 2
     u = np.arange(n) - h
     v = np.fft.ifftshift(u)
-    t, w = grid.times(), v / grid.length
-    pre = grid.spacing * np.exp(-1j * np.pi * ba * w * w)
-    post = complex(op.symbol(0.0, 0.0)) / grid.length * np.exp(
-        1j * np.pi * ca * t * t)
+    pre = grid.spacing * _chirp(-1j * np.pi * ba, v,
+                                 lambda k: k / grid.length)
+    post = complex(op.symbol(0.0, 0.0)) / grid.length * _chirp(
+        1j * np.pi * ca, u, lambda k: k * grid.spacing)
     if op.multiplier is not None:
-        post *= np.exp(2j * np.pi * op.multiplier[0](t))
+        post *= np.exp(2j * np.pi * op.multiplier[0](grid.times()))
     cols = values.reshape(n, -1)
     buf = np.empty((2 * n, cols.shape[1]), dtype=complex, order="F")
     # The spectrum in FFT order: row j of buf[:n] holds frequency index v_j.
@@ -260,16 +260,16 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
         post *= n
     else:
         theta = ia / n
-        spec *= (pre * np.exp(1j * np.pi * theta * v * v))[:, None]
+        spec *= (pre * _chirp(1j * np.pi * theta, v))[:, None]
         # Index v sits at row v mod 2N, zeros between.
         _move_rows(buf, slice(h, n), slice(n + h, None))
         buf[h:n + h] = 0.0
         s = np.fft.ifftshift(np.arange(2 * n) - n)
-        chirp = np.fft.fft(np.exp(-1j * np.pi * theta * s * s))
+        chirp = np.fft.fft(_chirp(-1j * np.pi * theta, s))
         np.fft.fft(buf, axis=0, out=buf)
         buf *= chirp[:, None]
         np.fft.ifft(buf, axis=0, out=buf)
-        post *= np.exp(1j * np.pi * theta * u * u)
+        post *= _chirp(1j * np.pi * theta, u)
         _move_rows(buf, slice(n + h, None), slice(h, n))
     # Output index u sits at row u mod 2N (u mod N at a = 1); gather the
     # centered result into rows h .. n + h - 1.
@@ -277,6 +277,23 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
     out = buf[h:n + h]
     out *= post[:, None]
     return out.reshape(values.shape)
+
+
+def _chirp(rate: complex, k: np.ndarray, point=lambda k: k) -> np.ndarray:
+    """exp(rate x^2) at x = point(k) for integer indices k, one exp per |k|.
+
+    rate is i pi c for a chirp exp(i pi c x^2). point is k itself, k
+    times a step or k over a length: each gives point(-k) = -point(k)
+    exactly, so (rate x) x has the same imaginary part at -k as at k,
+    and the chirps are bitwise equal. The one exception is rate 0: the
+    chirp is 1, with imaginary zeros that are -0 at negative k when
+    taken there, and +0 here; the spacing and the symbol it is scaled by
+    make either +0. The exps run on 0 .. max |k| and are gathered by
+    |k|, which halves them on a centred or FFT-ordered axis.
+    """
+    mags = np.abs(k)
+    x = point(np.arange(mags.max() + 1))
+    return np.exp(rate * x * x)[mags]
 
 
 def _move_rows(buf: np.ndarray, src: slice, dst: slice) -> None:

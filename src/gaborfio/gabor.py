@@ -396,13 +396,16 @@ def stft(f: SampledSignal, window: Window, eval_points) -> np.ndarray:
 
 @dataclass(eq=False)
 class GaborFrame:
-    """A window and truncated lattice on a grid, with write-once caches.
+    """A window and truncated lattice on a grid, with their caches.
 
-    The caches are cached properties: the factors (_factors), the frame
-    bounds (_bounds), the canonical dual with its residuals (_dual) and
-    the expansion dual's atoms (_dual_atoms). Its expansions hold the
-    factors of its atoms only: N x (n_x + n_w) values, not an N x |L|
-    atom matrix.
+    The write-once caches are cached properties: the factors (_factors),
+    the frame bounds (_bounds), the canonical dual with its residuals
+    (_dual) and the expansion dual's atoms (_dual_atoms). One more,
+    replaced by each new signal, holds the last signal dual_analysis
+    analysed and its coefficients (_last_dual_analysis), so the
+    thresholds applied to one signal share its analysis. Its expansions
+    hold the factors of its atoms only: N x (n_x + n_w) values, not an
+    N x |L| atom matrix.
     """
 
     window: Window
@@ -476,13 +479,28 @@ class GaborFrame:
         some 276 decades under the peak, and the coefficients of the
         packets measured stayed bitwise equal. The cutoff is relative, so
         a small f keeps its values.
+
+        The coefficients are read-only. The frame keeps the last f with
+        them, and a call with that same object returns them without an
+        analysis: sparse_apply at several thresholds analyses its signal
+        once. A SampledSignal's values are a read-only copy, and the
+        frame holds f, so no other signal can pass for it. Any other
+        signal, equal values or not, is analysed afresh. The pair is one
+        tuple, read and replaced whole, so threads sharing a frame at
+        worst analyse a signal again.
         """
+        last = vars(self).get("_last_dual_analysis")
+        if last is not None and last[0] is f:
+            return last[1]
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
         values = f.values.copy()
         _flush(values, np.abs(values).max())
-        return _windowed_sums(values, self.dual_atoms(), self.grid,
-                              self._factors[1]).ravel()
+        coeffs = _windowed_sums(values, self.dual_atoms(), self.grid,
+                                self._factors[1]).ravel()
+        coeffs.flags.writeable = False
+        self._last_dual_analysis = f, coeffs
+        return coeffs
 
     def dual_synthesis(self, coeffs) -> SampledSignal:
         """sum_lambda coeffs[lambda] h_lambda, in Lattice's order."""

@@ -75,16 +75,20 @@ sparse_apply reads a second cache, GaborMatrix._magnitude_order(tau):
 the entries sorted by magnitude, with their (mu, lambda) indices, 40
 bytes per held entry next to the matrix's 16. It holds only the entries
 at or above the smallest positive threshold asked so far, and every
-entry once a threshold keeps half of them or more; a lower threshold
-rebuilds it (one stable argsort, so a cutoff's entries come in the same
-order whichever cache holds them, and no output depends on the
-thresholds asked before). At 1e-6 it holds 9.3% of the entries on the
-reference frame and 4.8% on 1,089 points. assemble, the fits and tau = 0
-never build it. A threshold is then one binary search, and the product
-sums whichever side of it is smaller: the kept entries, or the dense
-product less the dropped ones. So a call costs O(min(kept, dropped)) on
-top of the frame's dual analysis and synthesis, and tau = 0 is one dense
-product.
+entry once a threshold keeps half of them or more. A lower threshold
+that keeps fewer than half sorts only the entries it admits and puts
+them first; one that keeps half or more sorts them all. Every sort is a
+stable argsort, so a cutoff's entries come in the same order whichever
+cache holds them, and no output depends on the thresholds asked before.
+At 1e-6 it holds 9.3% of the entries on the reference frame and 4.8% on
+1,089 points. assemble, the fits and tau = 0 never build it. A
+threshold is then one binary search, and the product sums whichever
+side of it is smaller: the kept entries, or the dense product less the
+dropped ones. The frame keeps the dual analysis of the last signal
+(GaborFrame.dual_analysis), so thresholds applied to one signal analyse
+it once. A call therefore costs O(min(kept, dropped)) and one dual
+synthesis, plus the analysis for a signal the frame did not analyse
+last; tau = 0 is one dense product.
 
 to_csv writes matrix.csv, one lambda's rows at a time, through the
 signals module's "%.17g" formatter; the lattice points' text is
@@ -241,27 +245,36 @@ class GaborMatrix:
 
         Cached in _cache: the entries at or above the smallest positive
         tau asked so far, or every entry once a tau kept half of them or
-        more (sparse_apply then subtracts the dropped ones). A lower tau
-        rebuilds it. The sort is stable, so the order of the entries at
-        or above any tau is the same in every cache that holds them.
+        more (sparse_apply then subtracts the dropped ones). The sort is
+        stable, so the order of the entries at or above any tau is the
+        same in every cache that holds them. A lower tau that still keeps
+        fewer than half sorts only the entries it admits, tau <= |M| <
+        cutoff, and puts them before the held ones: each lies below every
+        held entry, so no tie spans the two, and the result is the stable
+        sort of all it keeps.
         """
-        cutoff, order = self._cache.get("order", (None, None))
-        if order is None or tau < cutoff:
-            mags = self.magnitudes().ravel()
-            above = mags >= tau
-            if 2 * np.count_nonzero(above) < mags.size:
-                flat = np.flatnonzero(above)
-                flat = flat[np.argsort(mags[flat], kind="stable")]
-                cutoff = tau
-            else:
-                flat, cutoff = np.argsort(mags, kind="stable"), 0.0
-            del above
-            mags, entries = mags[flat], self.entries.ravel()[flat]
-            lam, mu = np.divmod(flat, self.n_lattice, out=(None, flat))
-            order = (mags, entries, mu, lam)
-            for arr in order:
-                arr.flags.writeable = False
-            self._cache["order"] = cutoff, order
+        cutoff, held = self._cache.get("order", (None, None))
+        if held is not None and tau >= cutoff:
+            return held
+        mags = self.magnitudes().ravel()
+        above = mags >= tau
+        if 2 * np.count_nonzero(above) < mags.size:
+            if held is not None:
+                above &= mags < cutoff
+            flat = np.flatnonzero(above)
+            flat = flat[np.argsort(mags[flat], kind="stable")]
+            cutoff = tau
+        else:
+            flat, cutoff, held = np.argsort(mags, kind="stable"), 0.0, None
+        del above
+        mags, entries = mags[flat], self.entries.ravel()[flat]
+        lam, mu = np.divmod(flat, self.n_lattice, out=(None, flat))
+        order = (mags, entries, mu, lam)
+        if held is not None:  # the entries just admitted, then those held
+            order = tuple(map(np.concatenate, zip(order, held)))
+        for arr in order:
+            arr.flags.writeable = False
+        self._cache["order"] = cutoff, order
         return order
 
     def to_csv(self, path) -> None:
@@ -673,6 +686,9 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
     most. The dual analysis and synthesis cost N |L| flops each, but hold
     only the frame's factors, O(N (n_x + n_w)) values
     (gabor._windowed_sums, gabor._synthesis), not an N x |L| matrix.
+    The frame keeps the coefficients of the last signal it analysed, so
+    a threshold after the first on one f costs its product and one
+    synthesis.
     """
     if math.isnan(tau) or tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")

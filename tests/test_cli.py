@@ -567,6 +567,31 @@ def test_frame_check_is_charged_its_traced_peak(tmp_path, monkeypatch,
     assert "frame-check's frame bounds" in err and "grid.N" in err
 
 
+@pytest.mark.parametrize("config", [
+    {"grid": {"N": 512, "L": 20.0}}, {}, {"grid": {"N": 2048, "L": 20.0}}])
+def test_inversion_formula_is_charged_its_traced_peak(config):
+    # inversion_formula_reconstruct alone, with its signal and window
+    # made before: its own rows, the sums and the coefficient table with
+    # its conjugated copy, and the interpreter's row for the array
+    # headers and axes, must cover its traced peak. Traced 3.94, 7.08
+    # and 13.37 MiB at N 512, 1024 and 2048, 0.79 MiB of it the
+    # 161 x 161 table and its copy, which the sums' row alone missed.
+    exp = cli.Experiment.from_dict(cli._merge(config, cli.DEFAULTS, ""))
+    f = exp.test_signal()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gaborfio.gabor.inversion_formula_reconstruct(f, exp.window)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = cli._memory_table(exp)["frame-check"]["inversion formula"]
+    own = sum(size for name, size, _ in rows
+              if name.startswith(("the inversion formula's",
+                                  "the interpreter's")))
+    assert peak <= own
+
+
 def test_walnut_check_is_counted_before_allocating(monkeypatch):
     # N 65536 on L 16384, alpha 1/32, beta 1/4: a block of 256 doubled-
     # grid times by the 1,048,577 window shifts is 18.5 GiB, past 7.8 GiB

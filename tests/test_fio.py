@@ -166,6 +166,46 @@ def test_row_moves_column_by_column_match_whole_moves(name, monkeypatch):
     assert np.array_equal(fio._apply_columns(op, grid, cols), out)
 
 
+def _direct_chirp(rate, k, point=lambda k: k):
+    """exp(rate x^2) evaluated at every signed point x = point(k)."""
+    x = point(k)
+    return np.exp(rate * x * x)
+
+
+@pytest.mark.parametrize("name", [
+    "metaplectic:chirp:1.0", "metaplectic:dilation:2.0",
+    "harmonic:1.5607963267948966", "multiplier:cos"])
+def test_mirrored_chirps_are_bitwise_the_direct_ones(grid, name, monkeypatch):
+    # The factored apply takes each chirp once per |k| and gathers it by
+    # |k|. The chirps must be bitwise those evaluated at every signed
+    # point, except that a zero rate's chirp, 1, may carry imaginary
+    # zeros of the other sign; the applied packets, on the inverse FFT
+    # path (a = 1) and the Bluestein path, must be bitwise equal.
+    op = gf.parse_operator(name)
+    mat = op._matrix
+    n, h = grid.points_per_axis, grid.points_per_axis // 2
+    u = np.arange(n) - h
+    ca, theta, ba = mat.c / mat.a, 1.0 / mat.a / n, mat.b / mat.a
+    s = np.fft.ifftshift(np.arange(2 * n) - n)
+    for rate in (-1j * np.pi * ba, 1j * np.pi * ca, 1j * np.pi * theta,
+                 -1j * np.pi * theta):
+        for k, point in ((u, lambda k: k * grid.spacing),
+                         (np.fft.ifftshift(u), lambda k: k / grid.length),
+                         (s, lambda k: k)):
+            got, direct = fio._chirp(rate, k, point), _direct_chirp(
+                rate, k, point)
+            assert (got.tobytes() == direct.tobytes() if rate
+                    else np.array_equal(got, direct) and np.all(got == 1))
+    t = grid.times()
+    packets = [gf.SampledSignal(grid, np.exp(-np.pi * (t - x0) ** 2 / width
+                                             + 2j * np.pi * xi0 * t))
+               for x0, xi0, width in ((0.0, 0.0, 1.0), (-2.5, 1.7, 0.6),
+                                      (4.1, -3.2, 2.0))]
+    outs = [gf.apply(op, f).values.tobytes() for f in packets]
+    monkeypatch.setattr(fio, "_chirp", _direct_chirp)
+    assert [gf.apply(op, f).values.tobytes() for f in packets] == outs
+
+
 # --------------------------------------------------------- canonical map
 
 def test_canonical_map_identity():

@@ -654,6 +654,41 @@ def test_dual_analysis_flush_keeps_coefficients_bitwise(dual_frame):
     assert dual_frame.dual_analysis(f).tobytes() == unflushed.tobytes()
 
 
+def test_dual_analysis_of_the_last_signal_is_kept(dual_frame, monkeypatch):
+    # The frame keeps the last signal it analysed and its coefficients,
+    # read-only: a second call with that signal runs no analysis. Any
+    # other signal, a new one with the same values included, is analysed
+    # afresh, bitwise as a frame that never saw a signal analyses it.
+    grid = dual_frame.grid
+    fresh = gf.GaborFrame(dual_frame.window, dual_frame.lattice, grid)
+    fresh.dual_atoms()
+    f = gf.SampledSignal(grid, atom_matrix(
+        centered_gaussian(grid, 1.0).values, grid, [(0.5, -1.0)])[:, 0])
+    same = gf.SampledSignal(grid, f.values)
+    other = centered_gaussian(grid, 2.0)
+    calls = []
+    windowed_sums = gab._windowed_sums
+    monkeypatch.setattr(gab, "_windowed_sums",
+                        lambda *args: calls.append(1) or windowed_sums(*args))
+
+    def analysed(frame, signal, runs):
+        before = len(calls)
+        coeffs = frame.dual_analysis(signal)
+        assert len(calls) - before == runs
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0] = 0.0
+        return coeffs.tobytes()
+
+    first = analysed(dual_frame, f, 1)
+    assert first == analysed(fresh, f, 1)
+    assert analysed(dual_frame, f, 0) == first
+    assert analysed(dual_frame, same, 1) == first
+    assert analysed(dual_frame, other, 1) == analysed(fresh, other, 1)
+    assert analysed(dual_frame, f, 1) == first
+    assert analysed(dual_frame, f, 0) == first
+
+
 def test_dual_expansion_symmetry(dual_frame):
     """Both expansion orders agree; measured gap 3.5e-11."""
     f = centered_gaussian(dual_frame.grid, 2.0)

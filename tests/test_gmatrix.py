@@ -1134,15 +1134,18 @@ def test_partial_products_are_bitwise_the_bincount_sums(harmonic_matrix,
                                   "harmonic:1.2"])
 def test_sparse_apply_does_not_depend_on_earlier_thresholds(dual_frame,
                                                             name):
-    # Each tau's output on a fresh matrix, bitwise against the same tau
-    # after a lower one built the order (the full order for the lowest).
-    # Dilation 2.0 holds many exactly equal magnitudes, whose relative
-    # order only a stable sort keeps.
+    # Each tau's output on a fresh matrix and a fresh frame, bitwise
+    # against the same tau after a lower one built the order (the full
+    # order for the lowest), on a frame that analysed the packet before
+    # and keeps its coefficients. Dilation 2.0 holds many exactly equal
+    # magnitudes, whose relative order only a stable sort keeps.
     matrix = gf.assemble(gf.parse_operator(name), dual_frame)
     f = _packet(dual_frame.grid, 0.5, -1.0, 1.5)
     taus = (1e-2, 1e-4, 1e-6, 1e-10, 1e-300)
-    fresh = [gf.sparse_apply(dataclasses.replace(matrix), dual_frame, f, tau)
+    fresh = [gf.sparse_apply(dataclasses.replace(matrix), gf.GaborFrame(
+        dual_frame.window, dual_frame.lattice, dual_frame.grid), f, tau)
              for tau in taus]
+    coeffs = dual_frame.dual_analysis(f)
     for lower in range(1, len(taus)):
         warm = dataclasses.replace(matrix)
         gf.sparse_apply(warm, dual_frame, f, taus[lower])
@@ -1150,6 +1153,25 @@ def test_sparse_apply_does_not_depend_on_earlier_thresholds(dual_frame,
             got, got_ratio = gf.sparse_apply(warm, dual_frame, f, tau)
             assert got_ratio == ratio
             assert got.values.tobytes() == out.values.tobytes(), (lower, tau)
+    assert dual_frame.dual_analysis(f) is coeffs
+
+
+@pytest.mark.parametrize("name", ["metaplectic:dilation:2.0", "harmonic:1.2"])
+def test_lower_thresholds_extend_the_magnitude_order(dual_frame, name):
+    # A lower threshold that keeps fewer than half of the entries sorts
+    # only those it admits and puts them before the held ones: after
+    # 1e-2, 1e-4 and 1e-6 the four arrays are bitwise a fresh matrix's
+    # order at 1e-6.
+    matrix = gf.assemble(gf.parse_operator(name), dual_frame)
+    warm = dataclasses.replace(matrix)
+    for tau in (1e-2, 1e-4, 1e-6):
+        held = warm._magnitude_order(tau)
+        assert _order_cache(warm)[0] == tau
+    assert 2 * held[0].size < len(matrix)
+    ref = dataclasses.replace(matrix)._magnitude_order(1e-6)
+    for got, expected in zip(held, ref):
+        assert got.dtype == expected.dtype and not got.flags.writeable
+        assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-290, 1e280])
