@@ -29,14 +29,15 @@ from .errors import ConfigError, NumericalError
 from .fio import apply as fio_apply
 from .fio import canonical_map
 from .fitting import BLOCK_ROWS, DEFAULT_S_GRID
-from .gabor import (INVERSION_EXTENT, INVERSION_STEP, WALNUT_ROWS,
-                    GaborFrame, Window, _steps_within, dual_window,
-                    frame_bounds, gs_decay_classify,
+from .gabor import (ENVELOPE_FLUSH, INVERSION_EXTENT, INVERSION_STEP,
+                    WALNUT_ROWS, GaborFrame, Window, _steps_within,
+                    dual_window, frame_bounds, gs_decay_classify,
                     inversion_formula_reconstruct,
                     make_lattice, moment_constant_conversion,
                     moment_epsilon_bound, stft)
-from .gmatrix import (BLOCK_ATOMS, NOISE_FLOOR, assemble, fit_decay,
-                      restricted_decay_fit, sparse_apply, sparsity_curve)
+from .gmatrix import (BLOCK_ATOMS, NOISE_FLOOR, PRODUCT_BLOCK, assemble,
+                      fit_decay, restricted_decay_fit, sparse_apply,
+                      sparsity_curve)
 from .metaplectic import metaplectic_law
 from .registry import parse_operator, parse_window, shipped_operator_names
 from .signals import Grid, SampledSignal, _write_csv
@@ -222,8 +223,13 @@ def _memory_table(exp: Experiment) -> dict:
     Complex values take 16 bytes, floats and indices 8, masks 1.
     """
     n, length, t = exp.grid.points_per_axis, exp.grid.length, exp.truncation
+    # The Walnut check shifts the dual within twice the window's reach
+    # (gabor._walnut_frame_operator), at most a grid step past the radius
+    # r where Window.evaluate flushes the envelope to 0.
+    r = math.sqrt(exp.window.width * math.log(1 / ENVELOPE_FLUSH) / math.pi)
     radii = ((t, exp.alpha), (t, exp.beta), (t / 2, exp.alpha),
              (t / 2, exp.beta), (length, exp.alpha),
+             (min(length, 2 * (r + exp.grid.spacing)), 1 / exp.beta),
              (INVERSION_EXTENT, INVERSION_STEP), (STFT_EXTENT, STFT_STEP),
              (length, 1 / exp.beta), (length / 2, 1 / exp.beta),
              (n / length / 2, 1 / exp.alpha))
@@ -231,10 +237,11 @@ def _memory_table(exp: Experiment) -> dict:
         counts = [2 * _steps_within(r, step) + 1 for r, step in radii]
     except OverflowError:
         counts = [math.inf] * len(radii)
-    # Axes of the lattice and of its centre, the Walnut check's shifts,
-    # axes of the inversion formula and of the STFT, the adjoint points'
-    # shifts k / beta on 2N and on N, and their l / alpha.
-    n_x, n_w, c_x, c_w, n_walnut, n_inv, n_stft, k_2, k_1, m = counts
+    # Axes of the lattice and of its centre, the Walnut check's window
+    # shifts and dual shifts, axes of the inversion formula and of the
+    # STFT, the adjoint points' shifts k / beta on 2N and on N, and their
+    # l / alpha.
+    n_x, n_w, c_x, c_w, n_walnut, n_dual, n_inv, n_stft, k_2, k_1, m = counts
     # assemble's run of whole lattice times: BLOCK_ATOMS lambdas at most.
     lat, block = n_x * n_w, n_w * min(n_x, max(1, BLOCK_ATOMS // n_w))
     lk = ("frame.truncation", "frame.alpha", "frame.beta")
@@ -303,7 +310,7 @@ def _memory_table(exp: Experiment) -> dict:
                 ("the Walnut check's block of window products",
                  min(2 * n, WALNUT_ROWS) * n_walnut * (
                      74 if exp.window.kind == "gaussian" else 113), ak[:3]),
-                ("the Walnut check's shifted duals", 96 * n * k_2, ak)],
+                ("the Walnut check's shifted duals", 96 * n * n_dual, ak)],
             # The sums' table of coefficients, and the conjugated copy
             # gabor._synthesis takes of it.
             "inversion formula": frame + [signal, dual, (
@@ -323,12 +330,14 @@ def _memory_table(exp: Experiment) -> dict:
         "propagate": {
             "assembly": assembly,
             "expansion dual": held + frame[1:] + [signal] + bounds + [system],
-            # A threshold that keeps half of the entries or more orders
-            # them all (GaborMatrix._magnitude_order): traced 57.0 bytes
-            # per entry on 1089 points, 58.5 on 625.
+            # A threshold that keeps every entry orders them all
+            # (GaborMatrix._magnitude_order), and the product sums them a
+            # block of terms at a time (gmatrix._partial_product): traced
+            # 56.0 bytes per entry between 625 and 1089 points, and the
+            # block's 1 MiB.
             "thresholded apply": held + frame[1:] + [
                 signal, sq("the magnitude-ordered copy", 40),
-                sq("a partial product's terms, of half the entries", 8),
+                ("a block of the product's terms", 16 * PRODUCT_BLOCK, ()),
                 ("the reference and direct outputs", 32 * n, nk)] + expansion},
         # fio._chirp_z_columns' padding, 4N-point buffer, chirps: traced 389.
         "oracle-check": {"operator applies": [

@@ -371,12 +371,12 @@ def _atom_rows(shifted: np.ndarray) -> np.ndarray:
     return np.column_stack([lo, hi])
 
 
-def _flush(values, peak) -> None:
-    """Set the real and imaginary parts of values under ENVELOPE_FLUSH
-    times peak to 0, in place: subnormal operands slow the BLAS products
-    they enter. values is a complex array with contiguous rows."""
+def _flush(values, peak, fraction=ENVELOPE_FLUSH) -> None:
+    """Set the real and imaginary parts of values under fraction times
+    peak to 0, in place: subnormal operands slow the BLAS products they
+    enter. values is a real or complex array with contiguous rows."""
     parts = values.view(float)
-    cutoff = ENVELOPE_FLUSH * peak
+    cutoff = fraction * peak
     parts[(parts < cutoff) & (parts > -cutoff)] = 0.0
 
 
@@ -753,8 +753,7 @@ def _canonical_dual(window: Window, lattice: Lattice, grid: Grid) -> tuple:
     # 8 ms on the reference frame, against 3 and 3). Parts under
     # ATOM_SUPPORT of the peak are set to 0: gamma stayed bitwise equal on
     # 9 of the tests' 10 frames, and moved by 5e-46 relative on the tenth.
-    cutoff = ATOM_SUPPORT * max(scaled.max(), -scaled.min())
-    scaled[(scaled < cutoff) & (scaled > -cutoff)] = 0.0
+    _flush(scaled, max(scaled.max(), -scaled.min()), ATOM_SUPPORT)
     try:
         y = np.linalg.solve(scaled @ scaled.T, rhs)
     except np.linalg.LinAlgError as exc:

@@ -74,21 +74,22 @@ the entries as it fits them, with no cached copy.
 sparse_apply reads a second cache, GaborMatrix._magnitude_order(tau):
 the entries sorted by magnitude, with their (mu, lambda) indices, 40
 bytes per held entry next to the matrix's 16. It holds only the entries
-at or above the smallest positive threshold asked so far, and every
-entry once a threshold keeps half of them or more. A lower threshold
-that keeps fewer than half sorts only the entries it admits and puts
-them first; one that keeps half or more sorts them all. Every sort is a
+at or above the smallest positive threshold asked so far. A lower
+threshold sorts only the entries it admits and puts them first, and
+frees the held order before it gathers the longer one. Every sort is a
 stable argsort, so a cutoff's entries come in the same order whichever
 cache holds them, and no output depends on the thresholds asked before.
 At 1e-6 it holds 9.3% of the entries on the reference frame and 4.8% on
-1,089 points. assemble, the fits and tau = 0 never build it. A
-threshold is then one binary search, and the product sums whichever
-side of it is smaller: the kept entries, or the dense product less the
-dropped ones. The frame keeps the dual analysis of the last signal
-(GaborFrame.dual_analysis), so thresholds applied to one signal analyse
-it once. A call therefore costs O(min(kept, dropped)) and one dual
-synthesis, plus the analysis for a signal the frame did not analyse
-last; tau = 0 is one dense product.
+1,089 points. assemble, the fits and tau = 0 never build it. A threshold
+is then one binary search, and the product sums exactly the kept
+entries, PRODUCT_BLOCK terms at a time. The frame keeps the dual
+analysis of the last signal (GaborFrame.dual_analysis), so thresholds
+applied to one signal analyse it once. A call therefore costs O(kept)
+and one dual synthesis, plus the analysis for a signal the frame did not
+analyse last; tau = 0 is one dense product. The worst case is a
+threshold that keeps every entry: 40 bytes per entry and one block of
+terms held, and a sum 4-8x a dense product's time (1.3 ms against 0.3 on
+the reference frame, 6.8 against 0.9 on 1,089 points).
 
 to_csv writes matrix.csv, one lambda's rows at a time, through the
 signals module's "%.17g" formatter; the lattice points' text is
@@ -146,6 +147,12 @@ MIN_FIT_SAMPLES = 200
 # atoms (the whole 1089-point lattice at N = 2048 took 204 MiB), and a
 # closed form its run's temporaries.
 BLOCK_ATOMS = 128
+
+# sparse_apply sums the kept entries this many terms at a time
+# (_partial_product), so a threshold that keeps every entry holds 1 MiB
+# of terms, not 16 bytes per entry. The default thresholds keep at most
+# 31,013 entries on the reference frame, one block.
+PRODUCT_BLOCK = 2 ** 16
 
 # The square root of the separable squares dx^2 + dw^2 lies within a few
 # ulps of np.hypot(dx, dw). Where a shell boundary is within this much of
@@ -243,38 +250,39 @@ class GaborMatrix:
     def _magnitude_order(self, tau) -> tuple:
         """Read-only (|M|, M, mu, lambda) by ascending |M|, from |M| >= tau.
 
-        Cached in _cache: the entries at or above the smallest positive
-        tau asked so far, or every entry once a tau kept half of them or
-        more (sparse_apply then subtracts the dropped ones). The sort is
-        stable, so the order of the entries at or above any tau is the
-        same in every cache that holds them. A lower tau that still keeps
-        fewer than half sorts only the entries it admits, tau <= |M| <
-        cutoff, and puts them before the held ones: each lies below every
-        held entry, so no tie spans the two, and the result is the stable
-        sort of all it keeps.
+        Cached in _cache with its cutoff: the entries at or above the
+        smallest tau asked so far, the cutoff. The sort is stable, so the
+        order of the entries at or above any tau is the same in every
+        cache that holds them. A lower tau sorts only the entries it
+        admits, tau <= |M| < cutoff, and puts them before the held ones:
+        each lies below every held entry, so no tie spans the two, and
+        the result is the stable sort of all it keeps.
         """
         cutoff, held = self._cache.get("order", (None, None))
         if held is not None and tau >= cutoff:
             return held
+        if held is not None:
+            # The held entries by flat index. The held order is freed
+            # first, so it is never held together with the longer one.
+            del self._cache["order"]
+            held = held[2:]  # (mu, lam): |M| and M are freed
+            held = np.ravel_multi_index(held[::-1], self.entries.shape)
         mags = self.magnitudes().ravel()
         above = mags >= tau
-        if 2 * np.count_nonzero(above) < mags.size:
-            if held is not None:
-                above &= mags < cutoff
-            flat = np.flatnonzero(above)
-            flat = flat[np.argsort(mags[flat], kind="stable")]
-            cutoff = tau
-        else:
-            flat, cutoff, held = np.argsort(mags, kind="stable"), 0.0, None
+        if held is not None:
+            above &= mags < cutoff
+        flat = np.flatnonzero(above)
         del above
+        flat = flat[np.argsort(mags[flat], kind="stable")]
+        if held is not None:  # the entries just admitted, then those held
+            flat = np.concatenate((flat, held))
+            del held
         mags, entries = mags[flat], self.entries.ravel()[flat]
         lam, mu = np.divmod(flat, self.n_lattice, out=(None, flat))
         order = (mags, entries, mu, lam)
-        if held is not None:  # the entries just admitted, then those held
-            order = tuple(map(np.concatenate, zip(order, held)))
         for arr in order:
             arr.flags.writeable = False
-        self._cache["order"] = cutoff, order
+        self._cache["order"] = tau, order
         return order
 
     def to_csv(self, path) -> None:
@@ -656,11 +664,20 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
 
 
 def _partial_product(order: tuple, coeffs, part: slice, n: int):
-    """Sum of M[mu, lambda] coeffs[lambda] by mu over part of the order."""
+    """Sum of M[mu, lambda] coeffs[lambda] by mu over part of the order.
+
+    PRODUCT_BLOCK terms at a time. np.add.at sums in order, so the sums
+    are bitwise np.bincount's over the blocks' terms, without its copies
+    of inputs. A block's terms may not be bitwise one product's: from
+    16,384 terms numpy reuses the gathered coefficients as the output
+    and multiplies with the operands swapped, and complex products are
+    not bitwise commutative.
+    """
     _, entries, mu, lam = order
     out = np.zeros(n, dtype=complex)
-    # In order, bitwise np.bincount's sums, without its copies of inputs.
-    np.add.at(out, mu[part], entries[part] * coeffs[lam[part]])
+    for lo in range(part.start, part.stop, PRODUCT_BLOCK):
+        b = slice(lo, min(lo + PRODUCT_BLOCK, part.stop))
+        np.add.at(out, mu[b], entries[b] * coeffs[lam[b]])
     return out
 
 
@@ -679,16 +696,16 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
     tau = 0 is one dense product. Any other threshold is a binary search
     in the matrix's magnitude order (GaborMatrix._magnitude_order),
     cached on the matrix and holding only the entries the thresholds
-    asked so far keep, unless one kept half of them or more. The product
-    sums the smaller side: the kept entries when they are fewer than the
-    dropped ones, else the dense product minus the dropped entries. Its
-    cost is therefore O(min(kept, dropped)) past one dense product at
-    most. The dual analysis and synthesis cost N |L| flops each, but hold
-    only the frame's factors, O(N (n_x + n_w)) values
-    (gabor._windowed_sums, gabor._synthesis), not an N x |L| matrix.
-    The frame keeps the coefficients of the last signal it analysed, so
-    a threshold after the first on one f costs its product and one
-    synthesis.
+    asked so far keep, and the product sums exactly the kept entries
+    (_partial_product): O(kept) past the order. Its worst case is a
+    threshold that keeps every entry, which holds 40 bytes per entry and
+    one block of terms, and sums every entry term by term, 4-8x a dense
+    product's time. The dual analysis and synthesis cost N |L|
+    flops each, but hold only the frame's factors, O(N (n_x + n_w))
+    values (gabor._windowed_sums, gabor._synthesis), not an N x |L|
+    matrix. The frame keeps the coefficients of the last signal it
+    analysed, so a threshold after the first on one f costs its product
+    and one synthesis.
     """
     if math.isnan(tau) or tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
@@ -700,14 +717,8 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
     if tau == 0:
         return frame.dual_synthesis(matrix.dense() @ coeffs), 1.0
     order = matrix._magnitude_order(tau)
-    # The order's entries [cut, held) are those with |M| >= tau.
-    held, size, n = order[0].size, len(matrix), matrix.n_lattice
-    cut = int(np.searchsorted(order[0], tau, side="left"))
-    kept = held - cut
-    if kept < size - kept:
-        out_coeffs = _partial_product(order, coeffs, slice(cut, held), n)
-    else:  # the order holds every entry
-        out_coeffs = matrix.dense() @ coeffs
-        if cut:
-            out_coeffs -= _partial_product(order, coeffs, slice(0, cut), n)
-    return frame.dual_synthesis(out_coeffs), kept / float(size)
+    # The order's entries from the first |M| >= tau on are those kept.
+    kept = slice(int(np.searchsorted(order[0], tau)), order[0].size)
+    ratio = (kept.stop - kept.start) / float(len(matrix))
+    out_coeffs = _partial_product(order, coeffs, kept, matrix.n_lattice)
+    return frame.dual_synthesis(out_coeffs), ratio

@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import HypothesisError, SingularTimeError
 from .fio import FioOperator, Phase
-from .gabor import (ENVELOPE_FLUSH, _flush, _shifted, _waves, _windowed_sums,
-                    gaussian)
+from .gabor import (_FLUSHED_EXPONENT, _flush, _shifted, _waves,
+                    _windowed_sums, gaussian)
 
 __all__ = [
     "SymplecticMatrix",
@@ -304,7 +304,7 @@ def _multiplier_source(phi, width: float, lattice, grid):
                            grid, _waves(offsets, grid))
     peak = np.max(np.abs(table))
     by_time = -np.pi / (2.0 * width) * (xs[:, None] - xs) ** 2
-    np.maximum(by_time, math.log(ENVELOPE_FLUSH) - 1.0, out=by_time)
+    np.maximum(by_time, _FLUSHED_EXPONENT, out=by_time)
     np.exp(by_time, out=by_time)
     # windows[i, j] = table[i:i + n_x, n_w - 1 - j:2 n_w - 1 - j].
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -375,10 +375,6 @@ def _covariant_source(mat: SymplecticMatrix, width: float, lattice):
     pts, xs, ws = lattice.points, lattice.times, lattice.freqs
     n_w = len(ws)
     table = np.exp(1j * kappa * xs[:, None] * ws)
-    # exp of this is ENVELOPE_FLUSH / e: under the flush, and some 30
-    # decades above the subnormal range, so exp and the products that
-    # follow stay off subnormal values.
-    floor = math.log(ENVELOPE_FLUSH) - 1.0
 
     def fill(times: slice, rows: np.ndarray) -> None:
         lam = pts[times.start * n_w:times.stop * n_w]
@@ -392,7 +388,10 @@ def _covariant_source(mat: SymplecticMatrix, width: float, lattice):
                      (q_xw.real * zw)[:, None, :])
         env *= zx[:, :, None]
         env += (q_ww.real * (zw * zw))[:, None, :]
-        np.maximum(env, floor, out=env)
+        # exp of the floor is ENVELOPE_FLUSH / e: under the flush, and
+        # some 30 decades above the subnormal range, so exp and the
+        # products that follow stay off subnormal values.
+        np.maximum(env, _FLUSHED_EXPONENT, out=env)
         np.exp(env, out=env)
         # The phase, pi (x w - x' w') - 2 pi z_w x' + Im Q(z), with
         # z_x z_w = x_i w_j - x_i w' - x' w_j + x' w' expanded.

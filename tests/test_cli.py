@@ -498,8 +498,8 @@ def test_fit_commands_are_charged_their_traced_peak(tmp_path, monkeypatch,
     # guard refuses it with physical memory set to its traced peak, for
     # its matrix. Traced on 1089 points, bytes per entry: decay-fit and
     # sparsity 44.0 (53.8 on 625), all six operators 48.0, gabor-matrix
-    # 41.1 against 42.7 charged, propagate 43.4 against 65.4 (54.9 on 625
-    # against 67.8), multiplier:cos 16.8 (gabor-matrix) and 48.0
+    # 41.1 against 42.7 charged, propagate 41.6 against 59.2 (55.8 on 625
+    # against 65.2), multiplier:cos 16.8 (gabor-matrix) and 48.0
     # (decay-fit). On 1089 points the run must also stay under ceiling
     # bytes per entry, the charges and peaks of earlier designs: before
     # the fits shared their shells the fit commands peaked at it or more;
@@ -532,8 +532,8 @@ def test_table_slope_is_the_traced_slope(tmp_path, monkeypatch, capsys,
     # magnitude order then holds every entry. Between 625 and 1089
     # points, the charge of the stage that holds the run's peak must grow
     # at least as fast per entry as the traced peak, and at most 1.25
-    # times as fast: traced 41.0 (law report), 63.9 (fits) and 56.3
-    # (thresholded apply) bytes per entry, charged 42.0, 64.0 and 64.3.
+    # times as fast: traced 41.0 (law report), 63.9 (fits) and 56.0
+    # (thresholded apply) bytes per entry, charged 42.0, 64.0 and 56.3.
     peaks, charges = [], []
     for truncation in (3.0, 4.0):
         config = _fine(truncation, fit={"floor": 1e-300},
@@ -547,6 +547,25 @@ def test_table_slope_is_the_traced_slope(tmp_path, monkeypatch, capsys,
     traced = (peaks[1] - peaks[0]) / growth
     charged = (charges[1][stage] - charges[0][stage]) / growth
     assert traced <= charged <= 1.25 * traced, (stage, traced, charged)
+
+
+@pytest.mark.parametrize("thresholds", [[1e-6, 1e-300, 0.0],
+                                        [1e-300, 1e-301, 0.0]])
+def test_lower_threshold_after_another_is_charged(tmp_path, monkeypatch,
+                                                  capsys, thresholds):
+    # A lower threshold extends the held magnitude order. Had it gathered
+    # the longer order while the held one was cached, a threshold that
+    # keeps every entry after another would hold both: traced 96.6 bytes
+    # per entry on 1089 points against 58.3 charged. Freeing the held
+    # order first, it traces 57.5, what the first threshold alone traces.
+    # The order that held every entry once a threshold kept half of them
+    # traced 69.1 after 1e-6, against 65.4 charged.
+    for truncation in (3.0, 4.0):
+        peak, charged, err = _traced_and_refused(
+            tmp_path, monkeypatch, capsys,
+            _fine(truncation, thresholds=thresholds), "propagate")
+        assert peak < charged, peak / (8 * truncation + 1) ** 4
+        assert "magnitude-ordered copy" in err
 
 
 @pytest.mark.parametrize("n, truncation", [(512, 3.0), (2048, 4.0)])
@@ -613,6 +632,75 @@ def test_walnut_check_is_counted_before_allocating(monkeypatch):
         cli._check_sizes(experiment(65536, 16384.0, 2 ** -5, 0.25),
                          "frame-check")
     cli._check_sizes(experiment(65536, 128.0, 0.125, 0.125), "frame-check")
+
+
+def _walnut_experiment(n, length, step, window="gaussian:2",
+                       truncation=8.0):
+    return cli.Experiment.from_dict(cli._merge(
+        {"grid": {"N": n, "L": length},
+         "frame": {"window": window, "alpha": step, "beta": step,
+                   "truncation": truncation}}, cli.DEFAULTS, ""))
+
+
+def _walnut_shifts_charged(exp):
+    """The dual shifts the size guard charges the Walnut check."""
+    rows = cli._memory_table(exp)["frame-check"]["Walnut check"]
+    size = next(size for name, size, _ in rows
+                if name == "the Walnut check's shifted duals")
+    return size / (96 * exp.grid.points_per_axis)
+
+
+@pytest.mark.parametrize("n, length, step, window, taken, charged", [
+    (1024, 32.0, 2 ** -0.5, "gaussian:2", 19, 45),
+    (2048, 20.0, 0.25, "gaussian:2", 7, 11),
+    (1024, 128.0, 0.125, "gaussian:2", 3, 11),
+    (1024, 32.0, 2 ** -0.5, "hermite:3:2", 21, 45),
+    (1024, 32.0, 2 ** -0.5, "gaussian:0.5", 9, 29)])
+def test_walnut_charge_covers_the_shifts_taken(monkeypatch, n, length, step,
+                                               window, taken, charged):
+    # The check shifts the dual within twice the window's reach, and the
+    # guard charges the shifts within twice the radius where the window
+    # is flushed to 0, plus a grid step: 20.1 for width 2. It charged
+    # every shift of the doubled grid, 33 where N 1024, L 128, steps 1/8
+    # take 3 and 45 where gaussian(0.5) takes 9 on the reference frame.
+    exp = _walnut_experiment(n, length, step, window)
+    ext = exp.grid.doubled()
+    counts = []
+    shifted = gaborfio.gabor._shifted
+
+    def recording(source, grid, xs):
+        if not isinstance(source, gaborfio.gabor.Window):
+            counts.append(len(xs))
+        return shifted(source, grid, xs)
+    monkeypatch.setattr(gaborfio.gabor, "_shifted", recording)
+    gaborfio.gabor._walnut_frame_operator(
+        exp.window, gaborfio.make_lattice(step, step, exp.truncation), ext,
+        exp.window.evaluate(ext.times()).astype(complex))
+    assert counts == [taken]
+    assert _walnut_shifts_charged(exp) == charged
+
+
+def test_walnut_charge_admits_a_frame_the_doubled_grid_refused(monkeypatch):
+    # N 65536, L 16384, beta 1/4: the guard charged the 8,193 shifts of
+    # the doubled grid, 48 GiB, where a Gaussian(2) window's check takes
+    # 7; it now charges 21. N 1024, L 128, steps 1/8 at truncation 0.5:
+    # the Walnut check is the largest stage, charged 33 shifts before
+    # and 11 now, and with physical memory set between the two charges
+    # the guard admits the frame it refused. Not run.
+    assert _walnut_shifts_charged(
+        _walnut_experiment(65536, 16384.0, 0.25, truncation=2.0)) == 21
+    exp = _walnut_experiment(1024, 128.0, 0.125, truncation=0.5)
+    charges = {stage: sum(row[1] for row in rows) for stage, rows
+               in cli._memory_table(exp)["frame-check"].items()}
+    new = charges.pop("Walnut check")
+    old = new + 96 * 1024 * (33 - _walnut_shifts_charged(exp))
+    assert max(charges.values()) < new < old
+    fake = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": (new + old) // 2}
+    monkeypatch.setattr(os, "sysconf", fake.__getitem__)
+    cli._check_sizes(exp, "frame-check")
+    fake["SC_PHYS_PAGES"] = new - 1
+    with pytest.raises(cli.ConfigError, match="frame-check's Walnut check"):
+        cli._check_sizes(exp, "frame-check")
 
 
 def test_every_command_is_in_the_memory_table():

@@ -995,12 +995,11 @@ def test_sparse_apply_matches_thresholded_product(harmonic_matrix,
                                                   dual_frame, kind):
     """Against the explicit product with the thresholded dense matrix.
 
-    The taus run both product paths: the median keeps more entries than
-    it drops (dense product minus the dropped ones), the next magnitude
-    above it fewer (the kept ones summed). One entry's exact magnitude
+    The median keeps more entries than it drops, and more than
+    gmatrix.PRODUCT_BLOCK, so its kept sum runs over several blocks; the
+    next magnitude above it keeps fewer. One entry's exact magnitude
     must keep that entry. The harmonic matrix's lower half lies under
-    5e-17, so only the random one's dropped entries weigh in the dense
-    path.
+    5e-17, so only the random one's dropped entries weigh at the median.
     """
     matrix = harmonic_matrix
     if kind == "random":
@@ -1075,22 +1074,24 @@ def test_magnitude_order_is_rebuilt_only_for_a_lower_threshold(
 
 def test_magnitude_order_holds_what_its_thresholds_keep(harmonic_matrix,
                                                         dual_frame):
-    # Below half kept, the order holds the kept entries only; from half
-    # kept on, every entry, since the product subtracts the dropped ones.
-    # On this matrix 1e-6 keeps 9.3% of the entries, and the median
-    # magnitude lies under 5e-17.
+    # The order holds exactly the entries at or above the smallest tau
+    # asked so far, whatever share of them that is: a higher tau reuses
+    # it, a lower one extends it. On this matrix 1e-6 keeps 9.3% of the
+    # entries, the median magnitude (under 5e-17) half of them, and
+    # 1e-300 every entry but the flushed zeros.
     matrix = dataclasses.replace(harmonic_matrix)
     mags = np.sort(matrix.magnitudes().ravel())
     size = mags.size
     half = float(mags[size // 2])  # keeps at least half of the entries
     f = centered_gaussian(dual_frame.grid, 2.0)
-    for tau, held in ((np.inf, 0), (1e-2, None), (1e-6, None),
-                      (half, size), (1e-6, size)):
+    lowest = np.inf
+    for tau in (np.inf, 1e-2, 1e-6, half, 1e-6, 1e-300):
         out, ratio = gf.sparse_apply(matrix, dual_frame, f, tau)
-        kept = int(np.count_nonzero(mags >= tau))
-        assert ratio == kept / size, tau
-        assert _order_cache(matrix)[1][0].size == (
-            kept if held is None else held), tau
+        lowest = min(lowest, tau)
+        assert ratio == np.count_nonzero(mags >= tau) / size, tau
+        cutoff, order = _order_cache(matrix)
+        assert cutoff == lowest, tau
+        assert order[0].size == np.count_nonzero(mags >= lowest), tau
         if tau == np.inf:
             assert ratio == 0.0 and not np.any(out.values)
     assert np.count_nonzero(mags >= 1e-6) < size / 2
@@ -1100,11 +1101,15 @@ def test_magnitude_order_holds_what_its_thresholds_keep(harmonic_matrix,
 def test_partial_products_are_bitwise_the_bincount_sums(harmonic_matrix,
                                                         dual_frame):
     # The reference order is the stable argsort of the flat magnitudes,
-    # restricted to those at or above the cutoff (none for the full
-    # order), with (lambda, mu) its divmod by |L|; the reference sums
-    # are np.bincount of the terms' real and imaginary parts, each mu's
-    # terms in the order's sequence.
+    # restricted to those at or above the cutoff, with (lambda, mu) its
+    # divmod by |L|; the reference sums are np.bincount of the terms'
+    # real and imaginary parts, each mu's terms in the order's sequence,
+    # the terms taken with the library's expression a PRODUCT_BLOCK at a
+    # time from the part's start. numpy computes a product of 16,384
+    # terms or more with its operands swapped, so the parts lie on both
+    # sides of that, and at 1e-300 the order spans five blocks.
     n = harmonic_matrix.n_lattice
+    block = gf.gmatrix.PRODUCT_BLOCK
     flat = harmonic_matrix.entries.ravel()
     ref = np.argsort(np.abs(flat), kind="stable")
     coeffs = dual_frame.dual_analysis(_packet(dual_frame.grid, 1.0, -0.5,
@@ -1115,19 +1120,29 @@ def test_partial_products_are_bitwise_the_bincount_sums(harmonic_matrix,
         cutoff, _ = _order_cache(matrix)
         mags, entries, mu, lam = order
         restricted = ref[np.abs(flat)[ref] >= cutoff]
-        assert cutoff == (tau if tau == 1e-6 else 0.0)
+        assert cutoff == tau
         ref_lam, ref_mu = np.divmod(restricted, n)
         assert np.array_equal(lam, ref_lam) and np.array_equal(mu, ref_mu)
         assert np.array_equal(entries, flat[restricted])
         assert np.array_equal(mags, np.abs(flat)[restricted])
         held = mags.size
-        for part in (slice(0, held // 3), slice(held // 3, held)):
-            terms = entries[part] * coeffs[lam[part]]
+        parts = [slice(0, held // 3), slice(held // 3, held),
+                 slice(0, 16383), slice(held - 16384, held)]
+        if held > block:
+            parts += [slice(0, held), slice(7, block + 16390)]
+        else:
+            assert 16384 < held
+        for part in parts:
+            terms = np.concatenate([
+                entries[b] * coeffs[lam[b]] for b in (
+                    slice(lo, min(lo + block, part.stop))
+                    for lo in range(part.start, part.stop, block))])
             expected = np.empty(n, dtype=complex)
             expected.real = np.bincount(mu[part], terms.real, minlength=n)
             expected.imag = np.bincount(mu[part], terms.imag, minlength=n)
             got = gf.gmatrix._partial_product(order, coeffs, part, n)
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == expected.tobytes(), (tau, part)
+    assert held > 4 * block
 
 
 @pytest.mark.parametrize("name", ["metaplectic:dilation:2.0", "identity",
@@ -1135,13 +1150,16 @@ def test_partial_products_are_bitwise_the_bincount_sums(harmonic_matrix,
 def test_sparse_apply_does_not_depend_on_earlier_thresholds(dual_frame,
                                                             name):
     # Each tau's output on a fresh matrix and a fresh frame, bitwise
-    # against the same tau after a lower one built the order (the full
-    # order for the lowest), on a frame that analysed the packet before
-    # and keeps its coefficients. Dilation 2.0 holds many exactly equal
-    # magnitudes, whose relative order only a stable sort keeps.
+    # against the same tau after a lower one built the order, on a frame
+    # that analysed the packet before and keeps its coefficients. The
+    # median magnitude keeps half of the entries and 1e-300 nearly all.
+    # Dilation 2.0 holds many exactly equal magnitudes, whose relative
+    # order only a stable sort keeps.
     matrix = gf.assemble(gf.parse_operator(name), dual_frame)
     f = _packet(dual_frame.grid, 0.5, -1.0, 1.5)
-    taus = (1e-2, 1e-4, 1e-6, 1e-10, 1e-300)
+    median = float(np.median(matrix.magnitudes()))
+    taus = (1e-2, 1e-4, 1e-6, 1e-10, median, 1e-300)
+    assert 1e-10 > median > 1e-300
     fresh = [gf.sparse_apply(dataclasses.replace(matrix), gf.GaborFrame(
         dual_frame.window, dual_frame.lattice, dual_frame.grid), f, tau)
              for tau in taus]
@@ -1158,20 +1176,20 @@ def test_sparse_apply_does_not_depend_on_earlier_thresholds(dual_frame,
 
 @pytest.mark.parametrize("name", ["metaplectic:dilation:2.0", "harmonic:1.2"])
 def test_lower_thresholds_extend_the_magnitude_order(dual_frame, name):
-    # A lower threshold that keeps fewer than half of the entries sorts
-    # only those it admits and puts them before the held ones: after
-    # 1e-2, 1e-4 and 1e-6 the four arrays are bitwise a fresh matrix's
-    # order at 1e-6.
+    # A lower threshold sorts only the entries it admits and puts them
+    # before the held ones: after each of 1e-2, 1e-4, 1e-6 and 1e-300
+    # (nearly every entry) the four arrays are bitwise a fresh matrix's
+    # order at that threshold.
     matrix = gf.assemble(gf.parse_operator(name), dual_frame)
     warm = dataclasses.replace(matrix)
-    for tau in (1e-2, 1e-4, 1e-6):
+    for tau in (1e-2, 1e-4, 1e-6, 1e-300):
         held = warm._magnitude_order(tau)
         assert _order_cache(warm)[0] == tau
-    assert 2 * held[0].size < len(matrix)
-    ref = dataclasses.replace(matrix)._magnitude_order(1e-6)
-    for got, expected in zip(held, ref):
-        assert got.dtype == expected.dtype and not got.flags.writeable
-        assert got.tobytes() == expected.tobytes()
+        ref = dataclasses.replace(matrix)._magnitude_order(tau)
+        for got, expected in zip(held, ref):
+            assert got.dtype == expected.dtype and not got.flags.writeable
+            assert got.tobytes() == expected.tobytes(), tau
+    assert 2 * held[0].size > len(matrix)
 
 
 @pytest.mark.parametrize("scale", [1e-290, 1e280])
