@@ -108,25 +108,41 @@ def load_config(path: str | None):
     return _merge(user, DEFAULTS, ""), raw
 
 
-def _is_finite_number(value) -> bool:
-    """A JSON number (not a bool) that converts to a finite float."""
+# Number keys that may be 0; every other number must be positive.
+NONNEGATIVE = ("frame.truncation", "fit.exclusion_radius", "thresholds")
+
+
+def _is_number(value, key: str) -> bool:
+    """A JSON number (not a bool), finite as a float, of key's sign."""
     try:
         return (isinstance(value, (int, float))
-                and not isinstance(value, bool) and math.isfinite(value))
+                and not isinstance(value, bool) and math.isfinite(value)
+                and (value >= 0 if key in NONNEGATIVE else value > 0))
     except OverflowError:  # an int beyond the float range
         return False
 
 
-def _number(cfg, *keys, positive=True):
-    value = cfg
-    for key in keys:
-        value = value[key]
-    if not _is_finite_number(value):
-        raise ConfigError(f"config key {'.'.join(keys)!r} must be a finite "
-                          "number")
-    if positive and not value > 0:
-        raise ConfigError(f"config key {'.'.join(keys)!r} must be positive")
-    return float(value)
+def _check_leaves(cfg: dict, defaults: dict, path: str = "") -> None:
+    """ConfigError naming the first leaf not of its default's kind."""
+    for key, default in defaults.items():
+        here, value = path + key, cfg[key]
+        if isinstance(default, dict):
+            _check_leaves(value, default, here + ".")
+            continue
+        sign = "nonnegative" if here in NONNEGATIVE else "positive"
+        if isinstance(default, str):
+            ok, kind = isinstance(value, str) and value, "a nonempty string"
+        elif isinstance(default, list):
+            ok = isinstance(value, list) and value and all(
+                _is_number(v, here) for v in value)
+            kind = f"a nonempty list of {sign} finite numbers"
+        else:  # a number, and an integer where the default is one
+            whole = isinstance(default, int)
+            ok = _is_number(value, here) and (isinstance(value, int)
+                                              or not whole)
+            kind = f"a {sign} finite {'integer' if whole else 'number'}"
+        if not ok:
+            raise ConfigError(f"config key {here!r} must be {kind}")
 
 
 @dataclass(frozen=True)
@@ -147,61 +163,38 @@ class Experiment:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Experiment":
-        d = cfg["grid"]["d"]
-        if not isinstance(d, int) or isinstance(d, bool) or d != 1:
+        _check_leaves(cfg, DEFAULTS)
+        frame, fit = cfg["frame"], cfg["fit"]
+        if cfg["grid"]["d"] != 1:
             raise ConfigError("config key 'grid.d' must be the integer 1: "
                               "only d = 1 grids are implemented")
-        n = cfg["grid"]["N"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ConfigError("config key 'grid.N' must be an integer")
         try:
-            grid = Grid(1, n, _number(cfg, "grid", "L"))
+            grid = Grid(1, cfg["grid"]["N"], float(cfg["grid"]["L"]))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        window_spec = cfg["frame"]["window"]
-        if not isinstance(window_spec, str):
-            raise ConfigError("config key 'frame.window' must be a string")
-        s_grid = cfg["fit"]["s_grid"]
-        if (not isinstance(s_grid, list) or not s_grid
-                or any(not _is_finite_number(s) or s <= 0 for s in s_grid)):
-            raise ConfigError("config key 'fit.s_grid' must be a list of "
-                              "positive finite numbers")
-        thresholds = cfg["thresholds"]
-        if (not isinstance(thresholds, list) or not thresholds
-                or any(not _is_finite_number(t) or t < 0
-                       for t in thresholds)):
-            raise ConfigError("config key 'thresholds' must be a non-empty "
-                              "list of nonnegative finite numbers")
-        operator_spec = cfg["operator"]
-        if not isinstance(operator_spec, str):
-            raise ConfigError("config key 'operator' must be a string")
-        out = cfg["out"]
-        if not isinstance(out, str) or not out:
-            raise ConfigError("config key 'out' must be a nonempty string")
+            raise ConfigError(f"config key 'grid.N': {exc}") from exc
         return cls(
             grid=grid,
-            window=parse_window(window_spec),
-            alpha=_number(cfg, "frame", "alpha"),
-            beta=_number(cfg, "frame", "beta"),
-            truncation=_number(cfg, "frame", "truncation", positive=False),
-            operator_spec=operator_spec,
-            fit_floor=_number(cfg, "fit", "floor"),
-            exclusion_radius=_number(cfg, "fit", "exclusion_radius",
-                                     positive=False),
-            s_grid=tuple(float(s) for s in s_grid),
-            thresholds=tuple(float(t) for t in thresholds),
-            out=out)
+            window=parse_window(frame["window"]),
+            alpha=float(frame["alpha"]),
+            beta=float(frame["beta"]),
+            truncation=float(frame["truncation"]),
+            operator_spec=cfg["operator"],
+            fit_floor=float(fit["floor"]),
+            exclusion_radius=float(fit["exclusion_radius"]),
+            s_grid=tuple(float(s) for s in fit["s_grid"]),
+            thresholds=tuple(float(t) for t in cfg["thresholds"]),
+            out=cfg["out"])
 
     def frame(self) -> GaborFrame:
         lattice = make_lattice(self.alpha, self.beta, self.truncation)
         return GaborFrame(self.window, lattice, self.grid)
 
-    def operator(self, override: str | None):
-        return parse_operator(override if override else self.operator_spec)
-
-    def operators(self, override: str | None) -> list:
-        """Operators for one run: a name, a comma list, or 'all'."""
+    def operators(self, override: str | None, many: bool) -> list:
+        """Operators for one run: a name or, if many, a comma list or 'all'."""
         spec = override if override else self.operator_spec
+        if not many and (spec == "all" or "," in spec):
+            raise ConfigError(f"operator {spec!r} is a list; this command "
+                              "takes one operator")
         if spec == "all":
             names = shipped_operator_names()
         else:
@@ -402,22 +395,19 @@ def _rel_error(candidate: SampledSignal, reference: SampledSignal) -> float:
     return delta.norm() / reference.norm()
 
 
-def _run_frame_check(exp: Experiment, args) -> None:
+def _run_frame_check(exp: Experiment, ops, args) -> None:
     frame = exp.frame()
     a, b = frame_bounds(frame)
     dual_window(frame)
     solver_res, frame_res = frame.dual_residuals
-    payload = {
-        "alpha": exp.alpha,
-        "beta": exp.beta,
-        "A": a,
-        "B": b,
-        "dual_residual": solver_res,
-    }
-    _write_json(os.path.join(exp.out, "frame.json"), payload)
     f = exp.test_signal()
     inv_err = _rel_error(inversion_formula_reconstruct(f, exp.window), f)
+    # A lattice that is no frame for the window fails here, before the
+    # report is written.
     dual_err = _rel_error(frame.dual_synthesis(frame.analysis(f)), f)
+    _write_json(os.path.join(exp.out, "frame.json"), {
+        "alpha": exp.alpha, "beta": exp.beta, "A": a, "B": b,
+        "dual_residual": solver_res})
     print(f"frame bounds: A={a:.6f} B={b:.6f} B/A={b / a:.6f}")
     print(f"dual window: solver residual {solver_res:.3e}, frame-equation "
           f"residual {frame_res:.3e}")
@@ -425,9 +415,8 @@ def _run_frame_check(exp: Experiment, args) -> None:
           f"dual-window expansion {dual_err:.3e}")
 
 
-def _run_stft(exp: Experiment, args) -> None:
-    pts = _phase_space_points(exp.grid)
-    op = exp.operator(args.operator)
+def _run_stft(exp: Experiment, ops, args) -> None:
+    pts, op = _phase_space_points(exp.grid), ops[0]
     signal = fio_apply(op, exp.test_signal())
     values = stft(signal, exp.window, pts)
     path = os.path.join(exp.out, "stft.csv")
@@ -438,9 +427,8 @@ def _run_stft(exp: Experiment, args) -> None:
           f"{op.name} -> {path}")
 
 
-def _run_gs_check(exp: Experiment, args) -> None:
+def _run_gs_check(exp: Experiment, ops, args) -> None:
     pts = _phase_space_points(exp.grid)
-    ops = exp.operators(args.operator)
     for op in ops:
         signal = fio_apply(op, exp.test_signal())
         values = stft(signal, exp.window, pts)
@@ -452,8 +440,8 @@ def _run_gs_check(exp: Experiment, args) -> None:
               f"epsilon_hat={fit.epsilon_hat:.4f} r2={fit.r_squared:.5f}")
 
 
-def _run_gabor_matrix(exp: Experiment, args) -> None:
-    op = exp.operator(args.operator)
+def _run_gabor_matrix(exp: Experiment, ops, args) -> None:
+    op = ops[0]
     matrix = assemble(op, exp.frame())
     path = os.path.join(exp.out, "matrix.csv")
     matrix.to_csv(path)
@@ -478,8 +466,7 @@ def _run_gabor_matrix(exp: Experiment, args) -> None:
           f"where law < {LAW_QUIET:g} peak")
 
 
-def _run_decay_fit(exp: Experiment, args) -> None:
-    ops = exp.operators(args.operator)
+def _run_decay_fit(exp: Experiment, ops, args) -> None:
     frame = exp.frame()
     for op in ops:
         matrix = assemble(op, frame)
@@ -500,8 +487,8 @@ def _run_decay_fit(exp: Experiment, args) -> None:
         del matrix  # and its fits' caches, before the next assemble
 
 
-def _run_sparsity(exp: Experiment, args) -> None:
-    op = exp.operator(args.operator)
+def _run_sparsity(exp: Experiment, ops, args) -> None:
+    op = ops[0]
     matrix = assemble(op, exp.frame())
     fit = fit_decay(matrix, floor=exp.fit_floor,
                     exclusion_radius=exp.exclusion_radius,
@@ -518,8 +505,8 @@ def _run_sparsity(exp: Experiment, args) -> None:
           f"min r2={float(np.min(report.r_squareds)):.5f}")
 
 
-def _run_propagate(exp: Experiment, args) -> None:
-    op = exp.operator(args.operator)
+def _run_propagate(exp: Experiment, ops, args) -> None:
+    op = ops[0]
     frame = exp.frame()
     matrix = assemble(op, frame)
     f = exp.test_signal()
@@ -539,28 +526,23 @@ def _run_propagate(exp: Experiment, args) -> None:
     print(f"propagate: {op.name} -> {path}")
 
 
-def _run_oracle_check(exp: Experiment, args) -> None:
+def _run_oracle_check(exp: Experiment, ops, args) -> None:
     """Quadrature vs closed forms, Newton vs closed maps, conversions."""
     f = exp.test_signal()
     t = exp.grid.times()
 
+    # Each operator's closed-form output on the test signal.
+    closed_forms = {
+        "identity": f.values,
+        "multiplier:cos": f.values * np.exp(2j * np.pi * np.cos(t)),
+        "metaplectic:chirp:1.0": f.values * np.exp(1j * np.pi * t * t),
+        "metaplectic:dilation:2.0": np.asarray(
+            2.0 ** -0.5 * exp.window.evaluate(t / 2.0), dtype=complex)}
     closed_errors = {}
-    ident = parse_operator("identity")
-    closed_errors[ident.name] = _rel_error(fio_apply(ident, f), f)
-    mult = parse_operator("multiplier:cos")
-    multiplied = f.values * np.exp(2j * np.pi * np.cos(t))
-    closed_errors[mult.name] = _rel_error(fio_apply(mult, f),
-                                          SampledSignal(exp.grid, multiplied))
-    chirp = parse_operator("metaplectic:chirp:1.0")
-    chirped = f.values * np.exp(1j * np.pi * t * t)
-    closed_errors[chirp.name] = _rel_error(fio_apply(chirp, f),
-                                           SampledSignal(exp.grid, chirped))
-    dilation = parse_operator("metaplectic:dilation:2.0")
-    dilated = np.asarray(
-        2.0 ** -0.5 * exp.window.evaluate(exp.grid.times() / 2.0),
-        dtype=complex)
-    closed_errors[dilation.name] = _rel_error(
-        fio_apply(dilation, f), SampledSignal(exp.grid, dilated))
+    for spec, values in closed_forms.items():
+        op = parse_operator(spec)
+        closed_errors[op.name] = _rel_error(fio_apply(op, f),
+                                            SampledSignal(exp.grid, values))
 
     rng = np.random.default_rng(0)
     pts = rng.uniform(-5.0, 5.0, size=(100, 2))
@@ -595,19 +577,26 @@ def _run_oracle_check(exp: Experiment, args) -> None:
           f"{moment_err:.3e}")
 
 
-RUNNERS = {
-    "frame-check": _run_frame_check,
-    "stft": _run_stft,
-    "gs-check": _run_gs_check,
-    "gabor-matrix": _run_gabor_matrix,
-    "decay-fit": _run_decay_fit,
-    "sparsity": _run_sparsity,
-    "propagate": _run_propagate,
-    "oracle-check": _run_oracle_check,
+# Each subcommand's runner, help and operand: None (no operator), "one"
+# (an operator spec) or "many" (a spec, a comma list or 'all').
+COMMANDS = {
+    "frame-check": (_run_frame_check, "frame bounds, dual-window residuals, "
+                    "and reconstruction errors", None),
+    "stft": (_run_stft, "dump the STFT of the transformed test signal",
+             "one"),
+    "gs-check": (_run_gs_check, "classify the phase-space decay of the "
+                 "transformed test signal", "many"),
+    "gabor-matrix": (_run_gabor_matrix, "assemble the Gabor matrix and dump "
+                     "it as CSV", "one"),
+    "decay-fit": (_run_decay_fit, "assemble and fit the concentration law",
+                  "many"),
+    "sparsity": (_run_sparsity, "per-row sparsity fits of the Gabor matrix",
+                 "one"),
+    "propagate": (_run_propagate, "thresholded application at each "
+                  "configured threshold", "one"),
+    "oracle-check": (_run_oracle_check, "quadrature vs closed forms, Newton "
+                     "vs closed canonical maps, moment conversions", None),
 }
-
-OPERATOR_COMMANDS = ("stft", "gs-check", "gabor-matrix", "decay-fit",
-                     "sparsity", "propagate")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -623,26 +612,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "frame-check": "frame bounds, dual-window residuals, and "
-                       "reconstruction errors",
-        "stft": "dump the STFT of the transformed test signal",
-        "gs-check": "classify the phase-space decay of the transformed "
-                    "test signal",
-        "gabor-matrix": "assemble the Gabor matrix and dump it as CSV",
-        "decay-fit": "assemble and fit the concentration law",
-        "sparsity": "per-row sparsity fits of the Gabor matrix",
-        "propagate": "thresholded application at each configured "
-                     "threshold",
-        "oracle-check": "quadrature vs closed forms, Newton vs closed "
-                        "canonical maps, moment conversions",
-    }
-    multi_ok = ("gs-check", "decay-fit")
-    for name, text in helps.items():
+    for name, (_, text, operand) in COMMANDS.items():
         sp = sub.add_parser(name, help=text)
-        if name in OPERATOR_COMMANDS:
+        if operand:
             extra = (" ('all' or a comma list fits each operator in turn)"
-                     if name in multi_ok else "")
+                     if operand == "many" else "")
             sp.add_argument("operator", nargs="?", default=None,
                             help="operator spec (default: config operator)"
                                  + extra)
@@ -654,6 +628,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    runner, _, operand = COMMANDS[args.command]
     start = time.perf_counter()
     try:
         effective, raw = load_config(args.config)
@@ -662,9 +637,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             effective["out"] = args.out
         exp = Experiment.from_dict(effective)
+        ops = (exp.operators(args.operator, operand == "many") if operand
+               else [])
         _check_sizes(exp, args.command)
         os.makedirs(exp.out, exist_ok=True)
-        RUNNERS[args.command](exp, args)
+        runner(exp, ops, args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

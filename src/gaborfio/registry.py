@@ -29,8 +29,6 @@ DEFAULT_HARMONIC_TIME = math.pi / 4
 
 def _param(parts, index, default, spec):
     if len(parts) <= index:
-        if default is None:
-            raise ConfigError(f"operator {spec!r} needs a parameter")
         return default
     try:
         value = float(parts[index])

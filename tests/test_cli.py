@@ -253,6 +253,83 @@ def test_config_value_errors_exit_2(tmp_path, config_path):
         assert "grid.d" in proc.stderr
 
 
+SMALL_GRID = {"grid": {"N": 512, "L": 20.0}}
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (json.dumps(dict(SMALL_GRID, fit=[1e-12])), ["decay-fit"],
+     "config section fit must be an object"),
+    (None, ["decay-fit"], "cannot read config"),
+    ('{"grid": {"N": 512,', ["decay-fit"], "is not valid JSON"),
+    ('{"grid": {"N": 512, "L": 1' + "0" * 400 + "}}", ["decay-fit"],
+     "'grid.L' must be a positive finite number"),
+    (json.dumps(dict(SMALL_GRID, frame={"alpha": 0})), ["decay-fit"],
+     "'frame.alpha' must be a positive finite number"),
+    (json.dumps({"grid": {"N": 512.0, "L": 20.0}}), ["stft"],
+     "'grid.N' must be a positive finite integer"),
+    (json.dumps({"grid": {"N": 511, "L": 20.0}}), ["stft"],
+     "'grid.N': points_per_axis must be even"),
+    (json.dumps(dict(SMALL_GRID, frame={"window": 2})), ["frame-check"],
+     "'frame.window' must be a nonempty string"),
+    (json.dumps(dict(SMALL_GRID, operator=["identity"])), ["propagate"],
+     "'operator' must be a nonempty string"),
+    (json.dumps(SMALL_GRID), ["--out", "", "propagate"],
+     "'out' must be a nonempty string"),
+    (json.dumps(SMALL_GRID), ["decay-fit", ", ,"], "empty operator list"),
+    # The config's operator is read under every command.
+    (json.dumps(dict(SMALL_GRID, operator="")), ["frame-check"],
+     "'operator' must be a nonempty string"),
+    (json.dumps(dict(SMALL_GRID, operator="")), ["oracle-check"],
+     "'operator' must be a nonempty string"),
+    # Only gs-check and decay-fit take a list.
+    (json.dumps(SMALL_GRID), ["stft", "identity,multiplier:cos"],
+     "'identity,multiplier:cos' is a list"),
+    (json.dumps(SMALL_GRID), ["propagate", "all"], "'all' is a list"),
+    (json.dumps(dict(SMALL_GRID, operator="identity,")), ["gabor-matrix"],
+     "'identity,' is a list"),
+], ids=["section", "unreadable", "json", "past-float-range", "zero",
+        "float-n", "odd-n", "window", "operator", "out", "empty-list",
+        "operator-frame-check", "operator-oracle-check", "list-stft",
+        "all-propagate", "list-config"])
+def test_config_checks_exit_2_writing_nothing(tmp_path, monkeypatch, capsys,
+                                              text, argv, message):
+    # Each config and operand check, in process: exit 2, the key or spec
+    # named, no traceback, and nothing written.
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = cli.main(["--config", str(cfg), "--out", "out", *argv])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert not any(work.iterdir())
+
+
+@pytest.mark.parametrize("frame", [
+    {"alpha": 1.0, "beta": 1.0, "truncation": 4.0},
+    {"window": "hermite:1:2", "truncation": 4.0}],
+    ids=["gaussian-critical", "hermite-odd"])
+def test_frame_check_writes_nothing_for_a_non_frame(tmp_path, capsys,
+                                                    frame):
+    # gaussian(2) at alpha beta = 1, which Balian-Low rules out, and the
+    # odd hermite(1, 2) at alpha beta = 1/2: frame_bounds reads a
+    # positive lower bound for both, and the dual reconstruction refuses
+    # them. frame.json once held those bounds, written before the check.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(SMALL_GRID, frame=frame)))
+    out = tmp_path / "out"
+    code = cli.main(["--config", str(cfg), "--out", str(out),
+                     "frame-check"])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "numerical failure: no frame" in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["frame-check", "gabor-matrix",
                                      "decay-fit", "sparsity", "propagate"])
 def test_grid_too_small_for_lattice_exits_2(tmp_path, command):
@@ -706,7 +783,18 @@ def test_walnut_charge_admits_a_frame_the_doubled_grid_refused(monkeypatch):
 def test_every_command_is_in_the_memory_table():
     # A subcommand without a table entry would fall through the guard.
     exp = cli.Experiment.from_dict(cli._merge({}, cli.DEFAULTS, ""))
-    assert set(cli._memory_table(exp)) == set(cli.RUNNERS)
+    assert set(cli._memory_table(exp)) == set(cli.COMMANDS)
+
+
+def test_readme_lists_every_command():
+    # README's subcommand table, in the order of cli.COMMANDS.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text.split("| subcommand | artifact | purpose |\n|---|---|---|\n"
+                       )[1].split("\n\n")[0]
+    assert [row.split("`")[1] for row in table.splitlines()] == list(
+        cli.COMMANDS)
 
 
 def test_frame_check_builds_no_atom_matrix(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Property tests over drawn inputs (hypothesis, the optional test extra)."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 import gaborfio as gf
-from gaborfio import gmatrix
+from gaborfio import cli, gmatrix
 from gaborfio.fitting import SHELL_WIDTH
 from gaborfio.metaplectic import _covariant_source
 from gaborfio.signals import _csv_rows
@@ -95,3 +98,105 @@ def test_pass_counts_past_the_radius_are_those_of_hypot(x, w, radius):
     expected = np.bincount(past.ravel())
     assert counts.dtype == expected.dtype
     assert np.array_equal(counts, expected)
+
+
+def _leaves(defaults, path=""):
+    """(dotted key, default) of every config leaf."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            yield from _leaves(default, f"{path}{key}.")
+        else:
+            yield path + key, default
+
+
+LEAVES = dict(_leaves(cli.DEFAULTS))
+# No leaf takes these: bools, null, objects, and numbers that are not
+# finite as floats.
+NEVER = st.one_of(st.booleans(), st.none(), st.just({}), st.just({"N": 1}),
+                  st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400,
+                                   -10 ** 400]))
+NEGATIVE = st.one_of(st.integers(max_value=-1),
+                     st.floats(max_value=-1e-300, allow_infinity=False))
+# Wrong values a key's kind does not cover, which other checks refuse.
+EXTRA = {"grid.d": st.integers(min_value=2),
+         "grid.N": st.integers(0, 10 ** 6).map(lambda k: 2 * k + 1)}
+
+
+def _wrong_number(key):
+    """What a number leaf, or an element of a number list, must refuse."""
+    sign = (NEGATIVE if key in cli.NONNEGATIVE
+            else st.one_of(NEGATIVE, st.sampled_from([0, 0.0, -0.0])))
+    return st.one_of(NEVER, sign, st.text(max_size=4), st.just([]),
+                     st.just([1.0]))
+
+
+@st.composite
+def wrong_leaves(draw):
+    key = draw(st.sampled_from(sorted(LEAVES)))
+    default = LEAVES[key]
+    if isinstance(default, str):
+        value = st.one_of(NEVER, st.just(""), st.floats(), st.integers(),
+                          st.just([]), st.just(["identity"]))
+    elif isinstance(default, list):
+        at = draw(st.integers(0, len(default)))
+        value = st.one_of(
+            st.just([]), st.one_of(NEVER, st.floats(), st.text(max_size=4)),
+            _wrong_number(key).map(
+                lambda bad: default[:at] + [bad] + default[at:]))
+    elif isinstance(default, int):
+        value = st.one_of(_wrong_number(key), st.floats(),
+                          EXTRA.get(key, st.nothing()))
+    else:
+        value = _wrong_number(key)
+    return key, draw(value)
+
+
+def _config(key, value):
+    """The defaults with one leaf set to value."""
+    *section, leaf = key.split(".")
+    user = {section[0]: {leaf: value}} if section else {leaf: value}
+    return cli._merge(user, cli.DEFAULTS, "")
+
+
+@hypothesis.settings(max_examples=600, deadline=None, database=None,
+                     derandomize=True)
+@hypothesis.given(leaf=wrong_leaves())
+def test_every_config_leaf_refuses_a_wrong_value_naming_it(leaf):
+    # A bool, a string, NaN, an infinity, 10**400, a negative, 0 where a
+    # positive is required, an empty list or an object, put into one
+    # leaf: the config is refused, naming that leaf.
+    key, value = leaf
+    with pytest.raises(gf.ConfigError, match=re.escape(repr(key))):
+        cli.Experiment.from_dict(_config(key, value))
+
+
+POSITIVE = st.one_of(st.integers(1, 10 ** 300),
+                     st.floats(min_value=5e-324, allow_infinity=False))
+
+
+@st.composite
+def right_leaves(draw):
+    key = draw(st.sampled_from(sorted(LEAVES)))
+    default = LEAVES[key]
+    number = (st.one_of(POSITIVE, st.sampled_from([0, 0.0, -0.0]))
+              if key in cli.NONNEGATIVE else POSITIVE)
+    if key == "grid.d":
+        value = st.just(1)
+    elif key == "grid.N":
+        value = st.integers(1, 10 ** 300).map(lambda k: 2 * k)
+    elif isinstance(default, str):
+        value = st.just(default)
+    elif isinstance(default, list):
+        value = st.lists(number, min_size=1, max_size=5)
+    else:
+        value = number
+    return key, draw(value)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, database=None,
+                     derandomize=True)
+@hypothesis.given(leaf=right_leaves())
+def test_every_config_leaf_takes_a_value_of_its_kind(leaf):
+    # Any finite number of the key's sign (an even integer for grid.N),
+    # or a nonempty list of them, is taken: from_dict does not raise.
+    cli.Experiment.from_dict(_config(*leaf))
