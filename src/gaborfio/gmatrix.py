@@ -440,6 +440,17 @@ def _row_blocks(matrix: GaborMatrix):
         yield rows, times - matrix.chi[rows, :1], freqs - matrix.chi[rows, 1:]
 
 
+def _as_run(rows):
+    """rows as a slice when they are a run of ascending indices, else rows.
+
+    Indexing with the slice reads a view of the entries where the index
+    array would gather a copy; both give the same values.
+    """
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
 def _above_floor(matrix: GaborMatrix, floor) -> tuple:
     """The fits' samples pass over the entries: (dist, mags).
 
@@ -450,10 +461,7 @@ def _above_floor(matrix: GaborMatrix, floor) -> tuple:
     """
     dists, mags = [], []
     for rows, dx, dw in _row_blocks(matrix):
-        if rows[-1] - rows[0] == len(rows) - 1:  # a run: no copy
-            block = np.abs(matrix.entries[rows[0]:rows[-1] + 1])
-        else:
-            block = np.abs(matrix.entries[rows])
+        block = np.abs(matrix.entries[_as_run(rows)])
         above = np.flatnonzero(block >= floor)
         mags.append(block.ravel()[above])
         dists.append(_exact_distances(dx, dw, above))
@@ -651,12 +659,16 @@ def sparsity_curve(matrix: GaborMatrix, s_hat: float, *, axis: str = "rows",
         raise ValueError(f"s_hat must be positive, got {s_hat:g}")
     exponent = 1.0 / (2.0 * s_hat)
     entries, unflagged = matrix.entries, np.flatnonzero(~matrix.flags)
-    # np.abs reads a contiguous copy, as it read the whole matrix.
+    # Where the unflagged lambdas are a run (of the shipped operators on
+    # the reference frame, all but the chirp, which flags 20), a block
+    # is a slice of the entries, not a gather. Either way np.abs reads
+    # each row of a block contiguously, as it reads the whole matrix.
     if axis == "rows":
-        blocks = (np.abs(entries[unflagged, lo:lo + BLOCK_ROWS]).T
+        lambdas = _as_run(unflagged)
+        blocks = (np.abs(entries[lambdas, lo:lo + BLOCK_ROWS]).T
                   for lo in range(0, matrix.n_lattice, BLOCK_ROWS))
     else:
-        blocks = (np.abs(entries[unflagged[lo:lo + BLOCK_ROWS]])
+        blocks = (np.abs(entries[_as_run(unflagged[lo:lo + BLOCK_ROWS])])
                   for lo in range(0, unflagged.size, BLOCK_ROWS))
     eps, logc, r2 = sorted_tail_fits(blocks, exponent, floor=floor)
     return SparsityReport(exponent_used=exponent, epsilons=eps, log_cs=logc,
