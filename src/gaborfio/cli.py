@@ -266,14 +266,22 @@ def _memory_table(exp: Experiment) -> dict:
         "counts pass": samples + [
             ("the counts pass's block of rows", 25 * BLOCK_ROWS * lat, lk)],
         "fits": shells + [sq("the fits' two temporaries", 16)]}
-    bounds = [("the frame bounds' offset waves", 16 * n * (2 * n_w - 1), wk),
+    # The Gram's offset waves, and one central shift times them, the
+    # float view gabor._windowed_sums multiplies by the shifts.
+    bounds = [("the frame bounds' offset waves and their weighted copy",
+               32 * n * (2 * n_w - 1), wk),
               ("the frame bounds' Gram matrices", 48 * lat * c_x * c_w, lk)]
     # 64 bytes per adjoint point (k, l >= 0) and sample t >= 0: its row,
     # the real form, that form's weighted copy and lstsq's copy.
     system = ("the expansion dual's system",
               16 * (k_1 + 1) * (m + 1) * (n - n // 2), ak)
-    expansion = [("the expansion's shifts and products", 24 * n * n_x, wk),
+    # The dual's real shifts, and the values times the waves (analysis)
+    # or the sums over x (synthesis), N x n_w complex either way.
+    expansion = [("the expansion's shifts and products",
+                  8 * n * n_x + 16 * n * n_w, wk),
                  ("the coefficients", 48 * lat, lk)]
+    # Per sample axis point: the window's shifts (8 bytes), the waves
+    # and the signal times the waves (16 each).
     stft = {"STFT": [signal, ("the transformed signal", 16 * n, nk),
                      ("the STFT's sums", 40 * n * n_stft, nk)]}
     # The canonical dual (gabor._canonical_dual) on 2N: its system has at
@@ -304,11 +312,11 @@ def _memory_table(exp: Experiment) -> dict:
                  min(2 * n, WALNUT_ROWS) * n_walnut * (
                      74 if exp.window.kind == "gaussian" else 113), ak[:3]),
                 ("the Walnut check's shifted duals", 96 * n * n_dual, ak)],
-            # The sums' table of coefficients, and the conjugated copy
-            # gabor._synthesis takes of it.
+            # The sums' table of coefficients; gabor._synthesis reads it
+            # as floats and takes no copy.
             "inversion formula": frame + [signal, dual, (
                 "the inversion formula's sums", 40 * n * n_inv, nk), (
-                "the inversion formula's coefficients", 32 * n_inv ** 2,
+                "the inversion formula's coefficients", 16 * n_inv ** 2,
                 ())],
             "dual expansion": frame + [signal, dual, system] + expansion},
         "stft": stft,
@@ -336,7 +344,8 @@ def _memory_table(exp: Experiment) -> dict:
                 signal, sq("the magnitude-ordered copy", 40),
                 ("a block of the product's terms", 16 * PRODUCT_BLOCK, ()),
                 ("the reference and direct outputs", 32 * n, nk)] + expansion},
-        # fio._chirp_z_columns' padding, 4N-point buffer, chirps: traced 389.
+        # fio._chirp_z_columns' padding, 4N-point buffer, chirps: fio.apply
+        # alone traced 339 bytes per N on the Bluestein path (N 1024, 4096).
         "oracle-check": {"operator applies": [
             signal, ("the outputs and closed forms", 64 * n, nk),
             ("the operator apply's buffers", 400 * n, nk)]},

@@ -260,16 +260,22 @@ def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
         post *= n
     else:
         theta = ia / n
-        spec *= (pre * _chirp(1j * np.pi * theta, v))[:, None]
+        # One chirp exp(i pi theta k^2) over |k| = 0 .. N, gathered at
+        # v and u, and conjugated at the kernel's 2N indices s: exp(-i x)
+        # is exp(i x) conjugated, bit for bit but for the sign of the
+        # imaginary zero of 1 at k = 0, which leaves the outputs bitwise.
+        chirp = _chirp(1j * np.pi * theta, np.arange(n + 1))
+        spec *= (pre * chirp[np.abs(v)])[:, None]
         # Index v sits at row v mod 2N, zeros between.
         _move_rows(buf, slice(h, n), slice(n + h, None))
         buf[h:n + h] = 0.0
-        s = np.fft.ifftshift(np.arange(2 * n) - n)
-        chirp = np.fft.fft(_chirp(-1j * np.pi * theta, s))
+        kernel = chirp[np.abs(np.fft.ifftshift(np.arange(2 * n) - n))]
+        np.conj(kernel, out=kernel)
+        np.fft.fft(kernel, out=kernel)
         np.fft.fft(buf, axis=0, out=buf)
-        buf *= chirp[:, None]
+        buf *= kernel[:, None]
         np.fft.ifft(buf, axis=0, out=buf)
-        post *= _chirp(1j * np.pi * theta, u)
+        post *= chirp[np.abs(u)]
         _move_rows(buf, slice(n + h, None), slice(h, n))
     # Output index u sits at row u mod 2N (u mod N at a = 1); gather the
     # centered result into rows h .. n + h - 1.

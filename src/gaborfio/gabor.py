@@ -14,15 +14,19 @@ exp(-2 pi i w t), one column per distinct frequency w (_waves). Each
 wave's phase is reduced to a fraction of a cycle exactly
 (_fractional_cycles), so large w t leave no phase noise. Two kernels
 take every sum over the product grid of (x, w), N n_x n_w work and
-O(N (n_x + n_w)) memory each:
+O(N (n_x + n_w)) memory each. The shifts are real, so each is one real
+matrix product against the float view of its complex operand, and no
+flop multiplies an imaginary zero:
 - _windowed_sums, the analysis dx sum_t v(t) shift(t - x) exp(-2 pi i
-  w t), one (n_x x N) @ (N x n_w) product. It serves stft,
-  GaborFrame.analysis and dual_analysis, frame_bounds' Gram matrix,
-  the inversion formula and metaplectic's multiplier source;
+  w t), the shifts' transpose times the values times the waves read as
+  N x 2 n_w floats, one (n_x x N) @ (N x 2 n_w) product. It serves
+  stft, GaborFrame.analysis and dual_analysis, frame_bounds' Gram
+  matrix, the inversion formula and metaplectic's multiplier source;
 - _synthesis, the expansion sum_{x,w} c(x, w) shift(t - x) exp(2 pi i
-  w t), one (N x n_w) @ (n_w x n_x) product and a weighted row sum. It
-  serves GaborFrame.dual_synthesis (so sparse_apply) and the inversion
-  formula.
+  w t), the shifts times the coefficient table read as n_x x 2 n_w
+  floats, one (N x n_x) @ (n_x x 2 n_w) product, then a length-n_w dot
+  product with the conjugated waves per grid row. It serves
+  GaborFrame.dual_synthesis (so sparse_apply) and the inversion formula.
 gmatrix's quadrature source pushes products of the same factors through
 an operator, a run of lattice times at a time, and pairs them with the
 outputs over the rows each window reaches only (_atom_rows).
@@ -299,17 +303,23 @@ def _waves(ws, grid: Grid) -> np.ndarray:
 
 def _windowed_sums(values, shifted, grid: Grid, waves) -> np.ndarray:
     """dx sum_t values(t) shifted(t, k) exp(-2 pi i w_j t), an (n_x, n_w)
-    table over the columns k of shifted = _shifted(source, grid, xs) and
-    the w_j of waves = _waves(ws, grid).
+    table over the real columns k of shifted = _shifted(source, grid, xs)
+    and the w_j of waves = _waves(ws, grid).
 
     For a real window this is the STFT of values on the product grid of
     (xs, ws); in Lattice's order, its ravel is the analysis of values on
-    that lattice. One (n_x, N) @ (N, n_w) product of the shifts times the
-    values and the waves: N n_x n_w work, O(N (n_x + n_w)) memory, and no
-    atom per (x, w).
+    that lattice. The values times the waves, N x n_w complex, are read
+    as N x 2 n_w floats, so the sum over t is one real (n_x, N) @
+    (N, 2 n_w) product of the shifts' transpose and that float view:
+    2 N n_x n_w real multiply-adds, O(N (n_x + n_w)) memory, and no atom
+    per (x, w). ValueError on complex shifts.
     """
-    shifted = shifted * np.asarray(values)[:, None]
-    return grid.spacing * (shifted.T @ waves)
+    if np.iscomplexobj(shifted):
+        raise ValueError("the frame kernels take real shifts")
+    weighted = waves * np.asarray(values)[:, None]
+    table = (shifted.T @ weighted.view(float)).view(complex)
+    table *= grid.spacing
+    return table
 
 
 def _synthesis(coeffs, shifted, waves) -> np.ndarray:
@@ -317,14 +327,18 @@ def _synthesis(coeffs, shifted, waves) -> np.ndarray:
 
     The expansion over the atoms of _windowed_sums' factors, for real
     shifts (a window's, or GaborFrame.dual_atoms), with coeffs an
-    (n_x, n_w) table or its ravel (Lattice's order). One (N, n_w) @
-    (n_w, n_x) product and a weighted sum over x, taken conjugated so
-    that the waves are not copied: N n_x n_w work, O(N n_x) memory.
+    (n_x, n_w) table or its ravel (Lattice's order). The table read as
+    n_x x 2 n_w floats gives the sums over x as one real (N, n_x) @
+    (n_x, 2 n_w) product, and each grid row ends in a length-n_w dot
+    product with the conjugated waves (np.vecdot): 2 N n_x n_w real
+    multiply-adds, O(N n_w) memory. ValueError on complex shifts.
     """
-    table = np.reshape(coeffs, (shifted.shape[1], waves.shape[1]))
-    out = waves @ table.conj().T
-    out *= shifted
-    return np.sum(out, axis=1).conj()
+    if np.iscomplexobj(shifted):
+        raise ValueError("the frame kernels take real shifts")
+    table = np.ascontiguousarray(coeffs, dtype=complex).reshape(
+        shifted.shape[1], waves.shape[1])
+    sums = (shifted @ table.view(float)).view(complex)
+    return np.vecdot(waves, sums)
 
 
 def _fractional_cycles(a, b) -> np.ndarray:

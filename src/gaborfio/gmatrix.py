@@ -550,11 +550,14 @@ def _exact_distances(dx, dw, flat) -> np.ndarray:
 
     dx and dw hold the block's lattice times and frequencies minus chi,
     a row per lambda; the point of time i and frequency j is the entry
-    i n_w + j of a row, as Lattice lists them.
+    i n_w + j of a row, as Lattice lists them. The block's flat position
+    p = (r n_x + i) n_w + j, of row r, reads dx's flat entry p // n_w and
+    dw's r n_w + j.
     """
-    row, time, freq = np.unravel_index(flat, (len(dx), dx.shape[1],
-                                              dw.shape[1]))
-    return np.hypot(dx[row, time], dw[row, freq])
+    n_x, n_w = dx.shape[1], dw.shape[1]
+    point, freq = np.divmod(flat, n_w)
+    freq += point // n_x * n_w
+    return np.hypot(dx.ravel().take(point), dw.ravel().take(freq))
 
 
 def fit_decay(matrix: GaborMatrix, *, floor: float = 1e-14,
@@ -712,12 +715,13 @@ def sparse_apply(matrix: GaborMatrix, frame: GaborFrame, f: SampledSignal,
     (_partial_product): O(kept) past the order. Its worst case is a
     threshold that keeps every entry, which holds 40 bytes per entry and
     one block of terms, and sums every entry term by term, 4-8x a dense
-    product's time. The dual analysis and synthesis cost N |L|
-    flops each, but hold only the frame's factors, O(N (n_x + n_w))
-    values (gabor._windowed_sums, gabor._synthesis), not an N x |L|
-    matrix. The frame keeps the coefficients of the last signal it
-    analysed, so a threshold after the first on one f costs its product
-    and one synthesis.
+    product's time. The dual analysis and synthesis are one real
+    matrix product each, 2 N |L| real multiply-adds, as the dual's
+    shifts are real, and hold only the frame's factors, O(N (n_x +
+    n_w)) values (gabor._windowed_sums, gabor._synthesis), not an
+    N x |L| matrix. The frame keeps the coefficients of the last signal
+    it analysed, so a threshold after the first on one f costs its
+    product and one synthesis.
     """
     if math.isnan(tau) or tau < 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")

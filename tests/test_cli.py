@@ -648,7 +648,7 @@ def test_lower_threshold_after_another_is_charged(tmp_path, monkeypatch,
 @pytest.mark.parametrize("n, truncation", [(512, 3.0), (2048, 4.0)])
 def test_frame_check_is_charged_its_traced_peak(tmp_path, monkeypatch,
                                                 capsys, n, truncation):
-    # Traced 4.3 MiB on 625 points at N 512 and 15.1 MiB on 1089 points
+    # Traced 4.3 MiB on 625 points at N 512 and 14.8 MiB on 1089 points
     # at N 2048. The Walnut check is charged its 256-row blocks, 7.4 MiB
     # at N 2048 (traced 3.4), and the canonical dual its system's build
     # and its Gram solve, 8.4 and 7.6 MiB (traced 6.0), where the guard
@@ -667,11 +667,11 @@ def test_frame_check_is_charged_its_traced_peak(tmp_path, monkeypatch,
     {"grid": {"N": 512, "L": 20.0}}, {}, {"grid": {"N": 2048, "L": 20.0}}])
 def test_inversion_formula_is_charged_its_traced_peak(config):
     # inversion_formula_reconstruct alone, with its signal and window
-    # made before: its own rows, the sums and the coefficient table with
-    # its conjugated copy, and the interpreter's row for the array
-    # headers and axes, must cover its traced peak. Traced 3.94, 7.08
-    # and 13.37 MiB at N 512, 1024 and 2048, 0.79 MiB of it the
-    # 161 x 161 table and its copy, which the sums' row alone missed.
+    # made before: its own rows, the sums and the coefficient table, and
+    # the interpreter's row for the array headers and axes, must cover
+    # its traced peak. Traced 3.55, 6.70 and 13.01 MiB at N 512, 1024
+    # and 2048, 0.40 MiB of it the 161 x 161 table, which the sums' row
+    # alone missed.
     exp = cli.Experiment.from_dict(cli._merge(config, cli.DEFAULTS, ""))
     f = exp.test_signal()
     tracemalloc.start()
@@ -804,7 +804,7 @@ def test_frame_check_builds_no_atom_matrix(tmp_path, capsys):
     # factors it traced 28.0 MiB, 26.4 of it the Walnut check's window
     # products over the whole doubled grid (gabor._walnut_frame_operator).
     # Walked in 256-row blocks, that stage traces 3.4 MiB, the canonical
-    # dual's Gram solve (gabor._canonical_dual) 6.0, and the run 15.2.
+    # dual's Gram solve (gabor._canonical_dual) 6.0, and the run 14.8.
     peak = _traced_peak(tmp_path, {
         "grid": {"N": 2048, "L": 20.0},
         "frame": {"alpha": 0.25, "beta": 0.25, "truncation": 4.0}},

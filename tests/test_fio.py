@@ -206,6 +206,83 @@ def test_mirrored_chirps_are_bitwise_the_direct_ones(grid, name, monkeypatch):
     assert [gf.apply(op, f).values.tobytes() for f in packets] == outs
 
 
+APPLY_OPERATORS = ["harmonic:0.7", "harmonic:1.5607963267948966",
+                   "metaplectic:dilation:1.4", "metaplectic:chirp:1.1",
+                   "multiplier:cos"]
+
+
+@pytest.mark.parametrize("name", APPLY_OPERATORS)
+def test_chirp_of_the_negated_rate_is_the_conjugate(grid, name):
+    # The Bluestein kernel is the chirp of rate -i pi theta; the factored
+    # apply takes it as the conjugate of the chirp of i pi theta, which
+    # must be bitwise the chirp it replaced over |k| = 1 .. N, on the
+    # grid and on the doubled grid that apply pads to. At k = 0 both are
+    # 1, and the conjugate's imaginary zero is -0 where the chirp's is +0.
+    mat = gf.parse_operator(name)._matrix
+    for n in (grid.points_per_axis, 2 * grid.points_per_axis):
+        rate = 1j * np.pi * (1.0 / mat.a / n)
+        k = np.arange(-n, n + 1)
+        direct, conj = fio._chirp(-rate, k), fio._chirp(rate, k).conj()
+        assert direct[k != 0].tobytes() == conj[k != 0].tobytes()
+        assert direct[n] == conj[n] == 1.0
+
+
+def _three_chirp_columns(op, grid, values):
+    """fio._chirp_z_columns as it took its chirps before they shared one
+    table: at v, at u and, of the negated rate, at the kernel's s."""
+    mat = op._matrix
+    ca, ia, ba = mat.c / mat.a, 1.0 / mat.a, mat.b / mat.a
+    n, h = grid.points_per_axis, grid.points_per_axis // 2
+    u = np.arange(n) - h
+    v = np.fft.ifftshift(u)
+    pre = grid.spacing * fio._chirp(-1j * np.pi * ba, v,
+                                    lambda k: k / grid.length)
+    post = complex(op.symbol(0.0, 0.0)) / grid.length * fio._chirp(
+        1j * np.pi * ca, u, lambda k: k * grid.spacing)
+    if op.multiplier is not None:
+        post *= np.exp(2j * np.pi * op.multiplier[0](grid.times()))
+    cols = values.reshape(n, -1)
+    buf = np.empty((2 * n, cols.shape[1]), dtype=complex, order="F")
+    buf[:h], buf[h:n] = cols[h:], cols[:h]
+    spec = buf[:n]
+    np.fft.fft(spec, axis=0, out=spec)
+    if ia == 1.0:
+        spec *= pre[:, None]
+        np.fft.ifft(spec, axis=0, out=spec)
+        post *= n
+    else:
+        theta = ia / n
+        spec *= (pre * fio._chirp(1j * np.pi * theta, v))[:, None]
+        fio._move_rows(buf, slice(h, n), slice(n + h, None))
+        buf[h:n + h] = 0.0
+        s = np.fft.ifftshift(np.arange(2 * n) - n)
+        chirp = np.fft.fft(fio._chirp(-1j * np.pi * theta, s))
+        np.fft.fft(buf, axis=0, out=buf)
+        buf *= chirp[:, None]
+        np.fft.ifft(buf, axis=0, out=buf)
+        post *= fio._chirp(1j * np.pi * theta, u)
+        fio._move_rows(buf, slice(n + h, None), slice(h, n))
+    fio._move_rows(buf, slice(None, h), slice(n, n + h))
+    out = buf[h:n + h]
+    out *= post[:, None]
+    return out.reshape(values.shape)
+
+
+@pytest.mark.parametrize("name", APPLY_OPERATORS)
+def test_apply_is_bitwise_the_three_chirp_route(grid, name, monkeypatch):
+    # One chirp table, gathered at v and u and conjugated for the kernel,
+    # gives apply's packets bit for bit as the three chirps did.
+    op = gf.parse_operator(name)
+    t = grid.times()
+    packets = [gf.SampledSignal(grid, np.exp(-np.pi * (t - x0) ** 2 / width
+                                             + 2j * np.pi * xi0 * t))
+               for x0, xi0, width in ((0.0, 0.0, 1.0), (-2.5, 1.7, 0.6),
+                                      (4.1, -3.2, 2.0))]
+    outs = [gf.apply(op, f).values.tobytes() for f in packets]
+    monkeypatch.setattr(fio, "_chirp_z_columns", _three_chirp_columns)
+    assert [gf.apply(op, f).values.tobytes() for f in packets] == outs
+
+
 # --------------------------------------------------------- canonical map
 
 def test_canonical_map_identity():
