@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .fio import apply as fio_apply
-from .fio import canonical_map
+from .fio import PLAN_CACHE_BYTES, canonical_map
 from .fitting import BLOCK_ROWS, DEFAULT_S_GRID
 from .gabor import (ENVELOPE_FLUSH, INVERSION_EXTENT, INVERSION_STEP,
                     WALNUT_ROWS, GaborFrame, Window, _steps_within,
@@ -247,11 +247,17 @@ def _memory_table(exp: Experiment) -> dict:
              ("the frame's shifts and waves", 8 * n * (n_x + 2 * n_w), wk)]
     held = frame[:1] + [("chi", 16 * lat, lk), sq("the Gabor matrix", 16)]
     signal, dual = ("the test signal", 16 * n, nk), ("the dual", 16 * n, nk)
+    # fio's cache of the factored apply's plans, at most its bound: from
+    # the first apply on, a command holds the plans of the operators it
+    # applied. assemble applies its operators only by quadrature, on any
+    # window but a Gaussian.
+    plans = ("the operator plans' cache", PLAN_CACHE_BYTES, ())
     # Every command that assembles, whichever path its operator takes.
     assembly = held + [
         ("the quadrature's shifts and waves", 16 * n * (n_x + 2 * n_w), wk),
         ("a block of atoms and its apply buffer", 96 * n * block, wk),
-        ("the analysis atoms", 32 * n * lat, wk)]
+        ("the analysis atoms", 32 * n * lat, wk)] + (
+        [] if exp.window.kind == "gaussian" else [plans])
     # A fit holds a value per entry at or above the floor, |L|^2 at most.
     flags = ("the column flags", lat, lk)
     samples = held + [flags, sq("the fits' samples (distance, magnitude)", 16)]
@@ -283,7 +289,7 @@ def _memory_table(exp: Experiment) -> dict:
     # Per sample axis point: the window's shifts (8 bytes), the waves
     # and the signal times the waves (16 each).
     stft = {"STFT": [signal, ("the transformed signal", 16 * n, nk),
-                     ("the STFT's sums", 40 * n * n_stft, nk)]}
+                     ("the STFT's sums", 40 * n * n_stft, nk), plans]}
     # The canonical dual (gabor._canonical_dual) on 2N: its system has at
     # most 2P rows over the N samples t >= 0, for the P = adjoint / 4
     # adjoint points (k, l >= 0). Built, it is held with its complex rows
@@ -334,7 +340,8 @@ def _memory_table(exp: Experiment) -> dict:
             ("the sparsity fits' block of rows", 40 * BLOCK_ROWS * lat, lk)]}),
         "propagate": {
             "assembly": assembly,
-            "expansion dual": held + frame[1:] + [signal] + bounds + [system],
+            "expansion dual": held + frame[1:] + [signal, plans] + bounds
+            + [system],
             # A threshold that keeps every entry orders them all
             # (GaborMatrix._magnitude_order), and the product sums them a
             # block of terms at a time (gmatrix._partial_product): traced
@@ -343,12 +350,16 @@ def _memory_table(exp: Experiment) -> dict:
             "thresholded apply": held + frame[1:] + [
                 signal, sq("the magnitude-ordered copy", 40),
                 ("a block of the product's terms", 16 * PRODUCT_BLOCK, ()),
-                ("the reference and direct outputs", 32 * n, nk)] + expansion},
-        # fio._chirp_z_columns' padding, 4N-point buffer, chirps: fio.apply
-        # alone traced 339 bytes per N on the Bluestein path (N 1024, 4096).
+                ("the reference and direct outputs", 32 * n, nk), plans]
+            + expansion},
+        # fio._chirp_z_columns' padding, 4N-point buffer and plan: fio.apply
+        # alone traced 289 bytes per N on the Bluestein path with a cold
+        # plan, 160 of them the plan, and 129 with a warm one (N 1024 to
+        # 16384). A plan past the cache's bound is used and dropped, so
+        # the cold peak holds at any N.
         "oracle-check": {"operator applies": [
             signal, ("the outputs and closed forms", 64 * n, nk),
-            ("the operator apply's buffers", 400 * n, nk)]},
+            ("the operator apply's buffers", 400 * n, nk), plans]},
     }
     interpreter = ("the interpreter's objects (parser, config, STFT points)",
                    3 * 2 ** 18, ())

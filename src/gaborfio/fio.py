@@ -17,7 +17,12 @@ Phi(x, eta) = (c/a) x^2 / 2 + x eta / a - (b/a) eta^2 / 2 + phi(x), phi
 hands the operator the matrix and the multiplier it was given, and the
 sum runs factored: a chirp on the spectrum, the DFT scaled by 1/a as a
 Bluestein chirp-z transform (a plain inverse FFT at a = 1), then a chirp
-times exp(2 pi i phi) and the symbol, at O(N log N) per function. An
+times exp(2 pi i phi) and the symbol, at O(N log N) per function. The
+chirps and the FFT of the Bluestein kernel depend on the matrix, the
+symbol and the grid alone: they form a read-only plan, kept in one
+least-recently-used cache of at most PLAN_CACHE_BYTES, so an equal
+operator parsed again, or the next run of gmatrix's quadrature, reuses
+them; only the FFTs, the multiplies and the multiplier run per call. An
 operator without a matrix goes through the dense N x N kernel
 exp(2 pi i Phi) sigma, evaluated and applied a block of output rows at a
 time.
@@ -25,13 +30,17 @@ time.
 The canonical transformation chi(y, eta) = (x, xi) solves
 d_eta Phi(x, eta) = y for x and sets xi = d_x Phi(x, eta). Operators whose
 mixed phase Hessian degenerates somewhere in the working box can be
-constructed and inspected, but apply and canonical_map refuse them.
+constructed and inspected, but apply and canonical_map refuse them. The
+mixed Hessian of an operator that carries its matrix is the constant
+1/a, so its margin needs no scan.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.fft  # noqa: F401  (loaded on first use, these took 0.9 MiB
@@ -68,12 +77,31 @@ NEWTON_MAX_ITERATIONS = 50
 # grid, where the whole kernel took 64 MiB (1 GiB at 8192).
 KERNEL_BLOCK_ROWS = 128
 
+# The factored apply's plans are kept while their bytes total at most
+# this, the least recently used dropped first. A plan takes 80 bytes per
+# point of the grid it runs on (32 at a = 1): 160 KiB for a signal of
+# 1024 points, which apply runs on 2048, so 25 such plans, where a
+# benchmark slice cycles 5 operators. A plan larger than this, from a
+# signal past 26,214 points, is used and not kept.
+PLAN_CACHE_BYTES = 4 * 2 ** 20
 
+
+@functools.cache
 def _validation_points():
-    """Fixed pseudorandom (x, eta) in [-4, 4]^2 for construction checks."""
+    """Fixed pseudorandom (x, eta) in [-4, 4]^2 for construction checks.
+
+    Read-only, as the five runs of the stacked points the check
+    evaluates: (x, eta) itself, then x shifted by +h and -h, then eta
+    shifted by +h and -h, for h = VALIDATION_STEP.
+    """
     pts = np.random.default_rng(0).uniform(-4.0, 4.0,
                                            size=(VALIDATION_POINTS, 2))
-    return pts[:, 0], pts[:, 1]
+    x, eta, h = pts[:, 0], pts[:, 1], VALIDATION_STEP
+    stacked = (np.concatenate([x, x + h, x - h, x, x]),
+               np.concatenate([eta, eta, eta, eta + h, eta - h]))
+    for axis in stacked:
+        axis.flags.writeable = False
+    return stacked
 
 
 @dataclass(frozen=True)
@@ -95,13 +123,19 @@ class Phase:
     name: str = ""
 
     def __post_init__(self):
-        x, eta = _validation_points()
-        h = VALIDATION_STEP
-        fds = ((self.value(x + h, eta) - self.value(x - h, eta)) / (2 * h),
-               (self.value(x, eta + h) - self.value(x, eta - h)) / (2 * h))
-        for grad, fd in zip(self.gradient(x, eta), fds):
-            grad = np.asarray(grad, dtype=float)
-            miss = np.broadcast_to(np.abs(fd - grad), x.shape)
+        xs, etas = _validation_points()
+        x, eta = xs[:VALIDATION_POINTS], etas[:VALIDATION_POINTS]
+        h, runs = VALIDATION_STEP, (5, VALIDATION_POINTS)
+        # Each callable once, on every shifted point at once; row 0 of a
+        # result's runs is the unshifted points'.
+        values = np.broadcast_to(self.value(xs, etas), xs.shape).reshape(runs)
+        grads = [np.broadcast_to(np.asarray(g, dtype=float),
+                                 xs.shape).reshape(runs)
+                 for g in self.gradient(xs, etas)]
+        fds = ((values[1] - values[2]) / (2 * h),
+               (values[3] - values[4]) / (2 * h))
+        for grad, fd in zip((grads[0][0], grads[1][0]), fds):
+            miss = np.abs(fd - grad)
             rel = miss / np.maximum(1.0, np.abs(grad))
             worst = int(np.argmax(rel))
             if not rel[worst] > VALIDATION_RTOL:
@@ -118,12 +152,8 @@ class Phase:
         pxx, pxe, pex, pee = _hessian_entries(self, x, eta)
         if np.max(np.abs(pxe - pex) / np.maximum(1.0, np.abs(pxe))) > 1e-10:
             raise ValueError(f"phase {self.name!r}: hessian not symmetric")
-        fdh_x = (np.asarray(self.gradient(x + h, eta)[0], dtype=float)
-                 - np.asarray(self.gradient(x - h, eta)[0], dtype=float)
-                 ) / (2 * h)
-        fdh_e = (np.asarray(self.gradient(x, eta + h)[1], dtype=float)
-                 - np.asarray(self.gradient(x, eta - h)[1], dtype=float)
-                 ) / (2 * h)
+        fdh_x = (grads[0][1] - grads[0][2]) / (2 * h)
+        fdh_e = (grads[1][3] - grads[1][4]) / (2 * h)
         if (np.max(np.abs(fdh_x - pxx) / np.maximum(1.0, np.abs(pxx)))
                 > VALIDATION_RTOL
                 or np.max(np.abs(fdh_e - pee) / np.maximum(1.0, np.abs(pee)))
@@ -172,17 +202,22 @@ class FioOperator:
 
 
 def ensure_nondegenerate(op: FioOperator) -> float:
-    """Scan the mixed phase Hessian over the box; raise if it degenerates.
+    """The nondegeneracy margin of op's mixed phase Hessian; raise below it.
 
-    Returns the nondegeneracy margin, the minimum |d^2 Phi / dx deta| over
-    a HYPOTHESIS_POINTS^2 scan of [-HYPOTHESIS_BOX, HYPOTHESIS_BOX]^2. The
-    scan is a sampled surrogate for global nondegeneracy, adequate for the
-    smooth phases this library targets.
+    The margin is the minimum |d^2 Phi / dx deta| over a HYPOTHESIS_POINTS^2
+    scan of [-HYPOTHESIS_BOX, HYPOTHESIS_BOX]^2, a sampled surrogate for
+    global nondegeneracy, adequate for the smooth phases this library
+    targets. An operator that carries its matrix has the constant mixed
+    Hessian 1/a (build_metaplectic; phi depends on x only), so its margin
+    is |1/a|, bitwise the scan's minimum, and no scan runs.
     """
-    axis = np.linspace(-HYPOTHESIS_BOX, HYPOTHESIS_BOX, HYPOTHESIS_POINTS)
-    _, pxe, _, _ = _hessian_entries(
-        op.phase, *np.meshgrid(axis, axis, indexing="ij"))
-    min_det = float(np.min(np.abs(pxe)))
+    if op._matrix is not None:
+        min_det = abs(1.0 / op._matrix.a)
+    else:
+        axis = np.linspace(-HYPOTHESIS_BOX, HYPOTHESIS_BOX, HYPOTHESIS_POINTS)
+        _, pxe, _, _ = _hessian_entries(
+            op.phase, *np.meshgrid(axis, axis, indexing="ij"))
+        min_det = float(np.min(np.abs(pxe)))
     if min_det < HYPOTHESIS_DET_FLOOR:
         raise HypothesisError(
             f"operator {op.name!r}: mixed phase Hessian degenerates "
@@ -224,58 +259,126 @@ def _dense_columns(op: FioOperator, grid: Grid, values: np.ndarray
     return out
 
 
-def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
-                     ) -> np.ndarray:
-    """The quadrature of a separable phase, factored, in one 2N buffer.
+class _Plan(NamedTuple):
+    """What _chirp_z_columns takes of the matrix, symbol and grid alone.
+
+    spectrum multiplies the spectrum in FFT order; post, times the
+    multiplier if any, then out multiply the output rows; kernel
+    multiplies the FFT of the doubled buffer. At a = 1 out is the scalar
+    N and kernel None. The arrays are read-only.
+    """
+
+    spectrum: np.ndarray
+    post: np.ndarray
+    out: np.ndarray | int
+    kernel: np.ndarray | None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self if isinstance(a, np.ndarray))
+
+
+# Plans by key (_plan), least recently used first, and the lock that
+# guards their bookkeeping.
+_plans: dict = {}
+_plans_lock = threading.Lock()
+
+
+def _plan(op: FioOperator, grid: Grid) -> _Plan:
+    """op's plan on grid, from the cache or built and, if it fits, kept.
+
+    The key is the bytes of the matrix entries, the symbol at the origin
+    and the grid, so signed zeros count and no two matrices, symbols or
+    grids share a plan. The multiplier, a callable, is applied per call
+    and is no part of it.
+    """
+    symbol = complex(op.symbol(0.0, 0.0))
+    key = np.array([*op._matrix.entries[0], *op._matrix.entries[1],
+                    symbol.real, symbol.imag, grid.points_per_axis,
+                    grid.length]).tobytes()
+    with _plans_lock:
+        plan = _plans.pop(key, None)
+        if plan is not None:
+            _plans[key] = plan
+            return plan
+    plan = _build_plan(op._matrix, symbol, grid)
+    if plan.nbytes <= PLAN_CACHE_BYTES:
+        with _plans_lock:
+            _plans[key] = plan
+            while sum(p.nbytes for p in _plans.values()) > PLAN_CACHE_BYTES:
+                del _plans[next(iter(_plans))]
+    return plan
+
+
+def _build_plan(mat, symbol: complex, grid: Grid) -> _Plan:
+    """The chirps of _chirp_z_columns, and the FFT of its Bluestein kernel.
 
     With u, v the centered sample and frequency indices on N points,
     t_u w_v = u v / N, so the sum over v is a DFT scaled by 1/a. It runs
     as a Bluestein chirp-z transform, u v / a = (u^2 + v^2 - (u - v)^2)
     / (2a), a circular convolution of length 2N with the chirp
-    exp(-i pi (u - v)^2 / (a N)); at a = 1 it is an inverse FFT. The
-    result is an N-row view into that buffer (2N x columns, complex).
+    exp(-i pi (u - v)^2 / (a N)); at a = 1 it is an inverse FFT.
     """
-    mat = op._matrix
     ca, ia, ba = mat.c / mat.a, 1.0 / mat.a, mat.b / mat.a
     n, h = grid.points_per_axis, grid.points_per_axis // 2
     u = np.arange(n) - h
     v = np.fft.ifftshift(u)
-    pre = grid.spacing * _chirp(-1j * np.pi * ba, v,
-                                 lambda k: k / grid.length)
-    post = complex(op.symbol(0.0, 0.0)) / grid.length * _chirp(
-        1j * np.pi * ca, u, lambda k: k * grid.spacing)
-    if op.multiplier is not None:
-        post *= np.exp(2j * np.pi * op.multiplier[0](grid.times()))
+    spectrum = grid.spacing * _chirp(-1j * np.pi * ba, v,
+                                      lambda k: k / grid.length)
+    post = symbol / grid.length * _chirp(1j * np.pi * ca, u,
+                                         lambda k: k * grid.spacing)
+    if ia == 1.0:
+        plan = _Plan(spectrum, post, n, None)
+    else:
+        # One chirp exp(i pi theta k^2) over |k| = 0 .. N, gathered at
+        # v and u, and conjugated at the kernel's 2N indices s: exp(-i x)
+        # is exp(i x) conjugated, bit for bit but for the sign of the
+        # imaginary zero of 1 at k = 0, which leaves the outputs bitwise.
+        chirp = _chirp(1j * np.pi * (ia / n), np.arange(n + 1))
+        spectrum *= chirp[np.abs(v)]
+        kernel = chirp[np.abs(np.fft.ifftshift(np.arange(2 * n) - n))]
+        np.conj(kernel, out=kernel)
+        np.fft.fft(kernel, out=kernel)
+        plan = _Plan(spectrum, post, chirp[np.abs(u)], kernel)
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
+
+
+def _chirp_z_columns(op: FioOperator, grid: Grid, values: np.ndarray
+                     ) -> np.ndarray:
+    """The quadrature of a separable phase, factored, in one 2N buffer.
+
+    The chirps and kernel come from op's plan (_plan, _build_plan); this
+    runs the FFTs, the multiplies and the multiplier exp(2 pi i phi(t)).
+    The result is an N-row view into that buffer (2N x columns, complex).
+    """
+    plan = _plan(op, grid)
+    n, h = grid.points_per_axis, grid.points_per_axis // 2
+    if op.multiplier is None:
+        post = plan.post * plan.out
+    else:
+        post = plan.post * np.exp(2j * np.pi * op.multiplier[0](grid.times()))
+        post *= plan.out
     cols = values.reshape(n, -1)
     buf = np.empty((2 * n, cols.shape[1]), dtype=complex, order="F")
     # The spectrum in FFT order: row j of buf[:n] holds frequency index v_j.
     buf[:h], buf[h:n] = cols[h:], cols[:h]
     spec = buf[:n]
     np.fft.fft(spec, axis=0, out=spec)
-    if ia == 1.0:
+    spec *= plan.spectrum[:, None]
+    if plan.kernel is None:
         # An inverse FFT of length N: about half the time per column of
         # the length-2N Bluestein path, at the same accuracy.
-        spec *= pre[:, None]
         np.fft.ifft(spec, axis=0, out=spec)
-        post *= n
     else:
-        theta = ia / n
-        # One chirp exp(i pi theta k^2) over |k| = 0 .. N, gathered at
-        # v and u, and conjugated at the kernel's 2N indices s: exp(-i x)
-        # is exp(i x) conjugated, bit for bit but for the sign of the
-        # imaginary zero of 1 at k = 0, which leaves the outputs bitwise.
-        chirp = _chirp(1j * np.pi * theta, np.arange(n + 1))
-        spec *= (pre * chirp[np.abs(v)])[:, None]
         # Index v sits at row v mod 2N, zeros between.
         _move_rows(buf, slice(h, n), slice(n + h, None))
         buf[h:n + h] = 0.0
-        kernel = chirp[np.abs(np.fft.ifftshift(np.arange(2 * n) - n))]
-        np.conj(kernel, out=kernel)
-        np.fft.fft(kernel, out=kernel)
         np.fft.fft(buf, axis=0, out=buf)
-        buf *= kernel[:, None]
+        buf *= plan.kernel[:, None]
         np.fft.ifft(buf, axis=0, out=buf)
-        post *= chirp[np.abs(u)]
         _move_rows(buf, slice(n + h, None), slice(h, n))
     # Output index u sits at row u mod 2N (u mod N at a = 1); gather the
     # centered result into rows h .. n + h - 1.
@@ -317,7 +420,10 @@ def apply(op: FioOperator, f: SampledSignal) -> SampledSignal:
 
     Read back on f's rows: content the operator moves less than a length
     past f's box does not wrap back in. O(N log N) for an operator that
-    carries its matrix, O(N^2) through the dense kernel otherwise.
+    carries its matrix, O(N^2) through the dense kernel otherwise. The
+    first apply of a matrix on a grid builds its plan of chirps and
+    Bluestein kernel; an equal operator on an equal grid reuses it while
+    the plan cache holds it, with bitwise the same output.
     """
     ensure_nondegenerate(op)
     h = f.grid.points_per_axis // 2

@@ -663,6 +663,25 @@ def test_frame_check_is_charged_its_traced_peak(tmp_path, monkeypatch,
     assert "frame-check's frame bounds" in err and "grid.N" in err
 
 
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("command", ["oracle-check", "gs-check all"])
+def test_operator_applies_are_charged_their_traced_peak(tmp_path, monkeypatch,
+                                                        capsys, command, n):
+    # From a cold plan cache, so every plan the run applies is built and
+    # kept inside the trace: the run must stay under the size guard's
+    # charge, the cache's bound included, and the guard must refuse it
+    # with physical memory set to its traced peak. Traced at N 512 and
+    # 4096: oracle-check 0.45 and 1.96 MiB against 4.98 and 6.62 charged,
+    # gs-check all 1.36 and 8.48 MiB against 5.57 and 11.28, where 4 MiB
+    # of each charge is the cache's bound.
+    gaborfio.fio._plans.clear()
+    config = {"grid": {"N": n, "L": 32.0 * n / 1024}}
+    peak, charged, err = _traced_and_refused(tmp_path, monkeypatch, capsys,
+                                             config, command)
+    assert peak < charged, (peak, charged)
+    assert "grid.N" in err and "physical memory" in err
+
+
 @pytest.mark.parametrize("config", [
     {"grid": {"N": 512, "L": 20.0}}, {}, {"grid": {"N": 2048, "L": 20.0}}])
 def test_inversion_formula_is_charged_its_traced_peak(config):

@@ -1,5 +1,8 @@
 """Phases, symbols, quadrature application, and the canonical map."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -203,6 +206,9 @@ def test_mirrored_chirps_are_bitwise_the_direct_ones(grid, name, monkeypatch):
                                       (4.1, -3.2, 2.0))]
     outs = [gf.apply(op, f).values.tobytes() for f in packets]
     monkeypatch.setattr(fio, "_chirp", _direct_chirp)
+    # A warm plan would skip the patched chirps and compare the cache
+    # with itself.
+    fio._plans.clear()
     assert [gf.apply(op, f).values.tobytes() for f in packets] == outs
 
 
@@ -280,7 +286,162 @@ def test_apply_is_bitwise_the_three_chirp_route(grid, name, monkeypatch):
                                       (4.1, -3.2, 2.0))]
     outs = [gf.apply(op, f).values.tobytes() for f in packets]
     monkeypatch.setattr(fio, "_chirp_z_columns", _three_chirp_columns)
+    fio._plans.clear()
     assert [gf.apply(op, f).values.tobytes() for f in packets] == outs
+
+
+PLAN_OPERATORS = ["metaplectic:chirp:1.0", "multiplier:cos",
+                  "metaplectic:dilation:-0.7", "harmonic:1.5607963267948966"]
+PLAN_GRIDS = [(512, 20.0), (1024, 32.0), (2048, 44.0)]
+
+
+def _packet(grid, x0=-1.3, xi0=0.8, width=0.7):
+    t = grid.times()
+    return gf.SampledSignal(grid, np.exp(-np.pi * (t - x0) ** 2 / width
+                                         + 2j * np.pi * xi0 * t))
+
+
+def _three_chirp_apply(op, f):
+    """apply's readout of _three_chirp_columns on f's doubled grid."""
+    h = f.grid.points_per_axis // 2
+    return _three_chirp_columns(op, f.grid.doubled(),
+                                np.pad(f.values, h))[h:-h]
+
+
+@pytest.mark.parametrize("n, length", PLAN_GRIDS)
+@pytest.mark.parametrize("name", PLAN_OPERATORS)
+def test_cold_warm_and_reparsed_applies_are_the_three_chirp_route(
+        name, n, length):
+    # The plan's chirps and kernel are the expressions the apply
+    # evaluated per call, evaluated once: applied from a cold plan, from
+    # the plan it left, and by an equal operator parsed again, the
+    # outputs are bitwise the three-chirp route's, at a = 1 (inverse FFT,
+    # with and without a multiplier) and on the Bluestein path.
+    grid = gf.Grid(1, n, length)
+    f, op = _packet(grid), gf.parse_operator(name)
+    expected = _three_chirp_apply(op, f).tobytes()
+    fio._plans.clear()
+    outs = [gf.apply(op, f), gf.apply(op, f),
+            gf.apply(gf.parse_operator(name), f)]
+    assert len(fio._plans) == 1
+    assert [out.values.tobytes() for out in outs] == [expected] * 3
+
+
+def test_quadrature_assemble_is_bitwise_the_three_chirp_route(monkeypatch):
+    # A Hermite window takes the quadrature, whose runs of lattice times
+    # share one plan per operator; its entries are bitwise those of the
+    # route that took every chirp per call.
+    frame = gf.GaborFrame(gf.parse_window("hermite:2:2"),
+                          gf.make_lattice(2 ** -0.5, 2 ** -0.5, 3.0),
+                          gf.Grid(1, 512, 20.0))
+    names = ("harmonic:0.7", "multiplier:cos", "metaplectic:dilation:-0.7")
+    fio._plans.clear()
+    got = [gf.assemble(gf.parse_operator(name), frame).entries.tobytes()
+           for name in names]
+    assert len(fio._plans) == len(names)
+    monkeypatch.setattr(fio, "_chirp_z_columns", _three_chirp_columns)
+    assert [gf.assemble(gf.parse_operator(name), frame).entries.tobytes()
+            for name in names] == got
+
+
+def _retained():
+    return sum(plan.nbytes for plan in fio._plans.values())
+
+
+def test_plan_cache_stays_within_its_bound(monkeypatch):
+    # Bounded in bytes, not plans: on 2048 points a Bluestein plan takes
+    # 80 bytes per point and an a = 1 plan 32, so a bound of four
+    # Bluestein plans holds more a = 1 plans. After more distinct
+    # operators than it holds, the cache keeps the most recent that fit,
+    # never more bytes than the bound.
+    grid = gf.Grid(1, 2048, 64.0)
+    monkeypatch.setattr(fio, "PLAN_CACHE_BYTES", 4 * 80 * 2048)
+    fio._plans.clear()
+    cols = _packet(grid).values
+    specs = ([f"harmonic:{0.1 * k!r}" for k in range(1, 8)]
+             + [f"metaplectic:chirp:{0.25 * k!r}" for k in range(1, 12)])
+    for spec in specs:
+        fio._apply_columns(gf.parse_operator(spec), grid, cols)
+        assert _retained() <= fio.PLAN_CACHE_BYTES, spec
+    assert len(fio._plans) == 10 and _retained() == 10 * 32 * 2048
+    # A plan used again moves to the back of the queue.
+    first = next(iter(fio._plans))
+    fio._apply_columns(gf.parse_operator(specs[-10]), grid, cols)
+    assert next(reversed(fio._plans)) == first
+
+
+def test_plan_larger_than_the_bound_is_used_not_kept(monkeypatch):
+    grid = gf.Grid(1, 1024, 32.0)
+    op, f = gf.parse_operator("harmonic:0.9"), _packet(grid)
+    expected = _three_chirp_apply(op, f).tobytes()
+    # apply runs on the doubled grid: 80 bytes per each of its 2048 points.
+    monkeypatch.setattr(fio, "PLAN_CACHE_BYTES", 80 * 2048 - 1)
+    fio._plans.clear()
+    assert gf.apply(op, f).values.tobytes() == expected
+    assert not fio._plans
+    monkeypatch.setattr(fio, "PLAN_CACHE_BYTES", 80 * 2048)
+    assert gf.apply(op, f).values.tobytes() == expected
+    assert _retained() == 80 * 2048
+
+
+def test_grids_matrices_and_symbols_never_share_a_plan():
+    # Equal values share a plan; any difference in the matrix (a signed
+    # zero included: the rotation by 0 has b = -0.0, the identity 0.0),
+    # the symbol or the grid's points or length makes another. The
+    # multiplier is applied per call, so the identity and multiplier:cos
+    # share the identity matrix's plan.
+    identity = gf.parse_operator("identity")
+    bare_scaled = gf.FioOperator(
+        phase=identity.phase, symbol=lambda x, eta: 2.0 * identity.symbol(
+            x, eta), _matrix=identity._matrix)
+    ops = [identity, gf.parse_operator("harmonic:0.0"),
+           gf.parse_operator("metaplectic:dilation:2.0"),
+           gf.parse_operator("metaplectic:dilation:-2.0"), bare_scaled]
+    grids = [gf.Grid(1, 256, 16.0), gf.Grid(1, 512, 16.0),
+             gf.Grid(1, 256, 32.0)]
+    fio._plans.clear()
+    for grid in grids:
+        for op in ops + [gf.parse_operator("multiplier:cos")]:
+            f = _packet(grid, x0=0.5, xi0=-0.4)
+            assert (gf.apply(op, f).values.tobytes()
+                    == _three_chirp_apply(op, f).tobytes()), op.name
+    assert len(fio._plans) == len(ops) * len(grids)
+
+
+def test_threads_sharing_the_plan_cache(monkeypatch):
+    # More threads than cores apply more operators than the bound holds,
+    # switching often: every output is bitwise its operator's own, and
+    # the cache never holds more than its bound.
+    grid = gf.Grid(1, 512, 16.0)
+    f = _packet(grid)
+    ops = [gf.parse_operator(f"harmonic:{0.2 * k!r}") for k in range(1, 6)]
+    expected = [_three_chirp_apply(op, f).tobytes() for op in ops]
+    monkeypatch.setattr(fio, "PLAN_CACHE_BYTES", 3 * 80 * 1024)
+    fio._plans.clear()
+    errors, bytes_seen = [], []
+
+    def work(seed):
+        order = np.random.default_rng(seed).integers(0, len(ops), 40)
+        for i in order:
+            if gf.apply(ops[i], f).values.tobytes() != expected[i]:
+                errors.append(ops[i].name)
+            with fio._plans_lock:
+                bytes_seen.append(_retained())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(bytes_seen) == 6 * 40
+    assert max(bytes_seen) <= fio.PLAN_CACHE_BYTES
 
 
 # --------------------------------------------------------- canonical map
@@ -369,3 +530,57 @@ def test_validate_hypotheses_metaplectic_blocks():
         op = gf.parse_operator(name)
         assert abs(gf.ensure_nondegenerate(op) - mixed) <= 1e-9, name
         assert abs(_symbol_sup(op) - constant) <= 1e-9, name
+
+
+def _scanned(op):
+    """ensure_nondegenerate's scan: op's phase and symbol without the
+    matrix."""
+    return gf.ensure_nondegenerate(gf.FioOperator(phase=op.phase,
+                                                  symbol=op.symbol,
+                                                  name=op.name))
+
+
+@pytest.mark.parametrize("name", list(gf.shipped_operator_names()) + [
+    f"harmonic:{float(t)!r}" for t in np.linspace(-3.0, 3.0, 25)] + [
+    f"metaplectic:dilation:{a!r}" for a in (-3.7, -1.0, -0.3, 0.3, 1e-3,
+                                            1.0, 2.5, 1e9)] + [
+    f"metaplectic:chirp:{c!r}" for c in (-2.0, 0.0, 0.7, 1e6)] + [
+    "multiplier:poly:0.3"])
+def test_closed_form_margin_is_bitwise_the_scan(name):
+    # The mixed Hessian build_metaplectic gives its phase is the constant
+    # 1/a, so |1/a| is bitwise the minimum the scan finds.
+    op = gf.parse_operator(name)
+    margin = gf.ensure_nondegenerate(op)
+    assert margin == abs(1.0 / op._matrix.a)
+    assert np.float64(margin).tobytes() == np.float64(_scanned(op)).tobytes()
+
+
+def test_closed_form_margin_refuses_as_the_scan_does():
+    # |1/a| = 1e-11 lies under HYPOTHESIS_DET_FLOOR: the same refusal,
+    # min_det and message as the scan's.
+    op = gf.parse_operator("metaplectic:dilation:1e11")
+    errors = []
+    for check in (gf.ensure_nondegenerate, _scanned):
+        with pytest.raises(gf.HypothesisError) as err:
+            check(op)
+        errors.append((err.value.min_det, str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 1e-11 < fio.HYPOTHESIS_DET_FLOOR
+
+
+def test_phase_validation_calls_each_callable_once():
+    # The check evaluates value, gradient and hessian once each, on its
+    # stacked shifted points, and accepts the phase.
+    calls = {"value": 0, "gradient": 0, "hessian": 0}
+
+    def counted(name, fn):
+        def wrapped(x, eta):
+            calls[name] += 1
+            return fn(x, eta)
+        return wrapped
+
+    cos = gf.parse_operator("multiplier:cos").phase
+    gf.Phase(value=counted("value", cos.value),
+             gradient=counted("gradient", cos.gradient),
+             hessian=counted("hessian", cos.hessian), name="counted")
+    assert calls == {"value": 1, "gradient": 1, "hessian": 1}
